@@ -15,8 +15,10 @@ path integrals, each anchored at a fixed point of the respective symmetry:
     line flip  (z, w) -> (conj z, -conj w)     ambient diag(-1, +1, -1)
 
 Horizontal foliation slices are extracted from grid immersions by solving
-x3 = c exactly along radial grid edges (linear interpolation is far too
-coarse for the circle-fit tolerances), then fitted by circles or lines.
+x3 = c on every radial and angular grid edge that crosses the height, by a
+safeguarded Newton iteration with the exact derivative dx3/dt = Re(Phi3 dz)
+(linear interpolation is far too coarse for the circle-fit tolerances),
+then fitted by circles or lines.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from .curve import (
     curve_rhs,
     principal_w,
 )
-from .errors import InsufficientSlicePoints, SingularPoint
+from .errors import InsufficientSlicePoints, QuadratureFailure, SingularPoint
 from .weierstrass import (
     Normalization,
     immerse,
@@ -72,25 +74,6 @@ def general_curvature(g_value, g_derivative, f_value) -> float:
         raise ZeroDivisionError("curvature formula needs f != 0")
     g2 = 1.0 + abs(g_value) ** 2
     return (4.0 * abs(g_derivative) / (abs(f_value) * g2 * g2)) ** 2
-
-
-@dataclass(frozen=True)
-class CurvatureSample:
-    """|K| at one parameter point, tagged with the normalization it used."""
-
-    z: complex
-    abs_k: float
-    normalization: str
-
-    def __post_init__(self):
-        if not (self.abs_k >= 0.0 and math.isfinite(self.abs_k)):
-            raise ValueError("curvature samples must be finite and nonnegative")
-
-
-def curvature_samples(zs, lam, norm: Normalization):
-    ks = np.atleast_1d(abs_gauss_curvature(np.asarray(zs, dtype=complex), lam, norm))
-    return [CurvatureSample(complex(z), float(k), norm.kind.value)
-            for z, k in zip(np.atleast_1d(np.asarray(zs, dtype=complex)), ks)]
 
 
 @dataclass(frozen=True)
@@ -399,31 +382,39 @@ def fit_line_2d(xy):
 def _edge_height_crossing(lam, norm, za, wa, pos_a, zb, c: float, f_lo: float):
     """Solve x3 = c along the straight edge za -> zb continued from (za, wa).
 
-    Bisection with incremental integration: positions are only ever advanced
-    from the live lower bracket, so the total integrated length stays
-    comparable to the edge length.  Returns the full position.
+    Safeguarded Newton in the edge parameter t: f(t) = x3(t) - c has the
+    exact derivative f'(t) = Re(2 s dz / w(t)), since Phi3 = 2 s / w.  Each
+    step continues the root and integrates only from the current iterate to
+    the next, and a sign bracket replaces any step that leaves it (or meets
+    f' = 0) by its midpoint.  Returns the full position; raises
+    QuadratureFailure if the residual test is not met within 60 steps.
     """
     fn = weierstrass_integrand(norm)
+    s2dz = 2.0 * normalization_scale(norm) * (zb - za)
+    tol = 1e-12 * max(1.0, abs(c))
     t_lo, t_hi = 0.0, 1.0
-    z_lo, w_lo = za, wa
-    acc = np.asarray(pos_a, dtype=float).copy()
-    val = np.zeros(3)
+    t, z, w, f = 0.0, za, wa, f_lo
+    pos = np.asarray(pos_a, dtype=float)
     for _ in range(60):
-        t = 0.5 * (t_lo + t_hi)
-        z_t = za + t * (zb - za)
-        seg = continue_sheet([z_lo, z_t], w_lo, lam)
-        val = path_integral(seg, fn).real
-        f_t = acc[2] + val[2] - c
-        if abs(f_t) < 1e-12 * max(1.0, abs(c)):
-            return acc + val
-        if (f_lo < 0) == (f_t < 0):
-            t_lo, f_lo = t, f_t
-            z_lo, w_lo = z_t, seg.w_values[-1]
-            acc = acc + val
-            val = np.zeros(3)
+        fp = (s2dz / w).real
+        t_new = 0.5 * (t_lo + t_hi)
+        if fp != 0.0 and t_lo < t - f / fp < t_hi:
+            t_new = t - f / fp
+        z_new = za + t_new * (zb - za)
+        seg = continue_sheet([z, z_new], w, lam)
+        pos = pos + path_integral(seg, fn).real
+        t, z, w, f = t_new, z_new, seg.w_values[-1], pos[2] - c
+        if abs(f) < tol:
+            return pos
+        if (f_lo < 0) == (f < 0):
+            t_lo = t
         else:
             t_hi = t
-    return acc + val
+    raise QuadratureFailure(
+        f"height crossing x3 = {c!r} not resolved on edge {complex(za)} -> {complex(zb)} "
+        f"at lam = {lam.value!r}: |x3 - c| = {abs(f):.3e} after 60 steps "
+        f"(tolerance {tol:.3e})"
+    )
 
 
 def foliation_slices(grids, heights, min_points: int = 16):
@@ -432,8 +423,9 @@ def foliation_slices(grids, heights, min_points: int = 16):
     `grids` holds the two sheet grids of one immersion.  Crossing points of
     each height are found along radial grid edges (with the sheet-aligned
     upper neighbour, so edges through a branch band pair with the correct
-    partner) and refined to the quadrature tolerance.  Each slice is fitted
-    by a circle and by a line; the better model is reported.
+    partner) and angular grid edges, and refined to the quadrature tolerance.
+    Each slice is fitted by a circle and by a line; the better model is
+    reported.
     """
     by_sign = {g.sheet_sign: g for g in grids}
     if len(by_sign) != 2:
@@ -441,32 +433,36 @@ def foliation_slices(grids, heights, min_points: int = 16):
     alignment = radial_edge_alignment(by_sign[+1], by_sign[-1])
     t3 = period_vectors(by_sign[+1].lam, by_sign[+1].norm).translation[2]
 
+    # x3 at both ends of every edge: radial edges end on their
+    # continuation-aligned upper vertex, angular edges stay within a row
+    # chain (consistent by construction)
+    ends = {}
+    for s, g in by_sign.items():
+        x3 = g.positions[..., 2]
+        upper = np.where(alignment.sheet[s] > 0, by_sign[+1].positions[1:, :, 2],
+                         by_sign[-1].positions[1:, :, 2])
+        ends[s] = ((x3[:-1], upper + alignment.period_k[s] * t3),
+                   (x3[:, :-1], x3[:, 1:]))
+
     slices = []
     for c in heights:
         pts = []
         for s, g in by_sign.items():
-            lam, norm = g.lam, g.norm
-            # radial edges, with their continuation-aligned upper vertices
-            for i in range(g.n_rad - 1):
-                for j in range(g.n_col):
-                    upper = by_sign[alignment.sheet[s][i, j]]
-                    x3_low = g.positions[i, j, 2]
-                    x3_high = upper.positions[i + 1, j, 2] + alignment.period_k[s][i, j] * t3
-                    if (x3_low - c) == 0.0:
-                        pts.append(g.positions[i, j])
-                    elif (x3_low - c) * (x3_high - c) < 0.0:
-                        pts.append(_edge_height_crossing(
-                            lam, norm, g.z[i, j], g.w[i, j], g.positions[i, j],
-                            g.z[i + 1, j], c, x3_low - c))
-            # angular edges, consistent within each row chain by construction
-            for i in range(g.n_rad):
-                for j in range(g.n_col - 1):
-                    x3_low = g.positions[i, j, 2]
-                    x3_high = g.positions[i, j + 1, 2]
-                    if (x3_low - c) * (x3_high - c) < 0.0:
-                        pts.append(_edge_height_crossing(
-                            lam, norm, g.z[i, j], g.w[i, j], g.positions[i, j],
-                            g.z[i, j + 1], c, x3_low - c))
+            (rad_lo, rad_hi), (ang_lo, ang_hi) = ends[s]
+            rad_hit = rad_lo - c == 0.0
+            rad_cross = (rad_lo - c) * (rad_hi - c) < 0.0
+            ang_cross = (ang_lo - c) * (ang_hi - c) < 0.0
+            for i, j in zip(*np.nonzero(rad_hit | rad_cross)):
+                if rad_hit[i, j]:
+                    pts.append(g.positions[i, j])
+                else:
+                    pts.append(_edge_height_crossing(
+                        g.lam, g.norm, g.z[i, j], g.w[i, j], g.positions[i, j],
+                        g.z[i + 1, j], c, rad_lo[i, j] - c))
+            for i, j in zip(*np.nonzero(ang_cross)):
+                pts.append(_edge_height_crossing(
+                    g.lam, g.norm, g.z[i, j], g.w[i, j], g.positions[i, j],
+                    g.z[i, j + 1], c, ang_lo[i, j] - c))
         if len(pts) < min_points:
             raise InsufficientSlicePoints(
                 f"slice at height {c} met only {len(pts)} edges (need {min_points})"

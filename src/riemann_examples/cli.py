@@ -11,7 +11,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -74,7 +73,6 @@ def _emit(payload: dict) -> None:
 def _config(args: argparse.Namespace, **extra) -> dict:
     cfg = {k: v for k, v in vars(args).items() if k != "func"}
     cfg.update(extra)
-    cfg["threads"] = int(os.environ.get("RIEMANN_THREADS", "1"))
     cfg["version"] = __version__
     return cfg
 

@@ -78,15 +78,6 @@ def delta_branch(lam) -> float:
     return 1e-6 * max(1.0, lv, 1.0 / lv)
 
 
-def branch_distance(z, lam) -> float:
-    """Distance from z to the nearest finite branch point."""
-    pts = branch_points(lam).finite
-    if np.ndim(z) == 0:
-        return min(abs(z - b) for b in pts)
-    z = np.asarray(z)
-    return np.min([np.abs(z - b) for b in pts], axis=0)
-
-
 def principal_w(z, lam):
     """Principal square root of the curve polynomial.
 
@@ -160,9 +151,6 @@ class SheetedPath:
 
     def reversed(self) -> "SheetedPath":
         return SheetedPath(self.vertices[::-1].copy(), self.w_values[::-1].copy(), self.lam)
-
-    def length(self) -> float:
-        return float(np.sum(np.abs(np.diff(self.vertices))))
 
 
 def _nearest_root(w_ref: complex, rhs_root: complex) -> complex:

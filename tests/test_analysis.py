@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from riemann_examples.curve import CurvePoint, Lambda, principal_w
-from riemann_examples.errors import InsufficientSlicePoints, SingularPoint
+from riemann_examples import analysis
+from riemann_examples.errors import InsufficientSlicePoints, QuadratureFailure, SingularPoint
 from riemann_examples.analysis import (
     CurvatureGrid,
     abs_gauss_curvature,
@@ -193,6 +194,44 @@ def test_foliation_circles_at_interior_heights(grids_lambda1):
         assert s.kind == "circle"
         assert s.residual < 1e-6 * s.radius
         assert s.n_points >= 16
+
+
+@pytest.fixture(scope="module")
+def interior_slices(grids_lambda1):
+    """Slices of grids_lambda1 at 20 interior heights, with the number of
+    sheet continuations the slicing made."""
+    lam = Lambda(1.0)
+    heights = end_spacing(lam, Normalization.paper(lam)) * np.linspace(0.15, 0.85, 20)
+    calls = []
+    original = analysis.continue_sheet
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(analysis, "continue_sheet", counted)
+        slices = foliation_slices(grids_lambda1, heights)
+    return slices, len(calls)
+
+
+def test_foliation_points_lie_on_their_height(interior_slices):
+    for s in interior_slices[0]:
+        assert np.all(np.abs(s.points[:, 2] - s.height) < 1e-12 * max(1.0, abs(s.height)))
+
+
+def test_foliation_crossings_take_few_continuations(interior_slices):
+    slices, n_continuations = interior_slices
+    assert n_continuations / sum(s.n_points for s in slices) <= 6.0
+
+
+def test_edge_crossing_unreached_height_raises(grids_lambda1):
+    g = grids_lambda1[0]
+    pos_a = g.positions[5, 5]
+    c = float(pos_a[2]) + 1e3
+    with pytest.raises(QuadratureFailure, match="lam = 1.0"):
+        analysis._edge_height_crossing(g.lam, g.norm, g.z[5, 5], g.w[5, 5], pos_a,
+                                       g.z[6, 5], c, float(pos_a[2]) - c)
 
 
 def test_foliation_line_at_end_height(grids_lambda1):
