@@ -29,6 +29,10 @@ from .weierstrass import (
 
 #: Decimal precision used for all exported floats; round-trips doubles exactly.
 EXPORT_DIGITS = 17
+_FLOAT = f"%.{EXPORT_DIGITS}g"
+
+#: Rows formatted per %-operation when writing; bounds the text held at once.
+EXPORT_CHUNK = 2048
 
 
 @dataclass(frozen=True)
@@ -114,47 +118,47 @@ def build_mesh(lam, norm: Normalization, *, n_rad: int = 48, n_ang: int = 96,
              for s in (+1, -1)}
     alignment = radial_edge_alignment(grids[+1], grids[-1])
     t_vec = period_vectors(lam, norm).translation
-    block_size = grids[+1].positions.shape[0] * grids[+1].positions.shape[1]
-    block = {+1: 0, -1: block_size}
-    vert_list = [grids[+1].positions.reshape(-1, 3), grids[-1].positions.reshape(-1, 3)]
-    z_list = [grids[+1].z.ravel(), grids[-1].z.ravel()]
     n_col = grids[+1].n_col
-    extra = {}
+    block_size = n_rad * n_col
+    base_verts = np.concatenate([grids[s].positions.reshape(-1, 3) for s in (+1, -1)])
+    base_z = np.concatenate([grids[s].z.ravel() for s in (+1, -1)])
 
-    def vid(s: int, i: int, j: int, k: int) -> int:
-        base = block[s] + i * n_col + j
-        if k == 0:
-            return base
-        key = (s, i, j, k)
-        if key not in extra:
-            g = grids[s]
-            vert_list.append((g.positions[i, j] + k * t_vec)[None, :])
-            z_list.append(np.array([g.z[i, j]]))
-            extra[key] = 2 * block_size + len(extra)
-        return extra[key]
-
-    tris = []
+    # cell (s, i, c) has lower corners a = (s, i, c), b = (s, i, c + 1);
+    # its upper corners follow the alignment of its east and west radial
+    # edges: cc = (s_e, i + 1, c + 1) shifted k_e periods, d likewise west
+    row = np.arange(n_rad - 1)[:, None]
+    a, up, shift = [], [], []
     for s in (+1, -1):
-        g = grids[s]
-        for i in range(g.n_rad - 1):
-            for c in range(n_col - 1):
-                s_w, k_w = alignment.sheet[s][i, c], alignment.period_k[s][i, c]
-                s_e, k_e = alignment.sheet[s][i, c + 1], alignment.period_k[s][i, c + 1]
-                a = vid(s, i, c, 0)
-                b = vid(s, i, c + 1, 0)
-                cc = vid(s_e, i + 1, c + 1, k_e)
-                d = vid(s_w, i + 1, c, k_w)
-                tris.append((a, b, cc))
-                tris.append((a, cc, d))
-    tris = np.asarray(tris, dtype=np.int64)
-    verts = np.concatenate(vert_list)
-    zflat = np.concatenate(z_list)
+        a.append((0 if s > 0 else block_size) + row * n_col + np.arange(n_col - 1))
+        up_s = np.where(alignment.sheet[s] > 0, 0, block_size) + (row + 1) * n_col \
+            + np.arange(n_col)
+        up.append(np.stack([up_s[:, 1:], up_s[:, :-1]], axis=-1))
+        k_s = alignment.period_k[s]
+        shift.append(np.stack([k_s[:, 1:], k_s[:, :-1]], axis=-1))
+    a = np.concatenate(a).ravel()
+    up = np.concatenate(up).ravel()       # cc, d of each cell in turn
+    shift = np.concatenate(shift).ravel()
+
+    # a corner shifted by k != 0 periods is a duplicate vertex, appended
+    # once per (vertex, k) in order of first use
+    moved = shift != 0
+    keys, first, inverse = np.unique(up[moved] * 5 + shift[moved] + 2,
+                                     return_index=True, return_inverse=True)
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    up[moved] = 2 * block_size + rank[inverse]
+    src, k_extra = np.divmod(keys[order], 5)
+    verts = np.concatenate([base_verts, base_verts[src] + (k_extra - 2)[:, None] * t_vec])
+    zflat = np.concatenate([base_z, base_z[src]])
+
+    cc, d = up[0::2], up[1::2]
+    tris = np.stack([a, a + 1, cc, a, cc, d], axis=-1).reshape(-1, 3).astype(np.int64)
 
     normals = unit_normal(zflat)
     curv = abs_gauss_curvature(zflat, lam, norm)
 
     if copies > 1:
-        t_vec = period_vectors(lam, norm).translation
         all_verts = [verts + k * t_vec for k in range(copies)]
         all_tris = [tris + k * len(verts) for k in range(copies)]
         verts = np.concatenate(all_verts)
@@ -211,40 +215,37 @@ def seam_offsets(grid_plus: GridImmersion, grid_minus: GridImmersion):
 # ASCII export / import
 # ---------------------------------------------------------------------------
 
-def _fmt(x: float) -> str:
-    return format(float(x), f".{EXPORT_DIGITS}g")
-
-
 def export(mesh: SurfaceMesh, fmt: str, path) -> None:
     """Write the mesh as ASCII OBJ (v/vn/f) or PLY 1.0 (with |K| as quality).
 
     Output is deterministic: identical meshes produce byte-identical files.
     """
+    writers = {"obj": _obj_text, "ply": _ply_text}
     fmt = fmt.lower()
-    if fmt == "obj":
-        text = _to_obj(mesh)
-    elif fmt == "ply":
-        text = _to_ply(mesh)
-    else:
+    if fmt not in writers:
         raise ValueError(f"unsupported mesh format {fmt!r} (use 'obj' or 'ply')")
     with open(path, "w", encoding="ascii", newline="\n") as fh:
-        fh.write(text)
+        fh.writelines(writers[fmt](mesh))
 
 
-def _to_obj(mesh: SurfaceMesh) -> str:
-    lines = ["# riemann-examples surface mesh"]
-    for v in mesh.vertices:
-        lines.append(f"v {_fmt(v[0])} {_fmt(v[1])} {_fmt(v[2])}")
-    for n in mesh.normals:
-        lines.append(f"vn {_fmt(n[0])} {_fmt(n[1])} {_fmt(n[2])}")
-    for t in mesh.triangles:
-        a, b, c = t + 1
-        lines.append(f"f {a}//{a} {b}//{b} {c}//{c}")
-    return "\n".join(lines) + "\n"
+def _rows(row: str, values):
+    """Lines `row % values[r]`, one per row r of a 2-d array, formatted by
+    one %-operation per EXPORT_CHUNK rows."""
+    values = np.asarray(values)
+    for lo in range(0, len(values), EXPORT_CHUNK):
+        chunk = values[lo:lo + EXPORT_CHUNK]
+        yield (row + "\n") * len(chunk) % tuple(chunk.ravel().tolist())
 
 
-def _to_ply(mesh: SurfaceMesh) -> str:
-    lines = [
+def _obj_text(mesh: SurfaceMesh):
+    yield "# riemann-examples surface mesh\n"
+    yield from _rows(f"v {_FLOAT} {_FLOAT} {_FLOAT}", mesh.vertices)
+    yield from _rows(f"vn {_FLOAT} {_FLOAT} {_FLOAT}", mesh.normals)
+    yield from _rows("f %d//%d %d//%d %d//%d", np.repeat(mesh.triangles + 1, 2, axis=1))
+
+
+def _ply_text(mesh: SurfaceMesh):
+    yield "\n".join([
         "ply",
         "format ascii 1.0",
         "comment riemann-examples surface mesh",
@@ -259,12 +260,10 @@ def _to_ply(mesh: SurfaceMesh) -> str:
         f"element face {mesh.n_triangles}",
         "property list uchar int vertex_indices",
         "end_header",
-    ]
-    for v, n, k in zip(mesh.vertices, mesh.normals, mesh.abs_curvature):
-        lines.append(" ".join(_fmt(x) for x in (*v, *n, k)))
-    for t in mesh.triangles:
-        lines.append(f"3 {t[0]} {t[1]} {t[2]}")
-    return "\n".join(lines) + "\n"
+    ]) + "\n"
+    yield from _rows(" ".join([_FLOAT] * 7),
+                     np.column_stack([mesh.vertices, mesh.normals, mesh.abs_curvature]))
+    yield from _rows("3 %d %d %d", mesh.triangles)
 
 
 def load_obj(path) -> SurfaceMesh:

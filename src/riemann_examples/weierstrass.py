@@ -11,10 +11,8 @@ into R^3.  The scale s is 1 for the raw family, sqrt(lam) (lam >= 1) or
 catenoid and helicoid, or is derived so that the vertical distance between
 adjacent planar ends is exactly 2*pi.
 
-Integration is adaptive Gauss-Kronrod on sheeted polylines.  Square-root
-singular endpoints (paths that start or end at a finite branch point, which
-happens for every path at lam = 1 where the base point is a branch point)
-are handled by the substitution u^2 = z - z_branch.
+Integration along sheeted paths is the quadrature module's path_integral
+(re-exported here); grid immersion uses its batched straight-edge primitive.
 """
 
 from __future__ import annotations
@@ -22,7 +20,6 @@ from __future__ import annotations
 import cmath
 import enum
 import functools
-import heapq
 import math
 from dataclasses import dataclass
 
@@ -41,16 +38,18 @@ from .curve import (
     principal_w,
     sheeted_path_from_branch,
 )
-from .errors import PathBlocked, QuadratureFailure, SingularPoint
+from .errors import BranchTooClose, PathBlocked, QuadratureFailure, SingularPoint
+from .quadrature import (
+    TOL_PER_UNIT,
+    continue_edges,
+    edge_integrals,
+    located,
+    near_branch,
+    path_integral,
+)
 
 #: Base point of every immersion.
 BASE_POINT = 1.0 + 0.0j
-
-#: Default absolute quadrature tolerance per unit of path length.
-TOL_PER_UNIT = 1e-10
-
-#: Panel cap of the adaptive refinement, per path segment.
-MAX_PANELS = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -177,170 +176,6 @@ def metric_factor(point: CurvePoint, norm: Normalization) -> float:
     s = normalization_scale(norm)
     az2 = abs(point.z) ** 2
     return s * s * (1.0 + az2) ** 2 / (4.0 * az2 * abs(point.w) ** 2)
-
-
-# ---------------------------------------------------------------------------
-# Gauss-Kronrod 7/15 panels
-# ---------------------------------------------------------------------------
-
-_K15_NODES = np.array([
-    -0.991455371120813, -0.949107912342759, -0.864864423359769,
-    -0.741531185599394, -0.586087235467691, -0.405845151377397,
-    -0.207784955007898, 0.0, 0.207784955007898, 0.405845151377397,
-    0.586087235467691, 0.741531185599394, 0.864864423359769,
-    0.949107912342759, 0.991455371120813,
-])
-_K15_WEIGHTS = np.array([
-    0.022935322010529, 0.063092092629979, 0.104790010322250,
-    0.140653259715525, 0.169004726639267, 0.190350578064785,
-    0.204432940075298, 0.209482141084728, 0.204432940075298,
-    0.190350578064785, 0.169004726639267, 0.140653259715525,
-    0.104790010322250, 0.063092092629979, 0.022935322010529,
-])
-_G7_WEIGHTS = np.array([
-    0.129484966168870, 0.279705391489277, 0.381830050505119,
-    0.417959183673469, 0.381830050505119, 0.279705391489277,
-    0.129484966168870,
-])
-
-
-def _gk_panel(f, a: float, b: float):
-    h = 0.5 * (b - a)
-    x = 0.5 * (a + b) + h * _K15_NODES
-    y = np.asarray(f(x))
-    if not np.all(np.isfinite(y)):
-        raise QuadratureFailure(f"non-finite integrand values on [{a}, {b}]")
-    k = h * (y @ _K15_WEIGHTS)
-    g = h * (y[..., 1::2] @ _G7_WEIGHTS)
-    return k, float(np.max(np.abs(k - g)))
-
-
-def _adaptive_vec(f, a: float, b: float, tol: float):
-    """Adaptive bisection of GK panels for a vector-valued complex integrand."""
-    val, err = _gk_panel(f, a, b)
-    if err <= tol:
-        return val
-    counter = 0
-    panels = [(-err, a, counter, b, val)]
-    total_err = err
-    n_panels = 1
-    while total_err > tol:
-        if n_panels >= MAX_PANELS:
-            raise QuadratureFailure(
-                f"tolerance {tol:.2e} not reached with {n_panels} panels "
-                f"(error estimate {total_err:.2e})"
-            )
-        neg_err, a0, _, b0, _ = heapq.heappop(panels)
-        m = 0.5 * (a0 + b0)
-        v1, e1 = _gk_panel(f, a0, m)
-        v2, e2 = _gk_panel(f, m, b0)
-        counter += 1
-        heapq.heappush(panels, (-e1, a0, counter, m, v1))
-        counter += 1
-        heapq.heappush(panels, (-e2, m, counter, b0, v2))
-        total_err += e1 + e2 + neg_err
-        n_panels += 1
-    ordered = sorted(panels, key=lambda p: p[1])
-    return np.sum([p[4] for p in ordered], axis=0)
-
-
-def _nearest_roots(roots, refs):
-    """Vectorized choice between +-roots, whichever is closer to refs."""
-    flip = np.abs(roots - refs) > np.abs(roots + refs)
-    return np.where(flip, -roots, roots)
-
-
-# ---------------------------------------------------------------------------
-# path integrals
-# ---------------------------------------------------------------------------
-
-def _segment_integral(fn, za, wa, zb, wb, lam: Lambda, tol: float):
-    dz = zb - za
-    dw = wb - wa
-
-    def f(t):
-        z = za + t * dz
-        ref = wa + t * dw
-        w = _nearest_roots(np.sqrt(curve_rhs(z, lam).astype(complex)), ref)
-        return fn(z, w) * dz
-
-    return _adaptive_vec(f, 0.0, 1.0, tol)
-
-
-def _branch_w_table(b, direction, u_max, w_far, lam: Lambda, levels: int = 60):
-    """Geometric table of continued w values along z = b + u^2 * direction,
-    stepping from the regular end down toward the branch point."""
-    us = u_max * 0.5 ** np.arange(levels + 1)
-    ws = np.empty(levels + 1, dtype=complex)
-    ws[0] = w_far
-    for k in range(1, levels + 1):
-        z = b + us[k] ** 2 * direction
-        r = cmath.sqrt(curve_rhs(z, lam))
-        ws[k] = r if abs(r - ws[k - 1]) <= abs(r + ws[k - 1]) else -r
-    return us, ws
-
-
-def _branch_segment_integral(fn, b, z_far, w_far, lam: Lambda, tol: float):
-    """Integral of fn(z, w) dz from the branch point b to z_far, via u^2 = z - b."""
-    span = z_far - b
-    length = abs(span)
-    direction = span / length
-    u_max = math.sqrt(length)
-    us, ws = _branch_w_table(b, direction, u_max, w_far, lam)
-
-    def f(u):
-        u = np.asarray(u)
-        z = b + (u * u) * direction
-        roots = np.sqrt(curve_rhs(z, lam).astype(complex))
-        idx = np.clip(np.floor(np.log2(u_max / np.maximum(u, 1e-300))).astype(int),
-                      0, len(us) - 1)
-        refs = ws[idx] * (u / us[idx])
-        w = _nearest_roots(roots, refs)
-        return fn(z, w) * (2.0 * u * direction)
-
-    return _adaptive_vec(f, 0.0, u_max, tol)
-
-
-def _assert_branch_endpoint(z, w, lam: Lambda, which: str):
-    tol = 1e-9 * max(1.0, lam.value, 1.0 / lam.value)
-    bset = branch_points(lam).finite
-    if min(abs(z - b) for b in bset) > tol or abs(w) > tol:
-        raise ValueError(f"path {which} flagged singular but is not at a branch point")
-
-
-def path_integral(path: SheetedPath, fn, *, tol_per_unit: float = TOL_PER_UNIT,
-                  singular_start: bool = False, singular_end: bool = False):
-    """Contour integral of fn(z, w) dz along a sheeted path.
-
-    fn must be vectorized: given equal-length arrays z, w it returns an array
-    of shape (..., len(z)).  Singular endpoint flags request the square-root
-    substitution for a first/last vertex sitting at a finite branch point.
-    """
-    verts = path.vertices
-    ws = path.w_values
-    lam = path.lam
-    n = len(verts)
-    total = np.zeros(3, dtype=complex)
-    if n < 2:
-        return total
-    i0, i1 = 0, n - 1
-    if singular_start:
-        _assert_branch_endpoint(verts[0], ws[0], lam, "start")
-        tol = tol_per_unit * max(abs(verts[1] - verts[0]), 1e-6)
-        total += _branch_segment_integral(fn, verts[0], verts[1], ws[1], lam, tol)
-        i0 = 1
-    if singular_end:
-        _assert_branch_endpoint(verts[-1], ws[-1], lam, "end")
-        tol = tol_per_unit * max(abs(verts[-1] - verts[-2]), 1e-6)
-        total -= _branch_segment_integral(fn, verts[-1], verts[-2], ws[-2], lam, tol)
-        i1 = n - 2
-    for i in range(i0, i1):
-        za, zb = verts[i], verts[i + 1]
-        if za == zb:
-            continue
-        tol = tol_per_unit * abs(zb - za)
-        total += _segment_integral(fn, za, ws[i], zb, ws[i + 1], lam, tol)
-    return total
 
 
 def weierstrass_integrand(norm: Normalization):
@@ -756,10 +591,19 @@ def _half_offset_radii(r_min: float, r_max: float, n_rad: int, lam: Lambda):
     raise PathBlocked("could not place grid radii clear of the branch moduli")
 
 
-def _edge_value(fn, za, wa, zb, lam: Lambda):
-    path = continue_sheet([za, zb], wa, lam)
-    val = path_integral(path, fn)
-    return val.real, path.w_values[-1]
+def _edge_locator(lam: Lambda, sheet_sign: int, z, a, b):
+    """Describe edge k, from flat vertex a[k] to b[k] of the grid z."""
+    n_col = z.shape[1]
+    zf = z.ravel()
+
+    def where(k) -> str:
+        (i, j), (i2, j2) = divmod(int(a[k]), n_col), divmod(int(b[k]), n_col)
+        kind = "radial" if j == j2 else "angular"
+        tol = TOL_PER_UNIT * abs(zf[b[k]] - zf[a[k]])
+        return (f"lam = {lam.value!r}, sheet {sheet_sign:+d}, {kind} grid edge "
+                f"({i}, {j}) -> ({i2}, {j2}) (quadrature tolerance {tol:.2e}, "
+                f"branch guard {delta_branch(lam):.2e})")
+    return where
 
 
 def immerse_grid(lam, norm: Normalization, *, r_min: float, r_max: float,
@@ -772,6 +616,18 @@ def immerse_grid(lam, norm: Normalization, *, r_min: float, r_max: float,
     closed=True an extra seam column at western angle + 2 pi is appended;
     for parameter bands where the full circuit is a translation period the
     seam column sits exactly one period from the first column.
+
+    The chains are the western column (radial edges, northward from the
+    stem's end) and every row (angular edges, eastward), all continued at
+    once: each edge's root at its far vertex is the nearest of the two roots
+    there to the root at its near vertex, a choice that is odd in w, so the
+    sheet signs are cumulative products of per-edge sign flips along the
+    chains.  Every edge is then integrated by one GK15 panel in a batched
+    call, and positions are cumulative sums along the chains, in the order
+    the chains add them.  Only the few edges whose nearest-root step is not
+    clearly separated (continued by bisection) or whose panel misses the
+    tolerance take the scalar continue_sheet and adaptive path_integral.
+    Errors from an edge name lam, the sheet, the edge and its tolerance.
     """
     lam = as_lambda(lam)
     if n_ang % 2 != 0 or n_ang < 8 or n_rad < 2:
@@ -786,30 +642,43 @@ def immerse_grid(lam, norm: Normalization, *, r_min: float, r_max: float,
     stem = [BASE_POINT]
     stem += _angular_leg(1.0, 0.0, theta_w, lam)
     stem += _radial_leg(1.0, radii[0], theta_w, lam)
-    stem_path, ss, _ = make_sheeted_path(stem, lam, sheet_sign=sheet_sign)
-    base_pos = path_integral(stem_path, fn, singular_start=ss).real
+    with located(f"lam = {lam.value!r}, sheet {sheet_sign:+d}, stem to grid vertex (0, 0)"):
+        stem_path, ss, _ = make_sheeted_path(stem, lam, sheet_sign=sheet_sign)
+        base_pos = path_integral(stem_path, fn, singular_start=ss).real
     if sheet_sign < 0 and not ss:
         base_pos = base_pos + sheet_connection(lam, norm)
-    base_w = stem_path.w_values[-1]
 
     n_col = n_ang + (1 if closed else 0)
     zs = radii[:, None] * np.exp(1j * angles[None, :])
-    ws = np.zeros((n_rad, n_col), dtype=complex)
-    pos = np.zeros((n_rad, n_col, 3))
+    # edges in chain order: the western column, then each row
+    idx = np.arange(n_rad * n_col).reshape(n_rad, n_col)
+    a = np.concatenate((idx[:-1, 0], idx[:, :-1].ravel()))
+    b = np.concatenate((idx[1:, 0], idx[:, 1:].ravel()))
+    where = _edge_locator(lam, sheet_sign, zs, a, b)
+    zf = zs.ravel()
+    near = near_branch(zf, lam)
+    if near.any():
+        k = np.flatnonzero(near[a] | near[b])[0]
+        z_bad = zf[a[k]] if near[a[k]] else zf[b[k]]
+        raise BranchTooClose(f"{where(k)}: vertex {z_bad} lies in the guard disk "
+                             "of a branch point")
 
-    # western column, by radial continuation
-    ws[0, 0] = base_w
-    pos[0, 0] = base_pos
-    for i in range(1, n_rad):
-        val, wb = _edge_value(fn, zs[i - 1, 0], ws[i - 1, 0], zs[i, 0], lam)
-        pos[i, 0] = pos[i - 1, 0] + val
-        ws[i, 0] = wb
-    # rows, by eastward angular continuation
-    for i in range(n_rad):
-        for j in range(1, n_col):
-            val, wb = _edge_value(fn, zs[i, j - 1], ws[i, j - 1], zs[i, j], lam)
-            pos[i, j] = pos[i, j - 1] + val
-            ws[i, j] = wb
+    # sheet signs relative to the principal roots, the stem's root at (0, 0)
+    roots = np.sqrt(curve_rhs(zf, lam))
+    roots[0] = stem_path.w_values[-1]
+    w_b, bisected = continue_edges(zf[a], roots[a], zf[b], roots[b], lam, where)
+    flip = np.where(w_b == roots[b], 1, -1)
+    sign = np.empty((n_rad, n_col), dtype=int)
+    sign[:, 0] = np.cumprod(np.concatenate(([1], flip[:n_rad - 1])))
+    sign[:, 1:] = flip[n_rad - 1:].reshape(n_rad, n_col - 1)
+    ws = np.cumprod(sign, axis=1) * roots.reshape(n_rad, n_col)
+
+    wf = ws.ravel()
+    vals = edge_integrals(fn, zf[a], wf[a], zf[b], wf[b], lam, bisected, where)
+    pos = np.empty((n_rad, n_col, 3))
+    pos[:, 0] = np.cumsum(np.concatenate((base_pos[None], vals[:n_rad - 1])), axis=0)
+    pos[:, 1:] = vals[n_rad - 1:].reshape(n_rad, n_col - 1, 3)
+    pos = np.cumsum(pos, axis=1)
 
     for arr in (radii, angles, zs, ws, pos):
         arr.setflags(write=False)
@@ -837,8 +706,9 @@ def radial_edge_alignment(grid_plus: GridImmersion,
     """Empirical radial-edge alignment for a pair of sheet grids.
 
     Rows whose radius interval straddles a branch modulus have their edges
-    continued explicitly and matched (by root value and by position modulo
-    the translation period) against both grids; a failed match raises.
+    continued and integrated by immerse_grid's batched edge primitive and
+    matched (by root value and by position modulo the translation period)
+    against both grids; a failed match raises.
     """
     grids = {+1: grid_plus, -1: grid_minus}
     lam = grid_plus.lam
@@ -852,22 +722,32 @@ def radial_edge_alignment(grid_plus: GridImmersion,
     period_k = {s: np.zeros((g.n_rad - 1, g.n_col), dtype=int)
                 for s, g in grids.items()}
     fn = weierstrass_integrand(grid_plus.norm)
+    n_col = grid_plus.n_col
+    a = (np.array(bands, dtype=int)[:, None] * n_col + np.arange(n_col)).ravel()
+    b = a + n_col
     for s, g in grids.items():
-        for i in bands:
-            for j in range(g.n_col):
-                val, w_end = _edge_value(fn, g.z[i, j], g.w[i, j], g.z[i + 1, j], lam)
-                end = g.positions[i, j] + val
-                tol = 1e-6 * max(1.0, float(np.linalg.norm(end)))
-                hit = None
-                for s2, g2 in grids.items():
-                    if abs(g2.w[i + 1, j] - w_end) > 1e-6 * (1.0 + abs(w_end)):
-                        continue
-                    for k in range(-2, 3):
-                        if np.linalg.norm(end - (g2.positions[i + 1, j] + k * t_vec)) < tol:
-                            hit = (s2, k)
-                if hit is None:
-                    raise QuadratureFailure(
-                        f"radial edge ({i}, {j}) of sheet {s} matched no grid vertex"
-                    )
-                sheet[s][i, j], period_k[s][i, j] = hit
+        zf, wf = g.z.ravel(), g.w.ravel()
+        where = _edge_locator(lam, s, g.z, a, b)
+        w_end, bisected = continue_edges(zf[a], wf[a], zf[b],
+                                          np.sqrt(curve_rhs(zf[b], lam)), lam, where)
+        end = g.positions.reshape(-1, 3)[a] + edge_integrals(
+            fn, zf[a], wf[a], zf[b], w_end, lam, bisected, where)
+        tol = 1e-6 * np.maximum(1.0, np.linalg.norm(end, axis=1))
+        hit_s = np.zeros(len(a), dtype=int)
+        hit_k = np.zeros(len(a), dtype=int)
+        for s2, g2 in grids.items():
+            w_ok = np.abs(g2.w.ravel()[b] - w_end) <= 1e-6 * (1.0 + np.abs(w_end))
+            for k in range(-2, 3):
+                gap = np.linalg.norm(end - (g2.positions.reshape(-1, 3)[b] + k * t_vec), axis=1)
+                hit = w_ok & (gap < tol)
+                hit_s[hit], hit_k[hit] = s2, k
+        missed = np.flatnonzero(hit_s == 0)
+        if missed.size:
+            k = missed[0]
+            raise QuadratureFailure(
+                f"{where(k)}: continued end matched no grid vertex within "
+                f"{tol[k]:.1e} (root and position modulo the period)"
+            )
+        sheet[s][bands] = hit_s.reshape(len(bands), n_col)
+        period_k[s][bands] = hit_k.reshape(len(bands), n_col)
     return RadialEdgeAlignment(sheet=sheet, period_k=period_k)

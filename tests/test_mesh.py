@@ -19,6 +19,7 @@ from riemann_examples.weierstrass import (
     Normalization,
     immerse_grid,
     period_vectors,
+    radial_edge_alignment,
     unit_normal,
 )
 
@@ -197,3 +198,91 @@ def test_unknown_format_rejected(tmp_path):
 def test_export_io_failure():
     with pytest.raises(OSError):
         export(empty_mesh(), "obj", "/nonexistent-dir/x.obj")
+
+
+def _reference_text(mesh: SurfaceMesh, fmt: str) -> str:
+    """Line-by-line export with format(x, ".17g") per float."""
+    def f(x):
+        return format(float(x), ".17g")
+
+    if fmt == "obj":
+        lines = ["# riemann-examples surface mesh"]
+        lines += [f"v {f(x)} {f(y)} {f(z)}" for x, y, z in mesh.vertices]
+        lines += [f"vn {f(x)} {f(y)} {f(z)}" for x, y, z in mesh.normals]
+        lines += [f"f {a}//{a} {b}//{b} {c}//{c}" for a, b, c in mesh.triangles + 1]
+    else:
+        lines = ["ply", "format ascii 1.0", "comment riemann-examples surface mesh",
+                 f"element vertex {mesh.n_vertices}"]
+        lines += [f"property double {p}" for p in ("x", "y", "z", "nx", "ny", "nz", "quality")]
+        lines += [f"element face {mesh.n_triangles}",
+                  "property list uchar int vertex_indices", "end_header"]
+        lines += [" ".join(f(x) for x in (*v, *n, k))
+                  for v, n, k in zip(mesh.vertices, mesh.normals, mesh.abs_curvature)]
+        lines += [f"3 {a} {b} {c}" for a, b, c in mesh.triangles]
+    return "\n".join(lines) + "\n"
+
+
+def special_values_mesh():
+    vertices = np.array([[-0.0, 0.0, 3.0], [5e-324, -2.2250738585072014e-308, 1e300],
+                         [-1e300, 1.0, -7.0], [0.1, 1.0 / 3.0, -2.5e-17],
+                         [123456789.0, -0.0, 6.02214076e23]])
+    normals = np.array([[0.0, 0.0, 1.0], [-0.0, 1.0, 0.0], [0.6, -0.8, -0.0],
+                        [1.0, 0.0, 0.0], [0.0, -1.0, 0.0]])
+    return SurfaceMesh(
+        vertices=vertices, triangles=np.array([[0, 1, 2], [2, 3, 4], [4, 0, 1]]),
+        normals=normals, abs_curvature=np.array([0.0, 5e-324, 1e300, 4.0, -0.0]),
+        provenance=MeshProvenance(lam=1.0, normalization="paper", sheet_convention="",
+                                  r_min=0.0, r_max=0.0, n_rad=0, n_ang=0, copies=0))
+
+
+@pytest.mark.parametrize("fmt", ["obj", "ply"])
+def test_export_equals_reference_formatter(tmp_path, monkeypatch, fmt):
+    from riemann_examples import mesh as mesh_module
+    built = small_mesh(2.0, copies=2, n_rad=8, n_ang=16)
+    for name, m, chunk in (("built", built, None), ("special", special_values_mesh(), 2),
+                           ("empty", empty_mesh(), None)):
+        if chunk is not None:
+            monkeypatch.setattr(mesh_module, "EXPORT_CHUNK", chunk)
+        path = tmp_path / f"{name}.{fmt}"
+        export(m, fmt, path)
+        assert path.read_bytes() == _reference_text(m, fmt).encode("ascii")
+    tokens = (tmp_path / f"special.{fmt}").read_text().split()
+    for token in ("-0", "4.9406564584124654e-324", "1.0000000000000001e+300", "3", "-7"):
+        assert token in tokens
+
+
+def test_vertex_and_triangle_order_match_cell_loop():
+    # reference assembly: cell by cell, with the period-shifted duplicate
+    # vertices appended on first use
+    lam = Lambda(0.5)
+    norm = Normalization.paper(lam)
+    n_rad, n_ang = 12, 24
+    grids = {s: immerse_grid(lam, norm, r_min=0.1, r_max=10.0, n_rad=n_rad, n_ang=n_ang,
+                             sheet_sign=s, closed=True) for s in (+1, -1)}
+    alignment = radial_edge_alignment(grids[+1], grids[-1])
+    t_vec = period_vectors(lam, norm).translation
+    n_col = n_ang + 1
+    verts = [grids[+1].positions.reshape(-1, 3), grids[-1].positions.reshape(-1, 3)]
+    extra = {}
+
+    def vid(s, i, j, k):
+        if k == 0:
+            return (0 if s > 0 else n_rad * n_col) + i * n_col + j
+        if (s, i, j, k) not in extra:
+            verts.append((grids[s].positions[i, j] + k * t_vec)[None, :])
+            extra[(s, i, j, k)] = 2 * n_rad * n_col + len(extra)
+        return extra[(s, i, j, k)]
+
+    tris = []
+    for s in (+1, -1):
+        sheet, shift = alignment.sheet[s], alignment.period_k[s]
+        for i in range(n_rad - 1):
+            for c in range(n_col - 1):
+                a, b = vid(s, i, c, 0), vid(s, i, c + 1, 0)
+                cc = vid(sheet[i, c + 1], i + 1, c + 1, shift[i, c + 1])
+                d = vid(sheet[i, c], i + 1, c, shift[i, c])
+                tris += [(a, b, cc), (a, cc, d)]
+    mesh = build_mesh(lam, norm, n_rad=n_rad, n_ang=n_ang, r_min=0.1, r_max=10.0)
+    assert extra
+    assert np.array_equal(mesh.vertices, np.concatenate(verts))
+    assert np.array_equal(mesh.triangles, np.array(tris))

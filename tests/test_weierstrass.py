@@ -315,3 +315,130 @@ def test_route_blocked_inside_branch_guard():
         route_vertices(target, lam)
     with pytest.raises(SingularPoint):
         route_vertices(0.0 + 0.0j, lam)
+
+
+# ---------------------------------------------------------------------------
+# batched grid immersion against the per-edge chain loop
+# ---------------------------------------------------------------------------
+
+def _scalar_grid(lam, norm, radii, angles, sheet_sign):
+    """Reference grid immersion: the stem, then one continue_sheet and one
+    path_integral per edge, up the western column and along each row."""
+    from riemann_examples.weierstrass import _angular_leg, _radial_leg, weierstrass_integrand
+    fn = weierstrass_integrand(norm)
+    stem = ([BASE_POINT] + _angular_leg(1.0, 0.0, angles[0], lam)
+            + _radial_leg(1.0, radii[0], angles[0], lam))
+    path, ss, _ = make_sheeted_path(stem, lam, sheet_sign=sheet_sign)
+    z = radii[:, None] * np.exp(1j * np.asarray(angles)[None, :])
+    w = np.zeros(z.shape, dtype=complex)
+    pos = np.zeros(z.shape + (3,))
+    w[0, 0] = path.w_values[-1]
+    pos[0, 0] = path_integral(path, fn, singular_start=ss).real
+    if sheet_sign < 0 and not ss:
+        pos[0, 0] += sheet_connection(lam, norm)
+
+    def edge(a, b):
+        seg = continue_sheet([z[a], z[b]], w[a], lam)
+        w[b] = seg.w_values[-1]
+        pos[b] = pos[a] + path_integral(seg, fn).real
+
+    for i in range(1, len(radii)):
+        edge((i - 1, 0), (i, 0))
+    for i in range(len(radii)):
+        for j in range(1, len(angles)):
+            edge((i, j - 1), (i, j))
+    return z, w, pos
+
+
+def _assert_matches_scalar(grid):
+    z, w, pos = _scalar_grid(grid.lam, grid.norm, grid.radii, grid.angles, grid.sheet_sign)
+    assert np.array_equal(grid.z, z)
+    assert np.all(np.abs(grid.w - w) < np.abs(grid.w + w))     # no sign flips
+    assert np.max(np.abs(grid.w - w) / np.abs(w)) <= 1e-14
+    assert np.max(np.abs(grid.positions - pos)) <= 1e-12
+
+
+@pytest.mark.parametrize("lv", [0.35, 1.0, 3.3])
+@pytest.mark.parametrize("sheet", [+1, -1])
+def test_batched_grid_matches_scalar_chain_loop(lv, sheet):
+    lam = Lambda(lv)
+    grid = immerse_grid(lam, Normalization.paper(lam), r_min=1.0 / 40.0, r_max=40.0,
+                        n_rad=24, n_ang=48, sheet_sign=sheet, closed=True)
+    _assert_matches_scalar(grid)
+
+
+def test_batched_grid_fallback_edges_match_scalar(monkeypatch):
+    # at n_ang = 8 some edges need bisection and some need GK refinement;
+    # both go through the scalar _edge_value
+    from riemann_examples import quadrature
+    scalar_edges = []
+    edge_value = quadrature._edge_value
+
+    def recording(fn, za, wa, zb, lam):
+        scalar_edges.append((za, wa, zb))
+        return edge_value(fn, za, wa, zb, lam)
+
+    monkeypatch.setattr(quadrature, "_edge_value", recording)
+    # at lam = 2 the ring |z| = 2.3 has a chord passing right of the branch
+    # point 2, where a single nearest-root step picks the wrong root
+    for lv, r_min, r_max, n_rad in ((0.35, 0.1, 10.0, 6), (2.0, 1.0, 2.3 ** 2, 3)):
+        lam = Lambda(lv)
+        scalar_edges.clear()
+        for sheet in (+1, -1):
+            grid = immerse_grid(lam, Normalization.paper(lam), r_min=r_min, r_max=r_max,
+                                n_rad=n_rad, n_ang=8, sheet_sign=sheet, closed=True)
+            _assert_matches_scalar(grid)
+        bisected = [len(continue_sheet([za, zb], wa, lam)) > 2 for za, wa, zb in scalar_edges]
+        assert any(bisected) and not all(bisected)
+
+
+def test_grid_branch_guard_raises_where_scalar_guard_does(monkeypatch):
+    from riemann_examples import quadrature, weierstrass
+    from riemann_examples.curve import delta_branch
+    from riemann_examples.errors import BranchTooClose
+
+    # the guard mask agrees with continue_sheet's guard at the disk's rim
+    lam = Lambda(2.0)
+    delta = delta_branch(lam)
+    pts = np.array([b + delta * f * np.exp(0.7j)
+                    for b in (0.0, 2.0, -0.5) for f in (1 - 1e-12, 1 + 1e-12, 0.5, 2.0)])
+    for z, near in zip(pts, quadrature.near_branch(pts, lam)):
+        try:
+            continue_sheet([z], principal_w(z, lam), lam)
+            scalar_near = False
+        except BranchTooClose:
+            scalar_near = True
+        assert near == scalar_near
+
+    # rings inside the guard disk of z = 0: the first edge to touch one is
+    # refused, before any edge is integrated (the radial steps by 1/5 are
+    # each clearly separated, so only the vertex guard sees the last ring)
+    norm = Normalization.paper(lam)
+    for radii, edge in ((np.array([0.5, 1e-8]), "(0, 0) -> (1, 0)"),
+                        (0.5 * 0.2 ** np.arange(9), "(7, 0) -> (8, 0)")):
+        monkeypatch.setattr(weierstrass, "_half_offset_radii", lambda *args: radii)
+        with pytest.raises(BranchTooClose) as err:
+            immerse_grid(lam, norm, r_min=0.1, r_max=10.0, n_rad=len(radii), n_ang=8,
+                         sheet_sign=-1)
+        assert f"lam = 2.0, sheet -1, radial grid edge {edge}" in str(err.value)
+        assert "branch guard 2.00e-06" in str(err.value)
+    angles = -math.pi + (np.arange(8) + 0.5) * (2.0 * math.pi / 8)
+    with pytest.raises(BranchTooClose):
+        _scalar_grid(lam, norm, np.array([0.5, 1e-8]), angles, -1)
+
+
+@pytest.mark.parametrize("cap, error", [("MAX_PANELS", "QuadratureFailure"),
+                                        ("MAX_BISECTION_DEPTH", "AmbiguousSheet")])
+def test_grid_edge_errors_name_lambda_sheet_edge_and_tolerance(monkeypatch, cap, error):
+    # the radial edge from |z| = 1 to |z| = 1e-5 needs deep bisection and many
+    # panels; lowered caps make it fail quickly while the stem still passes
+    from riemann_examples import curve, errors, quadrature, weierstrass
+    monkeypatch.setattr(weierstrass, "_half_offset_radii", lambda *args: np.array([1.0, 1e-5]))
+    monkeypatch.setattr(quadrature if cap == "MAX_PANELS" else curve, cap, 2)
+    lam = Lambda(2.0)
+    with pytest.raises(getattr(errors, error)) as err:
+        immerse_grid(lam, Normalization.paper(lam), r_min=0.1, r_max=10.0,
+                     n_rad=2, n_ang=8, sheet_sign=+1)
+    msg = str(err.value)
+    assert "lam = 2.0, sheet +1, radial grid edge (0, 0) -> (1, 0)" in msg
+    assert "quadrature tolerance 1.00e-10" in msg
