@@ -18,7 +18,10 @@ Horizontal foliation slices are extracted from grid immersions by solving
 x3 = c on every radial and angular grid edge that crosses the height, by a
 safeguarded Newton iteration with the exact derivative dx3/dt = Re(Phi3 dz)
 (linear interpolation is far too coarse for the circle-fit tolerances),
-then fitted by circles or lines.
+then fitted by circles or lines.  The crossings of all heights and both
+sheets step in lockstep: each Newton round continues and integrates every
+unresolved crossing at once through the batched edge primitives of
+quadrature.py.
 """
 
 from __future__ import annotations
@@ -33,16 +36,17 @@ from .curve import (
     CurvePoint,
     Lambda,
     as_lambda,
-    continue_sheet,
+    branch_points,
     curve_rhs,
     principal_w,
 )
-from .errors import InsufficientSlicePoints, QuadratureFailure, SingularPoint
+from .errors import BranchTooClose, InsufficientSlicePoints, QuadratureFailure, SingularPoint
+from .quadrature import continue_edges, edge_integrals, near_branch
 from .weierstrass import (
     Normalization,
+    _edge_locator,
     immerse,
     normalization_scale,
-    path_integral,
     period_vectors,
     radial_edge_alignment,
     weierstrass_integrand,
@@ -66,6 +70,13 @@ def abs_gauss_curvature(z, lam, norm: Normalization):
     den = az * (az + 1.0 / az) ** 4
     out = (16.0 / (s * s)) * num / den
     return float(out) if out.ndim == 0 else out
+
+
+def _abs_gauss_curvature_scalar(z: complex, lv: float, k16: float) -> float:
+    """abs_gauss_curvature's closed form at one complex z, in builtin
+    arithmetic, with k16 = 16 / s^2."""
+    az = abs(z)
+    return k16 * (abs(z - lv) * abs(z + 1.0 / lv)) / (az * (az + 1.0 / az) ** 4)
 
 
 def general_curvature(g_value, g_derivative, f_value) -> float:
@@ -160,9 +171,13 @@ def _polish_curvature_max(lam: Lambda, norm: Normalization, z0: complex, k0: flo
     in cos(theta) with critical value (1/lam - lam)(e^{2u} - 1)/(4 e^u); the
     radial direction is then polished by ternary search.  This remains
     well-conditioned along the nearly flat ridge left by extreme family
-    parameters, where grid climbing stalls.
+    parameters, where grid climbing stalls.  The search evaluates the closed
+    form in builtin complex arithmetic; the polished value is recomputed by
+    abs_gauss_curvature.
     """
     lv = lam.value
+    s = normalization_scale(norm)
+    k16 = 16.0 / (s * s)
     u = math.log(abs(z0))
     theta = cmath.phase(z0)
     hemi = 1.0 if math.sin(theta) >= 0 else -1.0
@@ -171,7 +186,7 @@ def _polish_curvature_max(lam: Lambda, norm: Normalization, z0: complex, k0: flo
         theta = hemi * math.acos(max(-1.0, min(1.0, c)))
 
         def g(uu: float) -> float:
-            return float(abs_gauss_curvature(cmath.exp(uu + 1j * theta), lam, norm))
+            return _abs_gauss_curvature_scalar(cmath.exp(uu + 1j * theta), lv, k16)
 
         lo, hi = u - 0.5, u + 0.5
         for _ in range(120):
@@ -379,41 +394,70 @@ def fit_line_2d(xy):
     return float(np.max(np.abs(perp)))
 
 
-def _edge_height_crossing(lam, norm, za, wa, pos_a, zb, c: float, f_lo: float):
-    """Solve x3 = c along the straight edge za -> zb continued from (za, wa).
+def _edge_height_crossing(lam, norm, za, wa, pos_a, zb, c, f_lo, where=None):
+    """Solve x3 = c along straight edges za -> zb continued from (za, wa).
 
-    Safeguarded Newton in the edge parameter t: f(t) = x3(t) - c has the
-    exact derivative f'(t) = Re(2 s dz / w(t)), since Phi3 = 2 s / w.  Each
-    step continues the root and integrates only from the current iterate to
-    the next, and a sign bracket replaces any step that leaves it (or meets
-    f' = 0) by its midpoint.  Returns the full position; raises
-    QuadratureFailure if the residual test is not met within 60 steps.
+    Takes scalars (returns one position) or equal-length arrays of edges
+    (returns an (n, 3) array).  Each edge runs a safeguarded Newton
+    iteration in its parameter t: f(t) = x3(t) - c has the exact derivative
+    f'(t) = Re(2 s dz / w(t)), since Phi3 = 2 s / w, and a sign bracket
+    replaces any step that leaves it (or meets f' = 0) by its midpoint.  All
+    edges step in lockstep: each round refuses iterates inside a branch
+    guard disk, then continues the root and integrates from every active
+    iterate to its next one by the batched continue_edges and
+    edge_integrals, and retires the edges that meet |x3 - c| < 1e-12
+    max(1, |c|).  `where(k)` names edge k in errors (by default its end
+    points, lam and height); QuadratureFailure is raised for an edge not
+    resolved within 60 rounds.
     """
+    scalar = np.ndim(za) == 0
+    za, wa, zb = (np.atleast_1d(np.asarray(v, dtype=complex)) for v in (za, wa, zb))
+    c, f = np.atleast_1d(np.asarray(c, dtype=float)), np.array(f_lo, dtype=float, ndmin=1)
+    pos = np.array(pos_a, dtype=float).reshape(-1, 3)
+    if where is None:
+        def where(k) -> str:
+            return (f"lam = {lam.value!r}, edge {complex(za[k])} -> {complex(zb[k])}, "
+                    f"height x3 = {float(c[k])!r}")
     fn = weierstrass_integrand(norm)
     s2dz = 2.0 * normalization_scale(norm) * (zb - za)
-    tol = 1e-12 * max(1.0, abs(c))
-    t_lo, t_hi = 0.0, 1.0
-    t, z, w, f = 0.0, za, wa, f_lo
-    pos = np.asarray(pos_a, dtype=float)
+    tol = 1e-12 * np.maximum(1.0, np.abs(c))
+    below = f < 0
+    t_lo, t_hi, t = np.zeros(len(za)), np.ones(len(za)), np.zeros(len(za))
+    z, w = za.copy(), wa.copy()
+    act = np.arange(len(za))
     for _ in range(60):
-        fp = (s2dz / w).real
-        t_new = 0.5 * (t_lo + t_hi)
-        if fp != 0.0 and t_lo < t - f / fp < t_hi:
-            t_new = t - f / fp
-        z_new = za + t_new * (zb - za)
-        seg = continue_sheet([z, z_new], w, lam)
-        pos = pos + path_integral(seg, fn).real
-        t, z, w, f = t_new, z_new, seg.w_values[-1], pos[2] - c
-        if abs(f) < tol:
-            return pos
-        if (f_lo < 0) == (f < 0):
-            t_lo = t
-        else:
-            t_hi = t
+        fp = (s2dz[act] / w[act]).real
+        with np.errstate(divide="ignore", invalid="ignore"):
+            t_newton = t[act] - f[act] / fp
+        t_new = np.where((fp != 0.0) & (t_lo[act] < t_newton) & (t_newton < t_hi[act]),
+                         t_newton, 0.5 * (t_lo[act] + t_hi[act]))
+        z_new = za[act] + t_new * (zb[act] - za[act])
+
+        def located_at(k, act=act):
+            return where(act[k])
+
+        near = near_branch(z_new, lam)
+        if near.any():
+            k = np.flatnonzero(near)[0]
+            b = min(branch_points(lam).finite, key=lambda p: abs(z_new[k] - p))
+            raise BranchTooClose(f"{located_at(k)}: Newton iterate {z_new[k]} lies in the "
+                                 f"guard disk of branch point {b}")
+        w_new, bisected = continue_edges(z[act], w[act], z_new,
+                                         np.sqrt(curve_rhs(z_new, lam)), lam, located_at)
+        pos[act] += edge_integrals(fn, z[act], w[act], z_new, w_new, lam, bisected,
+                                   located_at)
+        t[act], z[act], w[act] = t_new, z_new, w_new
+        f[act] = pos[act, 2] - c[act]
+        same_side = (f[act] < 0) == below[act]
+        t_lo[act] = np.where(same_side, t_new, t_lo[act])
+        t_hi[act] = np.where(same_side, t_hi[act], t_new)
+        act = act[~(np.abs(f[act]) < tol[act])]
+        if not act.size:
+            return pos[0] if scalar else pos
+    k = act[0]
     raise QuadratureFailure(
-        f"height crossing x3 = {c!r} not resolved on edge {complex(za)} -> {complex(zb)} "
-        f"at lam = {lam.value!r}: |x3 - c| = {abs(f):.3e} after 60 steps "
-        f"(tolerance {tol:.3e})"
+        f"{where(k)}: height crossing not resolved, |x3 - c| = {abs(f[k]):.3e} "
+        f"after 60 steps (tolerance {tol[k]:.3e})"
     )
 
 
@@ -423,7 +467,10 @@ def foliation_slices(grids, heights, min_points: int = 16):
     `grids` holds the two sheet grids of one immersion.  Crossing points of
     each height are found along radial grid edges (with the sheet-aligned
     upper neighbour, so edges through a branch band pair with the correct
-    partner) and angular grid edges, and refined to the quadrature tolerance.
+    partner) and angular grid edges.  The crossing edges of every height
+    and both sheets are gathered first and refined to the quadrature
+    tolerance by one lockstep call of _edge_height_crossing, so each Newton
+    round is one batched continuation and integration over all of them.
     Each slice is fitted by a circle and by a line; the better model is
     reported.
     """
@@ -431,43 +478,66 @@ def foliation_slices(grids, heights, min_points: int = 16):
     if len(by_sign) != 2:
         raise ValueError("foliation slicing needs both sheet grids")
     alignment = radial_edge_alignment(by_sign[+1], by_sign[-1])
-    t3 = period_vectors(by_sign[+1].lam, by_sign[+1].norm).translation[2]
-
-    # x3 at both ends of every edge: radial edges end on their
-    # continuation-aligned upper vertex, angular edges stay within a row
-    # chain (consistent by construction)
+    lam, norm = by_sign[+1].lam, by_sign[+1].norm
+    t3 = period_vectors(lam, norm).translation[2]
+    n_rad, n_col = by_sign[+1].z.shape
+    idx = np.arange(n_rad * n_col).reshape(n_rad, n_col)
+    # every edge, radial ones first: flat end vertices, x3 at both ends
+    # (radial edges end on their continuation-aligned upper vertex, angular
+    # edges stay within a row chain, consistent by construction)
+    a = np.concatenate((idx[:-1].ravel(), idx[:, :-1].ravel()))
+    b = np.concatenate((idx[1:].ravel(), idx[:, 1:].ravel()))
+    radial = np.arange(len(a)) < (n_rad - 1) * n_col
     ends = {}
     for s, g in by_sign.items():
         x3 = g.positions[..., 2]
         upper = np.where(alignment.sheet[s] > 0, by_sign[+1].positions[1:, :, 2],
                          by_sign[-1].positions[1:, :, 2])
-        ends[s] = ((x3[:-1], upper + alignment.period_k[s] * t3),
-                   (x3[:, :-1], x3[:, 1:]))
+        ends[s] = (np.concatenate((x3[:-1].ravel(), x3[:, :-1].ravel())),
+                   np.concatenate(((upper + alignment.period_k[s] * t3).ravel(),
+                                   x3[:, 1:].ravel())))
+
+    # the points of each height in order: per sheet, radial then angular
+    # edges; a radial edge starting exactly at the height gives its vertex
+    sheet, edge, height, f_lo, counts = [], [], [], [], []
+    for c in heights:
+        n = 0
+        for s, (lo, hi) in ends.items():
+            e = np.flatnonzero((radial & (lo - c == 0.0)) | ((lo - c) * (hi - c) < 0.0))
+            sheet.append(np.full(len(e), s))
+            edge.append(e)
+            height.append(np.full(len(e), float(c)))
+            f_lo.append(lo[e] - c)
+            n += len(e)
+        if n < min_points:
+            raise InsufficientSlicePoints(
+                f"slice at height {c} met only {n} edges (need {min_points})"
+            )
+        counts.append(n)
+    if not counts:
+        return []
+    sheet, edge, height, f_lo = (np.concatenate(v) for v in (sheet, edge, height, f_lo))
+    # vertex data of both grids, row 0 for sheet +1 and row 1 for sheet -1
+    row = (sheet < 0).astype(int)
+    pair = (by_sign[+1], by_sign[-1])
+    zf = np.stack([g.z.ravel() for g in pair])
+    wf = np.stack([g.w.ravel() for g in pair])
+    va, vb = a[edge], b[edge]
+    points = np.stack([g.positions.reshape(-1, 3) for g in pair])[row, va]
+    k = np.flatnonzero(f_lo != 0.0)
+    edge_at = {s: _edge_locator(lam, s, g.z, va[k], vb[k]) for s, g in by_sign.items()}
+
+    def where(j) -> str:
+        c = height[k[j]]
+        return (f"{edge_at[sheet[k[j]]](j)}, height x3 = {float(c)!r} "
+                f"(crossing tolerance {1e-12 * max(1.0, abs(c)):.2e})")
+
+    points[k] = _edge_height_crossing(
+        lam, norm, zf[row[k], va[k]], wf[row[k], va[k]], points[k], zf[row[k], vb[k]],
+        height[k], f_lo[k], where)
 
     slices = []
-    for c in heights:
-        pts = []
-        for s, g in by_sign.items():
-            (rad_lo, rad_hi), (ang_lo, ang_hi) = ends[s]
-            rad_hit = rad_lo - c == 0.0
-            rad_cross = (rad_lo - c) * (rad_hi - c) < 0.0
-            ang_cross = (ang_lo - c) * (ang_hi - c) < 0.0
-            for i, j in zip(*np.nonzero(rad_hit | rad_cross)):
-                if rad_hit[i, j]:
-                    pts.append(g.positions[i, j])
-                else:
-                    pts.append(_edge_height_crossing(
-                        g.lam, g.norm, g.z[i, j], g.w[i, j], g.positions[i, j],
-                        g.z[i + 1, j], c, rad_lo[i, j] - c))
-            for i, j in zip(*np.nonzero(ang_cross)):
-                pts.append(_edge_height_crossing(
-                    g.lam, g.norm, g.z[i, j], g.w[i, j], g.positions[i, j],
-                    g.z[i, j + 1], c, ang_lo[i, j] - c))
-        if len(pts) < min_points:
-            raise InsufficientSlicePoints(
-                f"slice at height {c} met only {len(pts)} edges (need {min_points})"
-            )
-        pts = np.asarray(pts)
+    for c, pts in zip(heights, np.split(points, np.cumsum(counts)[:-1])):
         xy = pts[:, :2]
         center, radius, circ_res = fit_circle(xy)
         line_res = fit_line_2d(xy)

@@ -1,9 +1,11 @@
+import contextlib
 import math
+import re
 
 import numpy as np
 import pytest
 
-from riemann_examples.curve import CurvePoint, Lambda, principal_w
+from riemann_examples.curve import CurvePoint, Lambda, continue_sheet, principal_w
 from riemann_examples import analysis
 from riemann_examples.errors import InsufficientSlicePoints, QuadratureFailure, SingularPoint
 from riemann_examples.analysis import (
@@ -20,7 +22,16 @@ from riemann_examples.analysis import (
     plane_fit,
     verify_curvature_bound,
 )
-from riemann_examples.weierstrass import Normalization, immerse, immerse_grid, normalization_scale
+from riemann_examples.weierstrass import (
+    Normalization,
+    immerse,
+    immerse_grid,
+    normalization_scale,
+    path_integral,
+    period_vectors,
+    radial_edge_alignment,
+    weierstrass_integrand,
+)
 from riemann_examples.limits import end_spacing
 
 from conftest import curve_samples
@@ -119,6 +130,21 @@ def test_verify_curvature_bound_sharp(lv):
     assert min(abs(report.refined_argmax - 1j), abs(report.refined_argmax + 1j)) < 1e-2
 
 
+def test_scalar_curvature_kernel_matches_closed_form():
+    # builtin abs(complex) and numpy's complex absolute may differ by an ulp,
+    # and |z| enters the denominator with weight up to 5: a few ulps apart
+    rng = np.random.default_rng(17)
+    z = np.exp(rng.uniform(-4.0, 4.0, 300) + 1j * rng.uniform(-math.pi, math.pi, 300))
+    for lv in np.logspace(-6, 6, 13):
+        lam = Lambda(lv)
+        for norm in (Normalization.raw(lam), Normalization.paper(lam)):
+            s = normalization_scale(norm)
+            expect = abs_gauss_curvature(z, lam, norm)
+            got = np.array([analysis._abs_gauss_curvature_scalar(complex(zk), lv, 16.0 / (s * s))
+                            for zk in z])
+            assert np.all(np.abs(got - expect) <= 2e-15 * expect)
+
+
 def test_max_curvature_symmetric_in_reciprocal_parameter():
     a = verify_curvature_bound(Lambda(0.2), CurvatureGrid(n_rad=128, n_ang=128))
     b = verify_curvature_bound(Lambda(5.0), CurvatureGrid(n_rad=128, n_ang=128))
@@ -199,20 +225,28 @@ def test_foliation_circles_at_interior_heights(grids_lambda1):
 @pytest.fixture(scope="module")
 def interior_slices(grids_lambda1):
     """Slices of grids_lambda1 at 20 interior heights, with the number of
-    sheet continuations the slicing made."""
+    edges the slicer continued (one per crossing and Newton step) and the
+    number of batched rounds it took."""
     lam = Lambda(1.0)
     heights = end_spacing(lam, Normalization.paper(lam)) * np.linspace(0.15, 0.85, 20)
-    calls = []
-    original = analysis.continue_sheet
+    with _counting_rounds() as edges:
+        slices = foliation_slices(grids_lambda1, heights)
+    return slices, sum(edges), len(edges)
 
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return original(*args, **kwargs)
+
+@contextlib.contextmanager
+def _counting_rounds():
+    """Record the number of edges of every continue_edges call the slicer makes."""
+    edges = []
+    original = analysis.continue_edges
+
+    def counted(za, *args, **kwargs):
+        edges.append(len(za))
+        return original(za, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(analysis, "continue_sheet", counted)
-        slices = foliation_slices(grids_lambda1, heights)
-    return slices, len(calls)
+        mp.setattr(analysis, "continue_edges", counted)
+        yield edges
 
 
 def test_foliation_points_lie_on_their_height(interior_slices):
@@ -221,8 +255,18 @@ def test_foliation_points_lie_on_their_height(interior_slices):
 
 
 def test_foliation_crossings_take_few_continuations(interior_slices):
-    slices, n_continuations = interior_slices
+    slices, n_continuations, _ = interior_slices
     assert n_continuations / sum(s.n_points for s in slices) <= 6.0
+
+
+def test_foliation_rounds_do_not_grow_with_heights(grids_lambda1, interior_slices):
+    # every crossing of every height steps in the same batched rounds
+    lam = Lambda(1.0)
+    height = 0.5 * end_spacing(lam, Normalization.paper(lam))
+    with _counting_rounds() as edges:
+        foliation_slices(grids_lambda1, [height])
+    assert len(edges) <= 8
+    assert interior_slices[2] <= 8
 
 
 def test_edge_crossing_unreached_height_raises(grids_lambda1):
@@ -261,3 +305,150 @@ def test_center_curve_flattens_and_radius_grows():
         curvatures.append(max_center_curvature(slices))
     assert all(b > a for a, b in zip(radii[:-1], radii[1:]))
     assert all(b < a for a, b in zip(curvatures[:-1], curvatures[1:]))
+
+
+# ---------------------------------------------------------------------------
+# lockstep crossings against the per-crossing Newton loop
+# ---------------------------------------------------------------------------
+
+def _scalar_crossing(lam, norm, za, wa, pos_a, zb, c, f_lo):
+    """Reference crossing: safeguarded Newton on one edge, one continue_sheet
+    and one path_integral per step."""
+    fn = weierstrass_integrand(norm)
+    s2dz = 2.0 * normalization_scale(norm) * (zb - za)
+    tol = 1e-12 * max(1.0, abs(c))
+    t_lo, t_hi = 0.0, 1.0
+    t, z, w, f = 0.0, za, wa, f_lo
+    pos = np.asarray(pos_a, dtype=float)
+    for _ in range(60):
+        fp = (s2dz / w).real
+        t_new = 0.5 * (t_lo + t_hi)
+        if fp != 0.0 and t_lo < t - f / fp < t_hi:
+            t_new = t - f / fp
+        z_new = za + t_new * (zb - za)
+        seg = continue_sheet([z, z_new], w, lam)
+        pos = pos + path_integral(seg, fn).real
+        t, z, w, f = t_new, z_new, seg.w_values[-1], pos[2] - c
+        if abs(f) < tol:
+            return pos
+        if (f_lo < 0) == (f < 0):
+            t_lo = t
+        else:
+            t_hi = t
+    raise AssertionError("reference crossing not resolved")
+
+
+def _scalar_slice_points(grids, heights):
+    """Reference slice points, height by height: per sheet the crossing
+    radial edges (to the aligned upper vertex), then the angular edges."""
+    by_sign = {g.sheet_sign: g for g in grids}
+    alignment = radial_edge_alignment(by_sign[+1], by_sign[-1])
+    t3 = period_vectors(by_sign[+1].lam, by_sign[+1].norm).translation[2]
+    out = []
+    for c in heights:
+        pts = []
+        for s, g in by_sign.items():
+            x3 = g.positions[..., 2]
+            upper = np.where(alignment.sheet[s] > 0, by_sign[+1].positions[1:, :, 2],
+                             by_sign[-1].positions[1:, :, 2]) + alignment.period_k[s] * t3
+            rad_lo, ang_lo, ang_hi = x3[:-1], x3[:, :-1], x3[:, 1:]
+            rad_hit = rad_lo - c == 0.0
+            rad_cross = (rad_lo - c) * (upper - c) < 0.0
+            for i, j in zip(*np.nonzero(rad_hit | rad_cross)):
+                if rad_hit[i, j]:
+                    pts.append(g.positions[i, j])
+                else:
+                    pts.append(_scalar_crossing(g.lam, g.norm, g.z[i, j], g.w[i, j],
+                                                g.positions[i, j], g.z[i + 1, j], c,
+                                                rad_lo[i, j] - c))
+            for i, j in zip(*np.nonzero((ang_lo - c) * (ang_hi - c) < 0.0)):
+                pts.append(_scalar_crossing(g.lam, g.norm, g.z[i, j], g.w[i, j],
+                                            g.positions[i, j], g.z[i, j + 1], c,
+                                            ang_lo[i, j] - c))
+        out.append(np.array(pts))
+    return out
+
+
+def _verify_grids_and_heights(lv):
+    lam = Lambda(lv)
+    norm = Normalization.paper(lam)
+    grids = [immerse_grid(lam, norm, r_min=0.1, r_max=10.0, n_rad=24, n_ang=48,
+                          sheet_sign=s, closed=True) for s in (+1, -1)]
+    base = float(immerse(lam, norm, [0.5 * min(lv, 1.0) + 0j])[0].position[2])
+    return grids, base + end_spacing(lam, norm) * np.linspace(0.25, 0.75, 8)
+
+
+@pytest.mark.parametrize("lv", [0.35, 1.0, 3.3])
+def test_lockstep_slices_match_scalar_newton(lv):
+    grids, heights = _verify_grids_and_heights(lv)
+    slices = foliation_slices(grids, heights)
+    for s, ref in zip(slices, _scalar_slice_points(grids, heights)):
+        assert s.points.shape == ref.shape
+        assert np.max(np.abs(s.points - ref)) <= 1e-12 * max(1.0, abs(s.height))
+
+
+def test_lockstep_crossing_accepts_scalars_and_arrays(grids_lambda1):
+    g = grids_lambda1[0]
+    c = float(g.positions[5, 5, 2] + g.positions[6, 5, 2]) / 2
+    args = (g.z[5, 5], g.w[5, 5], g.positions[5, 5], g.z[6, 5], c, float(g.positions[5, 5, 2]) - c)
+    one = analysis._edge_height_crossing(g.lam, g.norm, *args)
+    many = analysis._edge_height_crossing(g.lam, g.norm, *(np.array([v, v]) for v in args))
+    assert one.shape == (3,) and many.shape == (2, 3)
+    assert np.array_equal(many[0], one) and np.array_equal(many[1], one)
+    assert abs(one[2] - c) < 1e-12 * max(1.0, abs(c))
+
+
+_EDGE_NAME = re.compile(r"lam = ([0-9.]+), sheet ([+-]1), (radial|angular) grid edge "
+                        r"\((\d+), (\d+)\) -> \((\d+), (\d+)\) \(quadrature tolerance \S+, "
+                        r"branch guard \S+\), height x3 = (\S+) \(crossing tolerance (\S+)\): ")
+
+
+def _named_crossing(msg, lam, heights):
+    m = _EDGE_NAME.match(msg)
+    assert m, msg
+    lv, sheet, kind, i, j, i2, j2, height, tol = m.groups()
+    i, j, i2, j2 = int(i), int(j), int(i2), int(j2)
+    assert float(lv) == lam.value and sheet in ("+1", "-1")
+    assert (i2, j2) == ((i + 1, j) if kind == "radial" else (i, j + 1))
+    assert float(height) in [float(h) for h in heights]
+    assert float(tol) == pytest.approx(1e-12 * max(1.0, abs(float(height))), rel=1e-2)
+    return (i, j), (i2, j2)
+
+
+@pytest.mark.parametrize("case", ["MAX_PANELS", "MAX_BISECTION_DEPTH", "guard"])
+def test_crossing_errors_name_lambda_sheet_edge_height_and_tolerance(monkeypatch, case,
+                                                                    grids_lambda1):
+    from riemann_examples import curve, errors, quadrature, weierstrass
+    if case == "MAX_BISECTION_DEPTH":
+        # on this coarse grid two crossing edges need bisection
+        lam = Lambda(2.0)
+        grids = [immerse_grid(lam, Normalization.paper(lam), r_min=1.0, r_max=2.3 ** 2,
+                              n_rad=3, n_ang=8, sheet_sign=s, closed=True) for s in (+1, -1)]
+        x3 = np.concatenate([g.positions[..., 2].ravel() for g in grids])
+        heights = np.linspace(x3.min(), x3.max(), 12)[1:-1]
+    else:
+        lam = Lambda(1.0)
+        grids = grids_lambda1
+        heights = end_spacing(lam, Normalization.paper(lam)) * np.linspace(0.15, 0.85, 20)
+    # the alignment is computed with the default settings, so every error
+    # below comes from a height crossing
+    alignment = weierstrass.radial_edge_alignment(*grids)
+    monkeypatch.setattr(analysis, "radial_edge_alignment", lambda *args: alignment)
+    if case == "MAX_PANELS":
+        error = errors.QuadratureFailure
+        monkeypatch.setattr(quadrature, "MAX_PANELS", 1)
+    elif case == "MAX_BISECTION_DEPTH":
+        error = errors.AmbiguousSheet
+        monkeypatch.setattr(curve, "MAX_BISECTION_DEPTH", 0)
+    else:
+        error = errors.BranchTooClose
+        monkeypatch.setattr(quadrature, "delta_branch", lambda lam: 0.1)
+    with pytest.raises(error) as err:
+        foliation_slices(grids, heights, min_points=1)
+    (i, j), (i2, j2) = _named_crossing(str(err.value), lam, heights)
+    if case == "guard":
+        # the named edge passes within the widened guard of a branch point
+        za, zb = grids[0].z[i, j], grids[0].z[i2, j2]
+        t = np.linspace(0.0, 1.0, 2001)
+        seg = za + t * (zb - za)
+        assert min(np.min(np.abs(seg - b)) for b in (0.0, 1.0, -1.0)) < 0.1
