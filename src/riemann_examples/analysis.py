@@ -36,12 +36,11 @@ from .curve import (
     CurvePoint,
     Lambda,
     as_lambda,
-    branch_points,
     curve_rhs,
     principal_w,
 )
-from .errors import BranchTooClose, InsufficientSlicePoints, QuadratureFailure, SingularPoint
-from .quadrature import continue_edges, edge_integrals, near_branch
+from .errors import InsufficientSlicePoints, QuadratureFailure, SingularPoint
+from .quadrature import TOL_PER_UNIT, continue_edges, edge_integrals
 from .weierstrass import (
     Normalization,
     _edge_locator,
@@ -64,17 +63,15 @@ def abs_gauss_curvature(z, lam, norm: Normalization):
     if np.any(z == 0):
         raise SingularPoint("curvature is evaluated away from the puncture z = 0")
     s = normalization_scale(norm)
-    lv = lam.value
-    az = np.abs(z)
-    num = np.abs(z - lv) * np.abs(z + 1.0 / lv)
-    den = az * (az + 1.0 / az) ** 4
-    out = (16.0 / (s * s)) * num / den
-    return float(out) if out.ndim == 0 else out
+    # a 0-d z goes through the kernel as a 1-element array, so that abs is
+    # numpy's absolute and not the complex scalar's own
+    out = _abs_gauss_curvature_kernel(np.atleast_1d(z), lam.value, 16.0 / (s * s))
+    return float(out[0]) if z.ndim == 0 else out
 
 
-def _abs_gauss_curvature_scalar(z: complex, lv: float, k16: float) -> float:
-    """abs_gauss_curvature's closed form at one complex z, in builtin
-    arithmetic, with k16 = 16 / s^2."""
+def _abs_gauss_curvature_kernel(z, lv: float, k16: float):
+    """The closed form with k16 = 16 / s^2, unchecked: in builtin arithmetic
+    for a complex z, elementwise (abs is np.abs) for an array."""
     az = abs(z)
     return k16 * (abs(z - lv) * abs(z + 1.0 / lv)) / (az * (az + 1.0 / az) ** 4)
 
@@ -186,7 +183,7 @@ def _polish_curvature_max(lam: Lambda, norm: Normalization, z0: complex, k0: flo
         theta = hemi * math.acos(max(-1.0, min(1.0, c)))
 
         def g(uu: float) -> float:
-            return _abs_gauss_curvature_scalar(cmath.exp(uu + 1j * theta), lv, k16)
+            return _abs_gauss_curvature_kernel(cmath.exp(uu + 1j * theta), lv, k16)
 
         lo, hi = u - 0.5, u + 0.5
         for _ in range(120):
@@ -402,13 +399,14 @@ def _edge_height_crossing(lam, norm, za, wa, pos_a, zb, c, f_lo, where=None):
     iteration in its parameter t: f(t) = x3(t) - c has the exact derivative
     f'(t) = Re(2 s dz / w(t)), since Phi3 = 2 s / w, and a sign bracket
     replaces any step that leaves it (or meets f' = 0) by its midpoint.  All
-    edges step in lockstep: each round refuses iterates inside a branch
-    guard disk, then continues the root and integrates from every active
-    iterate to its next one by the batched continue_edges and
-    edge_integrals, and retires the edges that meet |x3 - c| < 1e-12
-    max(1, |c|).  `where(k)` names edge k in errors (by default its end
-    points, lam and height); QuadratureFailure is raised for an edge not
-    resolved within 60 rounds.
+    edges step in lockstep: each round continues the root and integrates
+    from every active iterate to its next one by the batched continue_edges
+    (which refuses iterates inside a branch guard disk) and edge_integrals,
+    and retires the edges that meet |x3 - c| < 1e-12 max(1, |c|).  `where(k)`
+    names edge k in errors (by default its end points, lam and height); an
+    error within a round also names the Newton step and its quadrature
+    tolerance.  QuadratureFailure is raised for an edge not resolved within
+    60 rounds.
     """
     scalar = np.ndim(za) == 0
     za, wa, zb = (np.atleast_1d(np.asarray(v, dtype=complex)) for v in (za, wa, zb))
@@ -431,20 +429,16 @@ def _edge_height_crossing(lam, norm, za, wa, pos_a, zb, c, f_lo, where=None):
             t_newton = t[act] - f[act] / fp
         t_new = np.where((fp != 0.0) & (t_lo[act] < t_newton) & (t_newton < t_hi[act]),
                          t_newton, 0.5 * (t_lo[act] + t_hi[act]))
+        z_old, w_old = z[act], w[act]
         z_new = za[act] + t_new * (zb[act] - za[act])
 
-        def located_at(k, act=act):
-            return where(act[k])
+        def located_at(k, act=act, z0=z_old, z1=z_new):
+            return (f"{where(act[k])}, Newton step {complex(z0[k])} -> {complex(z1[k])} "
+                    f"(quadrature tolerance {TOL_PER_UNIT * abs(z1[k] - z0[k]):.2e})")
 
-        near = near_branch(z_new, lam)
-        if near.any():
-            k = np.flatnonzero(near)[0]
-            b = min(branch_points(lam).finite, key=lambda p: abs(z_new[k] - p))
-            raise BranchTooClose(f"{located_at(k)}: Newton iterate {z_new[k]} lies in the "
-                                 f"guard disk of branch point {b}")
-        w_new, bisected = continue_edges(z[act], w[act], z_new,
+        w_new, bisected = continue_edges(z_old, w_old, z_new,
                                          np.sqrt(curve_rhs(z_new, lam)), lam, located_at)
-        pos[act] += edge_integrals(fn, z[act], w[act], z_new, w_new, lam, bisected,
+        pos[act] += edge_integrals(fn, z_old, w_old, z_new, w_new, lam, bisected,
                                    located_at)
         t[act], z[act], w[act] = t_new, z_new, w_new
         f[act] = pos[act, 2] - c[act]

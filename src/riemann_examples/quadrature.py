@@ -235,8 +235,16 @@ def continue_edges(za, wa, zb, rb, lam: Lambda, where):
 
     Each edge takes one nearest-root step with continue_sheet's tie rule.
     Edges whose step fails its separation test |dw| < 0.5 |wa + wb| are
-    continued by continue_sheet itself, which bisects.
+    continued by continue_sheet itself, which bisects.  Before any step, an
+    end point zb inside a branch guard disk (continue_sheet's guard) raises
+    BranchTooClose naming the first such edge.
     """
+    near = np.flatnonzero(near_branch(zb, lam))
+    if near.size:
+        k = near[0]
+        b = min(branch_points(lam).finite, key=lambda p: abs(zb[k] - p))
+        raise BranchTooClose(f"{where(k)}: end point {zb[k]} lies in the guard disk "
+                             f"of branch point {b}")
     wb = _nearest_roots(rb, wa)
     bisected = ~(np.abs(wb - wa) < 0.5 * np.abs(wb + wa))
     for k in np.flatnonzero(bisected):

@@ -38,13 +38,12 @@ from .curve import (
     principal_w,
     sheeted_path_from_branch,
 )
-from .errors import BranchTooClose, PathBlocked, QuadratureFailure, SingularPoint
+from .errors import PathBlocked, QuadratureFailure, SingularPoint
 from .quadrature import (
     TOL_PER_UNIT,
     continue_edges,
     edge_integrals,
     located,
-    near_branch,
     path_integral,
 )
 
@@ -601,7 +600,7 @@ def _edge_locator(lam: Lambda, sheet_sign: int, z, a, b):
         kind = "radial" if j == j2 else "angular"
         tol = TOL_PER_UNIT * abs(zf[b[k]] - zf[a[k]])
         return (f"lam = {lam.value!r}, sheet {sheet_sign:+d}, {kind} grid edge "
-                f"({i}, {j}) -> ({i2}, {j2}) (quadrature tolerance {tol:.2e}, "
+                f"({i}, {j}) -> ({i2}, {j2}) (edge quadrature tolerance {tol:.2e}, "
                 f"branch guard {delta_branch(lam):.2e})")
     return where
 
@@ -656,12 +655,6 @@ def immerse_grid(lam, norm: Normalization, *, r_min: float, r_max: float,
     b = np.concatenate((idx[1:, 0], idx[:, 1:].ravel()))
     where = _edge_locator(lam, sheet_sign, zs, a, b)
     zf = zs.ravel()
-    near = near_branch(zf, lam)
-    if near.any():
-        k = np.flatnonzero(near[a] | near[b])[0]
-        z_bad = zf[a[k]] if near[a[k]] else zf[b[k]]
-        raise BranchTooClose(f"{where(k)}: vertex {z_bad} lies in the guard disk "
-                             "of a branch point")
 
     # sheet signs relative to the principal roots, the stem's root at (0, 0)
     roots = np.sqrt(curve_rhs(zf, lam))

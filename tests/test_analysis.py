@@ -131,8 +131,9 @@ def test_verify_curvature_bound_sharp(lv):
 
 
 def test_scalar_curvature_kernel_matches_closed_form():
-    # builtin abs(complex) and numpy's complex absolute may differ by an ulp,
-    # and |z| enters the denominator with weight up to 5: a few ulps apart
+    # the polish evaluates the kernel in builtin arithmetic; builtin
+    # abs(complex) and numpy's complex absolute may differ by an ulp, and |z|
+    # enters the denominator with weight up to 5: a few ulps apart
     rng = np.random.default_rng(17)
     z = np.exp(rng.uniform(-4.0, 4.0, 300) + 1j * rng.uniform(-math.pi, math.pi, 300))
     for lv in np.logspace(-6, 6, 13):
@@ -140,7 +141,7 @@ def test_scalar_curvature_kernel_matches_closed_form():
         for norm in (Normalization.raw(lam), Normalization.paper(lam)):
             s = normalization_scale(norm)
             expect = abs_gauss_curvature(z, lam, norm)
-            got = np.array([analysis._abs_gauss_curvature_scalar(complex(zk), lv, 16.0 / (s * s))
+            got = np.array([analysis._abs_gauss_curvature_kernel(complex(zk), lv, 16.0 / (s * s))
                             for zk in z])
             assert np.all(np.abs(got - expect) <= 2e-15 * expect)
 
@@ -399,20 +400,28 @@ def test_lockstep_crossing_accepts_scalars_and_arrays(grids_lambda1):
 
 
 _EDGE_NAME = re.compile(r"lam = ([0-9.]+), sheet ([+-]1), (radial|angular) grid edge "
-                        r"\((\d+), (\d+)\) -> \((\d+), (\d+)\) \(quadrature tolerance \S+, "
-                        r"branch guard \S+\), height x3 = (\S+) \(crossing tolerance (\S+)\): ")
+                        r"\((\d+), (\d+)\) -> \((\d+), (\d+)\) \(edge quadrature tolerance \S+, "
+                        r"branch guard \S+\), height x3 = (\S+) \(crossing tolerance (\S+)\), "
+                        r"Newton step (\S+) -> (\S+) \(quadrature tolerance (\S+)\): ")
 
 
-def _named_crossing(msg, lam, heights):
+def _named_crossing(msg, lam, heights, grids):
     m = _EDGE_NAME.match(msg)
     assert m, msg
-    lv, sheet, kind, i, j, i2, j2, height, tol = m.groups()
+    lv, sheet, kind, i, j, i2, j2, height, tol, z0, z1, step_tol = m.groups()
     i, j, i2, j2 = int(i), int(j), int(i2), int(j2)
     assert float(lv) == lam.value and sheet in ("+1", "-1")
     assert (i2, j2) == ((i + 1, j) if kind == "radial" else (i, j + 1))
     assert float(height) in [float(h) for h in heights]
     assert float(tol) == pytest.approx(1e-12 * max(1.0, abs(float(height))), rel=1e-2)
-    return (i, j), (i2, j2)
+    # the step that failed runs along the named edge, with its own tolerance
+    z = {g.sheet_sign: g.z for g in grids}[int(sheet)]
+    z0, z1 = complex(z0), complex(z1)
+    for zt in (z0, z1):
+        t = (zt - z[i, j]) / (z[i2, j2] - z[i, j])
+        assert abs(t.imag) < 1e-12 and -1e-12 < t.real < 1.0 + 1e-12
+    assert float(step_tol) == pytest.approx(1e-10 * abs(z1 - z0), rel=1e-2)
+    return z1
 
 
 @pytest.mark.parametrize("case", ["MAX_PANELS", "MAX_BISECTION_DEPTH", "guard"])
@@ -445,10 +454,7 @@ def test_crossing_errors_name_lambda_sheet_edge_height_and_tolerance(monkeypatch
         monkeypatch.setattr(quadrature, "delta_branch", lambda lam: 0.1)
     with pytest.raises(error) as err:
         foliation_slices(grids, heights, min_points=1)
-    (i, j), (i2, j2) = _named_crossing(str(err.value), lam, heights)
+    z1 = _named_crossing(str(err.value), lam, heights, grids)
     if case == "guard":
-        # the named edge passes within the widened guard of a branch point
-        za, zb = grids[0].z[i, j], grids[0].z[i2, j2]
-        t = np.linspace(0.0, 1.0, 2001)
-        seg = za + t * (zb - za)
-        assert min(np.min(np.abs(seg - b)) for b in (0.0, 1.0, -1.0)) < 0.1
+        # the refused iterate lies within the widened guard of a branch point
+        assert min(abs(z1 - b) for b in (0.0, 1.0, -1.0)) < 0.1
