@@ -14,7 +14,10 @@ and for lam > 1 as helicoid plus a correction with
 Writing the factors through the continued curve root w fixes their branches
 by continuation from z = 1, where both vanish as lam degenerates.  Both
 factors tend to zero uniformly on a fixed annulus, which drives the sup
-deviation sweeps implemented here.
+deviation sweeps implemented here.  The sweeps also report each member's
+end spacing s T3 / 2 (weierstrass.vertical_end_spacing, re-exported here as
+end_spacing): it tends to 2 pi along the helicoid limit and grows like
+4 log(4/lam) along the catenoid limit.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ from .weierstrass import (
     phi_components,
     route_vertices,
     unit_normal,
-    vertical_end_spacing,
+    vertical_end_spacing as end_spacing,
 )
 from . import errors as _errors
 
@@ -66,13 +69,20 @@ def _continued_w(z: complex, lam: Lambda) -> complex:
         raise BranchAmbiguity(str(exc)) from exc
 
 
+def _f0_of_root(z, w, lv: float):
+    return z / (math.sqrt(lv) * w) - 1.0
+
+
+def _f_inf_of_root(z, w, lv: float):
+    return 1.0 - 1j * math.sqrt(lv) * z / w
+
+
 def f0(z, lam) -> complex:
     """Catenoid-side correction factor, branch continued from z = 1."""
     lam = as_lambda(lam)
     if lam.value >= 1.0:
         raise ValueError("f0 is the lam < 1 correction factor")
-    w = _continued_w(complex(z), lam)
-    return complex(z) / (math.sqrt(lam.value) * w) - 1.0
+    return _f0_of_root(complex(z), _continued_w(complex(z), lam), lam.value)
 
 
 def f_inf(z, lam) -> complex:
@@ -80,19 +90,16 @@ def f_inf(z, lam) -> complex:
     lam = as_lambda(lam)
     if lam.value <= 1.0:
         raise ValueError("f_inf is the lam > 1 correction factor")
-    w = _continued_w(complex(z), lam)
-    return 1.0 - 1j * math.sqrt(lam.value) * complex(z) / w
+    return _f_inf_of_root(complex(z), _continued_w(complex(z), lam), lam.value)
 
 
 def f0_on_grid(grid: GridImmersion):
     """f0 over a grid immersion, using its already-continued roots."""
-    lv = grid.lam.value
-    return grid.z / (math.sqrt(lv) * grid.w) - 1.0
+    return _f0_of_root(grid.z, grid.w, grid.lam.value)
 
 
 def f_inf_on_grid(grid: GridImmersion):
-    lv = grid.lam.value
-    return 1.0 - 1j * math.sqrt(lv) * grid.z / grid.w
+    return _f_inf_of_root(grid.z, grid.w, grid.lam.value)
 
 
 # ---------------------------------------------------------------------------
@@ -164,31 +171,36 @@ def _clipped(mask, values):
     return values[mask]
 
 
-def catenoid_limit_sweep(lambdas, annulus: Annulus, clip: ClipRegion,
-                         sheet_sign: int = +1) -> ConvergenceReport:
-    """Sup deviation of the normalized immersion from the catenoid, per lam.
-
-    The immersed sheet is the component of the annulus preimage picked by
-    sheet_sign; positions are clipped before the sup is taken.
-    """
-    lambdas = tuple(float(x) for x in lambdas)
-    if any(x >= 1.0 for x in lambdas):
-        raise ValueError("catenoid sweeps take lam < 1")
-    deviations = []
-    spacings = []
+def _limit_sweep(lambdas: tuple, annulus: Annulus, clip: ClipRegion, sheet_sign: int,
+                 reference: ReferenceKind, reference_points, extras: dict) -> ConvergenceReport:
+    """Sup deviation of the paper-normalized immersion from the reference
+    surface, per lam, over the sheet_sign component of the annulus preimage;
+    positions are clipped before the sup is taken.  reference_points(grid, z)
+    gives the reference positions of the grid's flattened parameters z."""
+    deviations, spacings = [], []
     for lv in lambdas:
         lam = Lambda(lv)
         norm = Normalization.paper(lam)
         grid = annulus.grid(lam, norm, sheet_sign)
         z, pos = grid.flat_points()
         mask = clip.contains(pos)
-        dev = np.linalg.norm(pos - catenoid_point(z), axis=-1)
+        dev = np.linalg.norm(pos - reference_points(grid, z), axis=-1)
         deviations.append(float(np.max(_clipped(mask, dev))))
-        spacings.append(vertical_end_spacing(lam, norm))
+        spacings.append(end_spacing(lam, norm))
     return ConvergenceReport(lambdas=lambdas, deviations=tuple(deviations),
-                             reference=ReferenceKind.CATENOID.value,
-                             annulus=annulus, clip=clip, sheet_sign=sheet_sign,
-                             extras={"end_spacing": tuple(spacings)})
+                             reference=reference.value, annulus=annulus, clip=clip,
+                             sheet_sign=sheet_sign,
+                             extras={"end_spacing": tuple(spacings), **extras})
+
+
+def catenoid_limit_sweep(lambdas, annulus: Annulus, clip: ClipRegion,
+                         sheet_sign: int = +1) -> ConvergenceReport:
+    """Sup deviation of the normalized immersion from the catenoid, per lam."""
+    lambdas = tuple(float(x) for x in lambdas)
+    if any(x >= 1.0 for x in lambdas):
+        raise ValueError("catenoid sweeps take lam < 1")
+    return _limit_sweep(lambdas, annulus, clip, sheet_sign, ReferenceKind.CATENOID,
+                        lambda grid, z: catenoid_point(z), {})
 
 
 def helicoid_limit_sweep(lambdas, annulus: Annulus, clip: ClipRegion,
@@ -200,89 +212,62 @@ def helicoid_limit_sweep(lambdas, annulus: Annulus, clip: ClipRegion,
         raise ValueError("helicoid sweeps take lam > 1")
     if max_winding < 1:
         raise ValueError("max_winding must be at least 1")
-    deviations = []
-    spacings = []
-    for lv in lambdas:
-        lam = Lambda(lv)
-        norm = Normalization.paper(lam)
-        grid = annulus.grid(lam, norm, sheet_sign)
-        z, pos = grid.flat_points()
-        theta = np.broadcast_to(grid.angles[None, :], grid.z.shape)
+
+    def continued_helicoid(grid, z):
         stop = grid.n_col - 1 if grid.closed else grid.n_col
-        theta = theta[:, :stop].ravel()
+        theta = np.tile(grid.angles[:stop], grid.n_rad)
         if np.max(np.abs(theta)) > 2.0 * math.pi * max_winding:
             raise PathBlocked("sample windings exceed max_winding")
-        ref = helicoid_point_continued(z, theta)
-        mask = clip.contains(pos)
-        dev = np.linalg.norm(pos - ref, axis=-1)
-        deviations.append(float(np.max(_clipped(mask, dev))))
-        spacings.append(vertical_end_spacing(lam, norm))
-    return ConvergenceReport(lambdas=lambdas, deviations=tuple(deviations),
-                             reference=ReferenceKind.HELICOID.value,
-                             annulus=annulus, clip=clip, sheet_sign=sheet_sign,
-                             extras={"end_spacing": tuple(spacings),
-                                     "max_winding": max_winding})
+        return helicoid_point_continued(z, theta)
 
-
-def end_spacing(lam, norm: Normalization, sheet_sign: int = +1) -> float:
-    """Vertical distance between adjacent planar ends: the third component of
-    the Weierstrass integral along the lifted upper unit semicircle."""
-    return vertical_end_spacing(lam, norm, sheet_sign=sheet_sign)
+    return _limit_sweep(lambdas, annulus, clip, sheet_sign, ReferenceKind.HELICOID,
+                        continued_helicoid, {"max_winding": max_winding})
 
 
 # ---------------------------------------------------------------------------
 # decomposition identities
 # ---------------------------------------------------------------------------
 
-def catenoid_decomposition_residuals(lam, targets) -> np.ndarray:
-    """|immersion - (catenoid + correction integral)| per target, lam < 1.
+def _decomposition_residuals(lam: Lambda, targets, factor, integrand, reference) -> np.ndarray:
+    """|immersion - (reference(target) + correction integral)| per target.
 
     Both sides are integrated along the same sheeted route, the correction
-    integrand being f0(z) times the catenoid integrand with f0 evaluated
-    from the continued curve root.
+    integrand being factor(z, w, lam) times the reference integrand, with the
+    factor evaluated from the continued curve root.
     """
-    lam = as_lambda(lam)
-    if lam.value >= 1.0:
-        raise ValueError("the catenoid decomposition applies for lam < 1")
     norm = Normalization.paper(lam)
-    root_lam = math.sqrt(lam.value)
 
     def corr(z, w):
-        factor = z / (root_lam * w) - 1.0
-        return factor * catenoid_integrand(z)
+        return factor(z, w, lam.value) * integrand(z)
 
     out = []
     for target in targets:
-        verts = route_vertices(complex(target), lam)
-        path, ss, se = make_sheeted_path(verts, lam)
+        target = complex(target)
+        path, ss, se = make_sheeted_path(route_vertices(target, lam), lam)
         lhs = integrate(path, norm, singular_start=ss, singular_end=se)
-        rhs = catenoid_point(complex(target)) + path_integral(
+        rhs = reference(target) + path_integral(
             path, corr, singular_start=ss, singular_end=se).real
         out.append(float(np.linalg.norm(lhs - rhs)))
     return np.array(out)
 
 
+def catenoid_decomposition_residuals(lam, targets) -> np.ndarray:
+    """|immersion - (catenoid + f0 correction integral)| per target, lam < 1."""
+    lam = as_lambda(lam)
+    if lam.value >= 1.0:
+        raise ValueError("the catenoid decomposition applies for lam < 1")
+    return _decomposition_residuals(lam, targets, _f0_of_root, catenoid_integrand,
+                                    catenoid_point)
+
+
 def helicoid_decomposition_residuals(lam, targets) -> np.ndarray:
-    """|immersion - (helicoid + correction integral)| per target, lam > 1."""
+    """|immersion - (helicoid + f_inf correction integral)| per target, lam > 1."""
     lam = as_lambda(lam)
     if lam.value <= 1.0:
         raise ValueError("the helicoid decomposition applies for lam > 1")
-    norm = Normalization.paper(lam)
-    root_lam = math.sqrt(lam.value)
-
-    def corr(z, w):
-        factor = 1.0 - 1j * root_lam * z / w
-        return factor * helicoid_integrand(z)
-
-    out = []
-    for target in targets:
-        verts = route_vertices(complex(target), lam)
-        path, ss, se = make_sheeted_path(verts, lam)
-        lhs = integrate(path, norm, singular_start=ss, singular_end=se)
-        rhs = helicoid_point_continued(complex(target), np.angle(complex(target))) + \
-            path_integral(path, corr, singular_start=ss, singular_end=se).real
-        out.append(float(np.linalg.norm(lhs - rhs)))
-    return np.array(out)
+    return _decomposition_residuals(
+        lam, targets, _f_inf_of_root, helicoid_integrand,
+        lambda z: helicoid_point_continued(z, np.angle(z)))
 
 
 # ---------------------------------------------------------------------------

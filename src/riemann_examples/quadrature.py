@@ -22,7 +22,15 @@ import math
 
 import numpy as np
 
-from .curve import Lambda, SheetedPath, branch_points, continue_sheet, curve_rhs, delta_branch
+from .curve import (
+    Lambda,
+    SheetedPath,
+    _nearest_root,
+    branch_points,
+    continue_sheet,
+    curve_rhs,
+    delta_branch,
+)
 from .errors import AmbiguousSheet, BranchTooClose, QuadratureFailure
 
 #: Default absolute quadrature tolerance per unit of path length.
@@ -132,8 +140,7 @@ def _branch_w_table(b, direction, u_max, w_far, lam: Lambda, levels: int = 60):
     ws[0] = w_far
     for k in range(1, levels + 1):
         z = b + us[k] ** 2 * direction
-        r = cmath.sqrt(curve_rhs(z, lam))
-        ws[k] = r if abs(r - ws[k - 1]) <= abs(r + ws[k - 1]) else -r
+        ws[k] = _nearest_root(ws[k - 1], cmath.sqrt(curve_rhs(z, lam)))
     return us, ws
 
 

@@ -11,6 +11,11 @@ into R^3.  The scale s is 1 for the raw family, sqrt(lam) (lam >= 1) or
 catenoid and helicoid, or is derived so that the vertical distance between
 adjacent planar ends is exactly 2*pi.
 
+The translation period T = s (T1, 0, T3) and the end spacing s T3 / 2 are
+complete elliptic integrals of the curve, evaluated in closed form by the
+arithmetic-geometric mean; the companion period, which must vanish, is
+integrated along its cycle as an independent check.
+
 Integration along sheeted paths is the quadrature module's path_integral
 (re-exported here); grid immersion uses its batched straight-edge primitive.
 """
@@ -97,10 +102,31 @@ def normalization_scale(norm: Normalization) -> float:
 
 @functools.lru_cache(maxsize=256)
 def _fixed_spacing_scale(lam_value: float) -> float:
-    raw = raw_end_spacing(Lambda(lam_value))
-    if raw == 0.0:
-        raise QuadratureFailure("raw end spacing vanished; cannot derive spacing scale")
-    return 2.0 * math.pi / raw
+    return 4.0 * math.pi / _raw_periods(lam_value)[1]
+
+
+def _raw_periods(lam_value: float) -> tuple:
+    """Raw translation period components (T1, T3), in closed form (T2 = 0).
+
+    With e1 = lam, e3 = -1/lam, k^2 = 1/(1 + lam^2) and r = 2/sqrt(lam + 1/lam),
+    T3 = 4 r K(k) and T1 = -4 r (e3 K + (e1 - e3)(K - E)).  K = pi / (2 M) with
+    M the arithmetic-geometric mean of 1 and k' (DLMF 19.8.1), and
+    K - E = K sum 2^(n-1) c_n^2 (DLMF 19.8.2).  Seeding k' = lam/sqrt(1 + lam^2)
+    directly, taking c_n = c_(n-1)^2 / (4 a_n) and summing K - E rather than
+    subtracting E from K keeps full relative precision for lam in [1e-6, 1e6].
+    """
+    lv = lam_value
+    h = math.hypot(1.0, lv)
+    a, b, c = 1.0, lv / h, 1.0 / h
+    weight, tail = 0.5, 0.5 * c * c
+    while c > 1e-17 * a:
+        a, b = 0.5 * (a + b), math.sqrt(a * b)
+        c = 0.25 * c * c / a
+        weight *= 2.0
+        tail += weight * c * c
+    k = 0.5 * math.pi / a
+    r = 2.0 / math.sqrt(lv + 1.0 / lv)
+    return 4.0 * r * (k / lv - (lv + 1.0 / lv) * k * tail), 4.0 * r * k
 
 
 # ---------------------------------------------------------------------------
@@ -465,16 +491,6 @@ class PeriodVector:
         object.__setattr__(self, "companion", c)
 
 
-def translation_cycle_vertices(lam, n: int = 256):
-    """Circle about -1/(2 lam) of radius (lam + 1/lam)/2: encloses the branch
-    points 0 and -1/lam, whose lift closes after one circuit."""
-    lv = as_lambda(lam).value
-    center = -0.5 / lv
-    radius = 0.5 * (lv + 1.0 / lv)
-    taus = np.linspace(0.0, 2.0 * math.pi, n + 1)
-    return center + radius * np.exp(1j * taus)
-
-
 def companion_cycle_vertices(lam, n: int = 256):
     """Circle about lam/2 of radius (lam + 1/lam)/2: encloses exactly 0 and lam."""
     lv = as_lambda(lam).value
@@ -500,40 +516,30 @@ def cycle_real_period(vertices, lam, norm: Normalization, *, sheet_sign: int = +
 
 @functools.lru_cache(maxsize=256)
 def _period_vectors_cached(norm: Normalization) -> PeriodVector:
-    lam = norm.lam
-    t = cycle_real_period(translation_cycle_vertices(lam), lam, norm)
-    c = cycle_real_period(companion_cycle_vertices(lam), lam, norm)
-    return PeriodVector(t, c)
+    t1, t3 = _raw_periods(norm.lam.value)
+    s = normalization_scale(norm)
+    c = cycle_real_period(companion_cycle_vertices(norm.lam), norm.lam, norm)
+    return PeriodVector(np.array([s * t1, 0.0, s * t3]), c)
 
 
 def period_vectors(lam, norm: Normalization) -> PeriodVector:
+    """The translation period T in closed form (the lift of the circle about
+    -1/(2 lam) through the branch points 0 and -1/lam) and the companion
+    cycle's real period, integrated along the cycle."""
     lam = as_lambda(lam)
     if norm.lam != lam:
         raise ValueError("normalization was built for a different family parameter")
     return _period_vectors_cached(norm)
 
 
-# ---------------------------------------------------------------------------
-# end spacing (shared with the limits module)
-# ---------------------------------------------------------------------------
+def vertical_end_spacing(lam, norm: Normalization) -> float:
+    """Vertical distance between adjacent planar ends, s T3 / 2.
 
-def upper_semicircle_vertices(n: int = 96):
-    """The path z = exp(i t), t in [0, pi], from +1 to -1."""
-    return np.exp(1j * np.linspace(0.0, math.pi, n + 1))
-
-
-def vertical_end_spacing(lam, norm: Normalization, *, sheet_sign: int = +1) -> float:
-    """Third component of the Weierstrass integral along the lifted upper unit
-    semicircle: the vertical distance between adjacent planar ends."""
-    lam = as_lambda(lam)
-    verts = upper_semicircle_vertices()
-    path, ss, se = make_sheeted_path(verts, lam, sheet_sign=sheet_sign)
-    return float(integrate(path, norm, singular_start=ss, singular_end=se)[2])
-
-
-def raw_end_spacing(lam) -> float:
-    lam = as_lambda(lam)
-    return vertical_end_spacing(lam, Normalization.raw(lam))
+    x3 is constant on the real intervals (0, lam) and (-inf, -1/lam), which
+    run into the planar ends z = 0 and z = infinity; their heights differ by
+    half the vertical period.
+    """
+    return normalization_scale(norm) * 0.5 * _raw_periods(as_lambda(lam).value)[1]
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,12 @@
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from riemann_examples.curve import CurvePoint, Lambda, continue_sheet, principal_w
-from riemann_examples.errors import SingularPoint
+from riemann_examples.errors import RiemannFamilyError, SingularPoint
 from riemann_examples.reference import catenoid_integrand
 from riemann_examples.weierstrass import (
     BASE_POINT,
@@ -25,7 +26,6 @@ from riemann_examples.weierstrass import (
     phi,
     route_vertices,
     sheet_connection,
-    translation_cycle_vertices,
     vertical_end_spacing,
 )
 
@@ -161,12 +161,73 @@ def test_period_structure(lv):
     assert np.linalg.norm(pv.companion) < 1e-6 * t_norm
 
 
-def test_translation_third_component_is_twice_end_spacing_for_large_lam():
-    lam = Lambda(100.0)
+def _upper_semicircle_x3(lam, norm):
+    """x3 integrated along the lifted upper unit semicircle from +1 to -1: the
+    end spacing for lam >= 1, where the semicircle separates the branch
+    points 0 and -1/lam from lam."""
+    verts = np.exp(1j * np.linspace(0.0, math.pi, 97))
+    path, ss, se = make_sheeted_path(verts, lam)
+    return float(integrate(path, norm, singular_start=ss, singular_end=se)[2])
+
+
+def test_end_spacing_matches_semicircle_quadrature_for_large_lam():
+    for lv in (1.0, 2.0, 100.0):
+        lam = Lambda(lv)
+        norm = Normalization.paper(lam)
+        assert vertical_end_spacing(lam, norm) == pytest.approx(
+            _upper_semicircle_x3(lam, norm), abs=1e-8)
+
+
+def _elliptic_periods(lv):
+    """Raw (T1, T3) from mpmath's complete elliptic integrals at 50 digits."""
+    with mpmath.workdps(50):
+        lam = mpmath.mpf(lv)
+        m = 1 / (1 + lam * lam)
+        big_k, big_e = mpmath.ellipk(m), mpmath.ellipe(m)
+        r = 2 / mpmath.sqrt(lam + 1 / lam)
+        e1, e3 = lam, -1 / lam
+        return -4 * r * (e3 * big_k + (e1 - e3) * (big_k - big_e)), 4 * r * big_k
+
+
+def _rel(x, ref):
+    return float(abs((mpmath.mpf(x) - ref) / ref))
+
+
+_ORACLE_LAMBDAS = [float(x) for x in np.logspace(-6.0, 6.0, 25)] + [1.0 - 1e-6, 1.0 + 1e-6]
+
+
+@pytest.mark.parametrize("lv", _ORACLE_LAMBDAS)
+def test_end_spacing_is_half_the_elliptic_period(lv):
+    lam = Lambda(lv)
+    _, t3 = _elliptic_periods(lv)
+    assert _rel(2.0 * vertical_end_spacing(lam, Normalization.raw(lam)), t3) < 1e-14
+
+
+def test_translation_period_matches_elliptic_integrals():
+    checked = 0
+    for lv in _ORACLE_LAMBDAS:
+        lam = Lambda(lv)
+        try:
+            t = period_vectors(lam, Normalization.raw(lam)).translation
+        except RiemannFamilyError:
+            continue    # the companion cycle nears a branch point for lam >= 1e3
+        t1, t3 = _elliptic_periods(lv)
+        assert _rel(t[0], t1) < 1e-14 and _rel(t[2], t3) < 1e-14 and t[1] == 0.0
+        checked += 1
+    assert checked >= 15
+
+
+@pytest.mark.parametrize("lv", [0.2, 0.5, 2.0, 5.0])
+def test_end_spacing_is_the_gap_between_the_end_lines(lv):
+    # x3 is constant on (0, lam) and on (-inf, -1/lam), the lines that run
+    # into the planar ends z = 0 and z = infinity; their heights differ by the
+    # end spacing modulo the vertical period
+    lam = Lambda(lv)
     norm = Normalization.paper(lam)
-    pv = period_vectors(lam, norm)
-    spacing = vertical_end_spacing(lam, norm)
-    assert pv.translation[2] == pytest.approx(2.0 * spacing, abs=1e-8)
+    near, far = immerse(lam, norm, [complex(0.5 * lv), complex(-2.0 / lv)])
+    t3 = period_vectors(lam, norm).translation[2]
+    gap = (far.position[2] - near.position[2] - vertical_end_spacing(lam, norm)) % t3
+    assert min(gap, t3 - gap) < 1e-9
 
 
 def test_period_vector_invariant_enforced():
@@ -177,11 +238,14 @@ def test_period_vector_invariant_enforced():
 
 
 def test_period_lattice_composition():
-    # two translation circuits and one companion circuit integrate to 2T
+    # two translation circuits and one companion circuit integrate to 2T; the
+    # translation cycle is the circle about -1/(2 lam) through the branch
+    # points 0 and -1/lam
     lam = Lambda(2.0)
     norm = Normalization.paper(lam)
     pv = period_vectors(lam, norm)
-    t = cycle_real_period(translation_cycle_vertices(lam), lam, norm)
+    translation_cycle = -0.25 + 1.25 * np.exp(1j * np.linspace(0.0, 2.0 * math.pi, 257))
+    t = cycle_real_period(translation_cycle, lam, norm)
     c = cycle_real_period(companion_cycle_vertices(lam), lam, norm)
     assert np.linalg.norm((2.0 * t + c) - 2.0 * pv.translation) < 1e-8
 
@@ -288,8 +352,7 @@ def test_conformality_of_immersion():
 def test_end_spacing_orientation_and_fixed_spacing_normalization():
     lam = Lambda(5.0)
     norm = Normalization.paper(lam)
-    from riemann_examples.weierstrass import upper_semicircle_vertices
-    verts = upper_semicircle_vertices()
+    verts = np.exp(1j * np.linspace(0.0, math.pi, 97))
     path, ss, se = make_sheeted_path(verts, lam)
     fwd = integrate(path, norm, singular_start=ss, singular_end=se)
     bwd = integrate(path.reversed(), norm, singular_start=se, singular_end=ss)
