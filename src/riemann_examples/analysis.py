@@ -48,6 +48,7 @@ from .weierstrass import (
     normalization_scale,
     period_vectors,
     radial_edge_alignment,
+    sheet_connection,
     weierstrass_integrand,
 )
 
@@ -240,17 +241,16 @@ class SymmetryReport:
 
 
 def _immerse_matching(lam: Lambda, norm: Normalization, z: complex, w: complex):
-    """Position of the specific lift (z, w), found by immersing the target on
-    both sheets and keeping the one whose continued root matches w."""
-    best = None
-    for sign in (+1, -1):
-        sp = immerse(lam, norm, [z], sheet_sign=sign)[0]
-        err = abs(sp.source.w - w)
-        if best is None or err < best[0]:
-            best = (err, sp.position)
-    if best[0] > 1e-6 * (1.0 + abs(w)):
+    """Position of the specific lift (z, w): the target is immersed once, and
+    its sheet +1 image x is kept if the continued root is w, its partner's
+    image C - x (C the sheet_connection) if it is -w."""
+    sp = immerse(lam, norm, [z])[0]
+    err_plus, err_minus = abs(sp.source.w - w), abs(sp.source.w + w)
+    if min(err_plus, err_minus) > 1e-6 * (1.0 + abs(w)):
         raise ValueError(f"no immersion sheet matches the requested root at z = {z}")
-    return best[1]
+    if err_plus <= err_minus:
+        return sp.position
+    return sheet_connection(lam, norm) - sp.position
 
 
 def check_symmetries(lam, norm: Normalization, samples,

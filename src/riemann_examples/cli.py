@@ -185,8 +185,8 @@ def _suite_conjugate(lam: Lambda, rng) -> list:
 
 def _suite_foliation(lam: Lambda, rng) -> list:
     norm = Normalization.paper(lam)
-    grids = [immerse_grid(lam, norm, r_min=0.1, r_max=10.0, n_rad=24, n_ang=48,
-                          sheet_sign=s, closed=True) for s in (+1, -1)]
+    grid = immerse_grid(lam, norm, r_min=0.1, r_max=10.0, n_rad=24, n_ang=48, closed=True)
+    grids = [grid, grid.sheet_partner]
     spacing = end_spacing(lam, norm)
     base = float(immerse(lam, norm, [complex(min(lam.value, 1.0) * 0.5)])[0].position[2])
     heights = base + spacing * np.linspace(0.25, 0.75, 8)

@@ -113,9 +113,9 @@ def build_mesh(lam, norm: Normalization, *, n_rad: int = 48, n_ang: int = 96,
     lam = as_lambda(lam)
     if copies < 1:
         raise ValueError("copies must be at least 1")
-    grids = {s: immerse_grid(lam, norm, r_min=r_min, r_max=r_max, n_rad=n_rad,
-                             n_ang=n_ang, sheet_sign=s, closed=True)
-             for s in (+1, -1)}
+    grid = immerse_grid(lam, norm, r_min=r_min, r_max=r_max, n_rad=n_rad,
+                        n_ang=n_ang, closed=True)
+    grids = {+1: grid, -1: grid.sheet_partner}
     alignment = radial_edge_alignment(grids[+1], grids[-1])
     t_vec = period_vectors(lam, norm).translation
     n_col = grids[+1].n_col

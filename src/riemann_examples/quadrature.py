@@ -132,15 +132,23 @@ def _segment_integral(fn, za, wa, zb, wb, lam: Lambda, tol: float):
     return _adaptive_vec(f, 0.0, 1.0, tol)
 
 
-def _branch_w_table(b, direction, u_max, w_far, lam: Lambda, levels: int = 60):
+def _rhs_near_branch(b, lam: Lambda):
+    """The curve polynomial as a function of v = z - b, for b at a finite
+    branch point p.  Its factor z - p is taken as (b - p) + v: forming z
+    first would cancel the digits of a v much smaller than b."""
+    p0, p1, p2 = sorted(branch_points(lam).finite, key=lambda q: abs(b - q))
+    return lambda v: ((b - p0) + v) * (b + v - p1) * (b + v - p2)
+
+
+def _branch_w_table(direction, u_max, w_far, rhs, levels: int = 60):
     """Geometric table of continued w values along z = b + u^2 * direction,
-    stepping from the regular end down toward the branch point."""
+    stepping from the regular end down toward the branch point b; rhs is
+    the curve polynomial as a function of z - b."""
     us = u_max * 0.5 ** np.arange(levels + 1)
     ws = np.empty(levels + 1, dtype=complex)
     ws[0] = w_far
     for k in range(1, levels + 1):
-        z = b + us[k] ** 2 * direction
-        ws[k] = _nearest_root(ws[k - 1], cmath.sqrt(curve_rhs(z, lam)))
+        ws[k] = _nearest_root(ws[k - 1], cmath.sqrt(rhs(us[k] ** 2 * direction)))
     return us, ws
 
 
@@ -150,12 +158,14 @@ def _branch_segment_integral(fn, b, z_far, w_far, lam: Lambda, tol: float):
     length = abs(span)
     direction = span / length
     u_max = math.sqrt(length)
-    us, ws = _branch_w_table(b, direction, u_max, w_far, lam)
+    rhs = _rhs_near_branch(b, lam)
+    us, ws = _branch_w_table(direction, u_max, w_far, rhs)
 
     def f(u):
         u = np.asarray(u)
-        z = b + (u * u) * direction
-        roots = np.sqrt(curve_rhs(z, lam).astype(complex))
+        v = (u * u) * direction
+        z = b + v
+        roots = np.sqrt(rhs(v).astype(complex))
         idx = np.clip(np.floor(np.log2(u_max / np.maximum(u, 1e-300))).astype(int),
                       0, len(us) - 1)
         refs = ws[idx] * (u / us[idx])

@@ -16,6 +16,10 @@ complete elliptic integrals of the curve, evaluated in closed form by the
 arithmetic-geometric mean; the companion period, which must vanish, is
 integrated along its cycle as an independent check.
 
+Only sheet +1 is ever integrated.  The deck involution w -> -w negates Phi,
+so sheet -1 is the point reflection x(z, -w) = C - x(z, w), with C = 2 x(lam)
+from the segment [1, lam] (sheet_connection).
+
 Integration along sheeted paths is the quadrature module's path_integral
 (re-exported here); grid immersion uses its batched straight-edge primitive.
 """
@@ -23,6 +27,7 @@ Integration along sheeted paths is the quadrature module's path_integral
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import enum
 import functools
 import math
@@ -223,13 +228,13 @@ def integrate(path: SheetedPath, norm: Normalization, *,
 # path construction
 # ---------------------------------------------------------------------------
 
-def make_sheeted_path(vertices, lam, *, w_start=None, sheet_sign: int = +1):
-    """Build a SheetedPath, detecting branch-point endpoints.
+def make_sheeted_path(vertices, lam):
+    """Build a SheetedPath on sheet +1, detecting branch-point endpoints.
 
     Returns (path, singular_start, singular_end).  A first vertex at a finite
-    branch point is seeded by the departure germ selected by sheet_sign; a
-    last vertex at a branch point is stored with w = 0 and must be integrated
-    with the singular_end flag.
+    branch point is seeded by the +1 departure germ, any other by the
+    principal root; a last vertex at a branch point is stored with w = 0 and
+    must be integrated with the singular_end flag.
     """
     lam = as_lambda(lam)
     verts = np.asarray(vertices, dtype=complex)
@@ -248,14 +253,11 @@ def make_sheeted_path(vertices, lam, *, w_start=None, sheet_sign: int = +1):
     b_start = branch_at(verts[0]) if len(verts) > 1 else None
     b_end = branch_at(verts[-1]) if len(verts) > 1 else None
 
+    body = verts[:-1] if b_end is not None else verts
     if b_start is not None:
-        dep = BranchDeparture(b_start, lam, sign=sheet_sign)
-        body = verts[:-1] if b_end is not None else verts
-        path = sheeted_path_from_branch(body, dep)
+        path = sheeted_path_from_branch(body, BranchDeparture(b_start, lam))
     else:
-        w0 = complex(w_start) if w_start is not None else sheet_sign * principal_w(verts[0], lam)
-        body = verts[:-1] if b_end is not None else verts
-        path = continue_sheet(body, w0, lam)
+        path = continue_sheet(body, principal_w(verts[0], lam), lam)
     if b_end is not None:
         path = SheetedPath(np.append(path.vertices, b_end),
                            np.append(path.w_values, 0.0j), lam)
@@ -382,32 +384,19 @@ def route_vertices(target: complex, lam, *, winding: int = 0,
 @functools.lru_cache(maxsize=256)
 def _sheet_connection_cached(norm: Normalization) -> tuple:
     lam = norm.lam
-    lv = lam.value
     if abs(curve_rhs(BASE_POINT, lam)) < 1e-12:
         return (0.0, 0.0, 0.0)
-    r = 0.5 * lv
-    p0 = lv - r if lv > 1.0 else lv + r
-    verts = [BASE_POINT] + _radial_leg(1.0, p0, 0.0, lam)
-    start = math.pi if p0 < lv else 0.0
-    taus = np.linspace(start, start + 2.0 * math.pi, 65)
-    verts += [lv + r * cmath.exp(1j * t) for t in taus[1:]]
-    verts += _radial_leg(p0, 1.0, 0.0, lam)
-    w0 = principal_w(BASE_POINT, lam)
-    path = continue_sheet(verts, w0, lam)
-    if abs(path.w_values[-1] + w0) > 1e-9 * (1.0 + abs(w0)):
-        raise QuadratureFailure("sheet-connecting loop did not flip the root")
-    return tuple(float(x) for x in integrate(path, norm))
+    path, _, singular_end = make_sheeted_path([BASE_POINT, lam.value], lam)
+    return tuple(float(x) for x in 2.0 * integrate(path, norm, singular_end=singular_end))
 
 
 def sheet_connection(lam, norm: Normalization) -> np.ndarray:
-    """Image of the second base-point lift (1, -w0), integrating from (1, w0).
+    """The point reflection C of the deck involution: x(z, -w) = C - x(z, w).
 
-    The two lifts of the base point are joined on the cover by a loop about
-    one branch point; its real integral is the fixed offset between the raw
-    integrals seeded at +w0 and at -w0.  Anchoring the -w0 sheet by this
-    vector places both sheets on the same copy of the surface (at lam = 1
-    the base point is a branch point, both seeds coincide, and the offset
-    vanishes).
+    w -> -w negates Phi, and C is the image of the second base-point lift
+    (1, -w0).  The segment [1, lam] holds no other branch point; out to lam
+    and back on the other sheet, it joins the two lifts in two equal halves,
+    so C = 2 x(lam).  At lam = 1 both lifts are the branch point and C = 0.
     """
     lam = as_lambda(lam)
     if norm.lam != lam:
@@ -430,39 +419,29 @@ class SurfacePoint:
         object.__setattr__(self, "position", p)
 
 
-def immerse(lam, norm: Normalization, targets, *, sheet_seed=None,
-            sheet_sign: int = +1, winding: int = 0) -> list[SurfacePoint]:
+def immerse(lam, norm: Normalization, targets, *, sheet_sign: int = +1,
+            winding: int = 0) -> list[SurfacePoint]:
     """Immerse targets by integrating from the base point z0 = 1.
 
-    The sheet is seeded by sheet_seed (a w value at the base point) or, when
-    absent, by sheet_sign times the principal square root.  At lam = 1 the
-    base point is itself a branch point and sheet_sign selects the departure
-    germ instead.  Routes have winding number `winding` about the origin.
+    Sheet +1 is seeded by the principal root at z0 (by the +1 departure germ
+    at lam = 1, where z0 is a branch point).  Sheet -1 is not integrated: it
+    returns the sheet partners (z, -w) at C - x, C the sheet_connection.
+    Routes have winding number `winding` about the origin.
     """
     lam = as_lambda(lam)
     singular_base = abs(curve_rhs(BASE_POINT, lam)) < 1e-12
-    offset = np.zeros(3)
-    seed = sheet_seed
-    if not singular_base:
-        w_plus = principal_w(BASE_POINT, lam)
-        if seed is None:
-            seed = sheet_sign * w_plus
-        if abs(seed + w_plus) < abs(seed - w_plus):
-            # the -w0 lift of the base point sits one branch-connecting
-            # integral away; anchor its sheet there so both sheets share
-            # one copy of the surface
-            offset = sheet_connection(lam, norm)
     out = []
     for target in targets:
         target = complex(target)
         if target == BASE_POINT and winding == 0 and not singular_base:
-            out.append(SurfacePoint(offset, CurvePoint(BASE_POINT, seed, lam)))
-            continue
-        verts = route_vertices(target, lam, winding=winding)
-        path, ss, se = make_sheeted_path(verts, lam, w_start=seed,
-                                         sheet_sign=sheet_sign)
-        pos = offset + integrate(path, norm, singular_start=ss, singular_end=se)
-        out.append(SurfacePoint(pos, path.end))
+            pos, end = np.zeros(3), CurvePoint(BASE_POINT, principal_w(BASE_POINT, lam), lam)
+        else:
+            verts = route_vertices(target, lam, winding=winding)
+            path, ss, se = make_sheeted_path(verts, lam)
+            pos, end = integrate(path, norm, singular_start=ss, singular_end=se), path.end
+        if sheet_sign < 0:
+            pos, end = sheet_connection(lam, norm) - pos, end.sheet_partner
+        out.append(SurfacePoint(pos, end))
     return out
 
 
@@ -500,10 +479,10 @@ def companion_cycle_vertices(lam, n: int = 256):
     return center + radius * np.exp(1j * taus)
 
 
-def cycle_real_period(vertices, lam, norm: Normalization, *, sheet_sign: int = +1):
-    """Real period of the lifted cycle; verifies that the lift closes."""
+def cycle_real_period(vertices, lam, norm: Normalization):
+    """Real period of the lift from the principal root; verifies that it closes."""
     lam = as_lambda(lam)
-    w0 = sheet_sign * principal_w(vertices[0], lam)
+    w0 = principal_w(vertices[0], lam)
     path = continue_sheet(vertices, w0, lam)
     closure = abs(path.w_values[-1] - w0)
     if closure > 1e-7 * (1.0 + abs(w0)):
@@ -575,6 +554,15 @@ class GridImmersion:
     def n_col(self) -> int:
         return len(self.angles)
 
+    @property
+    def sheet_partner(self) -> "GridImmersion":
+        """The other sheet's grid, by the deck involution w -> -w: roots -w
+        and positions C - positions, with C the sheet_connection."""
+        w, pos = -self.w, sheet_connection(self.lam, self.norm) - self.positions
+        w.setflags(write=False)
+        pos.setflags(write=False)
+        return dataclasses.replace(self, sheet_sign=-self.sheet_sign, w=w, positions=pos)
+
     def flat_points(self):
         """(z, position) pairs flattened, excluding the duplicated seam column."""
         stop = self.n_col - 1 if self.closed else self.n_col
@@ -632,7 +620,8 @@ def immerse_grid(lam, norm: Normalization, *, r_min: float, r_max: float,
     the chains add them.  Only the few edges whose nearest-root step is not
     clearly separated (continued by bisection) or whose panel misses the
     tolerance take the scalar continue_sheet and adaptive path_integral.
-    Errors from an edge name lam, the sheet, the edge and its tolerance.
+    Only sheet +1 is integrated; sheet -1 is its sheet_partner.  Errors from
+    an edge name lam, the requested sheet, the edge and its tolerance.
     """
     lam = as_lambda(lam)
     if n_ang % 2 != 0 or n_ang < 8 or n_rad < 2:
@@ -648,10 +637,8 @@ def immerse_grid(lam, norm: Normalization, *, r_min: float, r_max: float,
     stem += _angular_leg(1.0, 0.0, theta_w, lam)
     stem += _radial_leg(1.0, radii[0], theta_w, lam)
     with located(f"lam = {lam.value!r}, sheet {sheet_sign:+d}, stem to grid vertex (0, 0)"):
-        stem_path, ss, _ = make_sheeted_path(stem, lam, sheet_sign=sheet_sign)
+        stem_path, ss, _ = make_sheeted_path(stem, lam)
         base_pos = path_integral(stem_path, fn, singular_start=ss).real
-    if sheet_sign < 0 and not ss:
-        base_pos = base_pos + sheet_connection(lam, norm)
 
     n_col = n_ang + (1 if closed else 0)
     zs = radii[:, None] * np.exp(1j * angles[None, :])
@@ -681,8 +668,9 @@ def immerse_grid(lam, norm: Normalization, *, r_min: float, r_max: float,
 
     for arr in (radii, angles, zs, ws, pos):
         arr.setflags(write=False)
-    return GridImmersion(lam=lam, norm=norm, sheet_sign=sheet_sign, radii=radii,
+    grid = GridImmersion(lam=lam, norm=norm, sheet_sign=+1, radii=radii,
                          angles=angles, z=zs, w=ws, positions=pos, closed=closed)
+    return grid if sheet_sign > 0 else grid.sheet_partner
 
 
 @dataclass(frozen=True)

@@ -118,6 +118,15 @@ def test_discrete_normals_converge_to_gauss_map():
     assert e2 < 0.7 * e1
 
 
+@pytest.mark.parametrize("lv", [0.01, 0.003])
+def test_small_lambda_mesh_builds(lv):
+    # the sheet -1 grid needs C, integrated over [1, lam] with a singular
+    # end at lam, a distance lam from the branch point 0
+    mesh = build_mesh(lv, Normalization.paper(lv), n_rad=8, n_ang=16)
+    assert len(mesh.vertices) > 0
+    assert np.all(np.isfinite(mesh.vertices))
+
+
 def test_mesh_provenance_and_curvature_channel():
     mesh = small_mesh(1.0)
     assert mesh.provenance.lam == 1.0

@@ -5,7 +5,15 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from riemann_examples.curve import CurvePoint, Lambda, continue_sheet, principal_w
+from riemann_examples.curve import (
+    BranchDeparture,
+    CurvePoint,
+    Lambda,
+    continue_sheet,
+    curve_rhs,
+    principal_w,
+    sheeted_path_from_branch,
+)
 from riemann_examples.errors import RiemannFamilyError, SingularPoint
 from riemann_examples.reference import catenoid_integrand
 from riemann_examples.weierstrass import (
@@ -270,14 +278,94 @@ def test_base_point_maps_to_origin():
     assert np.allclose(sp.position, 0.0)
 
 
+def _sheet_connection_mpmath(lv):
+    """(C1, C3) = 2 Re of the integral of Phi over [1, lam] for lam < 1, paper
+    scale, at 40 digits.  On (lam, 1) the continued root is the positive
+    sqrt(z (z - lam)(z + 1/lam)); z = lam + u^2 removes the singular end."""
+    with mpmath.workdps(40):
+        lam = mpmath.mpf(lv)
+        s = 1 / mpmath.sqrt(lam)
+
+        def integrand(u, numerator):
+            z = lam + u * u
+            return 2 * s * numerator(z) / mpmath.sqrt(z * (z + 1 / lam))
+
+        # breakpoints graded toward the branch point 0, at distance lam
+        pts = [0] + [mpmath.sqrt(lam * 10 ** j) for j in range(8) if lam * 10 ** j < 1 - lam]
+        pts.append(mpmath.sqrt(1 - lam))
+        return [-2 * mpmath.quad(lambda u: integrand(u, f), pts)
+                for f in (lambda z: (1 - z * z) / z, lambda z: 2)]
+
+
+def _branch_loop_connection(lv, norm):
+    """The sheet connection integrated along a 64-chord circle of radius
+    lam/2 about the branch point lam, with radial legs from and back to 1:
+    the loop lifts from (1, w0) to (1, -w0)."""
+    from riemann_examples.weierstrass import _radial_leg
+    lam = Lambda(lv)
+    r = 0.5 * lv
+    p0 = lv - r if lv > 1.0 else lv + r
+    start = math.pi if p0 < lv else 0.0
+    taus = np.linspace(start, start + 2.0 * math.pi, 65)[1:]
+    verts = ([BASE_POINT] + _radial_leg(1.0, p0, 0.0, lam)
+             + [lv + r * np.exp(1j * t) for t in taus] + _radial_leg(p0, 1.0, 0.0, lam))
+    w0 = principal_w(BASE_POINT, lam)
+    path = continue_sheet(verts, w0, lam)
+    assert abs(path.w_values[-1] + w0) < 1e-9 * abs(w0)
+    return integrate(path, norm)
+
+
 def test_sheet_connection_lies_in_symmetry_locus():
     # the two base-point lifts are mirror partners for lam > 1 (offset along
     # x2) and line-flip partners for lam < 1 (offset in the x1-x3 plane)
-    v_hi = sheet_connection(3.0, Normalization.paper(3.0))
-    assert abs(v_hi[0]) < 1e-10 and abs(v_hi[2]) < 1e-10 and abs(v_hi[1]) > 1.0
-    v_lo = sheet_connection(0.3, Normalization.paper(0.3))
-    assert abs(v_lo[1]) < 1e-10 and np.linalg.norm(v_lo) > 1.0
+    for lv in (1e-4, 1e-3, 3e-3, 0.01, 0.3, 0.999, 1.001, 3.0, 1e4, 1e6):
+        norm = Normalization.paper(lv)
+        c = sheet_connection(lv, norm)
+        size = np.linalg.norm(c)
+        if lv > 1.0:
+            # x2 = Re 2 i s (w/z - w0) is algebraic and w(lam) = 0
+            s = normalization_scale(norm)
+            c2 = (-4j * s * principal_w(1.0, lv)).real
+            assert c2 == pytest.approx(4.0 * s * math.sqrt((lv - 1.0) * (1.0 + 1.0 / lv)),
+                                       rel=1e-14)
+            assert np.linalg.norm(c - [0.0, c2, 0.0]) <= 1e-13 * size, lv
+        else:
+            c1, c3 = (float(x) for x in _sheet_connection_mpmath(lv))
+            assert np.linalg.norm(c - [c1, 0.0, c3]) <= 1e-13 * size, lv
+    # an independent construction: a loop about the branch point lam
+    for lv in (0.3, 0.5, 2.0, 3.0):
+        norm = Normalization.paper(lv)
+        c = sheet_connection(lv, norm)
+        assert np.linalg.norm(c - _branch_loop_connection(lv, norm)) <= 1e-12 * np.linalg.norm(c)
     assert np.allclose(sheet_connection(1.0, Normalization.paper(1.0)), 0.0)
+
+
+def _phi_from_one_mpmath(t):
+    """Re of the integral of Phi from the branch point 1 to t on the real
+    axis at lam = 1 (paper scale s = 1), at 40 digits: w = sqrt(z - 1)
+    sqrt(z (z + 1)) (the +1 departure germ), with z = 1 + sign u^2."""
+    with mpmath.workdps(40):
+        t = mpmath.mpf(t)
+        sg = mpmath.sign(t - 1)
+
+        def integrand(u, numerator):
+            z = 1 + sg * u * u
+            return 2 * sg * numerator(z) / (mpmath.sqrt(sg) * mpmath.sqrt(z * (z + 1)))
+
+        numerators = (lambda z: (1 - z * z) / z, lambda z: 1j * (1 + z * z) / z, lambda z: 2)
+        return np.array([float(mpmath.re(mpmath.quad(lambda u: integrand(u, f),
+                                                      [0, mpmath.sqrt(abs(t - 1))])))
+                         for f in numerators])
+
+
+@pytest.mark.parametrize("t", [1.001, 1.0001, 1.00001, 0.999])
+def test_branch_start_matches_mpmath_close_to_the_branch_point(t):
+    # near u = 0, forming z = b + u^2 d and then z - b cancels to 0, where
+    # the integrand is infinite
+    lam = Lambda(1.0)
+    x = immerse(lam, Normalization.paper(lam), [t])[0].position
+    ref = _phi_from_one_mpmath(t)
+    assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
 
 def test_line_images_are_colinear():
@@ -386,12 +474,19 @@ def test_route_blocked_inside_branch_guard():
 
 def _scalar_grid(lam, norm, radii, angles, sheet_sign):
     """Reference grid immersion: the stem, then one continue_sheet and one
-    path_integral per edge, up the western column and along each row."""
+    path_integral per edge, up the western column and along each row.  The
+    stem is seeded on the requested sheet itself (sheet_sign times the
+    principal root, or that departure germ at lam = 1), so sheet -1 is
+    integrated here and not derived from sheet +1."""
     from riemann_examples.weierstrass import _angular_leg, _radial_leg, weierstrass_integrand
     fn = weierstrass_integrand(norm)
     stem = ([BASE_POINT] + _angular_leg(1.0, 0.0, angles[0], lam)
             + _radial_leg(1.0, radii[0], angles[0], lam))
-    path, ss, _ = make_sheeted_path(stem, lam, sheet_sign=sheet_sign)
+    ss = abs(curve_rhs(BASE_POINT, lam)) < 1e-12
+    if ss:
+        path = sheeted_path_from_branch(stem, BranchDeparture(BASE_POINT, lam, sign=sheet_sign))
+    else:
+        path = continue_sheet(stem, sheet_sign * principal_w(BASE_POINT, lam), lam)
     z = radii[:, None] * np.exp(1j * np.asarray(angles)[None, :])
     w = np.zeros(z.shape, dtype=complex)
     pos = np.zeros(z.shape + (3,))
