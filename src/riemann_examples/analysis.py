@@ -20,8 +20,9 @@ safeguarded Newton iteration with the exact derivative dx3/dt = Re(Phi3 dz)
 (linear interpolation is far too coarse for the circle-fit tolerances),
 then fitted by circles or lines.  The crossings of all heights and both
 sheets step in lockstep: each Newton round continues and integrates every
-unresolved crossing at once through the batched edge primitives of
-quadrature.py.
+unresolved crossing at once through quadrature.py's one edge primitive,
+integrate_edges; check_symmetries immerses all its lifts in one immerse
+call.
 """
 
 from __future__ import annotations
@@ -36,11 +37,10 @@ from .curve import (
     CurvePoint,
     Lambda,
     as_lambda,
-    curve_rhs,
     principal_w,
 )
 from .errors import InsufficientSlicePoints, QuadratureFailure, SingularPoint
-from .quadrature import TOL_PER_UNIT, continue_edges, edge_integrals
+from .quadrature import TOL_PER_UNIT, integrate_edges
 from .weierstrass import (
     Normalization,
     _edge_locator,
@@ -115,8 +115,7 @@ def _classify_locus(z: complex, lam: Lambda, cell: float) -> str:
     return "interior"
 
 
-def verify_curvature_bound(lam, grid: CurvatureGrid | None = None,
-                           refine_iters: int = 60) -> CurvatureBoundReport:
+def verify_curvature_bound(lam, grid: CurvatureGrid | None = None) -> CurvatureBoundReport:
     """Grid maximum of |K| on the normalized family over the large annulus,
     with local refinement around the argmax.
 
@@ -124,7 +123,8 @@ def verify_curvature_bound(lam, grid: CurvatureGrid | None = None,
     location are reported so callers can check the sharper numerical bound 2.
     The refinement window starts wide (the landscape is nearly flat in the
     angular direction for extreme family parameters, which lets the raw grid
-    argmax drift far along the unit circle) and shrinks geometrically.
+    argmax drift far along the unit circle) and shrinks geometrically, 60
+    times by 0.6.
     """
     lam = as_lambda(lam)
     grid = grid or CurvatureGrid()
@@ -141,7 +141,7 @@ def verify_curvature_bound(lam, grid: CurvatureGrid | None = None,
 
     half_lr, half_th = 0.6, 1.6
     z_ref, k_ref = zmax, kmax
-    for _ in range(refine_iters):
+    for _ in range(60):
         lr0 = math.log(abs(z_ref))
         th0 = cmath.phase(z_ref)
         lrs = np.linspace(lr0 - half_lr, lr0 + half_lr, 33)
@@ -202,17 +202,6 @@ def _polish_curvature_max(lam: Lambda, norm: Normalization, z0: complex, k0: flo
     return z0, k0
 
 
-def curvature_bound_chain(z, lam) -> tuple:
-    """The two-step majorization of |K| on the normalized family:
-    |K| <= 16 (|z|+1)^2 / (|z| (|z|+1/|z|)^4) <= 4, returned as a triple
-    (|K|, middle bound, 4.0) for elementwise inspection."""
-    lam = as_lambda(lam)
-    k = abs_gauss_curvature(z, lam, Normalization.paper(lam))
-    az = np.abs(np.asarray(z, dtype=complex))
-    mid = 16.0 * (az + 1.0) ** 2 / (az * (az + 1.0 / az) ** 4)
-    return k, mid, 4.0
-
-
 # ---------------------------------------------------------------------------
 # symmetries
 # ---------------------------------------------------------------------------
@@ -240,42 +229,36 @@ class SymmetryReport:
         return self.max_residual < self.tolerance
 
 
-def _immerse_matching(lam: Lambda, norm: Normalization, z: complex, w: complex):
-    """Position of the specific lift (z, w): the target is immersed once, and
-    its sheet +1 image x is kept if the continued root is w, its partner's
-    image C - x (C the sheet_connection) if it is -w."""
-    sp = immerse(lam, norm, [z])[0]
-    err_plus, err_minus = abs(sp.source.w - w), abs(sp.source.w + w)
-    if min(err_plus, err_minus) > 1e-6 * (1.0 + abs(w)):
-        raise ValueError(f"no immersion sheet matches the requested root at z = {z}")
-    if err_plus <= err_minus:
-        return sp.position
-    return sheet_connection(lam, norm) - sp.position
-
-
 def check_symmetries(lam, norm: Normalization, samples,
                      tolerance: float = 1e-7) -> SymmetryReport:
     """Verify the three ambient symmetries on the given curve points.
 
     For each sample lift p the transformed lift is immersed independently
-    (its own route and sheet continuation) and compared against the ambient
-    affine map: mirror across the plane of the planar geodesics (normal along
-    x2), half-turn about the horizontal axes through the images of z = +-i,
-    and half-turn about the straight lines (the fixed set of the line flip).
-    Translation parts are pinned by the images of the base-point lifts, so
-    the checks also exercise the anchoring of the second sheet.
+    (its own route and sheet continuation, all lifts in one immerse call)
+    and compared against the ambient affine map: mirror across the plane of
+    the planar geodesics (normal along x2), half-turn about the horizontal
+    axes through the images of z = +-i, and half-turn about the straight
+    lines (the fixed set of the line flip).  Translation parts are pinned by
+    the images of the base-point lifts (the base point itself at lam = 1),
+    so the checks also exercise the anchoring of the second sheet.
     """
     lam = as_lambda(lam)
-    singular_base = abs(curve_rhs(1.0 + 0.0j, lam)) < 1e-12
-    if singular_base:
-        b_mirror = np.zeros(3)
-        b_flip = np.zeros(3)
-        b_rot = immerse(lam, norm, [-1.0 + 0.0j])[0].position
-    else:
-        w0 = principal_w(1.0 + 0.0j, lam)
-        b_mirror = _immerse_matching(lam, norm, 1.0 + 0.0j, np.conj(w0))
-        b_flip = _immerse_matching(lam, norm, 1.0 + 0.0j, -np.conj(w0))
-        b_rot = _immerse_matching(lam, norm, -1.0 + 0.0j, -w0)
+    w0 = principal_w(1.0 + 0.0j, lam)
+    lifts = [(1.0 + 0.0j, np.conj(w0)), (1.0 + 0.0j, -np.conj(w0)), (-1.0 + 0.0j, -w0)]
+    for p in samples:
+        p = p if isinstance(p, CurvePoint) else CurvePoint(p, principal_w(p, lam), lam)
+        lifts += [(p.z, p.w), (np.conj(p.z), np.conj(p.w)), (-1.0 / p.z, -p.w / p.z ** 2),
+                  (np.conj(p.z), -np.conj(p.w))]
+    # each target is immersed once, and its sheet +1 image x is kept if the
+    # continued root is w, its partner's image C - x if it is -w
+    c = sheet_connection(lam, norm)
+    images = []
+    for sp, (z, w) in zip(immerse(lam, norm, [z for z, _ in lifts]), lifts):
+        err_plus, err_minus = abs(sp.source.w - w), abs(sp.source.w + w)
+        if min(err_plus, err_minus) > 1e-6 * (1.0 + abs(w)):
+            raise ValueError(f"no immersion sheet matches the requested root at z = {z}")
+        images.append(sp.position if err_plus <= err_minus else c - sp.position)
+    b_mirror, b_flip, b_rot, *images = images
 
     # positions of individual lifts are defined modulo the translation
     # period (the route class picks one representative of the stack)
@@ -285,18 +268,10 @@ def check_symmetries(lam, norm: Normalization, samples,
         return min(float(np.linalg.norm(x - y - n * t_vec)) for n in range(-2, 3)) / scale
 
     res_mirror, res_rot, res_flip = [], [], []
-    for p in samples:
-        p = p if isinstance(p, CurvePoint) else CurvePoint(p, principal_w(p, lam), lam)
-        pos = _immerse_matching(lam, norm, p.z, p.w)
+    for pos, pos_m, pos_r, pos_f in np.reshape(images, (-1, 4, 3)):
         scale = max(1.0, float(np.linalg.norm(pos)))
-
-        pos_m = _immerse_matching(lam, norm, np.conj(p.z), np.conj(p.w))
         res_mirror.append(lattice_residual(pos_m, MIRROR @ pos + b_mirror, scale))
-
-        pos_r = _immerse_matching(lam, norm, -1.0 / p.z, -p.w / p.z ** 2)
         res_rot.append(lattice_residual(pos_r, ROTATION @ pos + b_rot, scale))
-
-        pos_f = _immerse_matching(lam, norm, np.conj(p.z), -np.conj(p.w))
         res_flip.append(lattice_residual(pos_f, ROTATION @ pos + b_flip, scale))
 
     return SymmetryReport(
@@ -400,9 +375,9 @@ def _edge_height_crossing(lam, norm, za, wa, pos_a, zb, c, f_lo, where=None):
     f'(t) = Re(2 s dz / w(t)), since Phi3 = 2 s / w, and a sign bracket
     replaces any step that leaves it (or meets f' = 0) by its midpoint.  All
     edges step in lockstep: each round continues the root and integrates
-    from every active iterate to its next one by the batched continue_edges
-    (which refuses iterates inside a branch guard disk) and edge_integrals,
-    and retires the edges that meet |x3 - c| < 1e-12 max(1, |c|).  `where(k)`
+    from every active iterate to its next one by one batched integrate_edges
+    call (which refuses iterates inside a branch guard disk), and retires
+    the edges that meet |x3 - c| < 1e-12 max(1, |c|).  `where(k)`
     names edge k in errors (by default its end points, lam and height); an
     error within a round also names the Newton step and its quadrature
     tolerance.  QuadratureFailure is raised for an edge not resolved within
@@ -436,10 +411,8 @@ def _edge_height_crossing(lam, norm, za, wa, pos_a, zb, c, f_lo, where=None):
             return (f"{where(act[k])}, Newton step {complex(z0[k])} -> {complex(z1[k])} "
                     f"(quadrature tolerance {TOL_PER_UNIT * abs(z1[k] - z0[k]):.2e})")
 
-        w_new, bisected = continue_edges(z_old, w_old, z_new,
-                                         np.sqrt(curve_rhs(z_new, lam)), lam, located_at)
-        pos[act] += edge_integrals(fn, z_old, w_old, z_new, w_new, lam, bisected,
-                                   located_at)
+        w_new, vals = integrate_edges(fn, z_old, w_old, z_new, lam, located_at)
+        pos[act] += vals
         t[act], z[act], w[act] = t_new, z_new, w_new
         f[act] = pos[act, 2] - c[act]
         same_side = (f[act] < 0) == below[act]

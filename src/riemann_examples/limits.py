@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curve import CurvePoint, Lambda, as_lambda, branch_points, principal_w
+from .curve import CurvePoint, Lambda, as_lambda, principal_w
 from .errors import BranchAmbiguity, PathBlocked
 from .reference import (
     ReferenceKind,
@@ -308,15 +308,6 @@ def conjugate_check(lam, samples) -> ConjugacyReport:
         scale = max(float(np.max(np.abs(lhs))), 1e-300)
         res.append(float(np.max(np.abs(lhs - rhs))) / scale)
     return ConjugacyReport(lam=lam, residuals=np.array(res))
-
-
-def conjugate_branch_points(lam) -> tuple:
-    """Images of the finite branch points under z -> -z: the branch set of
-    the reciprocal-parameter curve."""
-    lam = as_lambda(lam)
-    mapped = tuple(-b for b in branch_points(lam).finite)
-    expected = branch_points(lam.reciprocal).finite
-    return mapped, expected
 
 
 # ---------------------------------------------------------------------------

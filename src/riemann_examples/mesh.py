@@ -19,7 +19,6 @@ from .analysis import abs_gauss_curvature
 from .curve import as_lambda
 from .errors import RiemannFamilyError
 from .weierstrass import (
-    GridImmersion,
     Normalization,
     immerse_grid,
     period_vectors,
@@ -98,8 +97,7 @@ def euler_characteristic(mesh: SurfaceMesh) -> int:
 
 
 def build_mesh(lam, norm: Normalization, *, n_rad: int = 48, n_ang: int = 96,
-               copies: int = 1, r_min: float = 1.0 / 40.0, r_max: float = 40.0,
-               min_triangle_area: float = 1e-12) -> SurfaceMesh:
+               copies: int = 1, r_min: float = 1.0 / 40.0, r_max: float = 40.0) -> SurfaceMesh:
     """Mesh of `copies` fundamental domains of the immersed surface.
 
     Quad cells follow the continuation alignment of their radial edges, so
@@ -175,40 +173,11 @@ def build_mesh(lam, norm: Normalization, *, n_rad: int = 48, n_ang: int = 96,
         ),
     )
     areas = triangle_areas(mesh)
-    if len(areas) and float(areas.min()) <= min_triangle_area:
+    if len(areas) and float(areas.min()) <= 1e-12:
         raise RiemannFamilyError(
             f"degenerate triangle (area {areas.min():.3e}) in mesh at lam = {lam.value}"
         )
     return mesh
-
-
-def seam_offsets(grid_plus: GridImmersion, grid_minus: GridImmersion):
-    """Per-row offsets between each grid's seam column and the start column it
-    continues onto (same sheet or the other, whichever root matches).
-
-    The returned array holds, for every row of each grid, the residual after
-    subtracting the best integer multiple (in -2..2) of the translation
-    period; a correctly tiling mesh has residuals at quadrature level.
-    """
-    t_vec = period_vectors(grid_plus.lam, grid_plus.norm).translation
-    out = []
-    grids = {+1: grid_plus, -1: grid_minus}
-    for s, g in grids.items():
-        for i in range(g.n_rad):
-            w_end = g.w[i, -1]
-            candidates = []
-            for s2, g2 in grids.items():
-                dw = abs(g2.w[i, 0] - w_end)
-                candidates.append((dw, s2))
-            _, s_match = min(candidates)
-            start = grids[s_match].positions[i, 0]
-            end = g.positions[i, -1]
-            best = min(
-                float(np.linalg.norm(end - (start + k * t_vec)))
-                for k in range(-2, 3)
-            )
-            out.append(best)
-    return np.array(out)
 
 
 # ---------------------------------------------------------------------------
@@ -264,53 +233,3 @@ def _ply_text(mesh: SurfaceMesh):
     yield from _rows(" ".join([_FLOAT] * 7),
                      np.column_stack([mesh.vertices, mesh.normals, mesh.abs_curvature]))
     yield from _rows("3 %d %d %d", mesh.triangles)
-
-
-def load_obj(path) -> SurfaceMesh:
-    verts, norms, tris = [], [], []
-    with open(path, "r", encoding="ascii") as fh:
-        for line in fh:
-            parts = line.split()
-            if not parts:
-                continue
-            if parts[0] == "v":
-                verts.append([float(x) for x in parts[1:4]])
-            elif parts[0] == "vn":
-                norms.append([float(x) for x in parts[1:4]])
-            elif parts[0] == "f":
-                tris.append([int(p.split("/")[0]) - 1 for p in parts[1:4]])
-    return SurfaceMesh(
-        vertices=np.array(verts).reshape(-1, 3),
-        triangles=np.array(tris, dtype=np.int64).reshape(-1, 3),
-        normals=np.array(norms).reshape(-1, 3),
-        abs_curvature=np.zeros(len(verts)),
-        provenance=MeshProvenance(lam=float("nan"), normalization="unknown",
-                                  sheet_convention="unknown", r_min=0.0, r_max=0.0,
-                                  n_rad=0, n_ang=0, copies=0),
-    )
-
-
-def load_ply(path) -> SurfaceMesh:
-    with open(path, "r", encoding="ascii") as fh:
-        lines = fh.read().splitlines()
-    n_vert = n_face = 0
-    body_at = 0
-    for k, line in enumerate(lines):
-        if line.startswith("element vertex"):
-            n_vert = int(line.split()[-1])
-        elif line.startswith("element face"):
-            n_face = int(line.split()[-1])
-        elif line == "end_header":
-            body_at = k + 1
-            break
-    vert_rows = [list(map(float, ln.split())) for ln in lines[body_at:body_at + n_vert]]
-    face_rows = [list(map(int, ln.split()))[1:4]
-                 for ln in lines[body_at + n_vert:body_at + n_vert + n_face]]
-    data = np.array(vert_rows).reshape(-1, 7)
-    return SurfaceMesh(
-        vertices=data[:, 0:3], triangles=np.array(face_rows, dtype=np.int64).reshape(-1, 3),
-        normals=data[:, 3:6], abs_curvature=data[:, 6],
-        provenance=MeshProvenance(lam=float("nan"), normalization="unknown",
-                                  sheet_convention="unknown", r_min=0.0, r_max=0.0,
-                                  n_rad=0, n_ang=0, copies=0),
-    )

@@ -7,10 +7,11 @@ end at a finite branch point, which happens for every path at lam = 1
 where the base point is a branch point) are handled by the substitution
 u^2 = z - z_branch.
 
-Many straight edges with known end points (the edges of a grid) are
-continued and integrated at once: one nearest-root step and one GK15
-panel per edge, in numpy batches, with the scalar continue_sheet and the
-adaptive path_integral only for the edges that need them.
+integrate_edges is the one edge primitive: it continues and integrates a
+batch of straight edges from their start roots, with one nearest-root step
+and one GK15 panel per edge in numpy blocks.  The few edges that need
+bisection or adaptive refinement are continued once by the scalar
+continue_sheet and integrated along that path by path_integral.
 """
 
 from __future__ import annotations
@@ -39,8 +40,8 @@ TOL_PER_UNIT = 1e-10
 #: Panel cap of the adaptive refinement, per path segment.
 MAX_PANELS = 1 << 16
 
-#: Grid edges whose GK15 panels are evaluated in one batch; bounds the
-#: (3, EDGE_BLOCK, 15) temporaries of edge_integrals.
+#: Edges whose GK15 panels are evaluated in one batch; bounds the
+#: (3, EDGE_BLOCK, 15) temporaries of integrate_edges.
 EDGE_BLOCK = 512
 
 
@@ -140,14 +141,14 @@ def _rhs_near_branch(b, lam: Lambda):
     return lambda v: ((b - p0) + v) * (b + v - p1) * (b + v - p2)
 
 
-def _branch_w_table(direction, u_max, w_far, rhs, levels: int = 60):
+def _branch_w_table(direction, u_max, w_far, rhs):
     """Geometric table of continued w values along z = b + u^2 * direction,
-    stepping from the regular end down toward the branch point b; rhs is
-    the curve polynomial as a function of z - b."""
-    us = u_max * 0.5 ** np.arange(levels + 1)
-    ws = np.empty(levels + 1, dtype=complex)
+    halving u 60 times from the regular end down toward the branch point b;
+    rhs is the curve polynomial as a function of z - b."""
+    us = u_max * 0.5 ** np.arange(61)
+    ws = np.empty(len(us), dtype=complex)
     ws[0] = w_far
-    for k in range(1, levels + 1):
+    for k in range(1, len(us)):
         ws[k] = _nearest_root(ws[k - 1], cmath.sqrt(rhs(us[k] ** 2 * direction)))
     return us, ws
 
@@ -182,8 +183,8 @@ def _assert_branch_endpoint(z, w, lam: Lambda, which: str):
         raise ValueError(f"path {which} flagged singular but is not at a branch point")
 
 
-def path_integral(path: SheetedPath, fn, *, tol_per_unit: float = TOL_PER_UNIT,
-                  singular_start: bool = False, singular_end: bool = False):
+def path_integral(path: SheetedPath, fn, *, singular_start: bool = False,
+                  singular_end: bool = False):
     """Contour integral of fn(z, w) dz along a sheeted path.
 
     fn must be vectorized: given equal-length arrays z, w it returns an array
@@ -200,19 +201,19 @@ def path_integral(path: SheetedPath, fn, *, tol_per_unit: float = TOL_PER_UNIT,
     i0, i1 = 0, n - 1
     if singular_start:
         _assert_branch_endpoint(verts[0], ws[0], lam, "start")
-        tol = tol_per_unit * max(abs(verts[1] - verts[0]), 1e-6)
+        tol = TOL_PER_UNIT * max(abs(verts[1] - verts[0]), 1e-6)
         total += _branch_segment_integral(fn, verts[0], verts[1], ws[1], lam, tol)
         i0 = 1
     if singular_end:
         _assert_branch_endpoint(verts[-1], ws[-1], lam, "end")
-        tol = tol_per_unit * max(abs(verts[-1] - verts[-2]), 1e-6)
+        tol = TOL_PER_UNIT * max(abs(verts[-1] - verts[-2]), 1e-6)
         total -= _branch_segment_integral(fn, verts[-1], verts[-2], ws[-2], lam, tol)
         i1 = n - 2
     for i in range(i0, i1):
         za, zb = verts[i], verts[i + 1]
         if za == zb:
             continue
-        tol = tol_per_unit * abs(zb - za)
+        tol = TOL_PER_UNIT * abs(zb - za)
         total += _segment_integral(fn, za, ws[i], zb, ws[i + 1], lam, tol)
     return total
 
@@ -230,12 +231,6 @@ def located(where: str):
         raise type(err)(f"{where}: {err}") from err
 
 
-def _edge_value(fn, za, wa, zb, lam: Lambda):
-    path = continue_sheet([za, zb], wa, lam)
-    val = path_integral(path, fn)
-    return val.real, path.w_values[-1]
-
-
 def near_branch(z, lam: Lambda):
     """Mask of the points inside the protective disk of a finite branch
     point: continue_sheet's guard, applied to an array."""
@@ -246,15 +241,19 @@ def near_branch(z, lam: Lambda):
     return near
 
 
-def continue_edges(za, wa, zb, rb, lam: Lambda, where):
-    """The root +-rb reached by continuing (za, wa) along each straight
-    edge to zb, and the mask of edges that needed bisection.
+def integrate_edges(fn, za, wa, zb, lam: Lambda, where):
+    """Continue (za, wa) along each straight edge to zb and integrate fn(z, w) dz
+    along it: the end roots, shape (n,), and the real integrals, shape (n, 3).
 
-    Each edge takes one nearest-root step with continue_sheet's tie rule.
-    Edges whose step fails its separation test |dw| < 0.5 |wa + wb| are
-    continued by continue_sheet itself, which bisects.  Before any step, an
-    end point zb inside a branch guard disk (continue_sheet's guard) raises
-    BranchTooClose naming the first such edge.
+    Each edge takes one nearest-root step with continue_sheet's tie rule and
+    one GK15 panel, evaluated EDGE_BLOCK edges at a time exactly as
+    _segment_integral evaluates its first panel.  An edge whose step fails
+    the separation test |dw| < 0.5 |wa + wb|, whose panel misses
+    TOL_PER_UNIT * |dz| or whose integrand is not finite is continued once
+    by continue_sheet, which bisects, and integrated along that path by the
+    adaptive path_integral.  Before any step, an end point zb inside a branch
+    guard disk (continue_sheet's guard) raises BranchTooClose.  `where(k)`
+    names edge k in every error.
     """
     near = np.flatnonzero(near_branch(zb, lam))
     if near.size:
@@ -262,26 +261,10 @@ def continue_edges(za, wa, zb, rb, lam: Lambda, where):
         b = min(branch_points(lam).finite, key=lambda p: abs(zb[k] - p))
         raise BranchTooClose(f"{where(k)}: end point {zb[k]} lies in the guard disk "
                              f"of branch point {b}")
+    rb = np.sqrt(curve_rhs(zb, lam))
     wb = _nearest_roots(rb, wa)
-    bisected = ~(np.abs(wb - wa) < 0.5 * np.abs(wb + wa))
-    for k in np.flatnonzero(bisected):
-        with located(where(k)):
-            w_end = continue_sheet([za[k], zb[k]], wa[k], lam).w_values[-1]
-        wb[k] = _nearest_roots(rb[k], w_end)
-    return wb, bisected
-
-
-def edge_integrals(fn, za, wa, zb, wb, lam: Lambda, bisected, where):
-    """Real integrals of fn(z, w) dz along straight edges with known end roots.
-
-    Every edge gets one GK15 panel, evaluated EDGE_BLOCK edges at a time
-    exactly as _segment_integral evaluates its first panel.  Edges that
-    needed bisection, edges whose panel misses TOL_PER_UNIT * |dz| and edges
-    with a non-finite integrand value are integrated by the scalar
-    _edge_value instead, which refines adaptively.
-    """
+    redo = ~(np.abs(wb - wa) < 0.5 * np.abs(wb + wa))
     vals = np.empty((len(za), 3))
-    redo = np.array(bisected, dtype=bool)
     t = 0.5 + 0.5 * _K15_NODES
     for lo in range(0, len(za), EDGE_BLOCK):
         blk = slice(lo, lo + EDGE_BLOCK)
@@ -296,5 +279,7 @@ def edge_integrals(fn, za, wa, zb, wb, lam: Lambda, bisected, where):
         redo[blk] |= ~ok
     for k in np.flatnonzero(redo):
         with located(where(k)):
-            vals[k] = _edge_value(fn, za[k], wa[k], zb[k], lam)[0]
-    return vals
+            path = continue_sheet([za[k], zb[k]], wa[k], lam)
+            vals[k] = path_integral(path, fn).real
+        wb[k] = _nearest_roots(rb[k], path.w_values[-1])
+    return wb, vals

@@ -20,8 +20,12 @@ Only sheet +1 is ever integrated.  The deck involution w -> -w negates Phi,
 so sheet -1 is the point reflection x(z, -w) = C - x(z, w), with C = 2 x(lam)
 from the segment [1, lam] (sheet_connection).
 
-Integration along sheeted paths is the quadrature module's path_integral
-(re-exported here); grid immersion uses its batched straight-edge primitive.
+Point targets, grids and the sheet connection are immersed by one chain
+immersion, _immerse_chains: chains of straight edges hanging off the base
+point, continued from principal roots and integrated by the quadrature
+module's one edge primitive, integrate_edges, in one batch.  The scalar
+make_sheeted_path and path_integral (re-exported here) remain for edges at
+a branch point, for cycles and for reference computations.
 """
 
 from __future__ import annotations
@@ -43,19 +47,12 @@ from .curve import (
     as_lambda,
     branch_points,
     continue_sheet,
-    curve_rhs,
     delta_branch,
     principal_w,
     sheeted_path_from_branch,
 )
 from .errors import PathBlocked, QuadratureFailure, SingularPoint
-from .quadrature import (
-    TOL_PER_UNIT,
-    continue_edges,
-    edge_integrals,
-    located,
-    path_integral,
-)
+from .quadrature import TOL_PER_UNIT, integrate_edges, located, path_integral
 
 #: Base point of every immersion.
 BASE_POINT = 1.0 + 0.0j
@@ -215,11 +212,9 @@ def weierstrass_integrand(norm: Normalization):
 
 
 def integrate(path: SheetedPath, norm: Normalization, *,
-              singular_start: bool = False, singular_end: bool = False,
-              tol_per_unit: float = TOL_PER_UNIT) -> np.ndarray:
+              singular_start: bool = False, singular_end: bool = False) -> np.ndarray:
     """Real part of the Weierstrass contour integral along the path."""
     val = path_integral(path, weierstrass_integrand(norm),
-                        tol_per_unit=tol_per_unit,
                         singular_start=singular_start, singular_end=singular_end)
     return val.real.copy()
 
@@ -252,6 +247,9 @@ def make_sheeted_path(vertices, lam):
 
     b_start = branch_at(verts[0]) if len(verts) > 1 else None
     b_end = branch_at(verts[-1]) if len(verts) > 1 else None
+    if len(verts) == 2 and b_start is not None and b_start == b_end:
+        # both ends snap to the same branch point: the path is that point
+        return SheetedPath([b_start], [0.0j], lam), False, False
 
     body = verts[:-1] if b_end is not None else verts
     if b_start is not None:
@@ -308,11 +306,12 @@ def _radial_leg(r_from: float, r_to: float, angle: float, lam: Lambda):
     return out
 
 
-def _angular_leg(radius: float, a_from: float, a_to: float, lam: Lambda,
-                 max_step: float = math.pi / 32.0):
-    """Chords on the circle |z| = radius from a_from to a_to (excluding start)."""
+def _angular_leg(radius: float, a_from: float, a_to: float, lam: Lambda):
+    """Chords of at most pi/32 on the circle |z| = radius from a_from to a_to
+    (excluding start)."""
     if a_from == a_to:
         return []
+    max_step = math.pi / 32.0
     n = max(1, math.ceil(abs(a_to - a_from) / max_step))
     angles = np.linspace(a_from, a_to, n + 1)[1:]
     pts = [radius * cmath.exp(1j * a) for a in angles]
@@ -327,8 +326,7 @@ def _angular_leg(radius: float, a_from: float, a_to: float, lam: Lambda,
     return pts
 
 
-def route_vertices(target: complex, lam, *, winding: int = 0,
-                   max_step: float = math.pi / 32.0):
+def route_vertices(target: complex, lam, *, winding: int = 0):
     """Deterministic polyline from the base point to the target.
 
     Radial run along the positive real axis, then an angular sweep at the
@@ -374,20 +372,67 @@ def route_vertices(target: complex, lam, *, winding: int = 0,
         verts += _radial_leg(0.5 * lv, rho_mid, 0.0, lam)
     else:
         verts += _radial_leg(1.0, rho_mid, 0.0, lam)
-    verts += _angular_leg(rho_mid, 0.0, phi_t, lam, max_step)
+    verts += _angular_leg(rho_mid, 0.0, phi_t, lam)
     if rho_mid != rho:
         verts += _radial_leg(rho_mid, rho, phi_t, lam)
     verts[-1] = target
     return verts
 
 
+def _immerse_chains(lam: Lambda, norm: Normalization, chains, where):
+    """Roots and sheet +1 positions of the vertices of a tree of straight edges.
+
+    Vertex 0 is the base point.  `chains` holds (anchor, vertices) pairs:
+    each chain hangs off the earlier vertex `anchor` and is numbered after
+    the chains before it.  Returns the flat arrays z, w and positions.
+
+    Every edge is continued from the principal root at its start, all in one
+    integrate_edges batch.  The nearest-root choice and Phi are odd in w, so
+    a vertex's sheet sign is the product of the per-edge flips from the base
+    point, and an edge integral from the signed root is the sign times the
+    one from the principal root.  Positions are cumulative sums in chain
+    order.  An edge with an end at a finite branch point (leaving the base
+    point at lam = 1, or ending on a branch point) is built by
+    make_sheeted_path and integrated with the square-root substitution.
+    `where(k)` names the edge into vertex k in errors.
+    """
+    anchors = np.array([anchor for anchor, _ in chains], dtype=int)
+    runs = [np.asarray(verts, dtype=complex) for _, verts in chains]
+    lens = np.array([len(run) for run in runs], dtype=int)
+    starts = 1 + np.cumsum(lens) - lens
+    z = np.concatenate([[BASE_POINT]] + runs)
+    parent = np.arange(-1, len(z) - 1)
+    parent[starts[lens > 0]] = anchors[lens > 0]
+    roots = principal_w(z, lam)
+
+    tol0 = 1e-12 * max(1.0, lam.value, 1.0 / lam.value)
+    at_branch = np.min([np.abs(z - b) for b in branch_points(lam).finite], axis=0) <= tol0
+    special = at_branch[1:] | at_branch[parent[1:]]
+    regular = 1 + np.flatnonzero(~special)
+    w_end = np.empty(len(z), dtype=complex)
+    vals = np.zeros((len(z), 3))
+    w_end[regular], vals[regular] = integrate_edges(
+        weierstrass_integrand(norm), z[parent[regular]], roots[parent[regular]], z[regular],
+        lam, lambda j: where(regular[j]))
+    for k in 1 + np.flatnonzero(special):
+        with located(where(k)):
+            path, ss, se = make_sheeted_path([z[parent[k]], z[k]], lam)
+            vals[k] = integrate(path, norm, singular_start=ss, singular_end=se)
+        w_end[k] = path.w_values[-1]
+    flip = np.where(np.abs(w_end - roots) <= np.abs(w_end + roots), 1.0, -1.0)
+
+    sign = np.ones(len(z))
+    pos = np.zeros((len(z), 3))
+    for anchor, start, stop in zip(anchors, starts, starts + lens):
+        sign[start:stop] = sign[anchor] * np.cumprod(flip[start:stop])
+        steps = sign[parent[start:stop], None] * vals[start:stop]
+        pos[start:stop] = np.cumsum(np.concatenate((pos[anchor][None], steps)), axis=0)[1:]
+    return z, sign * roots, pos
+
+
 @functools.lru_cache(maxsize=256)
 def _sheet_connection_cached(norm: Normalization) -> tuple:
-    lam = norm.lam
-    if abs(curve_rhs(BASE_POINT, lam)) < 1e-12:
-        return (0.0, 0.0, 0.0)
-    path, _, singular_end = make_sheeted_path([BASE_POINT, lam.value], lam)
-    return tuple(float(x) for x in 2.0 * integrate(path, norm, singular_end=singular_end))
+    return tuple(2.0 * immerse(norm.lam, norm, [norm.lam.value])[0].position)
 
 
 def sheet_connection(lam, norm: Normalization) -> np.ndarray:
@@ -423,26 +468,33 @@ def immerse(lam, norm: Normalization, targets, *, sheet_sign: int = +1,
             winding: int = 0) -> list[SurfacePoint]:
     """Immerse targets by integrating from the base point z0 = 1.
 
-    Sheet +1 is seeded by the principal root at z0 (by the +1 departure germ
-    at lam = 1, where z0 is a branch point).  Sheet -1 is not integrated: it
-    returns the sheet partners (z, -w) at C - x, C the sheet_connection.
-    Routes have winding number `winding` about the origin.
+    The routes of all targets (route_vertices, winding number `winding`
+    about the origin) are chains of one _immerse_chains call.  Sheet +1 is
+    seeded by the principal root at z0 (by the +1 departure germ at lam = 1,
+    where z0 is a branch point; the base point itself is then (1, 0), with
+    image 0).  Sheet -1 is not integrated: it returns the sheet partners
+    (z, -w) at C - x, C the sheet_connection.  Errors from a route edge name
+    lam, the target, the winding, the edge and its quadrature tolerance.
     """
     lam = as_lambda(lam)
-    singular_base = abs(curve_rhs(BASE_POINT, lam)) < 1e-12
-    out = []
-    for target in targets:
-        target = complex(target)
-        if target == BASE_POINT and winding == 0 and not singular_base:
-            pos, end = np.zeros(3), CurvePoint(BASE_POINT, principal_w(BASE_POINT, lam), lam)
-        else:
-            verts = route_vertices(target, lam, winding=winding)
-            path, ss, se = make_sheeted_path(verts, lam)
-            pos, end = integrate(path, norm, singular_start=ss, singular_end=se), path.end
-        if sheet_sign < 0:
-            pos, end = sheet_connection(lam, norm) - pos, end.sheet_partner
-        out.append(SurfacePoint(pos, end))
-    return out
+    targets = [complex(t) for t in targets]
+    routes = [route_vertices(t, lam, winding=winding) for t in targets]
+    lens = np.array([len(r) - 1 for r in routes], dtype=int)
+    ends = np.cumsum(lens)
+
+    def where(k) -> str:
+        c = int(np.searchsorted(ends, k))
+        i = k - ends[c] + lens[c]
+        za, zb = routes[c][i - 1], routes[c][i]
+        return (f"lam = {lam.value!r}, target {targets[c]}, winding {winding}, route edge "
+                f"{za} -> {zb} (quadrature tolerance {TOL_PER_UNIT * abs(zb - za):.2e})")
+
+    z, w, pos = _immerse_chains(lam, norm, [(0, r[1:]) for r in routes], where)
+    if sheet_sign < 0:
+        pos, w = sheet_connection(lam, norm) - pos, -w
+    # an empty route (the base point) ends at vertex 0
+    return [SurfacePoint(pos[k], CurvePoint(z[k], w[k], lam))
+            for k in np.where(lens > 0, ends, 0)]
 
 
 # ---------------------------------------------------------------------------
@@ -470,12 +522,13 @@ class PeriodVector:
         object.__setattr__(self, "companion", c)
 
 
-def companion_cycle_vertices(lam, n: int = 256):
-    """Circle about lam/2 of radius (lam + 1/lam)/2: encloses exactly 0 and lam."""
+def companion_cycle_vertices(lam):
+    """Circle about lam/2 of radius (lam + 1/lam)/2, as 256 chords: encloses
+    exactly 0 and lam."""
     lv = as_lambda(lam).value
     center = 0.5 * lv
     radius = 0.5 * (lv + 1.0 / lv)
-    taus = np.linspace(0.0, 2.0 * math.pi, n + 1)
+    taus = np.linspace(0.0, 2.0 * math.pi, 257)
     return center + radius * np.exp(1j * taus)
 
 
@@ -610,18 +663,14 @@ def immerse_grid(lam, norm: Normalization, *, r_min: float, r_max: float,
     for parameter bands where the full circuit is a translation period the
     seam column sits exactly one period from the first column.
 
-    The chains are the western column (radial edges, northward from the
-    stem's end) and every row (angular edges, eastward), all continued at
-    once: each edge's root at its far vertex is the nearest of the two roots
-    there to the root at its near vertex, a choice that is odd in w, so the
-    sheet signs are cumulative products of per-edge sign flips along the
-    chains.  Every edge is then integrated by one GK15 panel in a batched
-    call, and positions are cumulative sums along the chains, in the order
-    the chains add them.  Only the few edges whose nearest-root step is not
-    clearly separated (continued by bisection) or whose panel misses the
-    tolerance take the scalar continue_sheet and adaptive path_integral.
-    Only sheet +1 is integrated; sheet -1 is its sheet_partner.  Errors from
-    an edge name lam, the requested sheet, the edge and its tolerance.
+    The stem (base point -> radius 1 at the western angle -> vertex (0, 0)),
+    the western column (radial edges, northward) and every row (angular
+    edges, eastward) are the chains of one _immerse_chains call: one batched
+    nearest-root step and GK15 panel per edge, with the scalar continue_sheet
+    and adaptive path_integral only for the few edges whose step needs
+    bisection or whose panel misses the tolerance.  Only sheet +1 is
+    integrated; sheet -1 is its sheet_partner.  Errors from an edge name
+    lam, the requested sheet, the edge and its tolerance.
     """
     lam = as_lambda(lam)
     if n_ang % 2 != 0 or n_ang < 8 or n_rad < 2:
@@ -629,43 +678,28 @@ def immerse_grid(lam, norm: Normalization, *, r_min: float, r_max: float,
     radii = _half_offset_radii(r_min, r_max, n_rad, lam)
     dtheta = 2.0 * math.pi / n_ang
     angles = -math.pi + (np.arange(n_ang + (1 if closed else 0)) + 0.5) * dtheta
-    fn = weierstrass_integrand(norm)
-
-    # stem: base point -> (radius 1, western angle) -> (r_0, western angle)
-    theta_w = angles[0]
-    stem = [BASE_POINT]
-    stem += _angular_leg(1.0, 0.0, theta_w, lam)
-    stem += _radial_leg(1.0, radii[0], theta_w, lam)
-    with located(f"lam = {lam.value!r}, sheet {sheet_sign:+d}, stem to grid vertex (0, 0)"):
-        stem_path, ss, _ = make_sheeted_path(stem, lam)
-        base_pos = path_integral(stem_path, fn, singular_start=ss).real
-
-    n_col = n_ang + (1 if closed else 0)
+    n_col = len(angles)
     zs = radii[:, None] * np.exp(1j * angles[None, :])
-    # edges in chain order: the western column, then each row
+
+    stem = _angular_leg(1.0, 0.0, angles[0], lam) + _radial_leg(1.0, radii[0], angles[0], lam)
+    stem[-1] = zs[0, 0]
+    m = len(stem)
+    chains = [(0, stem), (m, zs[1:, 0])] + [(m + i, zs[i, 1:]) for i in range(n_rad)]
+    # grid edges in chain order; the far vertex of edge e is chain vertex m + 1 + e
     idx = np.arange(n_rad * n_col).reshape(n_rad, n_col)
     a = np.concatenate((idx[:-1, 0], idx[:, :-1].ravel()))
     b = np.concatenate((idx[1:, 0], idx[:, 1:].ravel()))
-    where = _edge_locator(lam, sheet_sign, zs, a, b)
-    zf = zs.ravel()
+    edge = _edge_locator(lam, sheet_sign, zs, a, b)
+    at = np.empty(n_rad * n_col, dtype=int)
+    at[0], at[b] = m, m + 1 + np.arange(len(b))
 
-    # sheet signs relative to the principal roots, the stem's root at (0, 0)
-    roots = np.sqrt(curve_rhs(zf, lam))
-    roots[0] = stem_path.w_values[-1]
-    w_b, bisected = continue_edges(zf[a], roots[a], zf[b], roots[b], lam, where)
-    flip = np.where(w_b == roots[b], 1, -1)
-    sign = np.empty((n_rad, n_col), dtype=int)
-    sign[:, 0] = np.cumprod(np.concatenate(([1], flip[:n_rad - 1])))
-    sign[:, 1:] = flip[n_rad - 1:].reshape(n_rad, n_col - 1)
-    ws = np.cumprod(sign, axis=1) * roots.reshape(n_rad, n_col)
+    def where(k) -> str:
+        if k <= m:
+            return f"lam = {lam.value!r}, sheet {sheet_sign:+d}, stem to grid vertex (0, 0)"
+        return edge(k - m - 1)
 
-    wf = ws.ravel()
-    vals = edge_integrals(fn, zf[a], wf[a], zf[b], wf[b], lam, bisected, where)
-    pos = np.empty((n_rad, n_col, 3))
-    pos[:, 0] = np.cumsum(np.concatenate((base_pos[None], vals[:n_rad - 1])), axis=0)
-    pos[:, 1:] = vals[n_rad - 1:].reshape(n_rad, n_col - 1, 3)
-    pos = np.cumsum(pos, axis=1)
-
+    _, w, pos = _immerse_chains(lam, norm, chains, where)
+    ws, pos = w[at].reshape(n_rad, n_col), pos[at].reshape(n_rad, n_col, 3)
     for arr in (radii, angles, zs, ws, pos):
         arr.setflags(write=False)
     grid = GridImmersion(lam=lam, norm=norm, sheet_sign=+1, radii=radii,
@@ -715,10 +749,8 @@ def radial_edge_alignment(grid_plus: GridImmersion,
     for s, g in grids.items():
         zf, wf = g.z.ravel(), g.w.ravel()
         where = _edge_locator(lam, s, g.z, a, b)
-        w_end, bisected = continue_edges(zf[a], wf[a], zf[b],
-                                          np.sqrt(curve_rhs(zf[b], lam)), lam, where)
-        end = g.positions.reshape(-1, 3)[a] + edge_integrals(
-            fn, zf[a], wf[a], zf[b], w_end, lam, bisected, where)
+        w_end, vals = integrate_edges(fn, zf[a], wf[a], zf[b], lam, where)
+        end = g.positions.reshape(-1, 3)[a] + vals
         tol = 1e-6 * np.maximum(1.0, np.linalg.norm(end, axis=1))
         hit_s = np.zeros(len(a), dtype=int)
         hit_k = np.zeros(len(a), dtype=int)

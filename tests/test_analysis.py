@@ -12,7 +12,6 @@ from riemann_examples.analysis import (
     CurvatureGrid,
     abs_gauss_curvature,
     check_symmetries,
-    curvature_bound_chain,
     fit_circle,
     fit_line_2d,
     foliation_slices,
@@ -91,6 +90,16 @@ def test_general_curvature_agrees_with_closed_form():
         direct = general_curvature(z, 1.0, f)
         closed = abs_gauss_curvature(z, lam, norm)
         assert abs(direct - closed) < 1e-10 * closed
+
+
+def curvature_bound_chain(z, lam) -> tuple:
+    """The two-step majorization of |K| on the normalized family:
+    |K| <= 16 (|z|+1)^2 / (|z| (|z|+1/|z|)^4) <= 4, returned as a triple
+    (|K|, middle bound, 4.0) for elementwise inspection."""
+    k = abs_gauss_curvature(z, lam, Normalization.paper(lam))
+    az = np.abs(np.asarray(z, dtype=complex))
+    mid = 16.0 * (az + 1.0) ** 2 / (az * (az + 1.0 / az) ** 4)
+    return k, mid, 4.0
 
 
 def test_curvature_bound_chain():
@@ -237,16 +246,16 @@ def interior_slices(grids_lambda1):
 
 @contextlib.contextmanager
 def _counting_rounds():
-    """Record the number of edges of every continue_edges call the slicer makes."""
+    """Record the number of edges of every integrate_edges call the slicer makes."""
     edges = []
-    original = analysis.continue_edges
+    original = analysis.integrate_edges
 
-    def counted(za, *args, **kwargs):
+    def counted(fn, za, *args, **kwargs):
         edges.append(len(za))
-        return original(za, *args, **kwargs)
+        return original(fn, za, *args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(analysis, "continue_edges", counted)
+        mp.setattr(analysis, "integrate_edges", counted)
         yield edges
 
 

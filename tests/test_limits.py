@@ -9,7 +9,6 @@ from riemann_examples.limits import (
     ClipRegion,
     catenoid_decomposition_residuals,
     catenoid_limit_sweep,
-    conjugate_branch_points,
     conjugate_check,
     end_spacing,
     f0,
@@ -206,6 +205,14 @@ def test_conjugate_check(lv):
     lam = Lambda(lv)
     report = conjugate_check(lam, curve_samples(lam, 100, seed=2))
     assert report.max_residual < 1e-10
+
+
+def conjugate_branch_points(lam) -> tuple:
+    """Images of the finite branch points under z -> -z: the branch set of
+    the reciprocal-parameter curve."""
+    mapped = tuple(-b for b in branch_points(lam).finite)
+    expected = branch_points(lam.reciprocal).finite
+    return mapped, expected
 
 
 def test_conjugate_maps_branch_points():

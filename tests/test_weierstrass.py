@@ -1,4 +1,5 @@
 import math
+import re
 
 import mpmath
 import numpy as np
@@ -9,6 +10,7 @@ from riemann_examples.curve import (
     BranchDeparture,
     CurvePoint,
     Lambda,
+    SheetedPath,
     continue_sheet,
     curve_rhs,
     principal_w,
@@ -278,6 +280,19 @@ def test_base_point_maps_to_origin():
     assert np.allclose(sp.position, 0.0)
 
 
+def test_base_point_target_at_lambda_one():
+    # at lam = 1 the base point is the branch point: its one lift (1, 0) is
+    # the base point itself, with image 0, like every other branch point
+    # target, whose lift is (b, 0) at x(b)
+    lam = Lambda(1.0)
+    norm = Normalization.paper(lam)
+    base, other = immerse(lam, norm, [1.0, -1.0])
+    assert base.source.z == 1.0 and base.source.w == 0.0
+    assert np.array_equal(base.position, np.zeros(3))
+    assert other.source.w == 0.0 and np.linalg.norm(other.position) > 1.0
+    assert np.array_equal(immerse(lam, norm, [1.0], sheet_sign=-1)[0].position, np.zeros(3))
+
+
 def _sheet_connection_mpmath(lv):
     """(C1, C3) = 2 Re of the integral of Phi over [1, lam] for lam < 1, paper
     scale, at 40 digits.  On (lam, 1) the continued root is the positive
@@ -338,6 +353,10 @@ def test_sheet_connection_lies_in_symmetry_locus():
         c = sheet_connection(lv, norm)
         assert np.linalg.norm(c - _branch_loop_connection(lv, norm)) <= 1e-12 * np.linalg.norm(c)
     assert np.allclose(sheet_connection(1.0, Normalization.paper(1.0)), 0.0)
+    # within the branch snapping tolerance of lam = 1 the route [1, lam] is
+    # the branch point itself, so C = 0 there too
+    lv = 1.0 + 1e-13
+    assert np.array_equal(sheet_connection(lv, Normalization.paper(lv)), np.zeros(3))
 
 
 def _phi_from_one_mpmath(t):
@@ -469,6 +488,77 @@ def test_route_blocked_inside_branch_guard():
 
 
 # ---------------------------------------------------------------------------
+# batched routes against the per-target scalar path
+# ---------------------------------------------------------------------------
+
+def _scalar_immerse(lam, norm, target, winding, sheet_sign):
+    """Reference immersion of one target: its whole route continued by one
+    continue_sheet and integrated by one path_integral, as make_sheeted_path
+    and integrate do for sheet +1.  The route is seeded on the requested
+    sheet itself (sheet_sign times the principal root, or that departure
+    germ at lam = 1), and a sheet -1 route starts at the image C of the
+    base-point lift (1, -w0), taken from its own integral over [1, lam]."""
+    verts = route_vertices(target, lam, winding=winding)
+    at_base = abs(curve_rhs(BASE_POINT, lam)) < 1e-12
+    at_end = abs(curve_rhs(target, lam)) < 1e-12
+    offset = np.zeros(3)
+    if sheet_sign < 0 and not at_base:
+        path, _, singular_end = make_sheeted_path([BASE_POINT, lam.value], lam)
+        offset = 2.0 * integrate(path, norm, singular_end=singular_end)
+    if len(verts) == 1:
+        return offset, sheet_sign * principal_w(BASE_POINT, lam)
+    body = verts[:-1] if at_end else verts
+    if at_base:
+        path = sheeted_path_from_branch(body, BranchDeparture(BASE_POINT, lam, sign=sheet_sign))
+    else:
+        path = continue_sheet(body, sheet_sign * principal_w(BASE_POINT, lam), lam)
+    if at_end:
+        path = SheetedPath(np.append(path.vertices, target), np.append(path.w_values, 0j), lam)
+    pos = integrate(path, norm, singular_start=at_base, singular_end=at_end)
+    return offset + pos, path.w_values[-1]
+
+
+@pytest.mark.parametrize("lv", [0.35, 1.0, 3.3, 100.0])
+@pytest.mark.parametrize("winding", [0, 1])
+@pytest.mark.parametrize("sheet", [+1, -1])
+def test_batched_immerse_matches_scalar_routes(lv, winding, sheet):
+    # the branch point lam, the base point, a real target past lam (whose
+    # route detours over lam, except at lam = 1) and a target near the end 0
+    lam = Lambda(lv)
+    norm = Normalization.paper(lam)
+    targets = [complex(lv), 1.0 + 0.0j, complex(lv * (1.5 if lv >= 1.0 else 0.5)),
+               0.05 * np.exp(2j)]
+    points = immerse(lam, norm, targets, sheet_sign=sheet, winding=winding)
+    for target, sp in zip(targets, points):
+        pos, w = _scalar_immerse(lam, norm, target, winding, sheet)
+        assert np.max(np.abs(sp.position - pos)) <= 1e-12, target
+        assert abs(sp.source.w - w) <= 1e-14 * abs(w), target
+
+
+@pytest.mark.parametrize("cap, value, error, target, winding", [
+    ("MAX_PANELS", 1, "QuadratureFailure", 3.0 * np.exp(0.4j), 0),
+    ("MAX_PANELS", 1, "QuadratureFailure", 3.0 * np.exp(0.4j), 1),
+    ("MAX_BISECTION_DEPTH", 0, "AmbiguousSheet", 0.05 * np.exp(2j), 0),
+], ids=["panels-winding0", "panels-winding1", "bisections"])
+def test_route_errors_name_lambda_target_winding_edge_and_tolerance(
+        monkeypatch, cap, value, error, target, winding):
+    from riemann_examples import curve, errors, quadrature
+    monkeypatch.setattr(quadrature if cap == "MAX_PANELS" else curve, cap, value)
+    lam = Lambda(2.0)
+    with pytest.raises(getattr(errors, error)) as err:
+        immerse(lam, Normalization.paper(lam), [target], winding=winding)
+    m = re.match(r"lam = 2.0, target (\S+), winding (\d+), route edge (\S+) -> (\S+) "
+                 r"\(quadrature tolerance (\S+)\): ", str(err.value))
+    assert m, str(err.value)
+    assert complex(m[1]) == target and int(m[2]) == winding
+    # the named edge is an edge of the target's route, with its own tolerance
+    za, zb = complex(m[3]), complex(m[4])
+    route = route_vertices(target, lam, winding=winding)
+    assert (za, zb) in zip(route[:-1], route[1:])
+    assert float(m[5]) == pytest.approx(1e-10 * abs(zb - za), rel=1e-2)
+
+
+# ---------------------------------------------------------------------------
 # batched grid immersion against the per-edge chain loop
 # ---------------------------------------------------------------------------
 
@@ -525,18 +615,25 @@ def test_batched_grid_matches_scalar_chain_loop(lv, sheet):
     _assert_matches_scalar(grid)
 
 
+def _recording_fallbacks(monkeypatch):
+    """Record (za, wa, zb) of every edge that integrate_edges hands to the
+    scalar continue_sheet."""
+    from riemann_examples import quadrature
+    calls = []
+    original = quadrature.continue_sheet
+
+    def recording(vertices, w_start, lam):
+        calls.append((complex(vertices[0]), complex(w_start), complex(vertices[-1])))
+        return original(vertices, w_start, lam)
+
+    monkeypatch.setattr(quadrature, "continue_sheet", recording)
+    return calls
+
+
 def test_batched_grid_fallback_edges_match_scalar(monkeypatch):
     # at n_ang = 8 some edges need bisection and some need GK refinement;
-    # both go through the scalar _edge_value
-    from riemann_examples import quadrature
-    scalar_edges = []
-    edge_value = quadrature._edge_value
-
-    def recording(fn, za, wa, zb, lam):
-        scalar_edges.append((za, wa, zb))
-        return edge_value(fn, za, wa, zb, lam)
-
-    monkeypatch.setattr(quadrature, "_edge_value", recording)
+    # both go through the scalar continue_sheet and path_integral
+    scalar_edges = _recording_fallbacks(monkeypatch)
     # at lam = 2 the ring |z| = 2.3 has a chord passing right of the branch
     # point 2, where a single nearest-root step picks the wrong root
     for lv, r_min, r_max, n_rad in ((0.35, 0.1, 10.0, 6), (2.0, 1.0, 2.3 ** 2, 3)):
@@ -548,6 +645,20 @@ def test_batched_grid_fallback_edges_match_scalar(monkeypatch):
             _assert_matches_scalar(grid)
         bisected = [len(continue_sheet([za, zb], wa, lam)) > 2 for za, wa, zb in scalar_edges]
         assert any(bisected) and not all(bisected)
+
+
+def test_fallback_edges_are_continued_once(monkeypatch):
+    # each of the 24 edges of this grid that fail the one-step separation
+    # test or the one-panel tolerance is continued by continue_sheet exactly
+    # once, and that path is the one integrated (continuing the bisected
+    # edges again to integrate them took 43 calls)
+    calls = _recording_fallbacks(monkeypatch)
+    lam = Lambda(2.0)
+    immerse_grid(lam, Normalization.paper(lam), r_min=1.0, r_max=2.3 ** 2, n_rad=3, n_ang=8,
+                 closed=True)
+    edges = [(za, zb) for za, _, zb in calls]
+    assert any(len(continue_sheet([za, zb], wa, lam)) > 2 for za, wa, zb in calls)
+    assert len(set(edges)) == len(edges) == 24
 
 
 def test_grid_branch_guard_raises_where_scalar_guard_does(monkeypatch):
