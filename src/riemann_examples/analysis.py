@@ -234,13 +234,18 @@ def check_symmetries(lam, norm: Normalization, samples,
     """Verify the three ambient symmetries on the given curve points.
 
     For each sample lift p the transformed lift is immersed independently
-    (its own route and sheet continuation, all lifts in one immerse call)
-    and compared against the ambient affine map: mirror across the plane of
-    the planar geodesics (normal along x2), half-turn about the horizontal
-    axes through the images of z = +-i, and half-turn about the straight
-    lines (the fixed set of the line flip).  Translation parts are pinned by
-    the images of the base-point lifts (the base point itself at lam = 1),
-    so the checks also exercise the anchoring of the second sheet.
+    (its own route and sheet continuation) and compared against the ambient
+    affine map: mirror across the plane of the planar geodesics (normal
+    along x2), half-turn about the horizontal axes through the images of
+    z = +-i, and half-turn about the straight lines (the fixed set of the
+    line flip).  Translation parts are pinned by the images of the
+    base-point lifts (the base point itself at lam = 1), so the checks also
+    exercise the anchoring of the second sheet.
+
+    All lifts go through one immerse call.  Their routes share the trunk of
+    lattice radii, and a lift and its conjugate partner share their radial
+    run and sweep along conjugate chords, so each such pair is still
+    integrated on mirrored quadrature nodes.
     """
     lam = as_lambda(lam)
     w0 = principal_w(1.0 + 0.0j, lam)

@@ -39,14 +39,11 @@ from .reference import (
 from .weierstrass import (
     GridImmersion,
     Normalization,
+    _immerse_routes,
     immerse,
     immerse_grid,
-    integrate,
-    make_sheeted_path,
     normalization_scale,
-    path_integral,
     phi_components,
-    route_vertices,
     unit_normal,
     vertical_end_spacing as end_spacing,
 )
@@ -58,13 +55,12 @@ from . import errors as _errors
 # ---------------------------------------------------------------------------
 
 def _continued_w(z: complex, lam: Lambda) -> complex:
-    """Curve root at z continued from the principal seed at the base point."""
+    """Curve root at z continued from the principal seed at the base point,
+    taken from one immerse call."""
+    if abs(lam.value - 1.0) <= 1e-12:
+        raise BranchAmbiguity("correction factors are undefined at lam = 1")
     try:
-        verts = route_vertices(z, lam)
-        path, singular_start, _ = make_sheeted_path(verts, lam)
-        if singular_start:
-            raise BranchAmbiguity("correction factors are undefined at lam = 1")
-        return complex(path.w_values[-1])
+        return complex(immerse(lam, Normalization.raw(lam), [z])[0].source.w)
     except _errors.AmbiguousSheet as exc:
         raise BranchAmbiguity(str(exc)) from exc
 
@@ -231,24 +227,21 @@ def helicoid_limit_sweep(lambdas, annulus: Annulus, clip: ClipRegion,
 def _decomposition_residuals(lam: Lambda, targets, factor, integrand, reference) -> np.ndarray:
     """|immersion - (reference(target) + correction integral)| per target.
 
-    Both sides are integrated along the same sheeted route, the correction
-    integrand being factor(z, w, lam) times the reference integrand, with the
-    factor evaluated from the continued curve root.
+    The immersion is immerse's, over the tree of the targets' routes.  The
+    correction integrand, factor(z, w, lam) times the reference integrand,
+    is integrated over the same tree, each edge continued from the roots
+    that immersion continued to its start: the factor is not odd in w.
     """
     norm = Normalization.paper(lam)
 
     def corr(z, w):
         return factor(z, w, lam.value) * integrand(z)
 
-    out = []
-    for target in targets:
-        target = complex(target)
-        path, ss, se = make_sheeted_path(route_vertices(target, lam), lam)
-        lhs = integrate(path, norm, singular_start=ss, singular_end=se)
-        rhs = reference(target) + path_integral(
-            path, corr, singular_start=ss, singular_end=se).real
-        out.append(float(np.linalg.norm(lhs - rhs)))
-    return np.array(out)
+    targets = [complex(t) for t in targets]
+    tree, w, pos, ends, where = _immerse_routes(lam, norm, targets, 0)
+    correction = tree.integrals(corr, w, lam, where)
+    rhs = np.array([reference(t) for t in targets]) + correction[ends]
+    return np.linalg.norm(pos[ends] - rhs, axis=1)
 
 
 def catenoid_decomposition_residuals(lam, targets) -> np.ndarray:

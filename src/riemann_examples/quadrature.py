@@ -11,7 +11,12 @@ integrate_edges is the one edge primitive: it continues and integrates a
 batch of straight edges from their start roots, with one nearest-root step
 and one GK15 panel per edge in numpy blocks.  The few edges that need
 bisection or adaptive refinement are continued once by the scalar
-continue_sheet and integrated along that path by path_integral.
+continue_sheet and integrated along that path by path_integral.  Every
+edge tree of the package reaches it in one batch per call: the routes of
+an immerse call (their shared trunk of lattice radii integrated once), a
+grid, the chords of a period cycle, the correction integrals of the limit
+decompositions and the foliation crossings.  path_integral alone remains
+for edges with an end at a branch point and for reference computations.
 """
 
 from __future__ import annotations

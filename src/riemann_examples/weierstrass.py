@@ -14,18 +14,21 @@ adjacent planar ends is exactly 2*pi.
 The translation period T = s (T1, 0, T3) and the end spacing s T3 / 2 are
 complete elliptic integrals of the curve, evaluated in closed form by the
 arithmetic-geometric mean; the companion period, which must vanish, is
-integrated along its cycle as an independent check.
+integrated along its cycle, in one batch of chords, as an independent check.
 
 Only sheet +1 is ever integrated.  The deck involution w -> -w negates Phi,
 so sheet -1 is the point reflection x(z, -w) = C - x(z, w), with C = 2 x(lam)
 from the segment [1, lam] (sheet_connection).
 
-Point targets, grids and the sheet connection are immersed by one chain
-immersion, _immerse_chains: chains of straight edges hanging off the base
-point, continued from principal roots and integrated by the quadrature
-module's one edge primitive, integrate_edges, in one batch.  The scalar
-make_sheeted_path and path_integral (re-exported here) remain for edges at
-a branch point, for cycles and for reference computations.
+Point targets, grids, the sheet connection and period cycles are immersed
+by one chain immersion, _immerse_chains: a tree of straight edges hanging
+off its root (the base point, or a cycle's first vertex), continued from
+principal roots and integrated by the quadrature module's one edge
+primitive, integrate_edges, in one batch.  The routes of one immerse call
+form one tree: their positive real runs lie on a lattice of radii, so they
+share that trunk vertex for vertex and each target adds only its own chain.
+The scalar make_sheeted_path and path_integral (re-exported here) remain
+for edges at a branch point and for reference computations.
 """
 
 from __future__ import annotations
@@ -51,11 +54,31 @@ from .curve import (
     principal_w,
     sheeted_path_from_branch,
 )
-from .errors import PathBlocked, QuadratureFailure, SingularPoint
-from .quadrature import TOL_PER_UNIT, integrate_edges, located, path_integral
+from .errors import BranchTooClose, PathBlocked, QuadratureFailure, SingularPoint
+from .quadrature import (
+    TOL_PER_UNIT,
+    integrate_edges,
+    located,
+    near_branch,
+    path_integral,
+)
 
 #: Base point of every immersion.
 BASE_POINT = 1.0 + 0.0j
+
+#: Ratio of the lattice of radii TRUNK_RATIO**k that holds the vertices of
+#: every route's positive real run.  One GK15 panel meets the tolerance on
+#: a lattice edge away from lam.  The ratio is below 9/8, an eighth being the
+#: detour radius about lam = 1, so at lam = 1 the route of every target off
+#: the positive real axis leaves the base point through the radius
+#: TRUNK_RATIO or 1/TRUNK_RATIO.
+TRUNK_RATIO = 2.0 ** 0.125
+
+#: No lattice radius lies at or below TRUNK_FLOOR.  Inside it the integrand
+#: grows like 1/|z|^2 or faster, and a lattice edge's share of the tolerance
+#: (TOL_PER_UNIT times its length) would fall below the roundoff of its
+#: integral; a run that ends inside takes one edge from the last radius.
+TRUNK_FLOOR = TRUNK_RATIO ** -48
 
 
 # ---------------------------------------------------------------------------
@@ -263,9 +286,14 @@ def make_sheeted_path(vertices, lam):
 
 
 def _detour_radius(b: complex, lam: Lambda) -> float:
-    others = [p for p in branch_points(lam).finite if abs(p - b) > 0]
-    gap = min(abs(b - p) for p in others)
-    r = gap / 8.0
+    """An eighth of the gap from the branch point b to the nearest other one."""
+    return min(abs(b - p) for p in branch_points(lam).finite if p != b) / 8.0
+
+
+def _safe_detour_radius(b: complex, lam: Lambda) -> float:
+    """The detour radius about b, for a route that passes b; PathBlocked if
+    the detour would come within 4 guard radii of b."""
+    r = _detour_radius(b, lam)
     if r < 4.0 * delta_branch(lam):
         raise PathBlocked(f"branch points too crowded near {b} for a safe detour")
     return r
@@ -292,7 +320,7 @@ def _radial_leg(r_from: float, r_to: float, angle: float, lam: Lambda):
             continue
         rb = abs(b)
         if lo + eps < rb < hi - eps:
-            crossings.append((rb, _detour_radius(b, lam)))
+            crossings.append((rb, _safe_detour_radius(b, lam)))
     crossings.sort(reverse=bool(r_from > r_to))
     out = []
     sgn = 1.0 if r_to > r_from else -1.0
@@ -303,6 +331,41 @@ def _radial_leg(r_from: float, r_to: float, angle: float, lam: Lambda):
             out.append(rb * direction + rdet * direction * cmath.exp(1j * tau))
         out.append((rb + sgn * rdet) * direction)
     out.append(r_to * direction)
+    return out
+
+
+def _lattice_radii(a: float, b: float, lam: Lambda):
+    """The lattice radii TRUNK_RATIO**k strictly between a and b, from a to b,
+    above TRUNK_FLOOR and outside the detour radius of lam.
+
+    Near lam the integrand is near-singular and one panel cannot integrate
+    an edge; a lattice radius there would only shorten the edge next to lam,
+    squeezing its share of the tolerance toward roundoff.  The exception is
+    lam = 1, where the base point is the branch point: the edges to the
+    radii TRUNK_RATIO**(+-1) are then the shared singular departures.
+    """
+    lo, hi = sorted((a, b))
+    lv = lam.value
+    gap = 0.0 if _at_branch(BASE_POINT, lam) else _detour_radius(complex(lv), lam)
+    log_q = math.log(TRUNK_RATIO)
+    ks = range(math.floor(math.log(lo) / log_q), math.ceil(math.log(hi) / log_q) + 1)
+    radii = [complex(r) for r in (TRUNK_RATIO ** k for k in ks)
+             if max(lo, TRUNK_FLOOR) < r < hi and abs(r - lv) >= gap]
+    return radii if a < b else radii[::-1]
+
+
+def _lattice_run(r_from: float, r_to: float, lam: Lambda):
+    """_radial_leg along the positive real axis, its straight stretches split
+    at the lattice radii inside them; the detour over lam and the run's own
+    endpoint stay vertices.  A stretch that ends at a branch point (a target
+    at lam) stays one edge: split, its last edge would be too short for its
+    share of the tolerance to stay above the integrand's roundoff."""
+    out, prev = [], complex(r_from)
+    for z in _radial_leg(r_from, r_to, 0.0, lam):
+        if prev.imag == 0.0 and z.imag == 0.0 and not near_branch(z, lam):
+            out += _lattice_radii(prev.real, z.real, lam)
+        out.append(z)
+        prev = z
     return out
 
 
@@ -333,6 +396,15 @@ def route_vertices(target: complex, lam, *, winding: int = 0):
     target radius; optional extra full circuits about the origin are inserted
     at a branch-safe radius.  The winding about the origin of the returned
     route is exactly `winding`.
+
+    The positive real runs put their vertices on the lattice of radii
+    TRUNK_RATIO**k, keeping the detour over lam and the run's endpoint, so
+    the routes of different targets share their runs vertex for vertex and
+    one GK15 panel integrates each lattice edge.  If the sweep would pass
+    within a detour radius of lam it runs at a redirected radius on the side
+    of the base point, and a radial leg at the target's angle finishes the
+    route; only a route that detours around a branch point (or is redirected
+    past one) raises PathBlocked when the branch points crowd too closely.
     """
     lam = as_lambda(lam)
     target = complex(target)
@@ -344,18 +416,15 @@ def route_vertices(target: complex, lam, *, winding: int = 0):
     if dmin > 1e-12 * scale and dmin < delta_branch(lam):
         raise PathBlocked(f"target {target} inside the branch guard disk")
     phi_t = cmath.phase(target)
-    # if the angular sweep would start inside a branch detour disk, sweep at a
-    # redirected radius and finish with a radial run at the target's angle
     rho_mid = rho
     if phi_t != 0.0:
         for b in branch_points(lam).finite:
             rb = abs(b)
             if rb == 0.0 or abs(cmath.phase(b)) > 1e-9:
                 continue
-            rdet = _detour_radius(b, lam)
-            if abs(rho - rb) < rdet:
+            if abs(rho - rb) < _detour_radius(b, lam):
                 side = 1.0 if 1.0 >= rb else -1.0
-                rho_mid = rb + side * 1.5 * rdet
+                rho_mid = rb + side * 1.5 * _safe_detour_radius(b, lam)
     verts = [BASE_POINT]
     if winding != 0:
         # insert |winding| circuits of the translation cycle: it encloses the
@@ -364,14 +433,14 @@ def route_vertices(target: complex, lam, *, winding: int = 0):
         lv = lam.value
         center = -0.5 / lv
         radius = 0.5 * (lv + 1.0 / lv)
-        verts += _radial_leg(1.0, 0.5 * lv, 0.0, lam)
+        verts += _lattice_run(1.0, 0.5 * lv, lam)
         sgn = 1.0 if winding > 0 else -1.0
         taus = np.linspace(0.0, sgn * 2.0 * math.pi, 129)[1:]
         for _ in range(abs(winding)):
             verts += [center + radius * cmath.exp(1j * t) for t in taus]
-        verts += _radial_leg(0.5 * lv, rho_mid, 0.0, lam)
+        verts += _lattice_run(0.5 * lv, rho_mid, lam)
     else:
-        verts += _radial_leg(1.0, rho_mid, 0.0, lam)
+        verts += _lattice_run(1.0, rho_mid, lam)
     verts += _angular_leg(rho_mid, 0.0, phi_t, lam)
     if rho_mid != rho:
         verts += _radial_leg(rho_mid, rho, phi_t, lam)
@@ -379,37 +448,82 @@ def route_vertices(target: complex, lam, *, winding: int = 0):
     return verts
 
 
-def _immerse_chains(lam: Lambda, norm: Normalization, chains, where):
-    """Roots and sheet +1 positions of the vertices of a tree of straight edges.
+class _Chains:
+    """A tree of straight edges given as chains.
 
-    Vertex 0 is the base point.  `chains` holds (anchor, vertices) pairs:
-    each chain hangs off the earlier vertex `anchor` and is numbered after
-    the chains before it.  Returns the flat arrays z, w and positions.
+    Vertex 0 is the root.  `chains` holds (anchor, vertices) pairs: each chain
+    hangs off the earlier vertex `anchor` and is numbered after the chains
+    before it, so every vertex k > 0 has its parent[k] < k.  A cycle is one
+    chain rooted at its first vertex.
+    """
+
+    def __init__(self, root: complex, chains):
+        self.anchors = np.array([anchor for anchor, _ in chains], dtype=int)
+        runs = [np.asarray(verts, dtype=complex) for _, verts in chains]
+        self.lens = np.array([len(run) for run in runs], dtype=int)
+        self.starts = 1 + np.cumsum(self.lens) - self.lens
+        self.z = np.concatenate([[root]] + runs)
+        self.parent = np.arange(-1, len(self.z) - 1)
+        self.parent[self.starts[self.lens > 0]] = self.anchors[self.lens > 0]
+
+    def accumulate(self, steps, ufunc=np.add):
+        """steps[0] at the root, then ufunc-accumulated along every chain of
+        the per-edge steps[k] (on the edge into vertex k)."""
+        out = steps.copy()
+        for anchor, start, stop in zip(self.anchors, self.starts, self.starts + self.lens):
+            out[start:stop] = ufunc.accumulate(
+                np.concatenate((out[anchor][None], steps[start:stop])), axis=0)[1:]
+        return out
+
+    def integrals(self, fn, w, lam: Lambda, where):
+        """Real integrals of fn(z, w) dz from the root to every vertex, each
+        edge continued from the roots w already known at its start; fn need
+        not be odd in w.  An edge with an end at a finite branch point is
+        integrated with the square-root substitution."""
+        z, parent = self.z, self.parent
+        at = _at_branch(z, lam)
+        special = at[1:] | at[parent[1:]]
+        regular = 1 + np.flatnonzero(~special)
+        vals = np.zeros((len(z), 3))
+        _, vals[regular] = integrate_edges(fn, z[parent[regular]], w[parent[regular]],
+                                           z[regular], lam, lambda j: where(regular[j]))
+        for k in 1 + np.flatnonzero(special):
+            a = parent[k]
+            path = SheetedPath([z[a], z[k]], [0j if at[a] else w[a], 0j if at[k] else w[k]], lam)
+            with located(where(k)):
+                vals[k] = path_integral(path, fn, singular_start=at[a],
+                                        singular_end=at[k]).real
+        return self.accumulate(vals)
+
+
+def _at_branch(z, lam: Lambda):
+    """Mask of the points within make_sheeted_path's snapping tolerance of a
+    finite branch point."""
+    tol0 = 1e-12 * max(1.0, lam.value, 1.0 / lam.value)
+    return np.min([np.abs(z - b) for b in branch_points(lam).finite], axis=0) <= tol0
+
+
+def _immerse_chains(lam: Lambda, norm: Normalization, tree: _Chains, where):
+    """Roots and sheet +1 positions of the vertices of a tree of straight
+    edges, rooted at the principal root of its vertex 0 (the base point, or
+    a cycle's first vertex).  Returns the flat arrays w and positions.
 
     Every edge is continued from the principal root at its start, all in one
     integrate_edges batch.  The nearest-root choice and Phi are odd in w, so
-    a vertex's sheet sign is the product of the per-edge flips from the base
-    point, and an edge integral from the signed root is the sign times the
-    one from the principal root.  Positions are cumulative sums in chain
-    order.  An edge with an end at a finite branch point (leaving the base
-    point at lam = 1, or ending on a branch point) is built by
-    make_sheeted_path and integrated with the square-root substitution.
-    `where(k)` names the edge into vertex k in errors.
+    a vertex's sheet sign is the product of the per-edge flips from the root,
+    and an edge integral from the signed root is the sign times the one from
+    the principal root.  Positions are cumulative sums in chain order.  An
+    edge with an end at a finite branch point (leaving the base point at
+    lam = 1, or ending on a branch point) is built by make_sheeted_path and
+    integrated with the square-root substitution.  `where(k)` names the edge
+    into vertex k in errors.
     """
-    anchors = np.array([anchor for anchor, _ in chains], dtype=int)
-    runs = [np.asarray(verts, dtype=complex) for _, verts in chains]
-    lens = np.array([len(run) for run in runs], dtype=int)
-    starts = 1 + np.cumsum(lens) - lens
-    z = np.concatenate([[BASE_POINT]] + runs)
-    parent = np.arange(-1, len(z) - 1)
-    parent[starts[lens > 0]] = anchors[lens > 0]
+    z, parent = tree.z, tree.parent
     roots = principal_w(z, lam)
-
-    tol0 = 1e-12 * max(1.0, lam.value, 1.0 / lam.value)
-    at_branch = np.min([np.abs(z - b) for b in branch_points(lam).finite], axis=0) <= tol0
+    at_branch = _at_branch(z, lam)
     special = at_branch[1:] | at_branch[parent[1:]]
     regular = 1 + np.flatnonzero(~special)
-    w_end = np.empty(len(z), dtype=complex)
+    w_end = roots.copy()
     vals = np.zeros((len(z), 3))
     w_end[regular], vals[regular] = integrate_edges(
         weierstrass_integrand(norm), z[parent[regular]], roots[parent[regular]], z[regular],
@@ -420,14 +534,34 @@ def _immerse_chains(lam: Lambda, norm: Normalization, chains, where):
             vals[k] = integrate(path, norm, singular_start=ss, singular_end=se)
         w_end[k] = path.w_values[-1]
     flip = np.where(np.abs(w_end - roots) <= np.abs(w_end + roots), 1.0, -1.0)
+    sign = tree.accumulate(flip, np.multiply)
+    steps = sign[parent, None] * vals
+    steps[0] = 0.0
+    return sign * roots, tree.accumulate(steps)
 
-    sign = np.ones(len(z))
-    pos = np.zeros((len(z), 3))
-    for anchor, start, stop in zip(anchors, starts, starts + lens):
-        sign[start:stop] = sign[anchor] * np.cumprod(flip[start:stop])
-        steps = sign[parent[start:stop], None] * vals[start:stop]
-        pos[start:stop] = np.cumsum(np.concatenate((pos[anchor][None], steps)), axis=0)[1:]
-    return z, sign * roots, pos
+
+def _route_tree(routes) -> tuple:
+    """The union of routes from the base point as chains: (tree, ends, offsets).
+
+    A route follows the vertices that an earlier route already put in the
+    tree for as long as they match exactly (the shared trunk of lattice
+    radii, the detour over lam, the translation circuits), and its remaining
+    vertices form its chain, from route index offsets[c], hanging off the
+    last shared one.  ends[c] is the vertex where route c ends.
+    """
+    index, chains, ends, offsets = {}, [], [], []
+    n = 1
+    for route in routes:
+        node, i = 0, 1
+        while i < len(route) and (node, route[i]) in index:
+            node, i = index[node, route[i]], i + 1
+        chains.append((node, route[i:]))
+        offsets.append(i)
+        for z in route[i:]:
+            index[node, z] = n
+            node, n = n, n + 1
+        ends.append(node)
+    return _Chains(BASE_POINT, chains), np.array(ends, dtype=int), np.array(offsets, dtype=int)
 
 
 @functools.lru_cache(maxsize=256)
@@ -464,37 +598,53 @@ class SurfacePoint:
         object.__setattr__(self, "position", p)
 
 
+def _immerse_routes(lam: Lambda, norm: Normalization, targets, winding: int):
+    """The route tree of the targets, immersed on sheet +1: (tree, w, positions,
+    ends, where), with target c at vertex ends[c] of the tree.  where(k) names
+    the edge into vertex k by lam, the first target whose route holds it, the
+    winding, the edge and its quadrature tolerance."""
+    routes = [route_vertices(t, lam, winding=winding) for t in targets]
+    tree, ends, offsets = _route_tree(routes)
+    stops = tree.starts + tree.lens
+
+    def where(k) -> str:
+        c = int(np.searchsorted(stops, k, side="right"))
+        i = offsets[c] + k - tree.starts[c]
+        za, zb = routes[c][i - 1], routes[c][i]
+        return (f"lam = {lam.value!r}, target {targets[c]}, winding {winding}, route edge "
+                f"{za} -> {zb} (quadrature tolerance {TOL_PER_UNIT * abs(zb - za):.2e})")
+
+    w, pos = _immerse_chains(lam, norm, tree, where)
+    return tree, w, pos, ends, where
+
+
 def immerse(lam, norm: Normalization, targets, *, sheet_sign: int = +1,
             winding: int = 0) -> list[SurfacePoint]:
     """Immerse targets by integrating from the base point z0 = 1.
 
     The routes of all targets (route_vertices, winding number `winding`
-    about the origin) are chains of one _immerse_chains call.  Sheet +1 is
-    seeded by the principal root at z0 (by the +1 departure germ at lam = 1,
-    where z0 is a branch point; the base point itself is then (1, 0), with
-    image 0).  Sheet -1 is not integrated: it returns the sheet partners
-    (z, -w) at C - x, C the sheet_connection.  Errors from a route edge name
-    lam, the target, the winding, the edge and its quadrature tolerance.
+    about the origin) form one tree for one _immerse_chains call: each route
+    follows the shared trunk (its positive real run on the lattice of radii,
+    the detour over lam and the translation circuits) as far as its vertices
+    match, and its own chain (spur to the sweep radius, angular leg, final
+    radial leg) hangs off its last shared vertex.  Every tree edge is an edge
+    of some target's route, integrated once per call.  Sheet +1 is seeded by
+    the principal root at z0 (by the +1 departure germ at lam = 1, where z0
+    is a branch point; the base point itself is then (1, 0), with image 0).
+    At lam = 1 the routes leave the base point along the two lattice edges
+    [1, TRUNK_RATIO] and [1, 1/TRUNK_RATIO], except that of a positive real
+    target strictly within one lattice step of 1, so a call integrates at
+    most two singular departures plus one per such target.  Sheet -1 is not
+    integrated: it returns the sheet partners (z, -w) at C - x, C the
+    sheet_connection.  Errors from a route edge name lam, the target, the
+    winding, the edge and its quadrature tolerance.
     """
     lam = as_lambda(lam)
     targets = [complex(t) for t in targets]
-    routes = [route_vertices(t, lam, winding=winding) for t in targets]
-    lens = np.array([len(r) - 1 for r in routes], dtype=int)
-    ends = np.cumsum(lens)
-
-    def where(k) -> str:
-        c = int(np.searchsorted(ends, k))
-        i = k - ends[c] + lens[c]
-        za, zb = routes[c][i - 1], routes[c][i]
-        return (f"lam = {lam.value!r}, target {targets[c]}, winding {winding}, route edge "
-                f"{za} -> {zb} (quadrature tolerance {TOL_PER_UNIT * abs(zb - za):.2e})")
-
-    z, w, pos = _immerse_chains(lam, norm, [(0, r[1:]) for r in routes], where)
+    tree, w, pos, ends, _ = _immerse_routes(lam, norm, targets, winding)
     if sheet_sign < 0:
         pos, w = sheet_connection(lam, norm) - pos, -w
-    # an empty route (the base point) ends at vertex 0
-    return [SurfacePoint(pos[k], CurvePoint(z[k], w[k], lam))
-            for k in np.where(lens > 0, ends, 0)]
+    return [SurfacePoint(pos[k], CurvePoint(tree.z[k], w[k], lam)) for k in ends]
 
 
 # ---------------------------------------------------------------------------
@@ -533,17 +683,35 @@ def companion_cycle_vertices(lam):
 
 
 def cycle_real_period(vertices, lam, norm: Normalization):
-    """Real period of the lift from the principal root; verifies that it closes."""
+    """Real period of the lift of a closed polyline from the principal root at
+    its first vertex; verifies that the lift closes.
+
+    The chords are one chain of _immerse_chains rooted at the first vertex:
+    one batched nearest-root step and GK15 panel per chord, the scalar
+    continue_sheet and adaptive path_integral only for a chord that needs
+    bisection or refinement.  A lift that does not close (the cycle encloses
+    an odd number of branch points) raises QuadratureFailure.
+    """
     lam = as_lambda(lam)
-    w0 = principal_w(vertices[0], lam)
-    path = continue_sheet(vertices, w0, lam)
-    closure = abs(path.w_values[-1] - w0)
-    if closure > 1e-7 * (1.0 + abs(w0)):
+    verts = np.asarray(vertices, dtype=complex)
+    near = np.flatnonzero(near_branch(verts, lam))
+    if near.size:
+        raise BranchTooClose(f"lam = {lam.value!r}: cycle vertex {verts[near[0]]} lies in "
+                             f"a branch guard disk (radius {delta_branch(lam):.2e})")
+
+    def where(k) -> str:
+        za, zb = verts[k - 1], verts[k]
+        return (f"lam = {lam.value!r}, cycle chord {za} -> {zb} "
+                f"(quadrature tolerance {TOL_PER_UNIT * abs(zb - za):.2e})")
+
+    w, pos = _immerse_chains(lam, norm, _Chains(verts[0], [(0, verts[1:])]), where)
+    closure = abs(w[-1] - w[0])
+    if closure > 1e-7 * (1.0 + abs(w[0])):
         raise QuadratureFailure(
             f"cycle lift failed to close (|w_end - w_start| = {closure:.3e}); "
             "the cycle encloses an odd number of branch points"
         )
-    return integrate(path, norm)
+    return pos[-1]
 
 
 @functools.lru_cache(maxsize=256)
@@ -557,7 +725,8 @@ def _period_vectors_cached(norm: Normalization) -> PeriodVector:
 def period_vectors(lam, norm: Normalization) -> PeriodVector:
     """The translation period T in closed form (the lift of the circle about
     -1/(2 lam) through the branch points 0 and -1/lam) and the companion
-    cycle's real period, integrated along the cycle."""
+    cycle's real period, integrated along the cycle's 256 chords in one
+    batch by cycle_real_period."""
     lam = as_lambda(lam)
     if norm.lam != lam:
         raise ValueError("normalization was built for a different family parameter")
@@ -698,7 +867,7 @@ def immerse_grid(lam, norm: Normalization, *, r_min: float, r_max: float,
             return f"lam = {lam.value!r}, sheet {sheet_sign:+d}, stem to grid vertex (0, 0)"
         return edge(k - m - 1)
 
-    _, w, pos = _immerse_chains(lam, norm, chains, where)
+    w, pos = _immerse_chains(lam, norm, _Chains(BASE_POINT, chains), where)
     ws, pos = w[at].reshape(n_rad, n_col), pos[at].reshape(n_rad, n_col, 3)
     for arr in (radii, angles, zs, ws, pos):
         arr.setflags(write=False)

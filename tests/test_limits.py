@@ -173,6 +173,28 @@ def test_helicoid_decomposition():
     assert float(res.max()) < 1e-8
 
 
+@pytest.mark.parametrize("lv, residuals", [(0.1, catenoid_decomposition_residuals),
+                                           (10.0, helicoid_decomposition_residuals)])
+def test_decomposition_at_branch_point_and_real_targets(lv, residuals):
+    # the route to the branch point lam ends on it (square-root substitution
+    # on the correction integrand too); real targets lie on the shared trunk
+    targets = [complex(lv), 0.5, 3.0, 0.7 * np.exp(2j), 0.7 * np.exp(-2j)]
+    assert float(residuals(lv, targets).max()) < 1e-8
+
+
+def test_continued_root_matches_scalar_route_continuation():
+    from riemann_examples.errors import BranchAmbiguity
+    from riemann_examples.limits import _continued_w
+    for lv in (0.1, 10.0):
+        lam = Lambda(lv)
+        for z in _annulus_targets(12):
+            verts = weierstrass.route_vertices(z, lam)
+            w = continue_sheet(verts, principal_w(1.0, lam), lam).w_values[-1]
+            assert abs(_continued_w(z, lam) - w) <= 1e-12 * abs(w), z
+    with pytest.raises(BranchAmbiguity):
+        _continued_w(0.5j, Lambda(1.0))
+
+
 def test_null_homotopic_loops_vanish_for_small_lambda():
     # closed curves in the chosen annulus component integrate to zero for
     # lam down at the catenoid end (the enclosed cycle carries no real period)

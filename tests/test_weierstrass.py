@@ -260,6 +260,35 @@ def test_period_lattice_composition():
     assert np.linalg.norm((2.0 * t + c) - 2.0 * pv.translation) < 1e-8
 
 
+def _scalar_cycle_period(vertices, lam, norm):
+    """Reference cycle period: the whole cycle continued by one continue_sheet
+    from the principal root and integrated by one path_integral."""
+    path = continue_sheet(vertices, principal_w(vertices[0], lam), lam)
+    return integrate(path, norm)
+
+
+@pytest.mark.parametrize("lv", [0.01, 0.1, 0.5, 1.0, 2.0, 10.0, 100.0])
+def test_batched_companion_period_matches_scalar_cycle(monkeypatch, lv):
+    lam = Lambda(lv)
+    norm = Normalization.paper(lam)
+    verts = companion_cycle_vertices(lam)
+    scalar = _scalar_cycle_period(verts, lam, norm)
+    fallbacks = _recording_fallbacks(monkeypatch)
+    batched = cycle_real_period(verts, lam, norm)
+    t_norm = np.linalg.norm(period_vectors(lam, norm).translation)
+    assert np.max(np.abs(batched - scalar)) <= 1e-14 * t_norm
+    if lv in (0.5, 1.0, 2.0):
+        assert fallbacks == []     # every chord is one batched step and panel
+
+
+def test_cycle_enclosing_one_branch_point_does_not_close():
+    from riemann_examples.errors import QuadratureFailure
+    lam = Lambda(2.0)
+    about_lam = 2.0 + 0.5 * np.exp(1j * np.linspace(0.0, 2.0 * math.pi, 65))
+    with pytest.raises(QuadratureFailure, match="odd number of branch points"):
+        cycle_real_period(about_lam, lam, Normalization.paper(lam))
+
+
 @pytest.mark.parametrize("lv", [0.5, 1.0, 3.0])
 def test_winding_adds_translation(lv):
     lam = Lambda(lv)
@@ -476,6 +505,28 @@ def test_route_is_deterministic():
     assert np.array_equal(np.asarray(v1), np.asarray(v2))
 
 
+def test_route_runs_lie_on_the_lattice_of_radii():
+    from riemann_examples.weierstrass import TRUNK_FLOOR, TRUNK_RATIO as q
+
+    def lattice(z):
+        k = round(math.log(z.real) / math.log(q))
+        return z.imag == 0.0 and z.real == q ** k and z.real > TRUNK_FLOOR
+
+    # 1 -> 3 over lam = 2: lattice radii, the detour entry 1.75 and exit 2.25
+    # (no lattice radius within the detour radius 0.25 of lam), then the sweep
+    route = route_vertices(3.0 * np.exp(1j), Lambda(2.0))
+    run = route[1:route.index(3.0 + 0j)]
+    assert [z for z in run if not lattice(z)] == run[run.index(1.75):run.index(2.25) + 1]
+    assert all(abs(z - 2.0) >= 0.25 for z in run if lattice(z))
+    # the base point leaves through 1/q at lam = 1 only; next to lam its
+    # edge keeps the detour radius
+    assert route_vertices(0.5j, Lambda(1.0))[1] == 1.0 / q
+    assert route_vertices(0.5j, Lambda(1.0 + 1e-6))[1] == q ** -2
+    # no lattice radius at or below the floor
+    route = route_vertices(0.004 + 0.0j, Lambda(0.5))
+    assert route[-2] == min(q ** k for k in range(-60, 0) if q ** k > TRUNK_FLOOR)
+
+
 def test_route_blocked_inside_branch_guard():
     from riemann_examples.curve import delta_branch
     from riemann_examples.errors import PathBlocked
@@ -523,11 +574,17 @@ def _scalar_immerse(lam, norm, target, winding, sheet_sign):
 @pytest.mark.parametrize("sheet", [+1, -1])
 def test_batched_immerse_matches_scalar_routes(lv, winding, sheet):
     # the branch point lam, the base point, a real target past lam (whose
-    # route detours over lam, except at lam = 1) and a target near the end 0
+    # route detours over lam, except at lam = 1), a target near the end 0,
+    # targets sharing a radius on either side of 1 (their routes share the
+    # lattice trunk), positive real targets off lam (one below the lattice
+    # floor), and a target within a detour radius of lam, whose sweep is
+    # redirected
     lam = Lambda(lv)
     norm = Normalization.paper(lam)
     targets = [complex(lv), 1.0 + 0.0j, complex(lv * (1.5 if lv >= 1.0 else 0.5)),
-               0.05 * np.exp(2j)]
+               0.05 * np.exp(2j), 0.7 * np.exp(1.2j), 0.7 * np.exp(-2.0j),
+               2.5 * np.exp(0.4j), 2.5 * np.exp(-2.9j), 2.0 + 0.0j, 0.004 + 0.0j,
+               1.05 * lv * np.exp(0.3j)]
     points = immerse(lam, norm, targets, sheet_sign=sheet, winding=winding)
     for target, sp in zip(targets, points):
         pos, w = _scalar_immerse(lam, norm, target, winding, sheet)
@@ -535,13 +592,91 @@ def test_batched_immerse_matches_scalar_routes(lv, winding, sheet):
         assert abs(sp.source.w - w) <= 1e-14 * abs(w), target
 
 
+def _recording_departures(monkeypatch):
+    """Count the singular-start integrals made during each call of the
+    returned immerse."""
+    from riemann_examples import weierstrass
+    total, calls = [0], []
+    integrate_original, immerse_original = weierstrass.integrate, weierstrass.immerse
+
+    def recording_integrate(path, norm, *, singular_start=False, singular_end=False):
+        total[0] += bool(singular_start)
+        return integrate_original(path, norm, singular_start=singular_start,
+                                  singular_end=singular_end)
+
+    def recording_immerse(*args, **kwargs):
+        before = total[0]
+        points = immerse_original(*args, **kwargs)
+        calls.append(total[0] - before)
+        return points
+
+    monkeypatch.setattr(weierstrass, "integrate", recording_integrate)
+    return calls, recording_immerse
+
+
+def test_routes_at_lambda_one_share_two_singular_departures(monkeypatch):
+    # at lam = 1 the base point is a branch point: the routes leave it along
+    # the lattice edges [1, q] and [1, 1/q] only, whatever the targets
+    from riemann_examples.weierstrass import TRUNK_RATIO
+    calls, recording_immerse = _recording_departures(monkeypatch)
+    lam = Lambda(1.0)
+    norm = Normalization.paper(lam)
+    targets = [0.3 * np.exp(1j * a) for a in (0.5, 2.0, -1.0)] + \
+              [1.05 * np.exp(1j * a) for a in (0.3, -2.0)] + \
+              [-1.0, 0.95j, 0.9 * np.exp(2.5j), 3.0 * np.exp(1.5j), 3.0, 0.5, TRUNK_RATIO]
+    for winding in (0, 1, -1):
+        recording_immerse(lam, norm, targets, winding=winding)
+    assert calls == [2, 1, 1]
+    # a positive real target within one lattice step of 1 has its own
+    recording_immerse(lam, norm, targets + [1.05], winding=0)
+    assert calls[-1] == 3
+
+
+def test_symmetry_suite_routes_stay_in_the_batch(monkeypatch):
+    # the CLI symmetry suite at lam = 0.5, 1, 2: the route edges on the
+    # lattice trunk meet the tolerance with one GK15 panel, so few edges take
+    # the scalar fallback (90 of them did, most of them long radial legs,
+    # when each radial leg was one edge), and each immerse call at lam = 1
+    # integrates at most two singular departures
+    from riemann_examples import analysis, cli
+    fallbacks = _recording_fallbacks(monkeypatch)
+    calls, recording_immerse = _recording_departures(monkeypatch)
+    monkeypatch.setattr(cli, "immerse", recording_immerse)
+    monkeypatch.setattr(analysis, "immerse", recording_immerse)
+    rng = np.random.default_rng(0)
+    for lv in (0.5, 1.0, 2.0):
+        calls.clear()
+        cli._suite_symmetry(Lambda(lv), rng)
+        assert len(calls) == 3 and max(calls) <= (2 if lv == 1.0 else 0)
+    assert len(fallbacks) <= 40
+
+
+@pytest.mark.parametrize("sheet", [+1, -1])
+def test_routes_at_small_lambda_match_x2_closed_form(sheet):
+    # at lam = 0.003 the branch points 0 and lam crowd too closely for a
+    # detour over lam, but routes that never near lam need none; x2 is
+    # algebraic: Re 2 i s (w/z - w0)
+    lam = Lambda(0.003)
+    norm = Normalization.paper(lam)
+    s = normalization_scale(norm)
+    w0 = principal_w(BASE_POINT, lam)
+    targets = [0.5 + 0.5j, -2.0 + 1.0j, 3.0j, 0.05 * np.exp(-2.5j), 40.0 * np.exp(1.0j)]
+    for target, sp in zip(targets, immerse(lam, norm, targets, sheet_sign=sheet)):
+        x2 = (2j * s * (sp.source.w / target - sheet * w0)).real
+        assert abs(sp.position[1] - x2) <= 1e-10, target
+
+
 @pytest.mark.parametrize("cap, value, error, target, winding", [
-    ("MAX_PANELS", 1, "QuadratureFailure", 3.0 * np.exp(0.4j), 0),
-    ("MAX_PANELS", 1, "QuadratureFailure", 3.0 * np.exp(0.4j), 1),
-    ("MAX_BISECTION_DEPTH", 0, "AmbiguousSheet", 0.05 * np.exp(2j), 0),
+    ("MAX_PANELS", 1, "QuadratureFailure", 2.2 * np.exp(0.05j), 0),
+    ("MAX_PANELS", 1, "QuadratureFailure", 2.2 * np.exp(0.05j), 1),
+    ("MAX_BISECTION_DEPTH", 0, "AmbiguousSheet", -0.5 + 0.002j, 0),
 ], ids=["panels-winding0", "panels-winding1", "bisections"])
 def test_route_errors_name_lambda_target_winding_edge_and_tolerance(
         monkeypatch, cap, value, error, target, winding):
+    # the sweep of 2.2 e^{0.05 i} is redirected inside lam = 2, and its final
+    # radial leg, passing 0.11 from lam, needs more than one panel; the last
+    # chord of the sweep to -0.5 + 0.002i, ending 0.002 from the branch point
+    # -1/lam, needs bisection
     from riemann_examples import curve, errors, quadrature
     monkeypatch.setattr(quadrature if cap == "MAX_PANELS" else curve, cap, value)
     lam = Lambda(2.0)
