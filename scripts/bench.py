@@ -2,12 +2,11 @@
 """Run the gated benchmark workloads over three seeds and write a BENCH file.
 
     python3 scripts/bench.py BENCH_9.json
-    python3 scripts/bench.py /tmp/quick.json --seconds 5
 
 For each workload listed in BENCHMARK.json and each seed 1, 2, 3 this runs
 perfbench/run.py twice, untraced (--trace 0: the end-to-end metrics) and
 traced (--trace 1: the per-layer counters and times), for the run length
-BENCHMARK.json sets unless --seconds is given.  The output file holds, per
+BENCHMARK.json sets.  The output file holds, per
 workload and metric, the unit, the median and quartiles over the seeds and
 every seed's value, with the operations attempted and failed.
 """
@@ -50,14 +49,12 @@ def main(argv=None) -> int:
     spec = json.loads((ROOT / "BENCHMARK.json").read_text())
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("out", type=Path, help="BENCH file to write")
-    ap.add_argument("--seconds", type=float, default=spec["run_seconds"],
-                    help="seconds of passes per run (default: BENCHMARK.json run_seconds)")
     args = ap.parse_args(argv)
 
     result = {
         "command": " ".join(spec["command"]),
         "seeds": list(SEEDS),
-        "seconds": args.seconds,
+        "seconds": spec["run_seconds"],
         "machine": {"cpus": os.cpu_count(), "python": platform.python_version(),
                     "system": platform.system(), "processor": platform.machine()},
         "workloads": {},
@@ -66,7 +63,7 @@ def main(argv=None) -> int:
         runs = {trace: [] for trace in (0, 1)}
         for seed in SEEDS:
             for trace in (0, 1):
-                runs[trace].append(run_once(workload, seed, args.seconds, trace))
+                runs[trace].append(run_once(workload, seed, spec["run_seconds"], trace))
                 print(f"{workload} seed {seed} trace {trace}: done", file=sys.stderr)
         result["workloads"][workload] = {
             "attempted": [r["attempted"] for r in runs[0]],

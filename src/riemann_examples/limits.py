@@ -42,8 +42,10 @@ from .weierstrass import (
     _immerse_routes,
     immerse,
     immerse_grid,
+    make_sheeted_path,
     normalization_scale,
     phi_components,
+    route_vertices,
     unit_normal,
     vertical_end_spacing as end_spacing,
 )
@@ -55,14 +57,15 @@ from . import errors as _errors
 # ---------------------------------------------------------------------------
 
 def _continued_w(z: complex, lam: Lambda) -> complex:
-    """Curve root at z continued from the principal seed at the base point,
-    taken from one immerse call."""
+    """Curve root at z continued along its route from the principal seed at
+    the base point: the root immerse puts at z, without the integration."""
     if abs(lam.value - 1.0) <= 1e-12:
         raise BranchAmbiguity("correction factors are undefined at lam = 1")
     try:
-        return complex(immerse(lam, Normalization.raw(lam), [z])[0].source.w)
+        path, _, _ = make_sheeted_path(route_vertices(z, lam), lam)
     except _errors.AmbiguousSheet as exc:
         raise BranchAmbiguity(str(exc)) from exc
+    return complex(path.w_values[-1])
 
 
 def _f0_of_root(z, w, lv: float):

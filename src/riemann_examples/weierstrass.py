@@ -357,12 +357,18 @@ def _lattice_radii(a: float, b: float, lam: Lambda):
 def _lattice_run(r_from: float, r_to: float, lam: Lambda):
     """_radial_leg along the positive real axis, its straight stretches split
     at the lattice radii inside them; the detour over lam and the run's own
-    endpoint stay vertices.  A stretch that ends at a branch point (a target
-    at lam) stays one edge: split, its last edge would be too short for its
-    share of the tolerance to stay above the integrand's roundoff."""
+    endpoint stay vertices.  Two stretches stay one edge: one that ends at a
+    branch point (a target at lam), and the one leaving the base point when
+    the base point lies within the detour radius of lam but not at it.
+    Split, the edge next to lam would be too short for its share of the
+    tolerance to stay above the integrand's roundoff."""
+    lv = lam.value
+    base_near_lam = (not _at_branch(BASE_POINT, lam)
+                     and abs(1.0 - lv) < _detour_radius(complex(lv), lam))
     out, prev = [], complex(r_from)
     for z in _radial_leg(r_from, r_to, 0.0, lam):
-        if prev.imag == 0.0 and z.imag == 0.0 and not near_branch(z, lam):
+        if (prev.imag == 0.0 and z.imag == 0.0 and not near_branch(z, lam)
+                and not (base_near_lam and prev == BASE_POINT)):
             out += _lattice_radii(prev.real, z.real, lam)
         out.append(z)
         prev = z
@@ -475,25 +481,45 @@ class _Chains:
                 np.concatenate((out[anchor][None], steps[start:stop])), axis=0)[1:]
         return out
 
-    def integrals(self, fn, w, lam: Lambda, where):
-        """Real integrals of fn(z, w) dz from the root to every vertex, each
-        edge continued from the roots w already known at its start; fn need
-        not be odd in w.  An edge with an end at a finite branch point is
-        integrated with the square-root substitution."""
+    def edges(self, fn, w, lam: Lambda, where, branch_path):
+        """End roots and real integrals of fn(z, w) dz on the edge into every
+        vertex k > 0, continued from the root w[parent[k]] at its start.
+
+        Edges with no end at a finite branch point go through one
+        integrate_edges batch.  For the others branch_path(a, k) builds the
+        sheeted path of the edge from vertex a to vertex k, with its
+        singular-start and singular-end flags, for path_integral's
+        square-root substitution.  `where(k)` names the edge into vertex k
+        in errors.
+        """
         z, parent = self.z, self.parent
         at = _at_branch(z, lam)
         special = at[1:] | at[parent[1:]]
         regular = 1 + np.flatnonzero(~special)
+        w_end = w.copy()
         vals = np.zeros((len(z), 3))
-        _, vals[regular] = integrate_edges(fn, z[parent[regular]], w[parent[regular]],
-                                           z[regular], lam, lambda j: where(regular[j]))
+        w_end[regular], vals[regular] = integrate_edges(
+            fn, z[parent[regular]], w[parent[regular]], z[regular], lam,
+            lambda j: where(regular[j]))
         for k in 1 + np.flatnonzero(special):
-            a = parent[k]
-            path = SheetedPath([z[a], z[k]], [0j if at[a] else w[a], 0j if at[k] else w[k]], lam)
             with located(where(k)):
-                vals[k] = path_integral(path, fn, singular_start=at[a],
-                                        singular_end=at[k]).real
-        return self.accumulate(vals)
+                path, ss, se = branch_path(parent[k], k)
+                vals[k] = path_integral(path, fn, singular_start=ss, singular_end=se).real
+            w_end[k] = path.w_values[-1]
+        return w_end, vals
+
+    def integrals(self, fn, w, lam: Lambda, where):
+        """Real integrals of fn(z, w) dz from the root to every vertex, each
+        edge continued from the roots w already known at both its ends; fn
+        need not be odd in w."""
+        at = _at_branch(self.z, lam)
+
+        def branch_path(a, k):
+            path = SheetedPath([self.z[a], self.z[k]],
+                               [0j if at[a] else w[a], 0j if at[k] else w[k]], lam)
+            return path, at[a], at[k]
+
+        return self.accumulate(self.edges(fn, w, lam, where, branch_path)[1])
 
 
 def _at_branch(z, lam: Lambda):
@@ -520,19 +546,8 @@ def _immerse_chains(lam: Lambda, norm: Normalization, tree: _Chains, where):
     """
     z, parent = tree.z, tree.parent
     roots = principal_w(z, lam)
-    at_branch = _at_branch(z, lam)
-    special = at_branch[1:] | at_branch[parent[1:]]
-    regular = 1 + np.flatnonzero(~special)
-    w_end = roots.copy()
-    vals = np.zeros((len(z), 3))
-    w_end[regular], vals[regular] = integrate_edges(
-        weierstrass_integrand(norm), z[parent[regular]], roots[parent[regular]], z[regular],
-        lam, lambda j: where(regular[j]))
-    for k in 1 + np.flatnonzero(special):
-        with located(where(k)):
-            path, ss, se = make_sheeted_path([z[parent[k]], z[k]], lam)
-            vals[k] = integrate(path, norm, singular_start=ss, singular_end=se)
-        w_end[k] = path.w_values[-1]
+    w_end, vals = tree.edges(weierstrass_integrand(norm), roots, lam, where,
+                             lambda a, k: make_sheeted_path([z[a], z[k]], lam))
     flip = np.where(np.abs(w_end - roots) <= np.abs(w_end + roots), 1.0, -1.0)
     sign = tree.accumulate(flip, np.multiply)
     steps = sign[parent, None] * vals

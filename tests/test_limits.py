@@ -182,15 +182,15 @@ def test_decomposition_at_branch_point_and_real_targets(lv, residuals):
     assert float(residuals(lv, targets).max()) < 1e-8
 
 
-def test_continued_root_matches_scalar_route_continuation():
+def test_continued_root_is_the_immersed_root():
     from riemann_examples.errors import BranchAmbiguity
     from riemann_examples.limits import _continued_w
     for lv in (0.1, 10.0):
         lam = Lambda(lv)
-        for z in _annulus_targets(12):
-            verts = weierstrass.route_vertices(z, lam)
-            w = continue_sheet(verts, principal_w(1.0, lam), lam).w_values[-1]
-            assert abs(_continued_w(z, lam) - w) <= 1e-12 * abs(w), z
+        targets = list(_annulus_targets(12)) + [complex(lv)]
+        points = immerse(lam, Normalization.raw(lam), targets)
+        for z, p in zip(targets, points):
+            assert abs(_continued_w(z, lam) - p.source.w) <= 1e-12 * max(abs(p.source.w), 1.0), z
     with pytest.raises(BranchAmbiguity):
         _continued_w(0.5j, Lambda(1.0))
 

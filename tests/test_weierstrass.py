@@ -518,13 +518,35 @@ def test_route_runs_lie_on_the_lattice_of_radii():
     run = route[1:route.index(3.0 + 0j)]
     assert [z for z in run if not lattice(z)] == run[run.index(1.75):run.index(2.25) + 1]
     assert all(abs(z - 2.0) >= 0.25 for z in run if lattice(z))
-    # the base point leaves through 1/q at lam = 1 only; next to lam its
-    # edge keeps the detour radius
+    # the base point leaves through 1/q at lam = 1 only; next to lam the
+    # stretch leaving it is one edge
     assert route_vertices(0.5j, Lambda(1.0))[1] == 1.0 / q
-    assert route_vertices(0.5j, Lambda(1.0 + 1e-6))[1] == q ** -2
+    assert route_vertices(0.5j, Lambda(1.0 + 1e-6))[1] == 0.5
+    assert route_vertices(0.5j, Lambda(1.1))[1] == 0.5
+    assert route_vertices(0.5j, Lambda(1.2))[1] == q ** -1
     # no lattice radius at or below the floor
     route = route_vertices(0.004 + 0.0j, Lambda(0.5))
     assert route[-2] == min(q ** k for k in range(-60, 0) if q ** k > TRUNK_FLOOR)
+
+
+def test_routes_just_off_lambda_one_leave_the_base_point_in_one_edge():
+    # 1e-6 < |lam - 1| < 3e-6: the base point sits just outside the guard
+    # disk of lam.  Split at a lattice radius, the edge leaving it is too
+    # short for its tolerance to stay above roundoff and the call fails;
+    # whole, it is the first edge of the radial leg without the lattice.
+    from riemann_examples.weierstrass import _radial_leg
+
+    targets = [1000.0 * np.exp(-1.5j), 1.5 * np.exp(0.5j), 0.5 * np.exp(2j)]
+    for d in np.concatenate([-np.linspace(1.01e-6, 3e-6, 12), np.linspace(1.01e-6, 3e-6, 12)]):
+        lam = Lambda(1.0 + d)
+        for t in targets:
+            assert route_vertices(t, lam)[1] == _radial_leg(1.0, abs(t), 0.0, lam)[0]
+    # the calls that failed with the split edge
+    for d, ts in ((1.01e-6, targets[2:]), (1.191e-6, targets[2:]), (-1.01e-6, targets[:2]),
+                  (-1.191e-6, targets[:2]), (-1.372e-6, targets[:2])):
+        lam = Lambda(1.0 + d)
+        for p in immerse(lam, Normalization.paper(lam), ts):
+            assert np.all(np.isfinite(p.position))
 
 
 def test_route_blocked_inside_branch_guard():
@@ -597,12 +619,12 @@ def _recording_departures(monkeypatch):
     returned immerse."""
     from riemann_examples import weierstrass
     total, calls = [0], []
-    integrate_original, immerse_original = weierstrass.integrate, weierstrass.immerse
+    integral_original, immerse_original = weierstrass.path_integral, weierstrass.immerse
 
-    def recording_integrate(path, norm, *, singular_start=False, singular_end=False):
+    def recording_integral(path, fn, *, singular_start=False, singular_end=False):
         total[0] += bool(singular_start)
-        return integrate_original(path, norm, singular_start=singular_start,
-                                  singular_end=singular_end)
+        return integral_original(path, fn, singular_start=singular_start,
+                                 singular_end=singular_end)
 
     def recording_immerse(*args, **kwargs):
         before = total[0]
@@ -610,7 +632,7 @@ def _recording_departures(monkeypatch):
         calls.append(total[0] - before)
         return points
 
-    monkeypatch.setattr(weierstrass, "integrate", recording_integrate)
+    monkeypatch.setattr(weierstrass, "path_integral", recording_integral)
     return calls, recording_immerse
 
 
