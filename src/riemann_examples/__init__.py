@@ -50,6 +50,7 @@ from .analysis import (
     check_symmetries,
     foliation_slices,
     general_curvature,
+    max_abs_curvature,
     verify_curvature_bound,
 )
 from .limits import (

@@ -4,8 +4,9 @@ The closed-form curvature of the family with scale s is
 
     |K| = (16 / s^2) |z - lam| |z + 1/lam| / ( |z| (|z| + 1/|z|)^4 ),
 
-which at z = +-i evaluates to lam + 1/lam on the raw family and stays below
-the universal bound 4 (numerically below 2 + eps) on the normalized family.
+whose supremum is attained only at z = +-i: lam + 1/lam on the raw family,
+exactly 1 + min(lam, 1/lam)^2 on the paper scale, below the universal
+bound 4 of the normalized family.
 
 Symmetry checks verify the three isometry lifts of the cover at the level of
 path integrals, each anchored at a fixed point of the respective symmetry:
@@ -27,19 +28,14 @@ call.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curve import (
-    CurvePoint,
-    Lambda,
-    as_lambda,
-    principal_w,
-)
-from .errors import InsufficientSlicePoints, QuadratureFailure, SingularPoint
+from .curve import CurvePoint, Lambda, as_lambda, principal_w
+from .errors import (InsufficientSlicePoints, QuadratureFailure, RiemannFamilyError,
+                     SingularPoint)
 from .quadrature import TOL_PER_UNIT, integrate_edges
 from .weierstrass import (
     Normalization,
@@ -64,17 +60,23 @@ def abs_gauss_curvature(z, lam, norm: Normalization):
     if np.any(z == 0):
         raise SingularPoint("curvature is evaluated away from the puncture z = 0")
     s = normalization_scale(norm)
-    # a 0-d z goes through the kernel as a 1-element array, so that abs is
-    # numpy's absolute and not the complex scalar's own
-    out = _abs_gauss_curvature_kernel(np.atleast_1d(z), lam.value, 16.0 / (s * s))
+    # a 0-d z is evaluated as a 1-element array, so that abs is numpy's
+    # absolute and not the complex scalar's own
+    z1, lv = np.atleast_1d(z), lam.value
+    az = abs(z1)
+    out = 16.0 / (s * s) * (abs(z1 - lv) * abs(z1 + 1.0 / lv)) / (az * (az + 1.0 / az) ** 4)
     return float(out[0]) if z.ndim == 0 else out
 
 
-def _abs_gauss_curvature_kernel(z, lv: float, k16: float):
-    """The closed form with k16 = 16 / s^2, unchecked: in builtin arithmetic
-    for a complex z, elementwise (abs is np.abs) for an array."""
-    az = abs(z)
-    return k16 * (abs(z - lv) * abs(z + 1.0 / lv)) / (az * (az + 1.0 / az) ** 4)
+def max_abs_curvature(lam, norm: Normalization) -> float:
+    """The supremum of |K|, |K(+-i)| = (lam + 1/lam) / s^2, attained only at z = +-i.
+
+    At |z| = r the angular maximum of |z - lam| |z + 1/lam| is
+    (1 + r^2)(lam + 1/lam) / 2, at cos(theta) = (1/lam - lam)(r^2 - 1) / (4 r)
+    (0 at r = 1), so |K| <= (8 / s^2)(lam + 1/lam) r^3 / (1 + r^2)^3, largest
+    at r = 1.  On the paper scale the supremum is 1 + min(lam, 1/lam)^2.
+    """
+    return abs_gauss_curvature(1j, lam, norm)
 
 
 def general_curvature(g_value, g_derivative, f_value) -> float:
@@ -103,28 +105,14 @@ class CurvatureBoundReport:
     argmax_locus: str
 
 
-def _classify_locus(z: complex, lam: Lambda, cell: float) -> str:
-    if min(abs(z - 1j), abs(z + 1j)) <= cell:
-        return "normal-rotation fixed point (z = +-i)"
-    if abs(z.imag) <= cell * abs(z):
-        t = z.real
-        lv = lam.value
-        if 0.0 < t <= lv or t <= -1.0 / lv:
-            return "straight line"
-        return "planar geodesic"
-    return "interior"
-
-
 def verify_curvature_bound(lam, grid: CurvatureGrid | None = None) -> CurvatureBoundReport:
     """Grid maximum of |K| on the normalized family over the large annulus,
-    with local refinement around the argmax.
+    checked against the closed-form supremum max_abs_curvature.
 
-    The universal bound |K| <= 4 is enforced; the refined maximum and its
-    location are reported so callers can check the sharper numerical bound 2.
-    The refinement window starts wide (the landscape is nearly flat in the
-    angular direction for extreme family parameters, which lets the raw grid
-    argmax drift far along the unit circle) and shrinks geometrically, 60
-    times by 0.6.
+    max_abs_k and argmax are the grid's; refined_max is the supremum and
+    refined_argmax the one of +-i in the grid argmax's half-plane.  Raises
+    RiemannFamilyError if the grid maximum exceeds the supremum by more than
+    1e-12 relative, or exceeds 4.
     """
     lam = as_lambda(lam)
     grid = grid or CurvatureGrid()
@@ -136,70 +124,17 @@ def verify_curvature_bound(lam, grid: CurvatureGrid | None = None) -> CurvatureB
     idx = np.unravel_index(np.argmax(k), k.shape)
     zmax = complex(z[idx])
     kmax = float(k[idx])
-    if kmax > 4.0 * (1.0 + 1e-12):
-        raise RuntimeError(f"universal curvature bound violated: {kmax} at {zmax}")
-
-    half_lr, half_th = 0.6, 1.6
-    z_ref, k_ref = zmax, kmax
-    for _ in range(60):
-        lr0 = math.log(abs(z_ref))
-        th0 = cmath.phase(z_ref)
-        lrs = np.linspace(lr0 - half_lr, lr0 + half_lr, 33)
-        ths = np.linspace(th0 - half_th, th0 + half_th, 33)
-        zz = np.exp(lrs[:, None] + 1j * ths[None, :])
-        kk = abs_gauss_curvature(zz, lam, norm)
-        j = np.unravel_index(np.argmax(kk), kk.shape)
-        if kk[j] >= k_ref:
-            k_ref = float(kk[j])
-            z_ref = complex(zz[j])
-        half_lr *= 0.6
-        half_th *= 0.6
-    z_ref, k_ref = _polish_curvature_max(lam, norm, z_ref, k_ref)
-    cell = math.hypot(logr[1] - logr[0], theta[1] - theta[0]) * abs(zmax)
+    sup = max_abs_curvature(lam, norm)
+    if kmax > min(sup * (1.0 + 1e-12), 4.0):
+        raise RiemannFamilyError(
+            f"lam = {lam.value!r}: grid maximum |K| = {kmax!r} at z = {zmax} exceeds "
+            f"the closed-form supremum {sup!r} (or the universal bound 4)"
+        )
     return CurvatureBoundReport(
-        lam=lam, max_abs_k=kmax, argmax=zmax, refined_max=k_ref,
-        refined_argmax=z_ref, argmax_locus=_classify_locus(z_ref, lam, cell),
+        lam=lam, max_abs_k=kmax, argmax=zmax, refined_max=sup,
+        refined_argmax=1j if zmax.imag >= 0 else -1j,
+        argmax_locus="normal-rotation fixed point (z = +-i)",
     )
-
-
-def _polish_curvature_max(lam: Lambda, norm: Normalization, z0: complex, k0: float):
-    """Alternate exact one-dimensional maximizations of the closed-form |K|.
-
-    At fixed |z| = e^u the angular dependence of |K|^2 is a concave quadratic
-    in cos(theta) with critical value (1/lam - lam)(e^{2u} - 1)/(4 e^u); the
-    radial direction is then polished by ternary search.  This remains
-    well-conditioned along the nearly flat ridge left by extreme family
-    parameters, where grid climbing stalls.  The search evaluates the closed
-    form in builtin complex arithmetic; the polished value is recomputed by
-    abs_gauss_curvature.
-    """
-    lv = lam.value
-    s = normalization_scale(norm)
-    k16 = 16.0 / (s * s)
-    u = math.log(abs(z0))
-    theta = cmath.phase(z0)
-    hemi = 1.0 if math.sin(theta) >= 0 else -1.0
-    for _ in range(40):
-        c = (1.0 / lv - lv) * (math.exp(2.0 * u) - 1.0) / (4.0 * math.exp(u))
-        theta = hemi * math.acos(max(-1.0, min(1.0, c)))
-
-        def g(uu: float) -> float:
-            return _abs_gauss_curvature_kernel(cmath.exp(uu + 1j * theta), lv, k16)
-
-        lo, hi = u - 0.5, u + 0.5
-        for _ in range(120):
-            m1 = lo + (hi - lo) / 3.0
-            m2 = hi - (hi - lo) / 3.0
-            if g(m1) < g(m2):
-                lo = m1
-            else:
-                hi = m2
-        u = 0.5 * (lo + hi)
-    z_star = cmath.exp(u + 1j * theta)
-    k_star = float(abs_gauss_curvature(z_star, lam, norm))
-    if k_star >= k0:
-        return z_star, k_star
-    return z0, k0
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from .analysis import (
     check_symmetries,
     foliation_slices,
     line_fit_residual,
+    max_abs_curvature,
     plane_fit,
     verify_curvature_bound,
 )
@@ -226,13 +227,6 @@ def cmd_verify(args) -> int:
 # limits
 # ---------------------------------------------------------------------------
 
-def _max_curvature_on_annulus(lam: Lambda, norm: Normalization, L: float) -> float:
-    logr = np.linspace(-math.log(L), math.log(L), 96)
-    theta = np.linspace(-math.pi, math.pi, 96, endpoint=False)
-    z = np.exp(logr[:, None] + 1j * theta[None, :])
-    return float(np.max(abs_gauss_curvature(z, lam, norm)))
-
-
 def cmd_limits(args) -> int:
     annulus = Annulus(L=args.annulus_L)
     clip = ClipRegion("ball", args.clip_r)
@@ -259,8 +253,8 @@ def cmd_limits(args) -> int:
         deviations = report.deviations
         spacings = report.extras["end_spacing"]
         extra = {}
-    max_k = tuple(_max_curvature_on_annulus(Lambda(lv), norm_of(Lambda(lv)), args.annulus_L)
-                  for lv in lambdas)
+    # the annulus 1/L < |z| < L (L > 1) contains +-i, where the supremum lies
+    max_k = tuple(max_abs_curvature(Lambda(lv), norm_of(Lambda(lv))) for lv in lambdas)
 
     monotone = all(b < a for a, b in zip(deviations[:-1], deviations[1:]))
     sheet = getattr(report, "sheet_sign", +1)

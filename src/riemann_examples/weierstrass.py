@@ -260,13 +260,9 @@ def make_sheeted_path(vertices, lam):
     keep[1:] = verts[1:] != verts[:-1]
     verts = verts[keep]
     bset = branch_points(lam).finite
-    tol0 = 1e-12 * max(1.0, lam.value, 1.0 / lam.value)
 
     def branch_at(z):
-        for b in bset:
-            if abs(z - b) <= tol0:
-                return b
-        return None
+        return min(bset, key=lambda b: abs(z - b)) if _at_branch(z, lam) else None
 
     b_start = branch_at(verts[0]) if len(verts) > 1 else None
     b_end = branch_at(verts[-1]) if len(verts) > 1 else None
@@ -418,8 +414,7 @@ def route_vertices(target: complex, lam, *, winding: int = 0):
     if rho == 0.0:
         raise SingularPoint("targets at the puncture z = 0 are not immersible")
     dmin = min(abs(target - b) for b in branch_points(lam).finite)
-    scale = max(1.0, lam.value, 1.0 / lam.value)
-    if dmin > 1e-12 * scale and dmin < delta_branch(lam):
+    if not _at_branch(target, lam) and dmin < delta_branch(lam):
         raise PathBlocked(f"target {target} inside the branch guard disk")
     phi_t = cmath.phase(target)
     rho_mid = rho
@@ -523,8 +518,9 @@ class _Chains:
 
 
 def _at_branch(z, lam: Lambda):
-    """Mask of the points within make_sheeted_path's snapping tolerance of a
-    finite branch point."""
+    """Mask of the points within the snapping tolerance of a finite branch
+    point: make_sheeted_path snaps such an end to the branch point, and
+    route_vertices lets such a target into the guard disk."""
     tol0 = 1e-12 * max(1.0, lam.value, 1.0 / lam.value)
     return np.min([np.abs(z - b) for b in branch_points(lam).finite], axis=0) <= tol0
 

@@ -4,10 +4,13 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from riemann_examples.curve import CurvePoint, Lambda, continue_sheet, principal_w
 from riemann_examples import analysis
-from riemann_examples.errors import InsufficientSlicePoints, QuadratureFailure, SingularPoint
+from riemann_examples.cli import main
+from riemann_examples.errors import (InsufficientSlicePoints, QuadratureFailure,
+                                       RiemannFamilyError, SingularPoint)
 from riemann_examples.analysis import (
     CurvatureGrid,
     abs_gauss_curvature,
@@ -17,6 +20,7 @@ from riemann_examples.analysis import (
     foliation_slices,
     general_curvature,
     line_fit_residual,
+    max_abs_curvature,
     max_center_curvature,
     plane_fit,
     verify_curvature_bound,
@@ -139,20 +143,49 @@ def test_verify_curvature_bound_sharp(lv):
     assert min(abs(report.refined_argmax - 1j), abs(report.refined_argmax + 1j)) < 1e-2
 
 
-def test_scalar_curvature_kernel_matches_closed_form():
-    # the polish evaluates the kernel in builtin arithmetic; builtin
-    # abs(complex) and numpy's complex absolute may differ by an ulp, and |z|
-    # enters the denominator with weight up to 5: a few ulps apart
-    rng = np.random.default_rng(17)
-    z = np.exp(rng.uniform(-4.0, 4.0, 300) + 1j * rng.uniform(-math.pi, math.pi, 300))
-    for lv in np.logspace(-6, 6, 13):
-        lam = Lambda(lv)
-        for norm in (Normalization.raw(lam), Normalization.paper(lam)):
-            s = normalization_scale(norm)
-            expect = abs_gauss_curvature(z, lam, norm)
-            got = np.array([analysis._abs_gauss_curvature_kernel(complex(zk), lv, 16.0 / (s * s))
-                            for zk in z])
-            assert np.all(np.abs(got - expect) <= 2e-15 * expect)
+_NORMS = (Normalization.raw, Normalization.paper, Normalization.spacing)
+
+
+@settings(max_examples=200, deadline=None)
+@given(log_lam=st.floats(-6.0, 6.0), which=st.sampled_from(_NORMS),
+       log_r=st.floats(-4.0, 4.0), theta=st.floats(-math.pi, math.pi))
+def test_closed_form_supremum_bounds_curvature(log_lam, which, log_r, theta):
+    lam = Lambda(10.0 ** log_lam)
+    norm = which(lam)
+    sup = max_abs_curvature(lam, norm)
+    s = normalization_scale(norm)
+    expect = (lam.value + 1.0 / lam.value) / (s * s)
+    assert abs(sup - expect) <= 4.0 * np.spacing(expect)
+    eps = np.finfo(float).eps
+    assert abs_gauss_curvature(np.exp(log_r + 1j * theta), lam, norm) <= sup * (1.0 + 4.0 * eps)
+
+
+@pytest.mark.parametrize("lv", [1e-6, 0.1, 1.0, 3.0, 1e6])
+def test_dense_search_about_i_reaches_the_supremum(lv):
+    # an offset grid on the disk of radius 1e-4 about each of +-i, missing
+    # the centre itself: its points lie within 1.5e-6 of it
+    lam = Lambda(lv)
+    u = np.linspace(-1.0, 1.0, 101) + 0.01
+    d = 1e-4 * (u[:, None] + 1j * u[None, :])
+    d = d[np.abs(d) <= 1e-4]
+    for norm in (Normalization.raw(lam), Normalization.paper(lam)):
+        sup = max_abs_curvature(lam, norm)
+        for c in (1j, -1j):
+            k = abs_gauss_curvature(c + d, lam, norm)
+            assert abs(float(k.max()) - sup) <= 1e-9 * sup
+
+
+def test_grid_above_supremum_is_a_typed_failure(monkeypatch, capsys):
+    grid = CurvatureGrid(n_rad=64, n_ang=64)
+    good = verify_curvature_bound(Lambda(2.0), grid)
+    monkeypatch.setattr(analysis, "max_abs_curvature", lambda lam, norm: 1.0)
+    with pytest.raises(RiemannFamilyError) as exc:
+        verify_curvature_bound(Lambda(2.0), grid)
+    msg = str(exc.value)
+    assert "lam = 2.0" in msg and "supremum 1.0" in msg
+    assert repr(good.max_abs_k) in msg and str(good.argmax) in msg
+    assert main(["verify", "--suite", "curvature", "--lambda-set", "2"]) == 3
+    assert capsys.readouterr().err.startswith("numerical failure: lam = 2.0")
 
 
 def test_max_curvature_symmetric_in_reciprocal_parameter():
