@@ -21,9 +21,8 @@ safeguarded Newton iteration with the exact derivative dx3/dt = Re(Phi3 dz)
 (linear interpolation is far too coarse for the circle-fit tolerances),
 then fitted by circles or lines.  The crossings of all heights and both
 sheets step in lockstep: each Newton round continues and integrates every
-unresolved crossing at once through quadrature.py's one edge primitive,
-integrate_edges; check_symmetries immerses all its lifts in one immerse
-call.
+unresolved crossing at once, in the closed form of weierstrass._continue_edges;
+check_symmetries immerses all its lifts in one immerse call.
 """
 
 from __future__ import annotations
@@ -36,16 +35,15 @@ import numpy as np
 from .curve import CurvePoint, Lambda, as_lambda, principal_w
 from .errors import (InsufficientSlicePoints, QuadratureFailure, RiemannFamilyError,
                      SingularPoint)
-from .quadrature import TOL_PER_UNIT, integrate_edges
 from .weierstrass import (
     Normalization,
+    _continue_edges,
     _edge_locator,
     immerse,
     normalization_scale,
     period_vectors,
     radial_edge_alignment,
     sheet_connection,
-    weierstrass_integrand,
 )
 
 # ---------------------------------------------------------------------------
@@ -177,10 +175,7 @@ def check_symmetries(lam, norm: Normalization, samples,
     base-point lifts (the base point itself at lam = 1), so the checks also
     exercise the anchoring of the second sheet.
 
-    All lifts go through one immerse call.  Their routes share the trunk of
-    lattice radii, and a lift and its conjugate partner share their radial
-    run and sweep along conjugate chords, so each such pair is still
-    integrated on mirrored quadrature nodes.
+    All lifts go through one immerse call.
     """
     lam = as_lambda(lam)
     w0 = principal_w(1.0 + 0.0j, lam)
@@ -315,13 +310,12 @@ def _edge_height_crossing(lam, norm, za, wa, pos_a, zb, c, f_lo, where=None):
     f'(t) = Re(2 s dz / w(t)), since Phi3 = 2 s / w, and a sign bracket
     replaces any step that leaves it (or meets f' = 0) by its midpoint.  All
     edges step in lockstep: each round continues the root and integrates
-    from every active iterate to its next one by one batched integrate_edges
-    call (which refuses iterates inside a branch guard disk), and retires
-    the edges that meet |x3 - c| < 1e-12 max(1, |c|).  `where(k)`
-    names edge k in errors (by default its end points, lam and height); an
-    error within a round also names the Newton step and its quadrature
-    tolerance.  QuadratureFailure is raised for an edge not resolved within
-    60 rounds.
+    from every active iterate to its next one by one _continue_edges call
+    (which refuses iterates inside a branch guard disk), and retires the
+    edges that meet |x3 - c| < 1e-12 max(1, |c|).  `where(k)` names edge k
+    in errors (by default its end points, lam and height); an error within
+    a round also names the Newton step.  QuadratureFailure is raised for an
+    edge not resolved within 60 rounds.
     """
     scalar = np.ndim(za) == 0
     za, wa, zb = (np.atleast_1d(np.asarray(v, dtype=complex)) for v in (za, wa, zb))
@@ -331,7 +325,6 @@ def _edge_height_crossing(lam, norm, za, wa, pos_a, zb, c, f_lo, where=None):
         def where(k) -> str:
             return (f"lam = {lam.value!r}, edge {complex(za[k])} -> {complex(zb[k])}, "
                     f"height x3 = {float(c[k])!r}")
-    fn = weierstrass_integrand(norm)
     s2dz = 2.0 * normalization_scale(norm) * (zb - za)
     tol = 1e-12 * np.maximum(1.0, np.abs(c))
     below = f < 0
@@ -348,10 +341,9 @@ def _edge_height_crossing(lam, norm, za, wa, pos_a, zb, c, f_lo, where=None):
         z_new = za[act] + t_new * (zb[act] - za[act])
 
         def located_at(k, act=act, z0=z_old, z1=z_new):
-            return (f"{where(act[k])}, Newton step {complex(z0[k])} -> {complex(z1[k])} "
-                    f"(quadrature tolerance {TOL_PER_UNIT * abs(z1[k] - z0[k]):.2e})")
+            return f"{where(act[k])}, Newton step {complex(z0[k])} -> {complex(z1[k])}"
 
-        w_new, vals = integrate_edges(fn, z_old, w_old, z_new, lam, located_at)
+        w_new, vals = _continue_edges(z_old, w_old, z_new, lam, norm, located_at)
         pos[act] += vals
         t[act], z[act], w[act] = t_new, z_new, w_new
         f[act] = pos[act, 2] - c[act]
@@ -375,9 +367,9 @@ def foliation_slices(grids, heights, min_points: int = 16):
     each height are found along radial grid edges (with the sheet-aligned
     upper neighbour, so edges through a branch band pair with the correct
     partner) and angular grid edges.  The crossing edges of every height
-    and both sheets are gathered first and refined to the quadrature
-    tolerance by one lockstep call of _edge_height_crossing, so each Newton
-    round is one batched continuation and integration over all of them.
+    and both sheets are gathered first and refined by one lockstep call of
+    _edge_height_crossing, so each Newton round is one batched closed-form
+    continuation and integration over all of them.
     Each slice is fitted by a circle and by a line; the better model is
     reported.
     """

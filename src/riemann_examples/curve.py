@@ -2,10 +2,11 @@
 
 For each family parameter lam > 0 this curve is a twice-punctured torus
 presented as a two-sheeted cover of the punctured z-plane, branched at
-0, lam, -1/lam (and at infinity).  Everything downstream integrates along
-paths on the cover, so the central service of this module is deterministic
-analytic continuation of w along polylines in the z-plane: nearest-root
-selection with adaptive bisection, no global branch-cut bookkeeping.
+0, lam, -1/lam (and at infinity).  The immersion follows w along its
+paths by the branch-cut bookkeeping of its closed form (weierstrass); this
+module's deterministic analytic continuation of w along polylines in the
+z-plane, nearest-root selection with adaptive bisection, serves the
+reference quadrature and the paths it integrates.
 """
 
 from __future__ import annotations

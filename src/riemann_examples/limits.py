@@ -12,12 +12,15 @@ and for lam > 1 as helicoid plus a correction with
              = 1 - sqrt(z)/sqrt((1 - z/lam)(z + 1/lam)).
 
 Writing the factors through the continued curve root w fixes their branches
-by continuation from z = 1, where both vanish as lam degenerates.  Both
-factors tend to zero uniformly on a fixed annulus, which drives the sup
-deviation sweeps implemented here.  The sweeps also report each member's
-end spacing s T3 / 2 (weierstrass.vertical_end_spacing, re-exported here as
-end_spacing): it tends to 2 pi along the helicoid limit and grows like
-4 log(4/lam) along the catenoid limit.
+by continuation from z = 1, where both vanish as lam degenerates; w is the
+root immerse continues to z.  Both factors tend to zero uniformly on a
+fixed annulus, which drives the sup deviation sweeps implemented here.  The
+sweeps also report each member's end spacing s T3 / 2
+(weierstrass.vertical_end_spacing, re-exported here as end_spacing): it
+tends to 2 pi along the helicoid limit and grows like 4 log(4/lam) along
+the catenoid limit.  The decomposition identities integrate their
+correction integrands, which have no closed form here, by the reference
+quadrature along each target's route.
 """
 
 from __future__ import annotations
@@ -39,17 +42,16 @@ from .reference import (
 from .weierstrass import (
     GridImmersion,
     Normalization,
-    _immerse_routes,
     immerse,
     immerse_grid,
     make_sheeted_path,
     normalization_scale,
+    path_integral,
     phi_components,
     route_vertices,
     unit_normal,
     vertical_end_spacing as end_spacing,
 )
-from . import errors as _errors
 
 
 # ---------------------------------------------------------------------------
@@ -58,14 +60,10 @@ from . import errors as _errors
 
 def _continued_w(z: complex, lam: Lambda) -> complex:
     """Curve root at z continued along its route from the principal seed at
-    the base point: the root immerse puts at z, without the integration."""
+    the base point: the root of immerse's point at z."""
     if abs(lam.value - 1.0) <= 1e-12:
         raise BranchAmbiguity("correction factors are undefined at lam = 1")
-    try:
-        path, _, _ = make_sheeted_path(route_vertices(z, lam), lam)
-    except _errors.AmbiguousSheet as exc:
-        raise BranchAmbiguity(str(exc)) from exc
-    return complex(path.w_values[-1])
+    return immerse(lam, Normalization.raw(lam), [z])[0].source.w
 
 
 def _f0_of_root(z, w, lv: float):
@@ -230,10 +228,11 @@ def helicoid_limit_sweep(lambdas, annulus: Annulus, clip: ClipRegion,
 def _decomposition_residuals(lam: Lambda, targets, factor, integrand, reference) -> np.ndarray:
     """|immersion - (reference(target) + correction integral)| per target.
 
-    The immersion is immerse's, over the tree of the targets' routes.  The
-    correction integrand, factor(z, w, lam) times the reference integrand,
-    is integrated over the same tree, each edge continued from the roots
-    that immersion continued to its start: the factor is not odd in w.
+    The immersion is immerse's.  The correction integrand, factor(z, w, lam)
+    times the reference integrand, has no closed form here: it is integrated
+    by path_integral along each target's route, continued by
+    make_sheeted_path from the principal root at the base point, the sheet
+    immerse continues.
     """
     norm = Normalization.paper(lam)
 
@@ -241,10 +240,13 @@ def _decomposition_residuals(lam: Lambda, targets, factor, integrand, reference)
         return factor(z, w, lam.value) * integrand(z)
 
     targets = [complex(t) for t in targets]
-    tree, w, pos, ends, where = _immerse_routes(lam, norm, targets, 0)
-    correction = tree.integrals(corr, w, lam, where)
-    rhs = np.array([reference(t) for t in targets]) + correction[ends]
-    return np.linalg.norm(pos[ends] - rhs, axis=1)
+    pos = np.array([p.position for p in immerse(lam, norm, targets)])
+    rhs = []
+    for t in targets:
+        path, ss, se = make_sheeted_path(route_vertices(t, lam), lam)
+        rhs.append(reference(t) + path_integral(path, corr, singular_start=ss,
+                                                singular_end=se).real)
+    return np.linalg.norm(pos - np.array(rhs), axis=1)
 
 
 def catenoid_decomposition_residuals(lam, targets) -> np.ndarray:

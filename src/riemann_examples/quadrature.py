@@ -1,4 +1,4 @@
-"""Gauss-Kronrod quadrature along sheeted paths of the cover.
+"""Reference quadrature along sheeted paths of the cover.
 
 Integration is adaptive Gauss-Kronrod 7/15 on sheeted polylines, with w
 at each node chosen as the root nearest to the linear interpolation of the
@@ -7,22 +7,15 @@ end at a finite branch point, which happens for every path at lam = 1
 where the base point is a branch point) are handled by the substitution
 u^2 = z - z_branch.
 
-integrate_edges is the one edge primitive: it continues and integrates a
-batch of straight edges from their start roots, with one nearest-root step
-and one GK15 panel per edge in numpy blocks.  The few edges that need
-bisection or adaptive refinement are continued once by the scalar
-continue_sheet and integrated along that path by path_integral.  Every
-edge tree of the package reaches it in one batch per call: the routes of
-an immerse call (their shared trunk of lattice radii integrated once), a
-grid, the chords of a period cycle, the correction integrals of the limit
-decompositions and the foliation crossings.  path_integral alone remains
-for edges with an end at a branch point and for reference computations.
+The immersion itself is in closed form (weierstrass); path_integral remains
+public API, the reference the tests check that closed form against, and the
+integrator of the limit decompositions' correction integrands, which are
+not Phi.  near_branch is the branch guard of the closed-form edges.
 """
 
 from __future__ import annotations
 
 import cmath
-import contextlib
 import heapq
 import math
 
@@ -33,21 +26,16 @@ from .curve import (
     SheetedPath,
     _nearest_root,
     branch_points,
-    continue_sheet,
     curve_rhs,
     delta_branch,
 )
-from .errors import AmbiguousSheet, BranchTooClose, QuadratureFailure
+from .errors import QuadratureFailure
 
 #: Default absolute quadrature tolerance per unit of path length.
 TOL_PER_UNIT = 1e-10
 
 #: Panel cap of the adaptive refinement, per path segment.
 MAX_PANELS = 1 << 16
-
-#: Edges whose GK15 panels are evaluated in one batch; bounds the
-#: (3, EDGE_BLOCK, 15) temporaries of integrate_edges.
-EDGE_BLOCK = 512
 
 
 # ---------------------------------------------------------------------------
@@ -224,17 +212,8 @@ def path_integral(path: SheetedPath, fn, *, singular_start: bool = False,
 
 
 # ---------------------------------------------------------------------------
-# batched straight edges
+# branch guard
 # ---------------------------------------------------------------------------
-
-@contextlib.contextmanager
-def located(where: str):
-    """Re-raise continuation and quadrature errors with `where` prefixed."""
-    try:
-        yield
-    except (AmbiguousSheet, BranchTooClose, QuadratureFailure) as err:
-        raise type(err)(f"{where}: {err}") from err
-
 
 def near_branch(z, lam: Lambda):
     """Mask of the points inside the protective disk of a finite branch
@@ -244,47 +223,3 @@ def near_branch(z, lam: Lambda):
     for b in branch_points(lam).finite:
         near |= np.abs(z - b) < delta
     return near
-
-
-def integrate_edges(fn, za, wa, zb, lam: Lambda, where):
-    """Continue (za, wa) along each straight edge to zb and integrate fn(z, w) dz
-    along it: the end roots, shape (n,), and the real integrals, shape (n, 3).
-
-    Each edge takes one nearest-root step with continue_sheet's tie rule and
-    one GK15 panel, evaluated EDGE_BLOCK edges at a time exactly as
-    _segment_integral evaluates its first panel.  An edge whose step fails
-    the separation test |dw| < 0.5 |wa + wb|, whose panel misses
-    TOL_PER_UNIT * |dz| or whose integrand is not finite is continued once
-    by continue_sheet, which bisects, and integrated along that path by the
-    adaptive path_integral.  Before any step, an end point zb inside a branch
-    guard disk (continue_sheet's guard) raises BranchTooClose.  `where(k)`
-    names edge k in every error.
-    """
-    near = np.flatnonzero(near_branch(zb, lam))
-    if near.size:
-        k = near[0]
-        b = min(branch_points(lam).finite, key=lambda p: abs(zb[k] - p))
-        raise BranchTooClose(f"{where(k)}: end point {zb[k]} lies in the guard disk "
-                             f"of branch point {b}")
-    rb = np.sqrt(curve_rhs(zb, lam))
-    wb = _nearest_roots(rb, wa)
-    redo = ~(np.abs(wb - wa) < 0.5 * np.abs(wb + wa))
-    vals = np.empty((len(za), 3))
-    t = 0.5 + 0.5 * _K15_NODES
-    for lo in range(0, len(za), EDGE_BLOCK):
-        blk = slice(lo, lo + EDGE_BLOCK)
-        dz = (zb[blk] - za[blk])[:, None]
-        z = za[blk, None] + t * dz
-        ref = wa[blk, None] + t * (wb[blk] - wa[blk])[:, None]
-        y = fn(z, _nearest_roots(np.sqrt(curve_rhs(z, lam)), ref)) * dz
-        k = 0.5 * (y @ _K15_WEIGHTS)
-        err = np.max(np.abs(k - 0.5 * (y[..., 1::2] @ _G7_WEIGHTS)), axis=0)
-        ok = (err <= TOL_PER_UNIT * np.abs(dz[:, 0])) & np.isfinite(y).all(axis=(0, 2))
-        vals[blk] = k.real.T
-        redo[blk] |= ~ok
-    for k in np.flatnonzero(redo):
-        with located(where(k)):
-            path = continue_sheet([za[k], zb[k]], wa[k], lam)
-            vals[k] = path_integral(path, fn).real
-        wb[k] = _nearest_roots(rb[k], path.w_values[-1])
-    return wb, vals

@@ -14,21 +14,28 @@ adjacent planar ends is exactly 2*pi.
 The translation period T = s (T1, 0, T3) and the end spacing s T3 / 2 are
 complete elliptic integrals of the curve, evaluated in closed form by the
 arithmetic-geometric mean; the companion period, which must vanish, is
-integrated along its cycle, in one batch of chords, as an independent check.
+summed along its cycle as an independent check.
 
 Only sheet +1 is ever integrated.  The deck involution w -> -w negates Phi,
 so sheet -1 is the point reflection x(z, -w) = C - x(z, w), with C = 2 x(lam)
 from the segment [1, lam] (sheet_connection).
 
-Point targets, grids, the sheet connection and period cycles are immersed
-by one chain immersion, _immerse_chains: a tree of straight edges hanging
-off its root (the base point, or a cycle's first vertex), continued from
-principal roots and integrated by the quadrature module's one edge
-primitive, integrate_edges, in one batch.  The routes of one immerse call
-form one tree: their positive real runs lie on a lattice of radii, so they
-share that trunk vertex for vertex and each target adds only its own chain.
-The scalar make_sheeted_path and path_integral (re-exported here) remain
-for edges at a branch point and for reference computations.
+The immersion integrates nothing numerically.  On the root
+W = sqrt(z - lam) sqrt(z) sqrt(z + 1/lam) the integral of Phi is elementary
+plus two elliptic integrals,
+
+    x = Re s (-2 B - 2 W/z, 2 i W/z, -2 A) + const,
+
+with A and B the integrals of dt/W and dt/(t W) along the horizontal ray
+from z to +inf, Carlson's 2 R_F and (2/3) R_D (_carlson, _ray).  That form is
+analytic off (-inf, lam], so along a straight edge only the crossings of
+that half-line need bookkeeping: a sheet flip on the cuts of W and a jump
+term (_edge_terms).  Point targets, grids, the sheet connection and period
+cycles are immersed by one chain immersion, _immerse_chains: a tree of
+straight edges hanging off its root (the base point, or a cycle's first
+vertex), each route of an immerse call its own chain.  The quadrature of
+make_sheeted_path and path_integral (re-exported here) remains for
+reference computations and for integrands other than Phi.
 """
 
 from __future__ import annotations
@@ -55,30 +62,10 @@ from .curve import (
     sheeted_path_from_branch,
 )
 from .errors import BranchTooClose, PathBlocked, QuadratureFailure, SingularPoint
-from .quadrature import (
-    TOL_PER_UNIT,
-    integrate_edges,
-    located,
-    near_branch,
-    path_integral,
-)
+from .quadrature import near_branch, path_integral
 
 #: Base point of every immersion.
 BASE_POINT = 1.0 + 0.0j
-
-#: Ratio of the lattice of radii TRUNK_RATIO**k that holds the vertices of
-#: every route's positive real run.  One GK15 panel meets the tolerance on
-#: a lattice edge away from lam.  The ratio is below 9/8, an eighth being the
-#: detour radius about lam = 1, so at lam = 1 the route of every target off
-#: the positive real axis leaves the base point through the radius
-#: TRUNK_RATIO or 1/TRUNK_RATIO.
-TRUNK_RATIO = 2.0 ** 0.125
-
-#: No lattice radius lies at or below TRUNK_FLOOR.  Inside it the integrand
-#: grows like 1/|z|^2 or faster, and a lattice edge's share of the tolerance
-#: (TOL_PER_UNIT times its length) would fall below the roundoff of its
-#: integral; a run that ends inside takes one edge from the last radius.
-TRUNK_FLOOR = TRUNK_RATIO ** -48
 
 
 # ---------------------------------------------------------------------------
@@ -152,6 +139,44 @@ def _raw_periods(lam_value: float) -> tuple:
     k = 0.5 * math.pi / a
     r = 2.0 / math.sqrt(lv + 1.0 / lv)
     return 4.0 * r * (k / lv - (lv + 1.0 / lv) * k * tail), 4.0 * r * k
+
+
+def _carlson(x, y, z):
+    """Carlson's R_F(x, y, z) and R_D(x, y, z), elementwise, by duplication
+    (DLMF 19.36(i); B. C. Carlson, Numer. Algorithms 10 (1995)).
+
+    Both share the duplicated arguments x_m, y_m, z_m; R_F(x_0) = R_F(x_m)
+    and R_D(x_0) = 4^-m R_D(x_m) + 3 sum_k 4^-k / (sqrt(z_k) (z_k + lm_k)),
+    with lm_k = sqrt(x_k y_k) + sqrt(y_k z_k) + sqrt(z_k x_k) (principal roots).
+    The loop stops once every argument lies within 1e-3 |mf| of the mean mf
+    of x, y and z (so within 1.6e-3 |md| of the mean md of x, y, 3z), where
+    the fifth-order series below are exact to roundoff.  Arguments on the
+    negative real axis with imaginary part +0.0 give the limit from above.
+    """
+    x, y, z = np.broadcast_arrays(*(np.asarray(v, dtype=complex) for v in (x, y, z)))
+    tail, scale = np.zeros(x.shape, dtype=complex), 1.0
+    for _ in range(100):
+        mf = (x + y + z) / 3.0
+        dev = np.maximum(np.maximum(np.abs(x - mf), np.abs(y - mf)), np.abs(z - mf))
+        if np.all(dev <= 1e-3 * np.abs(mf)):
+            break
+        sx, sy, sz = np.sqrt(x), np.sqrt(y), np.sqrt(z)
+        lm = sx * sy + sy * sz + sz * sx
+        tail += scale / (sz * (z + lm))
+        scale *= 0.25
+        x, y, z = 0.25 * (x + lm), 0.25 * (y + lm), 0.25 * (z + lm)
+    a, b = 1.0 - x / mf, 1.0 - y / mf
+    c = -a - b
+    e2, e3 = a * b - c * c, a * b * c
+    rf = (1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0) / np.sqrt(mf)
+    md = (x + y + 3.0 * z) / 5.0
+    a, b = 1.0 - x / md, 1.0 - y / md
+    c = -(a + b) / 3.0
+    e2, e3 = a * b - 6.0 * c * c, (3.0 * a * b - 8.0 * c * c) * c
+    e4, e5 = 3.0 * (a * b - c * c) * c * c, a * b * c ** 3
+    series = (1.0 - 3.0 * e2 / 14.0 + e3 / 6.0 + 9.0 * e2 * e2 / 88.0 - 3.0 * e4 / 22.0
+              - 9.0 * e2 * e3 / 52.0 + 3.0 * e5 / 26.0)
+    return rf, scale * series / (md * np.sqrt(md)) + 3.0 * tail
 
 
 # ---------------------------------------------------------------------------
@@ -330,47 +355,6 @@ def _radial_leg(r_from: float, r_to: float, angle: float, lam: Lambda):
     return out
 
 
-def _lattice_radii(a: float, b: float, lam: Lambda):
-    """The lattice radii TRUNK_RATIO**k strictly between a and b, from a to b,
-    above TRUNK_FLOOR and outside the detour radius of lam.
-
-    Near lam the integrand is near-singular and one panel cannot integrate
-    an edge; a lattice radius there would only shorten the edge next to lam,
-    squeezing its share of the tolerance toward roundoff.  The exception is
-    lam = 1, where the base point is the branch point: the edges to the
-    radii TRUNK_RATIO**(+-1) are then the shared singular departures.
-    """
-    lo, hi = sorted((a, b))
-    lv = lam.value
-    gap = 0.0 if _at_branch(BASE_POINT, lam) else _detour_radius(complex(lv), lam)
-    log_q = math.log(TRUNK_RATIO)
-    ks = range(math.floor(math.log(lo) / log_q), math.ceil(math.log(hi) / log_q) + 1)
-    radii = [complex(r) for r in (TRUNK_RATIO ** k for k in ks)
-             if max(lo, TRUNK_FLOOR) < r < hi and abs(r - lv) >= gap]
-    return radii if a < b else radii[::-1]
-
-
-def _lattice_run(r_from: float, r_to: float, lam: Lambda):
-    """_radial_leg along the positive real axis, its straight stretches split
-    at the lattice radii inside them; the detour over lam and the run's own
-    endpoint stay vertices.  Two stretches stay one edge: one that ends at a
-    branch point (a target at lam), and the one leaving the base point when
-    the base point lies within the detour radius of lam but not at it.
-    Split, the edge next to lam would be too short for its share of the
-    tolerance to stay above the integrand's roundoff."""
-    lv = lam.value
-    base_near_lam = (not _at_branch(BASE_POINT, lam)
-                     and abs(1.0 - lv) < _detour_radius(complex(lv), lam))
-    out, prev = [], complex(r_from)
-    for z in _radial_leg(r_from, r_to, 0.0, lam):
-        if (prev.imag == 0.0 and z.imag == 0.0 and not near_branch(z, lam)
-                and not (base_near_lam and prev == BASE_POINT)):
-            out += _lattice_radii(prev.real, z.real, lam)
-        out.append(z)
-        prev = z
-    return out
-
-
 def _angular_leg(radius: float, a_from: float, a_to: float, lam: Lambda):
     """Chords of at most pi/32 on the circle |z| = radius from a_from to a_to
     (excluding start)."""
@@ -399,14 +383,11 @@ def route_vertices(target: complex, lam, *, winding: int = 0):
     at a branch-safe radius.  The winding about the origin of the returned
     route is exactly `winding`.
 
-    The positive real runs put their vertices on the lattice of radii
-    TRUNK_RATIO**k, keeping the detour over lam and the run's endpoint, so
-    the routes of different targets share their runs vertex for vertex and
-    one GK15 panel integrates each lattice edge.  If the sweep would pass
-    within a detour radius of lam it runs at a redirected radius on the side
-    of the base point, and a radial leg at the target's angle finishes the
-    route; only a route that detours around a branch point (or is redirected
-    past one) raises PathBlocked when the branch points crowd too closely.
+    If the sweep would pass within a detour radius of lam it runs at a
+    redirected radius on the side of the base point, and a radial leg at the
+    target's angle finishes the route; only a route that detours around a
+    branch point (or is redirected past one) raises PathBlocked when the
+    branch points crowd too closely.
     """
     lam = as_lambda(lam)
     target = complex(target)
@@ -434,14 +415,14 @@ def route_vertices(target: complex, lam, *, winding: int = 0):
         lv = lam.value
         center = -0.5 / lv
         radius = 0.5 * (lv + 1.0 / lv)
-        verts += _lattice_run(1.0, 0.5 * lv, lam)
+        verts += _radial_leg(1.0, 0.5 * lv, 0.0, lam)
         sgn = 1.0 if winding > 0 else -1.0
         taus = np.linspace(0.0, sgn * 2.0 * math.pi, 129)[1:]
         for _ in range(abs(winding)):
             verts += [center + radius * cmath.exp(1j * t) for t in taus]
-        verts += _lattice_run(0.5 * lv, rho_mid, lam)
+        verts += _radial_leg(0.5 * lv, rho_mid, 0.0, lam)
     else:
-        verts += _lattice_run(1.0, rho_mid, lam)
+        verts += _radial_leg(1.0, rho_mid, 0.0, lam)
     verts += _angular_leg(rho_mid, 0.0, phi_t, lam)
     if rho_mid != rho:
         verts += _radial_leg(rho_mid, rho, phi_t, lam)
@@ -476,103 +457,111 @@ class _Chains:
                 np.concatenate((out[anchor][None], steps[start:stop])), axis=0)[1:]
         return out
 
-    def edges(self, fn, w, lam: Lambda, where, branch_path):
-        """End roots and real integrals of fn(z, w) dz on the edge into every
-        vertex k > 0, continued from the root w[parent[k]] at its start.
-
-        Edges with no end at a finite branch point go through one
-        integrate_edges batch.  For the others branch_path(a, k) builds the
-        sheeted path of the edge from vertex a to vertex k, with its
-        singular-start and singular-end flags, for path_integral's
-        square-root substitution.  `where(k)` names the edge into vertex k
-        in errors.
-        """
-        z, parent = self.z, self.parent
-        at = _at_branch(z, lam)
-        special = at[1:] | at[parent[1:]]
-        regular = 1 + np.flatnonzero(~special)
-        w_end = w.copy()
-        vals = np.zeros((len(z), 3))
-        w_end[regular], vals[regular] = integrate_edges(
-            fn, z[parent[regular]], w[parent[regular]], z[regular], lam,
-            lambda j: where(regular[j]))
-        for k in 1 + np.flatnonzero(special):
-            with located(where(k)):
-                path, ss, se = branch_path(parent[k], k)
-                vals[k] = path_integral(path, fn, singular_start=ss, singular_end=se).real
-            w_end[k] = path.w_values[-1]
-        return w_end, vals
-
-    def integrals(self, fn, w, lam: Lambda, where):
-        """Real integrals of fn(z, w) dz from the root to every vertex, each
-        edge continued from the roots w already known at both its ends; fn
-        need not be odd in w."""
-        at = _at_branch(self.z, lam)
-
-        def branch_path(a, k):
-            path = SheetedPath([self.z[a], self.z[k]],
-                               [0j if at[a] else w[a], 0j if at[k] else w[k]], lam)
-            return path, at[a], at[k]
-
-        return self.accumulate(self.edges(fn, w, lam, where, branch_path)[1])
-
 
 def _at_branch(z, lam: Lambda):
     """Mask of the points within the snapping tolerance of a finite branch
     point: make_sheeted_path snaps such an end to the branch point, and
-    route_vertices lets such a target into the guard disk."""
+    route_vertices and the edge guards let such a point into the guard disk."""
     tol0 = 1e-12 * max(1.0, lam.value, 1.0 / lam.value)
     return np.min([np.abs(z - b) for b in branch_points(lam).finite], axis=0) <= tol0
 
 
-def _immerse_chains(lam: Lambda, norm: Normalization, tree: _Chains, where):
-    """Roots and sheet +1 positions of the vertices of a tree of straight
-    edges, rooted at the principal root of its vertex 0 (the base point, or
-    a cycle's first vertex).  Returns the flat arrays w and positions.
+def _ray(z, lam: Lambda, norm: Normalization, below=False):
+    """W and Psi at the points z, of shapes (n,) and (n, 3).
 
-    Every edge is continued from the principal root at its start, all in one
-    integrate_edges batch.  The nearest-root choice and Phi are odd in w, so
-    a vertex's sheet sign is the product of the per-edge flips from the root,
-    and an edge integral from the signed root is the sign times the one from
-    the principal root.  Positions are cumulative sums in chain order.  An
-    edge with an end at a finite branch point (leaving the base point at
-    lam = 1, or ending on a branch point) is built by make_sheeted_path and
-    integrated with the square-root substitution.  `where(k)` names the edge
-    into vertex k in errors.
+    W = sqrt(z - lam) sqrt(z) sqrt(z + 1/lam), each root principal, is a root
+    of the curve with cuts (0, lam) and (-inf, -1/lam).  With A = 2 R_F(z - lam,
+    z, z + 1/lam) and B = (2/3) R_D(z - lam, z + 1/lam, z), the integrals of
+    dt/W and dt/(t W) along the horizontal ray from z to +inf (DLMF 19.16,
+    19.29), Psi = s (-2 B - 2 W/z, 2 i W/z, -2 A) is an antiderivative of
+    Phi(z, W) off (-inf, lam], since d(w/z)/dz = (1 + z^2)/(2 z w) on the
+    curve.  Points on the real axis give the limits from above, or, where
+    `below` holds, from below: W, A and B conjugated.
+    """
+    z = np.asarray(z, dtype=complex) + 0.0     # imaginary parts -0.0 -> +0.0
+    x, y = z - lam.value, z + 1.0 / lam.value
+    w = np.sqrt(x) * np.sqrt(z) * np.sqrt(y)
+    rf, rd = _carlson(x, y, z)
+    w, rf, rd = (np.where(below, np.conj(v), v) for v in (w, rf, rd))
+    s = normalization_scale(norm)
+    return w, s * np.stack([-4.0 / 3.0 * rd - 2.0 * w / z, 2j * w / z, -4.0 * rf], axis=-1)
+
+
+def _edge_terms(za, zb, lam: Lambda, norm: Normalization, where):
+    """Sheet flips and real-axis crossing terms of the straight edges za -> zb.
+
+    Along an edge the continued root sigma W keeps its sign sigma, and Psi is
+    analytic, until the edge crosses the real axis at some x0 < lam (a point
+    on the axis counts as above it).  There sigma flips iff x0 lies on a cut
+    of W, and the edge integral sigma_b Psi(zb) - sigma_a Psi(za) gains the
+    term sigma_a Psi(x0 on za's side) - sigma_b Psi(x0 on zb's side).
+    Returns flip = sigma_b / sigma_a, shape (n,), and the terms for
+    sigma_a = 1, shape (n, 3).
+
+    An end point zb inside a branch guard disk (continue_sheet's guard), or
+    a crossing inside one, raises BranchTooClose unless that point is a
+    branch point (_at_branch).  `where(k)` names edge k in errors.
+    """
+    lv = lam.value
+    up_a, up_b = za.imag >= 0.0, zb.imag >= 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x0 = np.where(zb.imag == 0.0, zb.real,
+                      za.real + (zb.real - za.real) * (za.imag / (za.imag - zb.imag)))
+    x0 = np.where(up_a != up_b, x0, np.inf)
+    at_b = _at_branch(zb, lam)
+    on_branch = ((za.imag == 0.0) & _at_branch(za, lam)) | ((zb.imag == 0.0) & at_b)
+    for what, pts, bad in (("end point", zb, near_branch(zb, lam) & ~at_b),
+                           ("real-axis crossing", x0, near_branch(x0, lam) & ~on_branch)):
+        if bad.any():
+            k = np.flatnonzero(bad)[0]
+            b = min(branch_points(lam).finite, key=lambda p: abs(pts[k] - p))
+            raise BranchTooClose(f"{where(k)}: {what} {pts[k]} lies in the guard disk "
+                                 f"of branch point {b}")
+    cut = x0 < lv
+    flip = np.where(cut & ((x0 > 0.0) | (x0 < -1.0 / lv)), -1.0, 1.0)
+    term = np.zeros((len(za), 3), dtype=complex)
+    k = np.flatnonzero(cut)
+    if k.size:
+        (_, above), (_, under) = _ray(x0[k], lam, norm), _ray(x0[k], lam, norm, below=True)
+        f = flip[k, None]
+        term[k] = np.where(up_a[k, None], above - f * under, under - f * above)
+    return flip, term
+
+
+def _continue_edges(za, wa, zb, lam: Lambda, norm: Normalization, where):
+    """Continue (za, wa) along each straight edge to zb and integrate Phi dz
+    along it in closed form: the end roots, shape (n,), and the real
+    integrals, shape (n, 3).  Guards and `where` as in _edge_terms."""
+    za, wa, zb = (np.asarray(v, dtype=complex) for v in (za, wa, zb))
+    flip, term = _edge_terms(za, zb, lam, norm, where)
+    (root_a, psi_a), (root_b, psi_b) = _ray(za, lam, norm), _ray(zb, lam, norm)
+    sign = np.where(np.abs(wa - root_a) <= np.abs(wa + root_a), 1.0, -1.0)
+    vals = sign[:, None] * (flip[:, None] * psi_b - psi_a + term)
+    return sign * flip * root_b, vals.real
+
+
+def _immerse_chains(lam: Lambda, norm: Normalization, tree: _Chains, where):
+    """Roots and positions of the vertices of a tree of straight edges,
+    continued from the principal root at its vertex 0 (the base point, or a
+    cycle's first vertex).  Returns the flat arrays w and positions.
+
+    The root at vertex k is sign[k] W(z_k): the root's sign compares the
+    principal root with W (at lam = 1 both vanish at the base point, and W
+    is the +1 departure germ there), and each edge multiplies it by its
+    flip.  An edge's integral is its start sign times the closed-form
+    integral for sign 1, and positions are cumulative sums in chain order.
+    `where(k)` names the edge into vertex k in errors.
     """
     z, parent = tree.z, tree.parent
-    roots = principal_w(z, lam)
-    w_end, vals = tree.edges(weierstrass_integrand(norm), roots, lam, where,
-                             lambda a, k: make_sheeted_path([z[a], z[k]], lam))
-    flip = np.where(np.abs(w_end - roots) <= np.abs(w_end + roots), 1.0, -1.0)
+    roots, psi = _ray(z, lam, norm)
+    flip, term = _edge_terms(z[parent[1:]], z[1:], lam, norm, lambda j: where(j + 1))
+    w0 = principal_w(z[0], lam)
+    flip = np.concatenate(([1.0 if abs(w0 - roots[0]) <= abs(w0 + roots[0]) else -1.0], flip))
     sign = tree.accumulate(flip, np.multiply)
-    steps = sign[parent, None] * vals
-    steps[0] = 0.0
+    steps = np.zeros((len(z), 3))
+    steps[1:] = (flip[1:, None] * psi[1:] - psi[parent[1:]] + term).real
+    steps *= sign[parent, None]
     return sign * roots, tree.accumulate(steps)
-
-
-def _route_tree(routes) -> tuple:
-    """The union of routes from the base point as chains: (tree, ends, offsets).
-
-    A route follows the vertices that an earlier route already put in the
-    tree for as long as they match exactly (the shared trunk of lattice
-    radii, the detour over lam, the translation circuits), and its remaining
-    vertices form its chain, from route index offsets[c], hanging off the
-    last shared one.  ends[c] is the vertex where route c ends.
-    """
-    index, chains, ends, offsets = {}, [], [], []
-    n = 1
-    for route in routes:
-        node, i = 0, 1
-        while i < len(route) and (node, route[i]) in index:
-            node, i = index[node, route[i]], i + 1
-        chains.append((node, route[i:]))
-        offsets.append(i)
-        for z in route[i:]:
-            index[node, z] = n
-            node, n = n, n + 1
-        ends.append(node)
-    return _Chains(BASE_POINT, chains), np.array(ends, dtype=int), np.array(offsets, dtype=int)
 
 
 @functools.lru_cache(maxsize=256)
@@ -609,52 +598,34 @@ class SurfacePoint:
         object.__setattr__(self, "position", p)
 
 
-def _immerse_routes(lam: Lambda, norm: Normalization, targets, winding: int):
-    """The route tree of the targets, immersed on sheet +1: (tree, w, positions,
-    ends, where), with target c at vertex ends[c] of the tree.  where(k) names
-    the edge into vertex k by lam, the first target whose route holds it, the
-    winding, the edge and its quadrature tolerance."""
-    routes = [route_vertices(t, lam, winding=winding) for t in targets]
-    tree, ends, offsets = _route_tree(routes)
-    stops = tree.starts + tree.lens
-
-    def where(k) -> str:
-        c = int(np.searchsorted(stops, k, side="right"))
-        i = offsets[c] + k - tree.starts[c]
-        za, zb = routes[c][i - 1], routes[c][i]
-        return (f"lam = {lam.value!r}, target {targets[c]}, winding {winding}, route edge "
-                f"{za} -> {zb} (quadrature tolerance {TOL_PER_UNIT * abs(zb - za):.2e})")
-
-    w, pos = _immerse_chains(lam, norm, tree, where)
-    return tree, w, pos, ends, where
-
-
 def immerse(lam, norm: Normalization, targets, *, sheet_sign: int = +1,
             winding: int = 0) -> list[SurfacePoint]:
     """Immerse targets by integrating from the base point z0 = 1.
 
-    The routes of all targets (route_vertices, winding number `winding`
-    about the origin) form one tree for one _immerse_chains call: each route
-    follows the shared trunk (its positive real run on the lattice of radii,
-    the detour over lam and the translation circuits) as far as its vertices
-    match, and its own chain (spur to the sweep radius, angular leg, final
-    radial leg) hangs off its last shared vertex.  Every tree edge is an edge
-    of some target's route, integrated once per call.  Sheet +1 is seeded by
-    the principal root at z0 (by the +1 departure germ at lam = 1, where z0
-    is a branch point; the base point itself is then (1, 0), with image 0).
-    At lam = 1 the routes leave the base point along the two lattice edges
-    [1, TRUNK_RATIO] and [1, 1/TRUNK_RATIO], except that of a positive real
-    target strictly within one lattice step of 1, so a call integrates at
-    most two singular departures plus one per such target.  Sheet -1 is not
-    integrated: it returns the sheet partners (z, -w) at C - x, C the
-    sheet_connection.  Errors from a route edge name lam, the target, the
-    winding, the edge and its quadrature tolerance.
+    Each target's route (route_vertices, winding number `winding` about the
+    origin) is one chain off the base point, and all chains go through one
+    _immerse_chains call.  Sheet +1 is seeded by the principal root at z0
+    (at lam = 1, where z0 is a branch point, the base point itself is (1, 0)
+    with image 0).  Sheet -1 is not integrated: it returns the sheet
+    partners (z, -w) at C - x, C the sheet_connection.  Errors from a route
+    edge name lam, the target, the winding and the edge.
     """
     lam = as_lambda(lam)
     targets = [complex(t) for t in targets]
-    tree, w, pos, ends, _ = _immerse_routes(lam, norm, targets, winding)
+    routes = [route_vertices(t, lam, winding=winding) for t in targets]
+    tree = _Chains(BASE_POINT, [(0, route[1:]) for route in routes])
+    stops = tree.starts + tree.lens
+
+    def where(k) -> str:
+        c = int(np.searchsorted(stops, k, side="right"))
+        i = k - tree.starts[c] + 1
+        return (f"lam = {lam.value!r}, target {targets[c]}, winding {winding}, route edge "
+                f"{routes[c][i - 1]} -> {routes[c][i]}")
+
+    w, pos = _immerse_chains(lam, norm, tree, where)
     if sheet_sign < 0:
         pos, w = sheet_connection(lam, norm) - pos, -w
+    ends = np.where(tree.lens > 0, stops - 1, 0)
     return [SurfacePoint(pos[k], CurvePoint(tree.z[k], w[k], lam)) for k in ends]
 
 
@@ -697,11 +668,9 @@ def cycle_real_period(vertices, lam, norm: Normalization):
     """Real period of the lift of a closed polyline from the principal root at
     its first vertex; verifies that the lift closes.
 
-    The chords are one chain of _immerse_chains rooted at the first vertex:
-    one batched nearest-root step and GK15 panel per chord, the scalar
-    continue_sheet and adaptive path_integral only for a chord that needs
-    bisection or refinement.  A lift that does not close (the cycle encloses
-    an odd number of branch points) raises QuadratureFailure.
+    The chords are one chain of _immerse_chains rooted at the first vertex.
+    A lift that does not close (the cycle encloses an odd number of branch
+    points) raises QuadratureFailure.
     """
     lam = as_lambda(lam)
     verts = np.asarray(vertices, dtype=complex)
@@ -711,9 +680,7 @@ def cycle_real_period(vertices, lam, norm: Normalization):
                              f"a branch guard disk (radius {delta_branch(lam):.2e})")
 
     def where(k) -> str:
-        za, zb = verts[k - 1], verts[k]
-        return (f"lam = {lam.value!r}, cycle chord {za} -> {zb} "
-                f"(quadrature tolerance {TOL_PER_UNIT * abs(zb - za):.2e})")
+        return f"lam = {lam.value!r}, cycle chord {verts[k - 1]} -> {verts[k]}"
 
     w, pos = _immerse_chains(lam, norm, _Chains(verts[0], [(0, verts[1:])]), where)
     closure = abs(w[-1] - w[0])
@@ -736,8 +703,8 @@ def _period_vectors_cached(norm: Normalization) -> PeriodVector:
 def period_vectors(lam, norm: Normalization) -> PeriodVector:
     """The translation period T in closed form (the lift of the circle about
     -1/(2 lam) through the branch points 0 and -1/lam) and the companion
-    cycle's real period, integrated along the cycle's 256 chords in one
-    batch by cycle_real_period."""
+    cycle's real period, summed over the cycle's 256 chords in closed form
+    by cycle_real_period."""
     lam = as_lambda(lam)
     if norm.lam != lam:
         raise ValueError("normalization was built for a different family parameter")
@@ -820,15 +787,12 @@ def _half_offset_radii(r_min: float, r_max: float, n_rad: int, lam: Lambda):
 def _edge_locator(lam: Lambda, sheet_sign: int, z, a, b):
     """Describe edge k, from flat vertex a[k] to b[k] of the grid z."""
     n_col = z.shape[1]
-    zf = z.ravel()
 
     def where(k) -> str:
         (i, j), (i2, j2) = divmod(int(a[k]), n_col), divmod(int(b[k]), n_col)
         kind = "radial" if j == j2 else "angular"
-        tol = TOL_PER_UNIT * abs(zf[b[k]] - zf[a[k]])
         return (f"lam = {lam.value!r}, sheet {sheet_sign:+d}, {kind} grid edge "
-                f"({i}, {j}) -> ({i2}, {j2}) (edge quadrature tolerance {tol:.2e}, "
-                f"branch guard {delta_branch(lam):.2e})")
+                f"({i}, {j}) -> ({i2}, {j2}) (branch guard {delta_branch(lam):.2e})")
     return where
 
 
@@ -845,12 +809,9 @@ def immerse_grid(lam, norm: Normalization, *, r_min: float, r_max: float,
 
     The stem (base point -> radius 1 at the western angle -> vertex (0, 0)),
     the western column (radial edges, northward) and every row (angular
-    edges, eastward) are the chains of one _immerse_chains call: one batched
-    nearest-root step and GK15 panel per edge, with the scalar continue_sheet
-    and adaptive path_integral only for the few edges whose step needs
-    bisection or whose panel misses the tolerance.  Only sheet +1 is
-    integrated; sheet -1 is its sheet_partner.  Errors from an edge name
-    lam, the requested sheet, the edge and its tolerance.
+    edges, eastward) are the chains of one _immerse_chains call.  Only sheet
+    +1 is integrated; sheet -1 is its sheet_partner.  Errors from an edge
+    name lam, the requested sheet, the edge and the branch guard radius.
     """
     lam = as_lambda(lam)
     if n_ang % 2 != 0 or n_ang < 8 or n_rad < 2:
@@ -907,9 +868,9 @@ def radial_edge_alignment(grid_plus: GridImmersion,
     """Empirical radial-edge alignment for a pair of sheet grids.
 
     Rows whose radius interval straddles a branch modulus have their edges
-    continued and integrated by immerse_grid's batched edge primitive and
-    matched (by root value and by position modulo the translation period)
-    against both grids; a failed match raises.
+    continued and integrated in closed form (_continue_edges) and matched
+    (by root value and by position modulo the translation period) against
+    both grids; a failed match raises.
     """
     grids = {+1: grid_plus, -1: grid_minus}
     lam = grid_plus.lam
@@ -922,14 +883,13 @@ def radial_edge_alignment(grid_plus: GridImmersion,
              for s, g in grids.items()}
     period_k = {s: np.zeros((g.n_rad - 1, g.n_col), dtype=int)
                 for s, g in grids.items()}
-    fn = weierstrass_integrand(grid_plus.norm)
     n_col = grid_plus.n_col
     a = (np.array(bands, dtype=int)[:, None] * n_col + np.arange(n_col)).ravel()
     b = a + n_col
     for s, g in grids.items():
         zf, wf = g.z.ravel(), g.w.ravel()
         where = _edge_locator(lam, s, g.z, a, b)
-        w_end, vals = integrate_edges(fn, zf[a], wf[a], zf[b], lam, where)
+        w_end, vals = _continue_edges(zf[a], wf[a], zf[b], lam, g.norm, where)
         end = g.positions.reshape(-1, 3)[a] + vals
         tol = 1e-6 * np.maximum(1.0, np.linalg.norm(end, axis=1))
         hit_s = np.zeros(len(a), dtype=int)

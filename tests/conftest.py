@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -33,3 +34,20 @@ def grids_lambda1():
     norm = Normalization.paper(lam)
     return [immerse_grid(lam, norm, r_min=0.1, r_max=10.0, n_rad=24, n_ang=48,
                          sheet_sign=s, closed=True) for s in (+1, -1)]
+
+
+@pytest.fixture
+def refuse_quadrature(monkeypatch):
+    """A function that makes the reference quadrature's panels and the scalar
+    continuation raise, at every binding in the package's modules."""
+    from riemann_examples import quadrature
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("quadrature or scalar continuation reached")
+
+    def apply():
+        monkeypatch.setattr(quadrature, "_gk_panel", refuse)
+        for name, mod in list(sys.modules.items()):
+            if name.startswith("riemann_examples") and hasattr(mod, "continue_sheet"):
+                monkeypatch.setattr(mod, "continue_sheet", refuse)
+    return apply

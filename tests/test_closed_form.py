@@ -1,0 +1,269 @@
+"""The closed-form immersion against an independent oracle.
+
+The oracle shares no code with the package.  From w^2 = z (z - lam)(z + 1/lam)
+and the integrand alone, the Weierstrass integral on the root
+W = sqrt(z - lam) sqrt(z) sqrt(z + 1/lam) (principal roots) is
+
+    x = Re s (-2 B - 2 W/z, 2 i W/z, -2 A) + const,
+
+with A = 2 R_F(z - lam, z, z + 1/lam) and B = (2/3) R_D(z - lam, z + 1/lam, z)
+the integrals of dt/W and dt/(t W) along the horizontal ray from z to +inf
+(DLMF 19.16, 19.29), here mpmath's elliprf and elliprd at 30 digits.  The
+image of a lift (z, w) is then known modulo the translation period T and
+the sheet reflection x -> C - x, C = 2 x(lam); every check below accepts
+either class within 1e-12 max(1, |x|).
+"""
+
+import mpmath
+import numpy as np
+import pytest
+
+from riemann_examples import curve, weierstrass
+from riemann_examples.analysis import foliation_slices
+from riemann_examples.curve import Lambda
+from riemann_examples.errors import BranchTooClose
+from riemann_examples.mesh import build_mesh
+from riemann_examples.weierstrass import (
+    Normalization,
+    _continue_edges,
+    immerse,
+    immerse_grid,
+    normalization_scale,
+    period_vectors,
+    radial_edge_alignment,
+    sheet_connection,
+    vertical_end_spacing,
+)
+
+_LAMBDAS = [1e-3, 0.05, 0.5, 1.0 - 1e-6, 1.0, 1.0 + 1e-6, 2.0, 40.0, 1e3]
+
+
+class _Oracle:
+    """Images of lifts at one lam and scale s, at 30 digits."""
+
+    def __init__(self, lv, s):
+        with mpmath.workdps(30):
+            self.lam, self.s = mpmath.mpf(lv), mpmath.mpf(s)
+            self.cache = {}
+            w1, psi1 = self.ray(1.0)
+            w0 = mpmath.sqrt((1 - self.lam) * (1 + 1 / self.lam))
+            self.sigma0 = 1 if abs(w0 - w1) <= abs(w0 + w1) else -1
+            self.base = [self.sigma0 * p for p in psi1]
+            _, psi_lam = self.ray(float(lv))
+            self.c = np.array([float(2 * mpmath.re(self.sigma0 * p - q))
+                               for p, q in zip(psi_lam, self.base)])
+            m = 1 / (1 + self.lam ** 2)
+            k, e = mpmath.ellipk(m), mpmath.ellipe(m)
+            r = 2 / mpmath.sqrt(self.lam + 1 / self.lam)
+            t1 = -4 * r * (-k / self.lam + (self.lam + 1 / self.lam) * (k - e))
+            self.t = np.array([float(self.s * t1), 0.0, float(self.s * 4 * r * k)])
+
+    def ray(self, z):
+        """(W, Psi) at z; on the real axis the limit from above, at z + 1e-40 i."""
+        z = complex(z)
+        if z not in self.cache:
+            with mpmath.workdps(30):
+                zm = mpmath.mpc(z.real, z.imag if z.imag != 0.0 else mpmath.mpf("1e-40"))
+                x, y = zm - self.lam, zm + 1 / self.lam
+                w = mpmath.sqrt(x) * mpmath.sqrt(zm) * mpmath.sqrt(y)
+                a = 2 * mpmath.elliprf(x, zm, y)
+                b = 2 * mpmath.elliprd(x, y, zm) / 3
+                self.cache[z] = (w, [self.s * v for v in (-2 * b - 2 * w / zm,
+                                                         mpmath.mpc(0, 2) * w / zm, -2 * a)])
+        return self.cache[z]
+
+    def miss(self, z, w, x):
+        """Relative distance from x to the nearest oracle image of (z, w)."""
+        wz, psi = self.ray(z)
+        sigma = 1 if abs(w - complex(wz)) <= abs(w + complex(wz)) else -1
+        with mpmath.workdps(30):
+            image = {sg: np.array([float(mpmath.re(sg * p - q)) for p, q in zip(psi, self.base)])
+                     for sg in (sigma, -sigma)}
+        cands = [image[sigma], self.c - image[-sigma]]
+        gap = min(np.linalg.norm(x - c - n * self.t) for c in cands for n in range(-2, 3))
+        return gap / max(1.0, float(np.linalg.norm(x)))
+
+
+def _oracle(lam, norm):
+    return _Oracle(lam.value, normalization_scale(norm))
+
+
+def _targets(lv):
+    """Targets off and on the real axis (the cut (0, lam) and (-inf, -1/lam),
+    lam itself, -1), kept out of the branch guard disks."""
+    ts = [0.6 + 0.8j, -1.5 + 0.5j, 2.5 * np.exp(-2.9j), 0.7 * np.exp(-2j), 3.0 * np.exp(1.5j),
+          1.7 * lv * np.exp(0.2j), complex(lv), 0.5 * min(lv, 1.0), -2.0 / lv, -1.0]
+
+    def gap(t):
+        return min(abs(t - b) for b in (0.0, lv, -1.0 / lv))
+
+    return [t for t in ts if gap(t) == 0.0 or gap(t) > 1e-4 * max(1.0, lv, 1.0 / lv)]
+
+
+@pytest.mark.parametrize("lv", _LAMBDAS)
+def test_immerse_matches_the_elliptic_oracle(lv):
+    lam = Lambda(lv)
+    norm = Normalization.paper(lam)
+    oracle = _oracle(lam, norm)
+    targets = _targets(lv)
+    # at lam = 1e-3 the translation circuit leaves 0.5 lam = 5e-4 on the axis,
+    # inside the guard disk (radius 1e-3) of the branch point 0
+    windings = (0,) if lv == 1e-3 else (0, 1, -1)
+    for winding in windings:
+        for sheet in (+1, -1):
+            for t, p in zip(targets, immerse(lam, norm, targets, sheet_sign=sheet,
+                                             winding=winding)):
+                assert oracle.miss(t, p.source.w, p.position) <= 1e-12, (t, sheet, winding)
+
+
+def test_translation_circuit_at_small_lambda_is_refused():
+    lam = Lambda(1e-3)
+    with pytest.raises(BranchTooClose, match="winding 1"):
+        immerse(lam, Normalization.paper(lam), [0.6 + 0.8j], winding=1)
+
+
+@pytest.mark.parametrize("lv", _LAMBDAS)
+def test_grid_matches_the_elliptic_oracle(lv):
+    lam = Lambda(lv)
+    norm = Normalization.paper(lam)
+    if abs(lv - 1.0) == pytest.approx(1e-6):
+        # the base point lies in the guard disk of lam, and the stem leaves
+        # it across the axis
+        with pytest.raises(BranchTooClose, match="stem to grid vertex .* real-axis crossing"):
+            immerse_grid(lam, norm, r_min=1.0 / 40.0, r_max=40.0, n_rad=4, n_ang=8)
+        return
+    oracle = _oracle(lam, norm)
+    for sheet in (+1, -1):
+        grid = immerse_grid(lam, norm, r_min=1.0 / 40.0, r_max=40.0, n_rad=4, n_ang=8,
+                            sheet_sign=sheet, closed=True)
+        for z, w, x in zip(grid.z.ravel(), grid.w.ravel(), grid.positions.reshape(-1, 3)):
+            assert oracle.miss(z, w, x) <= 1e-12, (z, sheet)
+
+
+def test_coarse_grids_match_the_elliptic_oracle():
+    # at n_ang = 8 the seam chord of the ring |z| = 3.16 at lam = 0.35 crosses
+    # the axis 0.06 from the branch point -1/lam, where one nearest-root step
+    # along the chord lands on the wrong sheet (the scalar continuation puts
+    # vertex (4, 8) 0.29 off); at lam = 2 the ring |z| = 2.3 has a chord
+    # passing right of the branch point 2
+    for lv, r_min, r_max, n_rad in ((0.35, 0.1, 10.0, 6), (2.0, 1.0, 2.3 ** 2, 3)):
+        lam = Lambda(lv)
+        norm = Normalization.paper(lam)
+        oracle = _oracle(lam, norm)
+        for sheet in (+1, -1):
+            grid = immerse_grid(lam, norm, r_min=r_min, r_max=r_max, n_rad=n_rad, n_ang=8,
+                                sheet_sign=sheet, closed=True)
+            for z, w, x in zip(grid.z.ravel(), grid.w.ravel(), grid.positions.reshape(-1, 3)):
+                assert oracle.miss(z, w, x) <= 1e-12, (lv, z, sheet)
+
+
+# ---------------------------------------------------------------------------
+# near-singular edges, small lam and lam next to 1
+# ---------------------------------------------------------------------------
+
+def test_grid_edge_to_a_ring_near_zero(monkeypatch):
+    # the radial edge from |z| = 1 to |z| = 1e-5 at lam = 2, along which Phi
+    # grows like |z|^-3/2
+    monkeypatch.setattr(weierstrass, "_half_offset_radii", lambda *args: np.array([1.0, 1e-5]))
+    lam = Lambda(2.0)
+    norm = Normalization.paper(lam)
+    oracle = _oracle(lam, norm)
+    grid = immerse_grid(lam, norm, r_min=0.1, r_max=10.0, n_rad=2, n_ang=8)
+    for z, w, x in zip(grid.z.ravel(), grid.w.ravel(), grid.positions.reshape(-1, 3)):
+        assert oracle.miss(z, w, x) <= 1e-12, z
+
+
+@pytest.mark.parametrize("lv", [1.04e-5, 2e-5, 5e-5])
+def test_sheet_connection_at_small_lambda(lv):
+    # the one edge [1, lam] ends at a branch point within 1e-5 of the branch
+    # point 0
+    norm = Normalization.paper(lv)
+    c = sheet_connection(lv, norm)
+    ref = _oracle(Lambda(lv), norm).c
+    assert np.linalg.norm(c - ref) <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_mesh_builds_just_off_lambda_one():
+    # the stem leaves the base point 1.05e-6 from the branch point lam
+    lam = Lambda(1.0 + 1.05e-6)
+    norm = Normalization.paper(lam)
+    mesh = build_mesh(lam, norm, n_rad=8, n_ang=16)
+    assert np.all(np.isfinite(mesh.vertices))
+    oracle = _oracle(lam, norm)
+    grid = immerse_grid(lam, norm, r_min=1.0 / 40.0, r_max=40.0, n_rad=8, n_ang=16,
+                        closed=True)
+    for z, w, x in zip(grid.z.ravel(), grid.w.ravel(), grid.positions.reshape(-1, 3)):
+        assert oracle.miss(z, w, x) <= 1e-12, z
+
+
+def test_probe_immersions_just_off_lambda_one():
+    # 24 lam with 1e-6 < |lam - 1| < 3e-6, 3 targets each: every route
+    # leaves the base point next to the branch point lam
+    targets = [1000.0 * np.exp(-1.5j), 1.5 * np.exp(0.5j), 0.5 * np.exp(2j)]
+    for d in np.concatenate([-np.linspace(1.01e-6, 3e-6, 12), np.linspace(1.01e-6, 3e-6, 12)]):
+        lam = Lambda(1.0 + d)
+        norm = Normalization.paper(lam)
+        oracle = _oracle(lam, norm)
+        for t, p in zip(targets, immerse(lam, norm, targets)):
+            assert oracle.miss(t, p.source.w, p.position) <= 1e-12, (d, t)
+
+
+# ---------------------------------------------------------------------------
+# no quadrature and no scalar continuation
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("lv", [0.5, 1.0, 2.0])
+def test_immersion_runs_without_quadrature(refuse_quadrature, lv):
+    refuse_quadrature()
+    with pytest.raises(AssertionError, match="reached"):
+        curve.continue_sheet([1.0], 1.0, 0.5)
+    weierstrass._period_vectors_cached.cache_clear()
+    weierstrass._sheet_connection_cached.cache_clear()
+    lam = Lambda(lv)
+    norm = Normalization.paper(lam)
+    for sheet in (+1, -1):
+        immerse(lam, norm, [0.6 + 0.8j, -3.0, 0.3 * np.exp(-1j)], sheet_sign=sheet, winding=1)
+    period_vectors(lam, norm)
+    grids = [immerse_grid(lam, norm, r_min=0.1, r_max=10.0, n_rad=12, n_ang=24,
+                          sheet_sign=s, closed=True) for s in (+1, -1)]
+    radial_edge_alignment(*grids)
+    spacing = vertical_end_spacing(lam, norm)
+    assert len(foliation_slices(grids, spacing * np.array([0.3, 0.6]), min_points=4)) == 2
+
+
+# ---------------------------------------------------------------------------
+# guards of the closed-form edges
+# ---------------------------------------------------------------------------
+
+def test_edge_guards_refuse_crossings_near_a_branch_point():
+    lam = Lambda(2.0)
+    norm = Normalization.paper(lam)
+    w = complex(curve.principal_w(2.0 + 1e-6 + 0.5j, lam))
+
+    def where(k):
+        return f"edge {k}"
+
+    # crossing the axis 1e-6 from lam, inside the guard disk of radius 2e-6
+    with pytest.raises(BranchTooClose, match="edge 0: real-axis crossing"):
+        _continue_edges([2.0 + 1e-6 + 0.5j], [w], [2.0 + 1e-6 - 0.5j], lam, norm, where)
+    # ending there
+    with pytest.raises(BranchTooClose, match="edge 0: end point"):
+        _continue_edges([2.0 + 0.5j], [w], [2.0 + 1e-6j], lam, norm, where)
+    # leaving a branch point downward is no crossing near it: the root is
+    # the +1 departure germ, which is W about lam in every direction
+    wb, vals = _continue_edges([2.0], [0.0], [2.0 - 0.5j], lam, norm, where)
+    oracle = _oracle(lam, norm)
+    w_ref, _ = oracle.ray(2.0 - 0.5j)
+    assert abs(wb[0] - complex(w_ref)) <= 1e-15 * abs(wb[0])
+    x_lam = immerse(lam, norm, [2.0])[0].position
+    assert oracle.miss(2.0 - 0.5j, wb[0], x_lam + vals[0]) <= 1e-12
+
+
+def test_real_targets_are_taken_from_above():
+    # a target on the cut (0, lam) with imaginary part -0.0 is the same point
+    # as with +0.0: points on the real axis are limits from above
+    lam = Lambda(2.0)
+    norm = Normalization.paper(lam)
+    up, down = immerse(lam, norm, [complex(0.3, 0.0), complex(0.3, -0.0)])
+    assert np.array_equal(up.position, down.position) and up.source.w == down.source.w
+    assert _oracle(lam, norm).miss(0.3, down.source.w, down.position) <= 1e-12

@@ -268,17 +268,25 @@ def _scalar_cycle_period(vertices, lam, norm):
 
 
 @pytest.mark.parametrize("lv", [0.01, 0.1, 0.5, 1.0, 2.0, 10.0, 100.0])
-def test_batched_companion_period_matches_scalar_cycle(monkeypatch, lv):
+def test_batched_companion_period_matches_scalar_cycle(refuse_quadrature, lv):
     lam = Lambda(lv)
     norm = Normalization.paper(lam)
     verts = companion_cycle_vertices(lam)
     scalar = _scalar_cycle_period(verts, lam, norm)
-    fallbacks = _recording_fallbacks(monkeypatch)
-    batched = cycle_real_period(verts, lam, norm)
     t_norm = np.linalg.norm(period_vectors(lam, norm).translation)
+    refuse_quadrature()     # every chord is summed in closed form
+    batched = cycle_real_period(verts, lam, norm)
     assert np.max(np.abs(batched - scalar)) <= 1e-14 * t_norm
-    if lv in (0.5, 1.0, 2.0):
-        assert fallbacks == []     # every chord is one batched step and panel
+
+
+def test_cycle_period_where_the_principal_root_is_minus_w():
+    # the translation cycle started at -0.25 - 1.25i, where the principal
+    # root is -W: the closed-form lift starts with sign -1
+    lam = Lambda(2.0)
+    norm = Normalization.paper(lam)
+    cycle = -0.25 + 1.25 * np.exp(1j * np.linspace(-0.5 * math.pi, 1.5 * math.pi, 257))
+    ref = _scalar_cycle_period(cycle, lam, norm)
+    assert np.max(np.abs(cycle_real_period(cycle, lam, norm) - ref)) <= 1e-14 * np.linalg.norm(ref)
 
 
 def test_cycle_enclosing_one_branch_point_does_not_close():
@@ -382,10 +390,13 @@ def test_sheet_connection_lies_in_symmetry_locus():
         c = sheet_connection(lv, norm)
         assert np.linalg.norm(c - _branch_loop_connection(lv, norm)) <= 1e-12 * np.linalg.norm(c)
     assert np.allclose(sheet_connection(1.0, Normalization.paper(1.0)), 0.0)
-    # within the branch snapping tolerance of lam = 1 the route [1, lam] is
-    # the branch point itself, so C = 0 there too
+    # within the branch snapping tolerance of lam = 1 the closed form still
+    # separates the two base-point lifts: C = (0, 4 s sqrt((lam - 1)(1 + 1/lam)), 0)
     lv = 1.0 + 1e-13
-    assert np.array_equal(sheet_connection(lv, Normalization.paper(lv)), np.zeros(3))
+    norm = Normalization.paper(lv)
+    c2 = 4.0 * normalization_scale(norm) * math.sqrt((lv - 1.0) * (1.0 + 1.0 / lv))
+    c = sheet_connection(lv, norm)
+    assert abs(c[1] - c2) <= 1e-13 * c2 and np.max(np.abs(c[[0, 2]])) <= 1e-14
 
 
 def _phi_from_one_mpmath(t):
@@ -505,35 +516,10 @@ def test_route_is_deterministic():
     assert np.array_equal(np.asarray(v1), np.asarray(v2))
 
 
-def test_route_runs_lie_on_the_lattice_of_radii():
-    from riemann_examples.weierstrass import TRUNK_FLOOR, TRUNK_RATIO as q
-
-    def lattice(z):
-        k = round(math.log(z.real) / math.log(q))
-        return z.imag == 0.0 and z.real == q ** k and z.real > TRUNK_FLOOR
-
-    # 1 -> 3 over lam = 2: lattice radii, the detour entry 1.75 and exit 2.25
-    # (no lattice radius within the detour radius 0.25 of lam), then the sweep
-    route = route_vertices(3.0 * np.exp(1j), Lambda(2.0))
-    run = route[1:route.index(3.0 + 0j)]
-    assert [z for z in run if not lattice(z)] == run[run.index(1.75):run.index(2.25) + 1]
-    assert all(abs(z - 2.0) >= 0.25 for z in run if lattice(z))
-    # the base point leaves through 1/q at lam = 1 only; next to lam the
-    # stretch leaving it is one edge
-    assert route_vertices(0.5j, Lambda(1.0))[1] == 1.0 / q
-    assert route_vertices(0.5j, Lambda(1.0 + 1e-6))[1] == 0.5
-    assert route_vertices(0.5j, Lambda(1.1))[1] == 0.5
-    assert route_vertices(0.5j, Lambda(1.2))[1] == q ** -1
-    # no lattice radius at or below the floor
-    route = route_vertices(0.004 + 0.0j, Lambda(0.5))
-    assert route[-2] == min(q ** k for k in range(-60, 0) if q ** k > TRUNK_FLOOR)
-
-
 def test_routes_just_off_lambda_one_leave_the_base_point_in_one_edge():
     # 1e-6 < |lam - 1| < 3e-6: the base point sits just outside the guard
-    # disk of lam.  Split at a lattice radius, the edge leaving it is too
-    # short for its tolerance to stay above roundoff and the call fails;
-    # whole, it is the first edge of the radial leg without the lattice.
+    # disk of lam, and the route leaves it along the first edge of its radial
+    # leg
     from riemann_examples.weierstrass import _radial_leg
 
     targets = [1000.0 * np.exp(-1.5j), 1.5 * np.exp(0.5j), 0.5 * np.exp(2j)]
@@ -541,7 +527,7 @@ def test_routes_just_off_lambda_one_leave_the_base_point_in_one_edge():
         lam = Lambda(1.0 + d)
         for t in targets:
             assert route_vertices(t, lam)[1] == _radial_leg(1.0, abs(t), 0.0, lam)[0]
-    # the calls that failed with the split edge
+    # immersions along that first edge
     for d, ts in ((1.01e-6, targets[2:]), (1.191e-6, targets[2:]), (-1.01e-6, targets[:2]),
                   (-1.191e-6, targets[:2]), (-1.372e-6, targets[:2])):
         lam = Lambda(1.0 + d)
@@ -597,10 +583,11 @@ def _scalar_immerse(lam, norm, target, winding, sheet_sign):
 def test_batched_immerse_matches_scalar_routes(lv, winding, sheet):
     # the branch point lam, the base point, a real target past lam (whose
     # route detours over lam, except at lam = 1), a target near the end 0,
-    # targets sharing a radius on either side of 1 (their routes share the
-    # lattice trunk), positive real targets off lam (one below the lattice
-    # floor), and a target within a detour radius of lam, whose sweep is
-    # redirected
+    # targets sharing a radius on either side of 1, positive real targets
+    # off lam, and a target within a detour radius of lam, whose sweep is
+    # redirected.  The scalar reference is good to about 1e-12 relative: at
+    # lam = 100, sheet -1, its image of the base point is 1.19e-12 off the
+    # exact x2 = 4 s sqrt((lam - 1)(1 + 1/lam)) at |x| = 400.
     lam = Lambda(lv)
     norm = Normalization.paper(lam)
     targets = [complex(lv), 1.0 + 0.0j, complex(lv * (1.5 if lv >= 1.0 else 0.5)),
@@ -610,67 +597,30 @@ def test_batched_immerse_matches_scalar_routes(lv, winding, sheet):
     points = immerse(lam, norm, targets, sheet_sign=sheet, winding=winding)
     for target, sp in zip(targets, points):
         pos, w = _scalar_immerse(lam, norm, target, winding, sheet)
-        assert np.max(np.abs(sp.position - pos)) <= 1e-12, target
+        assert np.max(np.abs(sp.position - pos)) <= 1e-12 * max(1.0, np.linalg.norm(pos)), target
         assert abs(sp.source.w - w) <= 1e-14 * abs(w), target
 
 
-def _recording_departures(monkeypatch):
-    """Count the singular-start integrals made during each call of the
-    returned immerse."""
-    from riemann_examples import weierstrass
-    total, calls = [0], []
-    integral_original, immerse_original = weierstrass.path_integral, weierstrass.immerse
-
-    def recording_integral(path, fn, *, singular_start=False, singular_end=False):
-        total[0] += bool(singular_start)
-        return integral_original(path, fn, singular_start=singular_start,
-                                 singular_end=singular_end)
+def test_symmetry_suite_routes_stay_in_the_batch(monkeypatch, refuse_quadrature):
+    # the CLI symmetry suite at lam = 0.5, 1, 2 makes three immerse calls per
+    # lam, each immersing all its routes in closed form, with no quadrature
+    # and no scalar continuation (at lam = 1 too, where the routes leave the
+    # branch point 1)
+    from riemann_examples import analysis, cli
+    calls = []
 
     def recording_immerse(*args, **kwargs):
-        before = total[0]
-        points = immerse_original(*args, **kwargs)
-        calls.append(total[0] - before)
-        return points
+        calls.append(len(args[2]))
+        return immerse(*args, **kwargs)
 
-    monkeypatch.setattr(weierstrass, "path_integral", recording_integral)
-    return calls, recording_immerse
-
-
-def test_routes_at_lambda_one_share_two_singular_departures(monkeypatch):
-    # at lam = 1 the base point is a branch point: the routes leave it along
-    # the lattice edges [1, q] and [1, 1/q] only, whatever the targets
-    from riemann_examples.weierstrass import TRUNK_RATIO
-    calls, recording_immerse = _recording_departures(monkeypatch)
-    lam = Lambda(1.0)
-    norm = Normalization.paper(lam)
-    targets = [0.3 * np.exp(1j * a) for a in (0.5, 2.0, -1.0)] + \
-              [1.05 * np.exp(1j * a) for a in (0.3, -2.0)] + \
-              [-1.0, 0.95j, 0.9 * np.exp(2.5j), 3.0 * np.exp(1.5j), 3.0, 0.5, TRUNK_RATIO]
-    for winding in (0, 1, -1):
-        recording_immerse(lam, norm, targets, winding=winding)
-    assert calls == [2, 1, 1]
-    # a positive real target within one lattice step of 1 has its own
-    recording_immerse(lam, norm, targets + [1.05], winding=0)
-    assert calls[-1] == 3
-
-
-def test_symmetry_suite_routes_stay_in_the_batch(monkeypatch):
-    # the CLI symmetry suite at lam = 0.5, 1, 2: the route edges on the
-    # lattice trunk meet the tolerance with one GK15 panel, so few edges take
-    # the scalar fallback (90 of them did, most of them long radial legs,
-    # when each radial leg was one edge), and each immerse call at lam = 1
-    # integrates at most two singular departures
-    from riemann_examples import analysis, cli
-    fallbacks = _recording_fallbacks(monkeypatch)
-    calls, recording_immerse = _recording_departures(monkeypatch)
     monkeypatch.setattr(cli, "immerse", recording_immerse)
     monkeypatch.setattr(analysis, "immerse", recording_immerse)
     rng = np.random.default_rng(0)
+    refuse_quadrature()
     for lv in (0.5, 1.0, 2.0):
         calls.clear()
         cli._suite_symmetry(Lambda(lv), rng)
-        assert len(calls) == 3 and max(calls) <= (2 if lv == 1.0 else 0)
-    assert len(fallbacks) <= 40
+        assert len(calls) == 3
 
 
 @pytest.mark.parametrize("sheet", [+1, -1])
@@ -688,31 +638,31 @@ def test_routes_at_small_lambda_match_x2_closed_form(sheet):
         assert abs(sp.position[1] - x2) <= 1e-10, target
 
 
-@pytest.mark.parametrize("cap, value, error, target, winding", [
-    ("MAX_PANELS", 1, "QuadratureFailure", 2.2 * np.exp(0.05j), 0),
-    ("MAX_PANELS", 1, "QuadratureFailure", 2.2 * np.exp(0.05j), 1),
-    ("MAX_BISECTION_DEPTH", 0, "AmbiguousSheet", -0.5 + 0.002j, 0),
-], ids=["panels-winding0", "panels-winding1", "bisections"])
-def test_route_errors_name_lambda_target_winding_edge_and_tolerance(
-        monkeypatch, cap, value, error, target, winding):
-    # the sweep of 2.2 e^{0.05 i} is redirected inside lam = 2, and its final
-    # radial leg, passing 0.11 from lam, needs more than one panel; the last
-    # chord of the sweep to -0.5 + 0.002i, ending 0.002 from the branch point
-    # -1/lam, needs bisection
-    from riemann_examples import curve, errors, quadrature
-    monkeypatch.setattr(quadrature if cap == "MAX_PANELS" else curve, cap, value)
+@pytest.mark.parametrize("delta, target, winding", [
+    (0.3, 2.2 * np.exp(0.05j), 0),
+    (0.3, 2.2 * np.exp(0.05j), 1),
+    (0.01, -0.5 + 0.002j, 0),
+], ids=["guard-winding0", "guard-winding1", "guard-end"])
+def test_route_errors_name_lambda_target_winding_and_edge(monkeypatch, delta, target, winding):
+    # with the edge guard widened, the redirected route of 2.2 e^{0.05 i}
+    # (its detour and final radial leg pass within 0.3 of lam = 2) and the
+    # last chord of the sweep to -0.5 + 0.002i (ending 0.002 from the branch
+    # point -1/lam) end inside a guard disk; route_vertices keeps its own guard
+    from riemann_examples import quadrature
+    from riemann_examples.errors import BranchTooClose
+    monkeypatch.setattr(quadrature, "delta_branch", lambda lam: delta)
     lam = Lambda(2.0)
-    with pytest.raises(getattr(errors, error)) as err:
+    with pytest.raises(BranchTooClose) as err:
         immerse(lam, Normalization.paper(lam), [target], winding=winding)
-    m = re.match(r"lam = 2.0, target (\S+), winding (\d+), route edge (\S+) -> (\S+) "
-                 r"\(quadrature tolerance (\S+)\): ", str(err.value))
+    m = re.match(r"lam = 2.0, target (\S+), winding (\d+), route edge (\S+) -> (\S+): "
+                 r"end point (\S+) lies in the guard disk of branch point (\S+)$", str(err.value))
     assert m, str(err.value)
     assert complex(m[1]) == target and int(m[2]) == winding
-    # the named edge is an edge of the target's route, with its own tolerance
+    # the named edge is an edge of the target's route, ending in the guard
     za, zb = complex(m[3]), complex(m[4])
     route = route_vertices(target, lam, winding=winding)
     assert (za, zb) in zip(route[:-1], route[1:])
-    assert float(m[5]) == pytest.approx(1e-10 * abs(zb - za), rel=1e-2)
+    assert complex(m[5]) == zb and abs(zb - complex(m[6])) < delta
 
 
 # ---------------------------------------------------------------------------
@@ -772,52 +722,6 @@ def test_batched_grid_matches_scalar_chain_loop(lv, sheet):
     _assert_matches_scalar(grid)
 
 
-def _recording_fallbacks(monkeypatch):
-    """Record (za, wa, zb) of every edge that integrate_edges hands to the
-    scalar continue_sheet."""
-    from riemann_examples import quadrature
-    calls = []
-    original = quadrature.continue_sheet
-
-    def recording(vertices, w_start, lam):
-        calls.append((complex(vertices[0]), complex(w_start), complex(vertices[-1])))
-        return original(vertices, w_start, lam)
-
-    monkeypatch.setattr(quadrature, "continue_sheet", recording)
-    return calls
-
-
-def test_batched_grid_fallback_edges_match_scalar(monkeypatch):
-    # at n_ang = 8 some edges need bisection and some need GK refinement;
-    # both go through the scalar continue_sheet and path_integral
-    scalar_edges = _recording_fallbacks(monkeypatch)
-    # at lam = 2 the ring |z| = 2.3 has a chord passing right of the branch
-    # point 2, where a single nearest-root step picks the wrong root
-    for lv, r_min, r_max, n_rad in ((0.35, 0.1, 10.0, 6), (2.0, 1.0, 2.3 ** 2, 3)):
-        lam = Lambda(lv)
-        scalar_edges.clear()
-        for sheet in (+1, -1):
-            grid = immerse_grid(lam, Normalization.paper(lam), r_min=r_min, r_max=r_max,
-                                n_rad=n_rad, n_ang=8, sheet_sign=sheet, closed=True)
-            _assert_matches_scalar(grid)
-        bisected = [len(continue_sheet([za, zb], wa, lam)) > 2 for za, wa, zb in scalar_edges]
-        assert any(bisected) and not all(bisected)
-
-
-def test_fallback_edges_are_continued_once(monkeypatch):
-    # each of the 24 edges of this grid that fail the one-step separation
-    # test or the one-panel tolerance is continued by continue_sheet exactly
-    # once, and that path is the one integrated (continuing the bisected
-    # edges again to integrate them took 43 calls)
-    calls = _recording_fallbacks(monkeypatch)
-    lam = Lambda(2.0)
-    immerse_grid(lam, Normalization.paper(lam), r_min=1.0, r_max=2.3 ** 2, n_rad=3, n_ang=8,
-                 closed=True)
-    edges = [(za, zb) for za, _, zb in calls]
-    assert any(len(continue_sheet([za, zb], wa, lam)) > 2 for za, wa, zb in calls)
-    assert len(set(edges)) == len(edges) == 24
-
-
 def test_grid_branch_guard_raises_where_scalar_guard_does(monkeypatch):
     from riemann_examples import quadrature, weierstrass
     from riemann_examples.curve import delta_branch
@@ -853,18 +757,19 @@ def test_grid_branch_guard_raises_where_scalar_guard_does(monkeypatch):
         _scalar_grid(lam, norm, np.array([0.5, 1e-8]), angles, -1)
 
 
-@pytest.mark.parametrize("cap, error", [("MAX_PANELS", "QuadratureFailure"),
-                                        ("MAX_BISECTION_DEPTH", "AmbiguousSheet")])
-def test_grid_edge_errors_name_lambda_sheet_edge_and_tolerance(monkeypatch, cap, error):
-    # the radial edge from |z| = 1 to |z| = 1e-5 needs deep bisection and many
-    # panels; lowered caps make it fail quickly while the stem still passes
-    from riemann_examples import curve, errors, quadrature, weierstrass
+@pytest.mark.parametrize("sheet", [+1, -1])
+def test_grid_edge_errors_name_lambda_sheet_edge_and_guard(monkeypatch, sheet):
+    # the ring |z| = 1e-5 lies in the guard disk of 0 once the edge guard is
+    # widened to 2e-5 (the default 2e-6 lets this grid build); the stem and
+    # the ring |z| = 1 pass
+    from riemann_examples import quadrature, weierstrass
+    from riemann_examples.errors import BranchTooClose
     monkeypatch.setattr(weierstrass, "_half_offset_radii", lambda *args: np.array([1.0, 1e-5]))
-    monkeypatch.setattr(quadrature if cap == "MAX_PANELS" else curve, cap, 2)
+    monkeypatch.setattr(quadrature, "delta_branch", lambda lam: 2e-5)
     lam = Lambda(2.0)
-    with pytest.raises(getattr(errors, error)) as err:
+    with pytest.raises(BranchTooClose) as err:
         immerse_grid(lam, Normalization.paper(lam), r_min=0.1, r_max=10.0,
-                     n_rad=2, n_ang=8, sheet_sign=+1)
+                     n_rad=2, n_ang=8, sheet_sign=sheet)
     msg = str(err.value)
-    assert "lam = 2.0, sheet +1, radial grid edge (0, 0) -> (1, 0)" in msg
-    assert "quadrature tolerance 1.00e-10" in msg
+    assert f"lam = 2.0, sheet {sheet:+d}, radial grid edge (0, 0) -> (1, 0)" in msg
+    assert "lies in the guard disk of branch point 0j" in msg
