@@ -107,6 +107,17 @@ def verify_curvature_bound(lam, grid: CurvatureGrid | None = None) -> CurvatureB
     """Grid maximum of |K| on the normalized family over the large annulus,
     checked against the closed-form supremum max_abs_curvature.
 
+    Every node z = r e^(i theta) is evaluated in real polar arithmetic: by
+    the law of cosines |z - lam|^2 = r^2 + lam^2 - 2 lam r cos(theta) and
+    |z + 1/lam|^2 = r^2 + 1/lam^2 + (2 r / lam) cos(theta), so |K|^2 is
+    proportional to their product times (1 / (r (r + 1/r)^4))^2, with no
+    square root and no complex value.  The
+    rings whose maximum lies within 1e-12 (relative) of the largest are then
+    re-evaluated exactly by abs_gauss_curvature on the complex nodes, and
+    max_abs_k and argmax (the first maximal node in grid order) are taken
+    there.  Rounding moves the polar values by far less than 1e-12 near the
+    maximum, so this equals the exact evaluation of the whole grid.
+
     max_abs_k and argmax are the grid's; refined_max is the supremum and
     refined_argmax the one of +-i in the grid argmax's half-plane.  Raises
     RiemannFamilyError if the grid maximum exceeds the supremum by more than
@@ -115,9 +126,17 @@ def verify_curvature_bound(lam, grid: CurvatureGrid | None = None) -> CurvatureB
     lam = as_lambda(lam)
     grid = grid or CurvatureGrid()
     norm = Normalization.paper(lam)
+    lv = lam.value
     logr = np.linspace(math.log(grid.r_min), math.log(grid.r_max), grid.n_rad)
     theta = np.linspace(-math.pi, math.pi, grid.n_ang, endpoint=False)
-    z = np.exp(logr[:, None] + 1j * theta[None, :])
+    r, cos = np.exp(logr), np.cos(theta)
+    rc = r[:, None]
+    pq = rc * rc + lv * lv - (2.0 * lv * rc) * cos            # |z - lam|^2
+    pq *= rc * rc + 1.0 / (lv * lv) + (2.0 * rc / lv) * cos   # times |z + 1/lam|^2
+    h = 1.0 / (r * (r + 1.0 / r) ** 4)
+    ring_max = pq.max(axis=1) * (h * h)
+    rows = np.flatnonzero(ring_max >= ring_max.max() * (1.0 - 1e-12))
+    z = np.exp(logr[rows, None] + 1j * theta[None, :])
     k = abs_gauss_curvature(z, lam, norm)
     idx = np.unravel_index(np.argmax(k), k.shape)
     zmax = complex(z[idx])

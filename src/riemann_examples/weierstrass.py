@@ -498,9 +498,12 @@ def _edge_terms(za, zb, lam: Lambda, norm: Normalization, where):
     Returns flip = sigma_b / sigma_a, shape (n,), and the terms for
     sigma_a = 1, shape (n, 3).
 
-    An end point zb inside a branch guard disk (continue_sheet's guard), or
-    a crossing inside one, raises BranchTooClose unless that point is a
-    branch point (_at_branch).  `where(k)` names edge k in errors.
+    An end point zb inside a branch guard disk (continue_sheet's guard)
+    raises BranchTooClose unless it is a branch point (_at_branch); so does
+    a crossing inside one, unless it is an end point on the axis (imag 0.0),
+    where x0 is that end point exactly, its side is exact and Psi is the
+    closed form (e.g. the base point 1 at lam near 1).  `where(k)` names
+    edge k in errors.
     """
     lv = lam.value
     up_a, up_b = za.imag >= 0.0, zb.imag >= 0.0
@@ -508,10 +511,9 @@ def _edge_terms(za, zb, lam: Lambda, norm: Normalization, where):
         x0 = np.where(zb.imag == 0.0, zb.real,
                       za.real + (zb.real - za.real) * (za.imag / (za.imag - zb.imag)))
     x0 = np.where(up_a != up_b, x0, np.inf)
-    at_b = _at_branch(zb, lam)
-    on_branch = ((za.imag == 0.0) & _at_branch(za, lam)) | ((zb.imag == 0.0) & at_b)
-    for what, pts, bad in (("end point", zb, near_branch(zb, lam) & ~at_b),
-                           ("real-axis crossing", x0, near_branch(x0, lam) & ~on_branch)):
+    at_end = (za.imag == 0.0) | (zb.imag == 0.0)
+    for what, pts, bad in (("end point", zb, near_branch(zb, lam) & ~_at_branch(zb, lam)),
+                           ("real-axis crossing", x0, near_branch(x0, lam) & ~at_end)):
         if bad.any():
             k = np.flatnonzero(bad)[0]
             b = min(branch_points(lam).finite, key=lambda p: abs(pts[k] - p))

@@ -194,6 +194,34 @@ def test_max_curvature_symmetric_in_reciprocal_parameter():
     assert a.refined_max == pytest.approx(b.refined_max, rel=1e-9)
 
 
+def _complex_grid_max(lam, grid):
+    """|K| on every complex node of the grid; the first maximal node."""
+    logr = np.linspace(math.log(grid.r_min), math.log(grid.r_max), grid.n_rad)
+    theta = np.linspace(-math.pi, math.pi, grid.n_ang, endpoint=False)
+    z = np.exp(logr[:, None] + 1j * theta[None, :])
+    k = abs_gauss_curvature(z, lam, Normalization.paper(lam))
+    idx = np.unravel_index(np.argmax(k), k.shape)
+    return float(k[idx]), complex(z[idx])
+
+
+def _assert_polar_grid_is_the_complex_grid(lam, grid):
+    report = verify_curvature_bound(lam, grid)
+    assert (report.max_abs_k, report.argmax) == _complex_grid_max(lam, grid)
+    assert report.max_abs_k <= max_abs_curvature(lam, Normalization.paper(lam)) * (1.0 + 1e-12)
+
+
+@settings(max_examples=150, deadline=None)
+@given(log_lam=st.floats(-6.0, 6.0), n_rad=st.integers(1, 48), n_ang=st.integers(1, 48))
+def test_polar_grid_equals_the_complex_grid(log_lam, n_rad, n_ang):
+    _assert_polar_grid_is_the_complex_grid(Lambda(10.0 ** log_lam),
+                                           CurvatureGrid(n_rad=n_rad, n_ang=n_ang))
+
+
+@pytest.mark.parametrize("lv", [0.5, 1.0, 2.0])
+def test_default_polar_grid_equals_the_complex_grid(lv):
+    _assert_polar_grid_is_the_complex_grid(Lambda(lv), CurvatureGrid())
+
+
 # ---------------------------------------------------------------------------
 # symmetries
 # ---------------------------------------------------------------------------

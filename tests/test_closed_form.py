@@ -126,12 +126,6 @@ def test_translation_circuit_at_small_lambda_is_refused():
 def test_grid_matches_the_elliptic_oracle(lv):
     lam = Lambda(lv)
     norm = Normalization.paper(lam)
-    if abs(lv - 1.0) == pytest.approx(1e-6):
-        # the base point lies in the guard disk of lam, and the stem leaves
-        # it across the axis
-        with pytest.raises(BranchTooClose, match="stem to grid vertex .* real-axis crossing"):
-            immerse_grid(lam, norm, r_min=1.0 / 40.0, r_max=40.0, n_rad=4, n_ang=8)
-        return
     oracle = _oracle(lam, norm)
     for sheet in (+1, -1):
         grid = immerse_grid(lam, norm, r_min=1.0 / 40.0, r_max=40.0, n_rad=4, n_ang=8,
@@ -196,6 +190,21 @@ def test_mesh_builds_just_off_lambda_one():
         assert oracle.miss(z, w, x) <= 1e-12, z
 
 
+@pytest.mark.parametrize("d", [-3e-6, -9.1e-7, -1e-7, 1e-7, 9.1e-7, 3e-6])
+def test_grids_are_continuous_through_lambda_one(d):
+    # the base point 1 lies within |d| of the branch point lam, inside its
+    # guard disk for |d| < 2e-6, and the stem leaves it across the axis
+    lam = Lambda(1.0 + d)
+    norm = Normalization.paper(lam)
+    oracle = _oracle(lam, norm)
+    for sheet in (+1, -1):
+        grid = immerse_grid(lam, norm, r_min=1.0 / 40.0, r_max=40.0, n_rad=4, n_ang=8,
+                            sheet_sign=sheet, closed=True)
+        for z, w, x in zip(grid.z.ravel(), grid.w.ravel(), grid.positions.reshape(-1, 3)):
+            assert oracle.miss(z, w, x) <= 1e-12, (z, sheet)
+    assert np.all(np.isfinite(build_mesh(lam, norm, n_rad=8, n_ang=16).vertices))
+
+
 def test_probe_immersions_just_off_lambda_one():
     # 24 lam with 1e-6 < |lam - 1| < 3e-6, 3 targets each: every route
     # leaves the base point next to the branch point lam
@@ -257,6 +266,13 @@ def test_edge_guards_refuse_crossings_near_a_branch_point():
     assert abs(wb[0] - complex(w_ref)) <= 1e-15 * abs(wb[0])
     x_lam = immerse(lam, norm, [2.0])[0].position
     assert oracle.miss(2.0 - 0.5j, wb[0], x_lam + vals[0]) <= 1e-12
+    # nor is leaving a regular point of the cut inside the disk: the crossing
+    # is that end point exactly, where the sheet flips
+    za = 2.0 - 1e-6
+    wa, psi_a = oracle.ray(za)
+    x_a = np.array([float(mpmath.re(p - q)) for p, q in zip(psi_a, oracle.base)])
+    wb, vals = _continue_edges([za], [complex(wa)], [za - 0.5j], lam, norm, where)
+    assert oracle.miss(za - 0.5j, wb[0], x_a + vals[0]) <= 1e-12
 
 
 def test_real_targets_are_taken_from_above():
