@@ -7,6 +7,10 @@ branch modulus, cells past the branch crossing take their upper corners
 from the other sheet's grid, so triangles never bridge the two sheets
 incorrectly near a branch point.  Further copies are exact translates by
 the period vector T.
+
+The ASCII OBJ/PLY writers format each distinct normal component and |K|
+value once per file: both depend on z alone, so both sheets and every copy
+repeat them.  Positions, nearly all distinct, are formatted chunk by chunk.
 """
 
 from __future__ import annotations
@@ -89,10 +93,10 @@ def triangle_areas(mesh: SurfaceMesh) -> np.ndarray:
 
 
 def euler_characteristic(mesh: SurfaceMesh) -> int:
-    edges = set()
-    for tri in mesh.triangles:
-        for e in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
-            edges.add((min(e), max(e)))
+    """V - E + F, with E the distinct unordered vertex pairs of triangle sides."""
+    t = mesh.triangles
+    sides = np.sort(np.stack([t, np.roll(t, -1, axis=1)], axis=-1).reshape(-1, 2), axis=1)
+    edges = np.unique(sides[:, 0] * mesh.n_vertices + sides[:, 1])
     return mesh.n_vertices - len(edges) + mesh.n_triangles
 
 
@@ -188,6 +192,11 @@ def export(mesh: SurfaceMesh, fmt: str, path) -> None:
     """Write the mesh as ASCII OBJ (v/vn/f) or PLY 1.0 (with |K| as quality).
 
     Output is deterministic: identical meshes produce byte-identical files.
+    Every float is written with %.17g.  The normals and |K| depend on z
+    alone, so both sheets and every translated copy repeat them: each
+    distinct value (by bit pattern, so -0.0 and 0.0 stay apart) is formatted
+    once per export, and so is each vertex's index token of the face rows.
+    Rows are written EXPORT_CHUNK at a time.
     """
     writers = {"obj": _obj_text, "ply": _ply_text}
     fmt = fmt.lower()
@@ -197,20 +206,39 @@ def export(mesh: SurfaceMesh, fmt: str, path) -> None:
         fh.writelines(writers[fmt](mesh))
 
 
-def _rows(row: str, values):
-    """Lines `row % values[r]`, one per row r of a 2-d array, formatted by
-    one %-operation per EXPORT_CHUNK rows."""
-    values = np.asarray(values)
-    for lo in range(0, len(values), EXPORT_CHUNK):
-        chunk = values[lo:lo + EXPORT_CHUNK]
-        yield (row + "\n") * len(chunk) % tuple(chunk.ravel().tolist())
+def _lines(row: str, values) -> str:
+    """Lines `row % values[r]`, one per row r of a 2-d array, formatted by one
+    %-operation."""
+    return (row + "\n") * len(values) % tuple(values.ravel().tolist())
+
+
+def _strings(row: str, values) -> np.ndarray:
+    """Object array of the strings `row % values[r]`."""
+    return np.array(_lines(row, values).split("\n")[:-1], dtype=object)
+
+
+def _distinct(values):
+    """(table, index): %.17g of each distinct double of `values`, keyed by
+    bit pattern, and the position of every value in that table."""
+    keys, index = np.unique(values.view(np.int64), return_inverse=True)
+    return _strings(_FLOAT, keys.view(np.float64)[:, None]), index.reshape(values.shape)
+
+
+def _chunks(n: int):
+    """Slices of EXPORT_CHUNK rows that cover rows 0 .. n - 1."""
+    return (slice(lo, lo + EXPORT_CHUNK) for lo in range(0, n, EXPORT_CHUNK))
 
 
 def _obj_text(mesh: SurfaceMesh):
     yield "# riemann-examples surface mesh\n"
-    yield from _rows(f"v {_FLOAT} {_FLOAT} {_FLOAT}", mesh.vertices)
-    yield from _rows(f"vn {_FLOAT} {_FLOAT} {_FLOAT}", mesh.normals)
-    yield from _rows("f %d//%d %d//%d %d//%d", np.repeat(mesh.triangles + 1, 2, axis=1))
+    for rows in _chunks(mesh.n_vertices):
+        yield _lines(f"v {_FLOAT} {_FLOAT} {_FLOAT}", mesh.vertices[rows])
+    table, index = _distinct(mesh.normals)
+    for rows in _chunks(len(index)):
+        yield _lines("vn %s %s %s", table[index[rows]])
+    corner = _strings("%d//%d", np.repeat(np.arange(1, mesh.n_vertices + 1), 2).reshape(-1, 2))
+    for rows in _chunks(mesh.n_triangles):
+        yield _lines("f %s %s %s", corner[mesh.triangles[rows]])
 
 
 def _ply_text(mesh: SurfaceMesh):
@@ -230,6 +258,10 @@ def _ply_text(mesh: SurfaceMesh):
         "property list uchar int vertex_indices",
         "end_header",
     ]) + "\n"
-    yield from _rows(" ".join([_FLOAT] * 7),
-                     np.column_stack([mesh.vertices, mesh.normals, mesh.abs_curvature]))
-    yield from _rows("3 %d %d %d", mesh.triangles)
+    table, index = _distinct(np.column_stack([mesh.normals, mesh.abs_curvature]))
+    for rows in _chunks(mesh.n_vertices):
+        yield _lines(" ".join([_FLOAT] * 3 + ["%s"] * 4),
+                     np.concatenate([mesh.vertices[rows], table[index[rows]]], axis=1))
+    token = _strings("%d", np.arange(mesh.n_vertices)[:, None])
+    for rows in _chunks(mesh.n_triangles):
+        yield _lines("3 %s %s %s", token[mesh.triangles[rows]])

@@ -6,7 +6,9 @@ from pathlib import Path
 
 import pytest
 
+from riemann_examples import Lambda, Normalization
 from riemann_examples.cli import main
+from riemann_examples.mesh import build_mesh, export
 
 
 def run_cli(capsys, *argv):
@@ -39,6 +41,18 @@ def test_mesh_ply_quality_channel(tmp_path, capsys):
     first_vertex = text.splitlines()[header_end + 1].split()
     assert len(first_vertex) == 7
     assert float(first_vertex[6]) >= 0.0
+
+
+@pytest.mark.parametrize("fmt", ["obj", "ply"])
+def test_mesh_file_equals_export_of_build_mesh(tmp_path, capsys, fmt):
+    cli_path = tmp_path / f"cli.{fmt}"
+    code, _ = run_cli(capsys, "mesh", "--lambda", "2.5", "--copies", "2",
+                      "--format", fmt, "--out", str(cli_path))
+    assert code == 0
+    lam = Lambda(2.5)
+    direct = tmp_path / f"direct.{fmt}"
+    export(build_mesh(lam, Normalization.paper(lam), copies=2), fmt, direct)
+    assert cli_path.read_bytes() == direct.read_bytes()
 
 
 def test_invalid_lambda_exits_two(tmp_path):

@@ -2,7 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
+from riemann_examples import mesh as mesh_module
 from riemann_examples.curve import Lambda
 from riemann_examples.mesh import (
     MeshProvenance,
@@ -138,6 +140,25 @@ def test_euler_characteristic_constant_across_resolutions():
         chis = {euler_characteristic(small_mesh(lv, n_rad=n, n_ang=2 * n))
                 for n in (8, 12, 16)}
         assert len(chis) == 1
+
+
+def set_based_euler(mesh: SurfaceMesh) -> int:
+    edges = set()
+    for tri in mesh.triangles:
+        for e in ((tri[0], tri[1]), (tri[1], tri[2]), (tri[2], tri[0])):
+            edges.add((min(e), max(e)))
+    return mesh.n_vertices - len(edges) + mesh.n_triangles
+
+
+def test_euler_characteristic_matches_edge_set():
+    points_only = SurfaceMesh(
+        vertices=np.eye(3), triangles=np.zeros((0, 3), dtype=np.int64),
+        normals=np.eye(3), abs_curvature=np.zeros(3), provenance=empty_mesh().provenance)
+    meshes = [small_mesh(0.5), small_mesh(1.0, copies=2), small_mesh(3.0, n_rad=8, n_ang=16),
+              special_values_mesh(), empty_mesh(), points_only]
+    for m in meshes:
+        assert euler_characteristic(m) == set_based_euler(m)
+    assert euler_characteristic(points_only) == 3
 
 
 def test_no_degenerate_triangles():
@@ -334,6 +355,60 @@ def test_export_equals_reference_formatter(tmp_path, monkeypatch, fmt):
     tokens = (tmp_path / f"special.{fmt}").read_text().split()
     for token in ("-0", "4.9406564584124654e-324", "1.0000000000000001e+300", "3", "-7"):
         assert token in tokens
+
+
+#: Values repeated across pooled meshes: signed zeros, subnormals, extremes.
+VALUE_POOL = (0.0, -0.0, 5e-324, -5e-324, 1e-310, 2.2250738585072014e-308,
+              1e300, -1e300, 1.0, -7.0, 0.1, 1.0 / 3.0)
+UNIT_POOL = ((0.0, 0.0, 1.0), (0.6, -0.8, 0.0), (1.0 / 3.0, 2.0 / 3.0, 2.0 / 3.0),
+             tuple(unit_normal(0.3 + 0.7j)))
+
+
+@st.composite
+def pooled_meshes(draw):
+    """Small meshes whose floats repeat, drawn from VALUE_POOL and, for the
+    normals, UNIT_POOL with each component's sign flipped at random."""
+    n = draw(st.integers(0, 6))
+    value = st.sampled_from(VALUE_POOL)
+    sign = st.sampled_from((1.0, -1.0))
+    vertices = [draw(st.tuples(value, value, value)) for _ in range(n)]
+    normals = [[s * c for s, c in zip(draw(st.tuples(sign, sign, sign)),
+                                      draw(st.sampled_from(UNIT_POOL)))] for _ in range(n)]
+    curvature = [draw(value) for _ in range(n)]
+    index = st.integers(0, max(n - 1, 0))
+    triangles = draw(st.lists(st.tuples(index, index, index), max_size=8 if n else 0))
+    return SurfaceMesh(
+        vertices=np.array(vertices).reshape(-1, 3),
+        triangles=np.array(triangles, dtype=np.int64).reshape(-1, 3),
+        normals=np.array(normals).reshape(-1, 3), abs_curvature=np.array(curvature),
+        provenance=empty_mesh().provenance)
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(mesh=pooled_meshes(), chunk=st.sampled_from((1, 2, 3, 7, 2048)))
+def test_export_equals_reference_on_repeated_values(tmp_path, mesh, chunk):
+    # the writers format each distinct value once, keyed by bit pattern:
+    # -0.0 and 0.0 compare equal but must keep their own text
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(mesh_module, "EXPORT_CHUNK", chunk)
+        for fmt in ("obj", "ply"):
+            path = tmp_path / f"pooled.{fmt}"
+            export(mesh, fmt, path)
+            assert path.read_bytes() == _reference_text(mesh, fmt).encode("ascii")
+
+
+@pytest.mark.parametrize("chunk", [3, 2048])
+def test_export_streams_at_most_chunk_rows(monkeypatch, chunk):
+    monkeypatch.setattr(mesh_module, "EXPORT_CHUNK", chunk)
+    mesh = small_mesh(0.5, copies=2, n_rad=24, n_ang=48)
+    assert mesh.n_triangles > 2 * chunk
+    n_v, n_t = mesh.n_vertices, mesh.n_triangles
+    for writer, n_rows in ((mesh_module._obj_text, 2 * n_v + n_t),
+                           (mesh_module._ply_text, n_v + n_t)):
+        rows = [piece.count("\n") for piece in list(writer(mesh))[1:]]
+        assert max(rows) <= chunk
+        assert sum(rows) == n_rows
 
 
 def test_vertex_and_triangle_order_match_cell_loop():
