@@ -9,9 +9,11 @@ traced (--trace 1: the per-layer counters and times), for the run length
 BENCHMARK.json sets.  The output file holds, per
 workload and metric, the unit, the median and quartiles over the seeds and
 every seed's value, with the operations attempted and failed.  The ungated
-workloads of UNGATED run once, at seed 1 and untraced, for the same run
-length; for them it records the operations attempted and failed and
-ops_ok_frac.
+workloads of UNGATED run untraced at the same seeds, for the same run
+length; for them it records per seed the operations attempted and failed,
+ops_ok_frac and oracle_digits, and the distinct failing operations of the
+run's report line (operation, lam, failure class and the head of the
+message).
 """
 
 from __future__ import annotations
@@ -30,14 +32,30 @@ SEEDS = (1, 2, 3)
 #: Workloads perfbench runs that BENCHMARK.json does not gate: they track
 #: correctness over the family (limit sweeps, the parameter envelope).
 UNGATED = ("limits", "envelope")
+#: Characters of a failure message kept in the list of failing operations.
+MESSAGE_HEAD = 160
 
 
-def run_once(workload: str, seed: int, seconds: float, trace: int) -> dict:
-    """The result line of one perfbench run."""
+def run_once(workload: str, seed: int, seconds: float, trace: int) -> tuple:
+    """The report line (its "report" object) and the result line of one
+    perfbench run."""
     cmd = [sys.executable, str(ROOT / "perfbench" / "run.py"), "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", str(trace)]
     out = subprocess.run(cmd, cwd=ROOT, check=True, capture_output=True, text=True).stdout
-    return json.loads(out.strip().splitlines()[-1])
+    report, result = out.strip().splitlines()[-2:]
+    return json.loads(report)["report"], json.loads(result)
+
+
+def failing_ops(report: dict, seed: int) -> list:
+    """The distinct failing operations of a report: seed, operation, lam,
+    failure class and the head of the message."""
+    out = []
+    for r in report["failing"]:
+        op = {"seed": seed, "op": r["op"], "lam": r["lam"], "failure": r["failure"],
+              "message": (r.get("message") or "")[:MESSAGE_HEAD]}
+        if op not in out:
+            out.append(op)
+    return out
 
 
 def summarize(runs: list) -> dict:
@@ -70,7 +88,7 @@ def main(argv=None) -> int:
         runs = {trace: [] for trace in (0, 1)}
         for seed in SEEDS:
             for trace in (0, 1):
-                runs[trace].append(run_once(workload, seed, spec["run_seconds"], trace))
+                runs[trace].append(run_once(workload, seed, spec["run_seconds"], trace)[1])
                 print(f"{workload} seed {seed} trace {trace}: done", file=sys.stderr)
         result["workloads"][workload] = {
             "attempted": [r["attempted"] for r in runs[0]],
@@ -80,12 +98,17 @@ def main(argv=None) -> int:
             "layers": summarize(runs[1]),
         }
     for workload in UNGATED:
-        run = run_once(workload, 1, spec["run_seconds"], 0)
-        print(f"{workload} seed 1 trace 0: done", file=sys.stderr)
-        result["ungated"][workload] = {
-            "seed": 1, "attempted": run["attempted"], "failed": run["failed"],
-            "ops_ok_frac": run["metrics"]["ops_ok_frac"]["value"],
-        }
+        out = {"seeds": list(SEEDS), "attempted": [], "failed": [], "ops_ok_frac": [],
+               "oracle_digits": [], "failing": []}
+        for seed in SEEDS:
+            report, run = run_once(workload, seed, spec["run_seconds"], 0)
+            print(f"{workload} seed {seed} trace 0: done", file=sys.stderr)
+            out["attempted"].append(run["attempted"])
+            out["failed"].append(run["failed"])
+            for name in ("ops_ok_frac", "oracle_digits"):
+                out[name].append(run["metrics"][name]["value"])
+            out["failing"] += failing_ops(report, seed)
+        result["ungated"][workload] = out
     args.out.write_text(json.dumps(result, indent=1) + "\n")
     return 0
 

@@ -7,6 +7,9 @@ paths by the branch-cut bookkeeping of its closed form (weierstrass); this
 module's deterministic analytic continuation of w along polylines in the
 z-plane, nearest-root selection with adaptive bisection, serves the
 reference quadrature and the paths it integrates.
+
+The package's one branch guard (near_branch) and one snap (at_branch) live
+here, as fixed fractions of the gap from each branch point to the nearest.
 """
 
 from __future__ import annotations
@@ -19,7 +22,9 @@ import numpy as np
 
 from .errors import AmbiguousSheet, BranchTooClose
 
-#: |w^2 - rhs| <= CURVE_TOL * (1 + |z|)^3 is required of every curve point.
+#: |w^2 - rhs| <= CURVE_TOL * (1 + |z|)(lam + |z|)(1/lam + |z|), the size of
+#: the terms of the curve polynomial ((1 + |z|)^3 at lam = 1), is required of
+#: every curve point.
 CURVE_TOL = 1e-10
 
 #: Depth cap for the sign-disambiguating bisection in continue_sheet.
@@ -62,21 +67,60 @@ def curve_rhs_derivative(z, lam):
 
 @dataclass(frozen=True)
 class BranchPoints:
-    """Finite branch points, plus a flag for the odd-order point at infinity."""
+    """Finite branch points, the gap from each to its nearest neighbour, and a
+    flag for the odd-order point at infinity."""
 
     finite: tuple
+    gaps: tuple
     at_infinity: bool = True
+
+    def nearest(self, z) -> int:
+        """Index of the finite branch point nearest the point z."""
+        return min(range(len(self.finite)), key=lambda k: abs(z - self.finite[k]))
 
 
 def branch_points(lam) -> BranchPoints:
     lv = as_lambda(lam).value
-    return BranchPoints(finite=(0.0 + 0.0j, complex(lv), complex(-1.0 / lv)))
+    return BranchPoints(finite=(0.0 + 0.0j, complex(lv), complex(-1.0 / lv)),
+                        gaps=(min(lv, 1.0 / lv), lv, 1.0 / lv))
 
 
-def delta_branch(lam) -> float:
-    """Protective radius around branch points for ordinary (non-endpoint) paths."""
-    lv = as_lambda(lam).value
-    return 1e-6 * max(1.0, lv, 1.0 / lv)
+#: Guard radius of a finite branch point, as a fraction of its gap.
+GUARD_RATIO = 1e-6
+
+#: Snapping tolerance of a finite branch point, as a fraction of its gap.
+SNAP_RATIO = 1e-12
+
+
+def delta_branch(lam) -> tuple:
+    """Guard radius of each finite branch point: GUARD_RATIO times its gap."""
+    return tuple(GUARD_RATIO * g for g in branch_points(lam).gaps)
+
+
+def near_branch(z, lam):
+    """Mask of the points inside the guard disk of a finite branch point, the
+    one branch guard of paths, routes, grids and cycles."""
+    near = np.zeros(np.shape(z), dtype=bool)
+    for b, delta in zip(branch_points(lam).finite, delta_branch(lam)):
+        near |= np.abs(z - b) < delta
+    return near
+
+
+def at_branch(z, lam):
+    """Mask of the points within the snapping tolerance of a finite branch
+    point: such a point is taken to be the branch point itself."""
+    bp = branch_points(lam)
+    at = np.zeros(np.shape(z), dtype=bool)
+    for b, gap in zip(bp.finite, bp.gaps):
+        at |= np.abs(z - b) <= SNAP_RATIO * gap
+    return at
+
+
+def guard_disk(z, lam) -> str:
+    """Names, for errors, the guard disk of the finite branch point nearest z."""
+    bp = branch_points(lam)
+    k = bp.nearest(z)
+    return f"the guard disk of branch point {bp.finite[k]} (radius {delta_branch(lam)[k]:.2e})"
 
 
 def principal_w(z, lam):
@@ -103,11 +147,13 @@ class CurvePoint:
         object.__setattr__(self, "z", complex(self.z))
         object.__setattr__(self, "w", complex(self.w))
         object.__setattr__(self, "lam", as_lambda(self.lam))
-        resid = abs(self.w * self.w - curve_rhs(self.z, self.lam))
-        if not resid <= CURVE_TOL * (1.0 + abs(self.z)) ** 3:
+        lv, a = self.lam.value, abs(self.z)
+        resid = (abs(self.w * self.w - curve_rhs(self.z, lv))
+                 / ((1.0 + a) * (lv + a) * (1.0 / lv + a)))
+        if not resid <= CURVE_TOL:
             raise ValueError(
                 f"(z, w) = ({self.z}, {self.w}) is not on the curve for "
-                f"lam = {self.lam.value} (residual {resid:.3e})"
+                f"lam = {self.lam.value} (relative residual {resid:.3e})"
             )
 
     @property
@@ -161,18 +207,19 @@ def _nearest_root(w_ref: complex, rhs_root: complex) -> complex:
 
 def _continue_segment(z0, w0, z1, lam, depth, out_z, out_w, guard):
     """Append the continuation of (z0, w0) to z1, bisecting while the sign
-    choice is not clearly separated (|dw| < 0.5 |w0 + w1|)."""
+    choice is not clearly separated (|dw| < 0.5 |w0 + w1|); guard([zm])
+    checks each bisection point zm."""
     if depth > MAX_BISECTION_DEPTH:
         raise AmbiguousSheet(
             f"sign choice unresolved after {MAX_BISECTION_DEPTH} bisections near z = {z1}"
         )
-    guard(z1)
     w1 = _nearest_root(w0, cmath.sqrt(curve_rhs(z1, lam)))
     if abs(w1 - w0) < 0.5 * abs(w1 + w0):
         out_z.append(z1)
         out_w.append(w1)
         return w1
     zm = 0.5 * (z0 + z1)
+    guard([zm])
     wm = _continue_segment(z0, w0, zm, lam, depth + 1, out_z, out_w, guard)
     return _continue_segment(zm, wm, z1, lam, depth + 1, out_z, out_w, guard)
 
@@ -183,28 +230,23 @@ def continue_sheet(path_vertices, w_start, lam) -> SheetedPath:
     Segments are subdivided adaptively until each step's sign choice is
     unambiguous; the returned path contains the refined vertex list.
 
-    Raises BranchTooClose if any (refined) vertex falls inside the
-    protective disk of a finite branch point, and AmbiguousSheet if the
+    Raises BranchTooClose if any (refined) vertex falls inside the guard
+    disk of a finite branch point (near_branch), and AmbiguousSheet if the
     bisection depth cap is hit.
     """
     lam = as_lambda(lam)
     verts = [complex(v) for v in np.asarray(path_vertices, dtype=complex)]
     if len(verts) < 1:
         raise ValueError("path must contain at least one vertex")
-    w0 = complex(w_start)
-    resid = abs(w0 * w0 - curve_rhs(verts[0], lam))
-    if not resid <= CURVE_TOL * (1.0 + abs(verts[0])) ** 3:
-        raise ValueError(f"w_start does not satisfy the curve equation (residual {resid:.3e})")
+    w0 = CurvePoint(verts[0], w_start, lam).w       # ValueError unless on the curve
 
-    delta = delta_branch(lam)
-    bpts = branch_points(lam).finite
+    def guard(zs):
+        near = np.flatnonzero(near_branch(np.asarray(zs), lam))
+        if near.size:
+            z = zs[near[0]]
+            raise BranchTooClose(f"lam = {lam.value!r}: vertex {z} lies in {guard_disk(z, lam)}")
 
-    def guard(z):
-        for b in bpts:
-            if abs(z - b) < delta:
-                raise BranchTooClose(f"vertex {z} within {delta:.1e} of branch point {b}")
-
-    guard(verts[0])
+    guard(verts)
     out_z = [verts[0]]
     out_w = [w0]
     w = w0
@@ -257,11 +299,12 @@ def sheeted_path_from_branch(path_vertices, departure: BranchDeparture) -> Sheet
     if len(verts) < 2:
         raise ValueError("a branch-seeded path needs at least two vertices")
     b = complex(departure.branch_point)
-    if abs(verts[0] - b) > CURVE_TOL:
+    bp = branch_points(lam)
+    gap = bp.gaps[bp.nearest(b)]
+    if abs(verts[0] - b) > SNAP_RATIO * gap:
         raise ValueError("first vertex must coincide with the departure branch point")
     # Walk in toward the branch point so the germ's linearisation is valid.
     step = verts[1] - b
-    gap = min(abs(b - p) for p in branch_points(lam).finite if abs(b - p) > CURVE_TOL)
     t = min(1.0, 0.01 * gap / abs(step))
     z_near = b + t * step
     w_near = departure.w_at(z_near)

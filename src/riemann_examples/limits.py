@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curve import CurvePoint, Lambda, as_lambda, principal_w
+from .curve import CurvePoint, Lambda, as_lambda, at_branch, principal_w
 from .errors import BranchAmbiguity, PathBlocked
 from .reference import (
     ReferenceKind,
@@ -61,7 +61,7 @@ from .weierstrass import (
 def _continued_w(z: complex, lam: Lambda) -> complex:
     """Curve root at z continued along its route from the principal seed at
     the base point: the root of immerse's point at z."""
-    if abs(lam.value - 1.0) <= 1e-12:
+    if at_branch(1.0, lam):
         raise BranchAmbiguity("correction factors are undefined at lam = 1")
     return immerse(lam, Normalization.raw(lam), [z])[0].source.w
 

@@ -10,7 +10,8 @@ u^2 = z - z_branch.
 The immersion itself is in closed form (weierstrass); path_integral remains
 public API, the reference the tests check that closed form against, and the
 integrator of the limit decompositions' correction integrands, which are
-not Phi.  near_branch is the branch guard of the closed-form edges.
+not Phi.  A singular end must be a branch point by curve.at_branch, the
+package's one snap.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ from .curve import (
     Lambda,
     SheetedPath,
     _nearest_root,
+    at_branch,
     branch_points,
     curve_rhs,
-    delta_branch,
 )
 from .errors import QuadratureFailure
 
@@ -170,9 +171,8 @@ def _branch_segment_integral(fn, b, z_far, w_far, lam: Lambda, tol: float):
 
 
 def _assert_branch_endpoint(z, w, lam: Lambda, which: str):
-    tol = 1e-9 * max(1.0, lam.value, 1.0 / lam.value)
-    bset = branch_points(lam).finite
-    if min(abs(z - b) for b in bset) > tol or abs(w) > tol:
+    """A singular end is a branch point, snapped by at_branch, with w = 0."""
+    if not at_branch(z, lam) or w != 0:
         raise ValueError(f"path {which} flagged singular but is not at a branch point")
 
 
@@ -210,16 +210,3 @@ def path_integral(path: SheetedPath, fn, *, singular_start: bool = False,
         total += _segment_integral(fn, za, ws[i], zb, ws[i + 1], lam, tol)
     return total
 
-
-# ---------------------------------------------------------------------------
-# branch guard
-# ---------------------------------------------------------------------------
-
-def near_branch(z, lam: Lambda):
-    """Mask of the points inside the protective disk of a finite branch
-    point: continue_sheet's guard, applied to an array."""
-    delta = delta_branch(lam)
-    near = np.zeros(np.shape(z), dtype=bool)
-    for b in branch_points(lam).finite:
-        near |= np.abs(z - b) < delta
-    return near

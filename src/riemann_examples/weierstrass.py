@@ -36,6 +36,8 @@ straight edges hanging off its root (the base point, or a cycle's first
 vertex), each route of an immerse call its own chain.  The quadrature of
 make_sheeted_path and path_integral (re-exported here) remains for
 reference computations and for integrands other than Phi.
+Guards and snaps are curve.near_branch and curve.at_branch; detours, ring
+clearances and period cycles are fractions of the gaps between branch points.
 """
 
 from __future__ import annotations
@@ -50,19 +52,23 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curve import (
+    GUARD_RATIO,
     BranchDeparture,
     CurvePoint,
     Lambda,
     SheetedPath,
     as_lambda,
+    at_branch,
     branch_points,
     continue_sheet,
     delta_branch,
+    guard_disk,
+    near_branch,
     principal_w,
     sheeted_path_from_branch,
 )
 from .errors import BranchTooClose, PathBlocked, QuadratureFailure, SingularPoint
-from .quadrature import near_branch, path_integral
+from .quadrature import path_integral
 
 #: Base point of every immersion.
 BASE_POINT = 1.0 + 0.0j
@@ -284,10 +290,10 @@ def make_sheeted_path(vertices, lam):
     keep = np.ones(len(verts), dtype=bool)
     keep[1:] = verts[1:] != verts[:-1]
     verts = verts[keep]
-    bset = branch_points(lam).finite
+    bp = branch_points(lam)
 
     def branch_at(z):
-        return min(bset, key=lambda b: abs(z - b)) if _at_branch(z, lam) else None
+        return bp.finite[bp.nearest(z)] if at_branch(z, lam) else None
 
     b_start = branch_at(verts[0]) if len(verts) > 1 else None
     b_end = branch_at(verts[-1]) if len(verts) > 1 else None
@@ -306,23 +312,10 @@ def make_sheeted_path(vertices, lam):
     return path, b_start is not None, b_end is not None
 
 
-def _detour_radius(b: complex, lam: Lambda) -> float:
-    """An eighth of the gap from the branch point b to the nearest other one."""
-    return min(abs(b - p) for p in branch_points(lam).finite if p != b) / 8.0
-
-
-def _safe_detour_radius(b: complex, lam: Lambda) -> float:
-    """The detour radius about b, for a route that passes b; PathBlocked if
-    the detour would come within 4 guard radii of b."""
-    r = _detour_radius(b, lam)
-    if r < 4.0 * delta_branch(lam):
-        raise PathBlocked(f"branch points too crowded near {b} for a safe detour")
-    return r
-
-
 def _radial_leg(r_from: float, r_to: float, angle: float, lam: Lambda):
     """Vertices (excluding the start) of a radial run at a fixed angle,
-    detouring over any branch point sitting strictly inside the run.
+    detouring over any branch point b sitting strictly inside the run (more
+    than its guard radius from either end) on a semicircle of radius gap/8.
 
     Detour entry and exit points may overshoot the run's endpoints; the leg
     then returns to its endpoint along the ray, which no longer crosses the
@@ -332,16 +325,13 @@ def _radial_leg(r_from: float, r_to: float, angle: float, lam: Lambda):
         return []
     direction = cmath.exp(1j * angle)
     lo, hi = sorted((r_from, r_to))
-    eps = delta_branch(lam)
+    bp = branch_points(lam)
     crossings = []
-    for b in branch_points(lam).finite:
-        if abs(b) == 0.0:
+    for b, gap, eps in zip(bp.finite, bp.gaps, delta_branch(lam)):
+        if abs(b) == 0.0 or abs(cmath.exp(1j * cmath.phase(b)) - direction) > 1e-9:
             continue
-        if abs(cmath.exp(1j * cmath.phase(b)) - direction) > 1e-9:
-            continue
-        rb = abs(b)
-        if lo + eps < rb < hi - eps:
-            crossings.append((rb, _safe_detour_radius(b, lam)))
+        if lo + eps < abs(b) < hi - eps:
+            crossings.append((abs(b), gap / 8.0))
     crossings.sort(reverse=bool(r_from > r_to))
     out = []
     sgn = 1.0 if r_to > r_from else -1.0
@@ -355,24 +345,13 @@ def _radial_leg(r_from: float, r_to: float, angle: float, lam: Lambda):
     return out
 
 
-def _angular_leg(radius: float, a_from: float, a_to: float, lam: Lambda):
+def _angular_leg(radius: float, a_from: float, a_to: float):
     """Chords of at most pi/32 on the circle |z| = radius from a_from to a_to
     (excluding start)."""
     if a_from == a_to:
         return []
-    max_step = math.pi / 32.0
-    n = max(1, math.ceil(abs(a_to - a_from) / max_step))
-    angles = np.linspace(a_from, a_to, n + 1)[1:]
-    pts = [radius * cmath.exp(1j * a) for a in angles]
-    guard = 2.0 * delta_branch(lam)
-    for b in branch_points(lam).finite:
-        if abs(abs(b) - radius) < guard:
-            ab = cmath.phase(b)
-            crossings = [a for a in angles if min(abs(a - ab), abs(a - ab - 2 * math.pi),
-                                                  abs(a - ab + 2 * math.pi)) < max_step]
-            if crossings and min(abs(radius * cmath.exp(1j * a) - b) for a in crossings) < guard:
-                raise PathBlocked(f"angular leg at radius {radius} passes branch point {b}")
-    return pts
+    n = max(1, math.ceil(abs(a_to - a_from) / (math.pi / 32.0)))
+    return [radius * cmath.exp(1j * a) for a in np.linspace(a_from, a_to, n + 1)[1:]]
 
 
 def route_vertices(target: complex, lam, *, winding: int = 0):
@@ -380,41 +359,35 @@ def route_vertices(target: complex, lam, *, winding: int = 0):
 
     Radial run along the positive real axis, then an angular sweep at the
     target radius; optional extra full circuits about the origin are inserted
-    at a branch-safe radius.  The winding about the origin of the returned
-    route is exactly `winding`.
+    on the circle through lam/2 and -1.5/lam, which encloses 0 and -1/lam
+    and crosses the axis at least half a gap from every branch point.  The
+    winding about the origin of the returned route is exactly `winding`.
 
-    If the sweep would pass within a detour radius of lam it runs at a
-    redirected radius on the side of the base point, and a radial leg at the
-    target's angle finishes the route; only a route that detours around a
-    branch point (or is redirected past one) raises PathBlocked when the
-    branch points crowd too closely.
+    If the sweep would pass within the detour radius lam/8 of lam it runs at
+    a redirected radius on the side of the base point, and a radial leg at
+    the target's angle finishes the route.  A target in a guard disk, unless
+    it is the branch point itself (at_branch), raises PathBlocked.
     """
     lam = as_lambda(lam)
+    lv = lam.value
     target = complex(target)
     rho = abs(target)
     if rho == 0.0:
         raise SingularPoint("targets at the puncture z = 0 are not immersible")
-    dmin = min(abs(target - b) for b in branch_points(lam).finite)
-    if not _at_branch(target, lam) and dmin < delta_branch(lam):
-        raise PathBlocked(f"target {target} inside the branch guard disk")
+    if near_branch(target, lam) and not at_branch(target, lam):
+        raise PathBlocked(f"lam = {lv!r}: target {target} lies in {guard_disk(target, lam)}")
     phi_t = cmath.phase(target)
     rho_mid = rho
-    if phi_t != 0.0:
-        for b in branch_points(lam).finite:
-            rb = abs(b)
-            if rb == 0.0 or abs(cmath.phase(b)) > 1e-9:
-                continue
-            if abs(rho - rb) < _detour_radius(b, lam):
-                side = 1.0 if 1.0 >= rb else -1.0
-                rho_mid = rb + side * 1.5 * _safe_detour_radius(b, lam)
+    detour = branch_points(lam).gaps[1] / 8.0       # _radial_leg's detour about lam
+    if phi_t != 0.0 and abs(rho - lv) < detour:
+        rho_mid = lv + (1.5 if 1.0 >= lv else -1.5) * detour
     verts = [BASE_POINT]
     if winding != 0:
         # insert |winding| circuits of the translation cycle: it encloses the
         # two branch points 0 and -1/lam, so the lift closes and each circuit
         # shifts the image by exactly one period
-        lv = lam.value
-        center = -0.5 / lv
-        radius = 0.5 * (lv + 1.0 / lv)
+        center = 0.25 * lv - 0.75 / lv
+        radius = 0.25 * lv + 0.75 / lv
         verts += _radial_leg(1.0, 0.5 * lv, 0.0, lam)
         sgn = 1.0 if winding > 0 else -1.0
         taus = np.linspace(0.0, sgn * 2.0 * math.pi, 129)[1:]
@@ -423,7 +396,7 @@ def route_vertices(target: complex, lam, *, winding: int = 0):
         verts += _radial_leg(0.5 * lv, rho_mid, 0.0, lam)
     else:
         verts += _radial_leg(1.0, rho_mid, 0.0, lam)
-    verts += _angular_leg(rho_mid, 0.0, phi_t, lam)
+    verts += _angular_leg(rho_mid, 0.0, phi_t)
     if rho_mid != rho:
         verts += _radial_leg(rho_mid, rho, phi_t, lam)
     verts[-1] = target
@@ -458,14 +431,6 @@ class _Chains:
         return out
 
 
-def _at_branch(z, lam: Lambda):
-    """Mask of the points within the snapping tolerance of a finite branch
-    point: make_sheeted_path snaps such an end to the branch point, and
-    route_vertices and the edge guards let such a point into the guard disk."""
-    tol0 = 1e-12 * max(1.0, lam.value, 1.0 / lam.value)
-    return np.min([np.abs(z - b) for b in branch_points(lam).finite], axis=0) <= tol0
-
-
 def _ray(z, lam: Lambda, norm: Normalization, below=False):
     """W and Psi at the points z, of shapes (n,) and (n, 3).
 
@@ -498,8 +463,8 @@ def _edge_terms(za, zb, lam: Lambda, norm: Normalization, where):
     Returns flip = sigma_b / sigma_a, shape (n,), and the terms for
     sigma_a = 1, shape (n, 3).
 
-    An end point zb inside a branch guard disk (continue_sheet's guard)
-    raises BranchTooClose unless it is a branch point (_at_branch); so does
+    An end point zb inside a branch guard disk (near_branch) raises
+    BranchTooClose unless it is a branch point (at_branch); so does
     a crossing inside one, unless it is an end point on the axis (imag 0.0),
     where x0 is that end point exactly, its side is exact and Psi is the
     closed form (e.g. the base point 1 at lam near 1).  `where(k)` names
@@ -512,13 +477,12 @@ def _edge_terms(za, zb, lam: Lambda, norm: Normalization, where):
                       za.real + (zb.real - za.real) * (za.imag / (za.imag - zb.imag)))
     x0 = np.where(up_a != up_b, x0, np.inf)
     at_end = (za.imag == 0.0) | (zb.imag == 0.0)
-    for what, pts, bad in (("end point", zb, near_branch(zb, lam) & ~_at_branch(zb, lam)),
+    for what, pts, bad in (("end point", zb, near_branch(zb, lam) & ~at_branch(zb, lam)),
                            ("real-axis crossing", x0, near_branch(x0, lam) & ~at_end)):
         if bad.any():
             k = np.flatnonzero(bad)[0]
-            b = min(branch_points(lam).finite, key=lambda p: abs(pts[k] - p))
-            raise BranchTooClose(f"{where(k)}: {what} {pts[k]} lies in the guard disk "
-                                 f"of branch point {b}")
+            raise BranchTooClose(f"{where(k)}: {what} {pts[k]} lies in "
+                                 f"{guard_disk(pts[k], lam)}")
     cut = x0 < lv
     flip = np.where(cut & ((x0 > 0.0) | (x0 < -1.0 / lv)), -1.0, 1.0)
     term = np.zeros((len(za), 3), dtype=complex)
@@ -657,13 +621,15 @@ class PeriodVector:
 
 
 def companion_cycle_vertices(lam):
-    """Circle about lam/2 of radius (lam + 1/lam)/2, as 256 chords: encloses
-    exactly 0 and lam."""
+    """The circle through -1/(2 lam) and 1.5 lam, as 256 chords closed exactly
+    (last vertex = first): it encloses exactly 0 and lam, and crosses the
+    axis at least half a gap from every branch point."""
     lv = as_lambda(lam).value
-    center = 0.5 * lv
-    radius = 0.5 * (lv + 1.0 / lv)
-    taus = np.linspace(0.0, 2.0 * math.pi, 257)
-    return center + radius * np.exp(1j * taus)
+    center = 0.75 * lv - 0.25 / lv
+    radius = 0.75 * lv + 0.25 / lv
+    verts = center + radius * np.exp(1j * np.linspace(0.0, 2.0 * math.pi, 257))
+    verts[-1] = verts[0]
+    return verts
 
 
 def cycle_real_period(vertices, lam, norm: Normalization):
@@ -672,14 +638,11 @@ def cycle_real_period(vertices, lam, norm: Normalization):
 
     The chords are one chain of _immerse_chains rooted at the first vertex.
     A lift that does not close (the cycle encloses an odd number of branch
-    points) raises QuadratureFailure.
+    points) raises QuadratureFailure, and a chord that ends, or crosses the
+    axis, in a guard disk raises BranchTooClose (_edge_terms).
     """
     lam = as_lambda(lam)
     verts = np.asarray(vertices, dtype=complex)
-    near = np.flatnonzero(near_branch(verts, lam))
-    if near.size:
-        raise BranchTooClose(f"lam = {lam.value!r}: cycle vertex {verts[near[0]]} lies in "
-                             f"a branch guard disk (radius {delta_branch(lam):.2e})")
 
     def where(k) -> str:
         return f"lam = {lam.value!r}, cycle chord {verts[k - 1]} -> {verts[k]}"
@@ -688,7 +651,8 @@ def cycle_real_period(vertices, lam, norm: Normalization):
     closure = abs(w[-1] - w[0])
     if closure > 1e-7 * (1.0 + abs(w[0])):
         raise QuadratureFailure(
-            f"cycle lift failed to close (|w_end - w_start| = {closure:.3e}); "
+            f"lam = {lam.value!r}: cycle lift failed to close "
+            f"(|w_end - w_start| = {closure:.3e}); "
             "the cycle encloses an odd number of branch points"
         )
     return pos[-1]
@@ -698,15 +662,23 @@ def cycle_real_period(vertices, lam, norm: Normalization):
 def _period_vectors_cached(norm: Normalization) -> PeriodVector:
     t1, t3 = _raw_periods(norm.lam.value)
     s = normalization_scale(norm)
-    c = cycle_real_period(companion_cycle_vertices(norm.lam), norm.lam, norm)
-    return PeriodVector(np.array([s * t1, 0.0, s * t3]), c)
+    t = np.array([s * t1, 0.0, s * t3])
+    cycle = companion_cycle_vertices(norm.lam)
+    c = cycle_real_period(cycle, norm.lam, norm)
+    if np.linalg.norm(c) >= 1e-6 * np.linalg.norm(t):
+        raise QuadratureFailure(
+            f"lam = {norm.lam.value!r}: companion cycle period is "
+            f"{np.linalg.norm(c) / np.linalg.norm(t):.2e} |T|, not below 1e-6 |T| "
+            f"(cycle of {len(cycle) - 1} chords about 0 and lam from {cycle[0]})")
+    return PeriodVector(t, c)
 
 
 def period_vectors(lam, norm: Normalization) -> PeriodVector:
-    """The translation period T in closed form (the lift of the circle about
-    -1/(2 lam) through the branch points 0 and -1/lam) and the companion
-    cycle's real period, summed over the cycle's 256 chords in closed form
-    by cycle_real_period."""
+    """The translation period T in closed form (the lift of a circle
+    enclosing the branch points 0 and -1/lam) and the companion cycle's real
+    period, summed over the cycle's 256 chords in closed form by
+    cycle_real_period.  A companion period not below 1e-6 |T| raises
+    QuadratureFailure."""
     lam = as_lambda(lam)
     if norm.lam != lam:
         raise ValueError("normalization was built for a different family parameter")
@@ -774,13 +746,10 @@ class GridImmersion:
 def _half_offset_radii(r_min: float, r_max: float, n_rad: int, lam: Lambda):
     step = (math.log(r_max) - math.log(r_min)) / n_rad
     radii = np.exp(math.log(r_min) + (np.arange(n_rad) + 0.5) * step)
-    # keep every ring clear of the branch moduli lam and 1/lam
+    # keep every ring 4 guard radii (4 GUARD_RATIO m) clear of each branch modulus m
     for _ in range(4):
-        bad = False
-        for m in (lam.value, 1.0 / lam.value):
-            if np.min(np.abs(radii - m)) < max(0.02 * step * m, 4.0 * delta_branch(lam)):
-                bad = True
-        if not bad:
+        if all(np.min(np.abs(radii - m)) >= max(0.02 * step, 4.0 * GUARD_RATIO) * m
+               for m in (lam.value, 1.0 / lam.value)):
             return radii
         radii = radii * math.exp(0.137 * step)
     raise PathBlocked("could not place grid radii clear of the branch moduli")
@@ -794,7 +763,7 @@ def _edge_locator(lam: Lambda, sheet_sign: int, z, a, b):
         (i, j), (i2, j2) = divmod(int(a[k]), n_col), divmod(int(b[k]), n_col)
         kind = "radial" if j == j2 else "angular"
         return (f"lam = {lam.value!r}, sheet {sheet_sign:+d}, {kind} grid edge "
-                f"({i}, {j}) -> ({i2}, {j2}) (branch guard {delta_branch(lam):.2e})")
+                f"({i}, {j}) -> ({i2}, {j2})")
     return where
 
 
@@ -813,7 +782,8 @@ def immerse_grid(lam, norm: Normalization, *, r_min: float, r_max: float,
     the western column (radial edges, northward) and every row (angular
     edges, eastward) are the chains of one _immerse_chains call.  Only sheet
     +1 is integrated; sheet -1 is its sheet_partner.  Errors from an edge
-    name lam, the requested sheet, the edge and the branch guard radius.
+    name lam, the requested sheet, the edge, the branch point and its guard
+    radius.
     """
     lam = as_lambda(lam)
     if n_ang % 2 != 0 or n_ang < 8 or n_rad < 2:
@@ -824,7 +794,7 @@ def immerse_grid(lam, norm: Normalization, *, r_min: float, r_max: float,
     n_col = len(angles)
     zs = radii[:, None] * np.exp(1j * angles[None, :])
 
-    stem = _angular_leg(1.0, 0.0, angles[0], lam) + _radial_leg(1.0, radii[0], angles[0], lam)
+    stem = _angular_leg(1.0, 0.0, angles[0]) + _radial_leg(1.0, radii[0], angles[0], lam)
     stem[-1] = zs[0, 0]
     m = len(stem)
     chains = [(0, stem), (m, zs[1:, 0])] + [(m + i, zs[i, 1:]) for i in range(n_rad)]

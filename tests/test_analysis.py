@@ -470,7 +470,7 @@ def test_lockstep_crossing_accepts_scalars_and_arrays(grids_lambda1):
 
 
 _EDGE_NAME = re.compile(r"lam = ([0-9.]+), sheet ([+-]1), (radial|angular) grid edge "
-                        r"\((\d+), (\d+)\) -> \((\d+), (\d+)\) \(branch guard \S+\), "
+                        r"\((\d+), (\d+)\) -> \((\d+), (\d+)\), "
                         r"height x3 = (\S+) \(crossing tolerance (\S+)\), "
                         r"Newton step (\S+) -> (\S+): ")
 
@@ -496,7 +496,7 @@ def _named_crossing(msg, lam, heights, grids):
 @pytest.mark.parametrize("case", ["guard-coarse", "guard"])
 def test_crossing_errors_name_lambda_sheet_edge_height_and_tolerance(monkeypatch, case,
                                                                     grids_lambda1):
-    from riemann_examples import errors, quadrature, weierstrass
+    from riemann_examples import curve, errors, weierstrass
     if case == "guard-coarse":
         # a coarse grid, with a guard radius of 1
         lam = Lambda(2.0)
@@ -513,10 +513,12 @@ def test_crossing_errors_name_lambda_sheet_edge_height_and_tolerance(monkeypatch
     alignment = weierstrass.radial_edge_alignment(*grids)
     monkeypatch.setattr(analysis, "radial_edge_alignment", lambda *args: alignment)
     delta = 1.0 if case == "guard-coarse" else 0.1
-    monkeypatch.setattr(quadrature, "delta_branch", lambda lam: delta)
+    monkeypatch.setattr(curve, "delta_branch", lambda lam: (delta,) * 3)
     with pytest.raises(errors.BranchTooClose) as err:
         foliation_slices(grids, heights, min_points=1)
     z1 = _named_crossing(str(err.value), lam, heights, grids)
-    # the refused iterate lies within the widened guard of a branch point
+    # the refused iterate lies within the widened guard of a branch point,
+    # whose own radius the error shows
     assert "end point" in str(err.value)
+    assert str(err.value).endswith(f"(radius {delta:.2e})")
     assert min(abs(z1 - b) for b in (0.0, lam.value, -1.0 / lam.value)) < delta

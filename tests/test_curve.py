@@ -34,6 +34,9 @@ def test_branch_points():
         bp = branch_points(lv)
         assert bp.at_infinity
         assert {complex(b) for b in bp.finite} == {complex(e) for e in expected}
+        # each gap is the distance to the nearest other finite branch point
+        for b, gap in zip(bp.finite, bp.gaps):
+            assert gap == min(abs(b - o) for o in bp.finite if o != b)
 
 
 def test_lambda_validation():
@@ -149,7 +152,7 @@ def test_refinement_stability():
 
 def test_branch_guard():
     lam = Lambda(1.0)
-    verts = np.array([0.5, 1.0 + delta_branch(lam) * 0.1])
+    verts = np.array([0.5, 1.0 + delta_branch(lam)[1] * 0.1])
     with pytest.raises(BranchTooClose):
         continue_sheet(verts, principal_w(0.5, lam), lam)
 

@@ -16,7 +16,7 @@ from riemann_examples.curve import (
     principal_w,
     sheeted_path_from_branch,
 )
-from riemann_examples.errors import RiemannFamilyError, SingularPoint
+from riemann_examples.errors import SingularPoint
 from riemann_examples.reference import catenoid_integrand
 from riemann_examples.weierstrass import (
     BASE_POINT,
@@ -142,7 +142,7 @@ def test_homotopic_routes_agree():
     direct = immerse(lam, norm, [target])[0].position
     # alternate class-0 route: sweep first, then radial
     from riemann_examples.weierstrass import _angular_leg, _radial_leg
-    verts = [BASE_POINT] + _angular_leg(1.0, 0.0, 2.2, lam) + _radial_leg(1.0, 0.7, 2.2, lam)
+    verts = [BASE_POINT] + _angular_leg(1.0, 0.0, 2.2) + _radial_leg(1.0, 0.7, 2.2, lam)
     verts[-1] = target
     path, ss, se = make_sheeted_path(verts, lam)
     alt = integrate(path, norm, singular_start=ss, singular_end=se)
@@ -214,17 +214,11 @@ def test_end_spacing_is_half_the_elliptic_period(lv):
 
 
 def test_translation_period_matches_elliptic_integrals():
-    checked = 0
     for lv in _ORACLE_LAMBDAS:
         lam = Lambda(lv)
-        try:
-            t = period_vectors(lam, Normalization.raw(lam)).translation
-        except RiemannFamilyError:
-            continue    # the companion cycle nears a branch point for lam >= 1e3
+        t = period_vectors(lam, Normalization.raw(lam)).translation
         t1, t3 = _elliptic_periods(lv)
         assert _rel(t[0], t1) < 1e-14 and _rel(t[2], t3) < 1e-14 and t[1] == 0.0
-        checked += 1
-    assert checked >= 15
 
 
 @pytest.mark.parametrize("lv", [0.2, 0.5, 2.0, 5.0])
@@ -247,9 +241,30 @@ def test_period_vector_invariant_enforced():
         PeriodVector(np.zeros(3), np.zeros(3))
 
 
+def test_companion_period_that_does_not_vanish_is_a_typed_error(monkeypatch):
+    # the companion circle at lam = 1e-6 left unclosed by exp(2 pi i) != 1:
+    # its last vertex lands 6e-11 off the first, which alone gives a period
+    # of 5.9e-6 |T|
+    from riemann_examples import weierstrass
+    from riemann_examples.errors import QuadratureFailure
+    lv = 1e-6
+
+    def unclosed(lam):
+        taus = np.linspace(0.0, 2.0 * math.pi, 257)
+        return (0.75 * lv - 0.25 / lv) + (0.75 * lv + 0.25 / lv) * np.exp(1j * taus)
+
+    monkeypatch.setattr(weierstrass, "companion_cycle_vertices", unclosed)
+    weierstrass._period_vectors_cached.cache_clear()
+    lam = Lambda(lv)
+    with pytest.raises(QuadratureFailure, match=r"^lam = 1e-06: companion cycle period is "
+                                                r"\S+ \|T\|, not below 1e-6 \|T\| \(cycle of "
+                                                r"256 chords about 0 and lam from "):
+        period_vectors(lam, Normalization.paper(lam))
+
+
 def test_period_lattice_composition():
     # two translation circuits and one companion circuit integrate to 2T; the
-    # translation cycle is the circle about -1/(2 lam) through the branch
+    # translation cycle is the circle about -1/(2 lam) enclosing the branch
     # points 0 and -1/lam
     lam = Lambda(2.0)
     norm = Normalization.paper(lam)
@@ -539,8 +554,9 @@ def test_route_blocked_inside_branch_guard():
     from riemann_examples.curve import delta_branch
     from riemann_examples.errors import PathBlocked
     lam = Lambda(2.0)
-    target = 2.0 + 0.2 * delta_branch(lam)
-    with pytest.raises(PathBlocked):
+    target = 2.0 + 0.2 * delta_branch(lam)[1]
+    with pytest.raises(PathBlocked, match=r"lam = 2.0: target .* lies in the guard disk of "
+                                          r"branch point \(2\+0j\) \(radius 2.00e-06\)$"):
         route_vertices(target, lam)
     with pytest.raises(SingularPoint):
         route_vertices(0.0 + 0.0j, lam)
@@ -644,25 +660,30 @@ def test_routes_at_small_lambda_match_x2_closed_form(sheet):
     (0.01, -0.5 + 0.002j, 0),
 ], ids=["guard-winding0", "guard-winding1", "guard-end"])
 def test_route_errors_name_lambda_target_winding_and_edge(monkeypatch, delta, target, winding):
-    # with the edge guard widened, the redirected route of 2.2 e^{0.05 i}
-    # (its detour and final radial leg pass within 0.3 of lam = 2) and the
-    # last chord of the sweep to -0.5 + 0.002i (ending 0.002 from the branch
-    # point -1/lam) end inside a guard disk; route_vertices keeps its own guard
-    from riemann_examples import quadrature
+    # the routes are planned with the default guard; with every guard radius
+    # then widened to delta, the redirected route of 2.2 e^{0.05 i} (its
+    # detour and final radial leg pass within 0.3 of lam = 2) and the last
+    # chord of the sweep to -0.5 + 0.002i (ending 0.002 from the branch point
+    # -1/lam) end inside a guard disk
+    from riemann_examples import curve, weierstrass
     from riemann_examples.errors import BranchTooClose
-    monkeypatch.setattr(quadrature, "delta_branch", lambda lam: delta)
     lam = Lambda(2.0)
+    route = route_vertices(target, lam, winding=winding)
+    monkeypatch.setattr(weierstrass, "route_vertices", lambda *args, **kwargs: route)
+    monkeypatch.setattr(curve, "delta_branch", lambda lam: (delta,) * 3)
     with pytest.raises(BranchTooClose) as err:
         immerse(lam, Normalization.paper(lam), [target], winding=winding)
     m = re.match(r"lam = 2.0, target (\S+), winding (\d+), route edge (\S+) -> (\S+): "
-                 r"end point (\S+) lies in the guard disk of branch point (\S+)$", str(err.value))
+                 r"end point (\S+) lies in the guard disk of branch point (\S+) "
+                 r"\(radius (\S+)\)$", str(err.value))
     assert m, str(err.value)
     assert complex(m[1]) == target and int(m[2]) == winding
     # the named edge is an edge of the target's route, ending in the guard
+    # disk of the named branch point, whose own radius is shown
     za, zb = complex(m[3]), complex(m[4])
-    route = route_vertices(target, lam, winding=winding)
     assert (za, zb) in zip(route[:-1], route[1:])
     assert complex(m[5]) == zb and abs(zb - complex(m[6])) < delta
+    assert float(m[7]) == pytest.approx(delta, rel=1e-2)
 
 
 # ---------------------------------------------------------------------------
@@ -677,7 +698,7 @@ def _scalar_grid(lam, norm, radii, angles, sheet_sign):
     integrated here and not derived from sheet +1."""
     from riemann_examples.weierstrass import _angular_leg, _radial_leg, weierstrass_integrand
     fn = weierstrass_integrand(norm)
-    stem = ([BASE_POINT] + _angular_leg(1.0, 0.0, angles[0], lam)
+    stem = ([BASE_POINT] + _angular_leg(1.0, 0.0, angles[0])
             + _radial_leg(1.0, radii[0], angles[0], lam))
     ss = abs(curve_rhs(BASE_POINT, lam)) < 1e-12
     if ss:
@@ -722,54 +743,79 @@ def test_batched_grid_matches_scalar_chain_loop(lv, sheet):
     _assert_matches_scalar(grid)
 
 
-def test_grid_branch_guard_raises_where_scalar_guard_does(monkeypatch):
-    from riemann_examples import quadrature, weierstrass
-    from riemann_examples.curve import delta_branch
-    from riemann_examples.errors import BranchTooClose
-
-    # the guard mask agrees with continue_sheet's guard at the disk's rim
+@pytest.mark.parametrize("k", [0, 1, 2], ids=["zero", "lam", "minus-inverse-lam"])
+def test_guard_rim_of_each_branch_point(monkeypatch, k):
+    # at lam = 2 the branch points 0, lam, -1/lam have the gaps 0.5, 2, 0.5
+    # and so the guard radii 5e-7, 2e-6, 5e-7.  At (1 -+ 1e-12) times its own
+    # radius, straight above the branch point b, continue_sheet and immerse
+    # refuse the point inside and take it outside.
+    from riemann_examples import weierstrass
+    from riemann_examples.curve import branch_points, delta_branch
+    from riemann_examples.errors import BranchTooClose, PathBlocked
     lam = Lambda(2.0)
-    delta = delta_branch(lam)
-    pts = np.array([b + delta * f * np.exp(0.7j)
-                    for b in (0.0, 2.0, -0.5) for f in (1 - 1e-12, 1 + 1e-12, 0.5, 2.0)])
-    for z, near in zip(pts, quadrature.near_branch(pts, lam)):
-        try:
+    norm = Normalization.paper(lam)
+    b, delta = branch_points(lam).finite[k], delta_branch(lam)[k]
+    assert delta == 1e-6 * (2.0 if k == 1 else 0.5)
+    rim = f"branch point {b} (radius {delta:.2e})"
+    for f, inside in ((1.0 - 1e-12, True), (1.0 + 1e-12, False)):
+        z = b + 1j * delta * f
+        assert abs(z - b) == delta * f
+        if inside:
+            with pytest.raises(BranchTooClose, match=re.escape(rim)):
+                continue_sheet([z], principal_w(z, lam), lam)
+            with pytest.raises(PathBlocked, match=re.escape(rim)):
+                immerse(lam, norm, [z])
+        else:
             continue_sheet([z], principal_w(z, lam), lam)
-            scalar_near = False
-        except BranchTooClose:
-            scalar_near = True
-        assert near == scalar_near
+            assert np.all(np.isfinite(immerse(lam, norm, [z])[0].position))
+    # immerse_grid: a closed 2x8 grid whose second ring has its chords cross
+    # the real axis at f times the radius from b (on the rays at angle 0 and
+    # pi, one ring chord each).  About 0 the crossing is exact to roundoff;
+    # about lam and -1/lam the floats near b resolve it only to about 1e-10 of
+    # the radius, so the rim there is 1 -+ 1e-8.
+    half = math.cos(math.pi / 8)
+    eps = 1e-12 if k == 0 else 1e-8
+    for f, inside in ((1.0 - eps, True), (1.0 + eps, False)):
+        ring = (abs(b) + delta * f) / half
+        monkeypatch.setattr(weierstrass, "_half_offset_radii",
+                            lambda *args: np.array([1.0, ring]))
+        if inside:
+            with pytest.raises(BranchTooClose, match="real-axis crossing .* " + re.escape(rim)):
+                immerse_grid(lam, norm, r_min=0.1, r_max=10.0, n_rad=2, n_ang=8, closed=True)
+        else:
+            grid = immerse_grid(lam, norm, r_min=0.1, r_max=10.0, n_rad=2, n_ang=8, closed=True)
+            assert np.all(np.isfinite(grid.positions))
 
     # rings inside the guard disk of z = 0: the first edge to touch one is
     # refused, before any edge is integrated (the radial steps by 1/5 are
     # each clearly separated, so only the vertex guard sees the last ring)
-    norm = Normalization.paper(lam)
-    for radii, edge in ((np.array([0.5, 1e-8]), "(0, 0) -> (1, 0)"),
-                        (0.5 * 0.2 ** np.arange(9), "(7, 0) -> (8, 0)")):
-        monkeypatch.setattr(weierstrass, "_half_offset_radii", lambda *args: radii)
-        with pytest.raises(BranchTooClose) as err:
-            immerse_grid(lam, norm, r_min=0.1, r_max=10.0, n_rad=len(radii), n_ang=8,
-                         sheet_sign=-1)
-        assert f"lam = 2.0, sheet -1, radial grid edge {edge}" in str(err.value)
-        assert "branch guard 2.00e-06" in str(err.value)
-    angles = -math.pi + (np.arange(8) + 0.5) * (2.0 * math.pi / 8)
-    with pytest.raises(BranchTooClose):
-        _scalar_grid(lam, norm, np.array([0.5, 1e-8]), angles, -1)
+    if k == 0:
+        for radii, edge in ((np.array([0.5, 1e-8]), "(0, 0) -> (1, 0)"),
+                            (0.5 * 0.2 ** np.arange(10), "(8, 0) -> (9, 0)")):
+            monkeypatch.setattr(weierstrass, "_half_offset_radii", lambda *args: radii)
+            with pytest.raises(BranchTooClose) as err:
+                immerse_grid(lam, norm, r_min=0.1, r_max=10.0, n_rad=len(radii), n_ang=8,
+                             sheet_sign=-1)
+            assert f"lam = 2.0, sheet -1, radial grid edge {edge}: end point" in str(err.value)
+            assert str(err.value).endswith(rim)
+        angles = -math.pi + (np.arange(8) + 0.5) * (2.0 * math.pi / 8)
+        with pytest.raises(BranchTooClose):
+            _scalar_grid(lam, norm, np.array([0.5, 1e-8]), angles, -1)
 
 
 @pytest.mark.parametrize("sheet", [+1, -1])
 def test_grid_edge_errors_name_lambda_sheet_edge_and_guard(monkeypatch, sheet):
-    # the ring |z| = 1e-5 lies in the guard disk of 0 once the edge guard is
-    # widened to 2e-5 (the default 2e-6 lets this grid build); the stem and
-    # the ring |z| = 1 pass
-    from riemann_examples import quadrature, weierstrass
+    # the ring |z| = 1e-5 lies in the guard disk of 0 once the guard radii
+    # are widened to 2e-5 (the default 5e-7 about 0 lets this grid build);
+    # the stem and the ring |z| = 1 pass
+    from riemann_examples import curve, weierstrass
     from riemann_examples.errors import BranchTooClose
     monkeypatch.setattr(weierstrass, "_half_offset_radii", lambda *args: np.array([1.0, 1e-5]))
-    monkeypatch.setattr(quadrature, "delta_branch", lambda lam: 2e-5)
+    monkeypatch.setattr(curve, "delta_branch", lambda lam: (2e-5,) * 3)
     lam = Lambda(2.0)
     with pytest.raises(BranchTooClose) as err:
         immerse_grid(lam, Normalization.paper(lam), r_min=0.1, r_max=10.0,
                      n_rad=2, n_ang=8, sheet_sign=sheet)
     msg = str(err.value)
     assert f"lam = 2.0, sheet {sheet:+d}, radial grid edge (0, 0) -> (1, 0)" in msg
-    assert "lies in the guard disk of branch point 0j" in msg
+    assert msg.endswith("lies in the guard disk of branch point 0j (radius 2.00e-05)")
