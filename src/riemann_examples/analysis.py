@@ -321,25 +321,24 @@ def fit_line_2d(xy):
 
 
 def _edge_height_crossing(lam, norm, za, wa, pos_a, zb, c, f_lo, where=None):
-    """Solve x3 = c along straight edges za -> zb continued from (za, wa).
+    """Solve x3 = c along the straight edges za -> zb continued from (za, wa).
 
-    Takes scalars (returns one position) or equal-length arrays of edges
-    (returns an (n, 3) array).  Each edge runs a safeguarded Newton
-    iteration in its parameter t: f(t) = x3(t) - c has the exact derivative
-    f'(t) = Re(2 s dz / w(t)), since Phi3 = 2 s / w, and a sign bracket
-    replaces any step that leaves it (or meets f' = 0) by its midpoint.  All
-    edges step in lockstep: each round continues the root and integrates
-    from every active iterate to its next one by one _continue_edges call
-    (which refuses iterates inside a branch guard disk), and retires the
-    edges that meet |x3 - c| < 1e-12 max(1, |c|).  `where(k)` names edge k
-    in errors (by default its end points, lam and height); an error within
-    a round also names the Newton step.  QuadratureFailure is raised for an
-    edge not resolved within 60 rounds.
+    Takes equal-length arrays of edges and returns an (n, 3) array.  Each
+    edge runs a safeguarded Newton iteration in its parameter t:
+    f(t) = x3(t) - c has the exact derivative f'(t) = Re(2 s dz / w(t)),
+    since Phi3 = 2 s / w, and a sign bracket replaces any step that leaves
+    it (or meets f' = 0) by its midpoint.  All edges step in lockstep: each
+    round continues the root and integrates from every active iterate to its
+    next one by one _continue_edges call (which refuses iterates inside a
+    branch guard disk), and retires the edges that meet
+    |x3 - c| < 1e-12 max(1, |c|).  `where(k)` names edge k in errors (by
+    default its end points, lam and height); an error within a round also
+    names the Newton step.  QuadratureFailure is raised for an edge not
+    resolved within 60 rounds.
     """
-    scalar = np.ndim(za) == 0
-    za, wa, zb = (np.atleast_1d(np.asarray(v, dtype=complex)) for v in (za, wa, zb))
-    c, f = np.atleast_1d(np.asarray(c, dtype=float)), np.array(f_lo, dtype=float, ndmin=1)
-    pos = np.array(pos_a, dtype=float).reshape(-1, 3)
+    za, wa, zb = (np.asarray(v, dtype=complex) for v in (za, wa, zb))
+    c, f = np.asarray(c, dtype=float), np.array(f_lo, dtype=float)
+    pos = np.array(pos_a, dtype=float)
     if where is None:
         def where(k) -> str:
             return (f"lam = {lam.value!r}, edge {complex(za[k])} -> {complex(zb[k])}, "
@@ -371,7 +370,7 @@ def _edge_height_crossing(lam, norm, za, wa, pos_a, zb, c, f_lo, where=None):
         t_hi[act] = np.where(same_side, t_hi[act], t_new)
         act = act[~(np.abs(f[act]) < tol[act])]
         if not act.size:
-            return pos[0] if scalar else pos
+            return pos
     k = act[0]
     raise QuadratureFailure(
         f"{where(k)}: height crossing not resolved, |x3 - c| = {abs(f[k]):.3e} "
@@ -383,76 +382,66 @@ def foliation_slices(grids, heights, min_points: int = 16):
     """Horizontal slices of the immersed surface.
 
     `grids` holds the two sheet grids of one immersion.  Crossing points of
-    each height are found along radial grid edges (with the sheet-aligned
-    upper neighbour, so edges through a branch band pair with the correct
-    partner) and angular grid edges.  The crossing edges of every height
-    and both sheets are gathered first and refined by one lockstep call of
-    _edge_height_crossing, so each Newton round is one batched closed-form
-    continuation and integration over all of them.
+    each height are found along radial grid edges (ending on their upper
+    vertex of radial_edge_alignment, so edges through a branch band pair
+    with the correct partner) and angular grid edges, of both sheets in the
+    alignment's numbering.  The crossing edges of every height are refined
+    by one lockstep call of _edge_height_crossing, so each Newton round is
+    one batched closed-form continuation and integration over all of them.
     Each slice is fitted by a circle and by a line; the better model is
     reported.
     """
     by_sign = {g.sheet_sign: g for g in grids}
     if len(by_sign) != 2:
         raise ValueError("foliation slicing needs both sheet grids")
-    alignment = radial_edge_alignment(by_sign[+1], by_sign[-1])
-    lam, norm = by_sign[+1].lam, by_sign[+1].norm
+    pair = (by_sign[+1], by_sign[-1])
+    alignment = radial_edge_alignment(*pair)
+    lam, norm = pair[0].lam, pair[0].norm
     t3 = period_vectors(lam, norm).translation[2]
-    n_rad, n_col = by_sign[+1].z.shape
-    idx = np.arange(n_rad * n_col).reshape(n_rad, n_col)
-    # every edge, radial ones first: flat end vertices, x3 at both ends
-    # (radial edges end on their continuation-aligned upper vertex, angular
-    # edges stay within a row chain, consistent by construction)
-    a = np.concatenate((idx[:-1].ravel(), idx[:, :-1].ravel()))
-    b = np.concatenate((idx[1:].ravel(), idx[:, 1:].ravel()))
-    radial = np.arange(len(a)) < (n_rad - 1) * n_col
-    ends = {}
-    for s, g in by_sign.items():
-        x3 = g.positions[..., 2]
-        upper = np.where(alignment.sheet[s] > 0, by_sign[+1].positions[1:, :, 2],
-                         by_sign[-1].positions[1:, :, 2])
-        ends[s] = (np.concatenate((x3[:-1].ravel(), x3[:, :-1].ravel())),
-                   np.concatenate(((upper + alignment.period_k[s] * t3).ravel(),
-                                   x3[:, 1:].ravel())))
+    zf = np.concatenate([g.z.ravel() for g in pair])
+    wf = np.concatenate([g.w.ravel() for g in pair])
+    vertices = np.concatenate([g.positions.reshape(-1, 3) for g in pair])
+    idx = np.arange(len(zf)).reshape(2, *pair[0].z.shape)
+
+    def per_sheet(radial, angular):
+        """Edge values in order: per sheet, radial edges then angular."""
+        return np.concatenate((radial.reshape(2, -1), angular.reshape(2, -1)), axis=1).ravel()
+
+    # every edge: start and end vertex, and the end's period offset (radial
+    # edges end on their aligned upper vertex, angular edges stay within a
+    # row chain, consistent by construction)
+    a = per_sheet(idx[:, :-1], idx[:, :, :-1])
+    b = per_sheet(alignment.upper, idx[:, :, 1:])
+    radial = np.arange(len(a)) % (len(a) // 2) < alignment.upper[0].size
+    lo = vertices[a, 2]
+    hi = vertices[b, 2] + per_sheet(alignment.period_k, 0 * idx[:, :, 1:]) * t3
 
     # the points of each height in order: per sheet, radial then angular
     # edges; a radial edge starting exactly at the height gives its vertex
-    sheet, edge, height, f_lo, counts = [], [], [], [], []
+    edge = []
     for c in heights:
-        n = 0
-        for s, (lo, hi) in ends.items():
-            e = np.flatnonzero((radial & (lo - c == 0.0)) | ((lo - c) * (hi - c) < 0.0))
-            sheet.append(np.full(len(e), s))
-            edge.append(e)
-            height.append(np.full(len(e), float(c)))
-            f_lo.append(lo[e] - c)
-            n += len(e)
-        if n < min_points:
+        edge.append(np.flatnonzero((radial & (lo - c == 0.0)) | ((lo - c) * (hi - c) < 0.0)))
+        if len(edge[-1]) < min_points:
             raise InsufficientSlicePoints(
-                f"slice at height {c} met only {n} edges (need {min_points})"
+                f"slice at height {c} met only {len(edge[-1])} edges (need {min_points})"
             )
-        counts.append(n)
-    if not counts:
+    if not edge:
         return []
-    sheet, edge, height, f_lo = (np.concatenate(v) for v in (sheet, edge, height, f_lo))
-    # vertex data of both grids, row 0 for sheet +1 and row 1 for sheet -1
-    row = (sheet < 0).astype(int)
-    pair = (by_sign[+1], by_sign[-1])
-    zf = np.stack([g.z.ravel() for g in pair])
-    wf = np.stack([g.w.ravel() for g in pair])
+    counts = [len(e) for e in edge]
+    edge, height = np.concatenate(edge), np.repeat(np.asarray(heights, dtype=float), counts)
     va, vb = a[edge], b[edge]
-    points = np.stack([g.positions.reshape(-1, 3) for g in pair])[row, va]
+    f_lo = lo[edge] - height
+    points = vertices[va]
     k = np.flatnonzero(f_lo != 0.0)
-    edge_at = {s: _edge_locator(lam, s, g.z, va[k], vb[k]) for s, g in by_sign.items()}
+    edge_at = _edge_locator(lam, pair[0].z.shape, va[k], vb[k])
 
     def where(j) -> str:
         c = height[k[j]]
-        return (f"{edge_at[sheet[k[j]]](j)}, height x3 = {float(c)!r} "
+        return (f"{edge_at(j)}, height x3 = {float(c)!r} "
                 f"(crossing tolerance {1e-12 * max(1.0, abs(c)):.2e})")
 
     points[k] = _edge_height_crossing(
-        lam, norm, zf[row[k], va[k]], wf[row[k], va[k]], points[k], zf[row[k], vb[k]],
-        height[k], f_lo[k], where)
+        lam, norm, zf[va[k]], wf[va[k]], points[k], zf[vb[k]], height[k], f_lo[k], where)
 
     slices = []
     for c, pts in zip(heights, np.split(points, np.cumsum(counts)[:-1])):

@@ -45,26 +45,32 @@ _NORMS = {"raw": Normalization.raw, "paper": Normalization.paper,
           "spacing": Normalization.spacing}
 
 
-def _positive_lambda(text: str) -> float:
-    try:
-        v = float(text)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
-    if not (math.isfinite(v) and v > 0):
-        raise argparse.ArgumentTypeError("the family parameter must be finite and > 0")
-    return v
+def _checked(convert, ok, requirement: str):
+    """An argparse type: `convert` the text, and refuse a value that fails
+    `ok`, naming the `requirement`."""
+    def parse(text: str):
+        try:
+            value = convert(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"{requirement}, not {text!r}")
+    return parse
 
 
-def _lambda_csv(text: str) -> tuple:
-    return tuple(_positive_lambda(t) for t in text.split(",") if t)
-
-
-def _resolution(text: str) -> tuple:
-    try:
-        r, a = text.lower().split("x")
-        return int(r), int(a)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError("resolution must look like 48x96") from exc
+_positive_lambda = _checked(float, lambda v: math.isfinite(v) and v > 0,
+                            "the family parameter must be a finite number > 0")
+_copies = _checked(int, lambda v: v >= 1, "copies must be an integer >= 1")
+_seed = _checked(int, lambda v: v >= 0, "the seed must be an integer >= 0")
+_annulus_L = _checked(float, lambda v: math.isfinite(v) and v > 1,
+                      "the annulus parameter L must be a finite number > 1")
+_clip_r = _checked(float, lambda v: v > 0, "the clip radius must be a number > 0")
+_lambda_csv = _checked(lambda text: tuple(_positive_lambda(t) for t in text.split(",") if t),
+                       bool, "need at least one comma-separated lambda")
+_resolution = _checked(lambda text: tuple(int(n) for n in text.lower().split("x")),
+                       lambda ra: len(ra) == 2 and ra[0] >= 2 and ra[1] >= 8 and ra[1] % 2 == 0,
+                       "resolution must look like 48x96: rings >= 2, an even angle count >= 8")
 
 
 def _emit(payload: dict) -> None:
@@ -291,7 +297,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mesh = sub.add_parser("mesh", help="export a triangulated surface mesh")
     p_mesh.add_argument("--lambda", dest="lam", type=_positive_lambda, required=True)
     p_mesh.add_argument("--normalization", choices=sorted(_NORMS), default="paper")
-    p_mesh.add_argument("--copies", type=int, default=1)
+    p_mesh.add_argument("--copies", type=_copies, default=1)
     p_mesh.add_argument("--resolution", type=_resolution, default=(48, 96))
     p_mesh.add_argument("--format", choices=["obj", "ply"], default="obj")
     p_mesh.add_argument("--out", required=True)
@@ -301,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ver.add_argument("--suite", choices=sorted(_SUITES) + ["all"], required=True)
     p_ver.add_argument("--lambda-set", dest="lambda_set", type=_lambda_csv,
                        default=(1.0,))
-    p_ver.add_argument("--seed", type=int, default=0)
+    p_ver.add_argument("--seed", type=_seed, default=0)
     p_ver.set_defaults(func=cmd_verify)
 
     p_lim = sub.add_parser("limits", help="run a degeneration sweep")
@@ -309,8 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
                        required=True)
     p_lim.add_argument("--lambda-schedule", dest="lambda_schedule",
                        type=_lambda_csv, required=True)
-    p_lim.add_argument("--annulus-L", dest="annulus_L", type=float, default=10.0)
-    p_lim.add_argument("--clip-r", dest="clip_r", type=float, default=5.0)
+    p_lim.add_argument("--annulus-L", dest="annulus_L", type=_annulus_L, default=10.0)
+    p_lim.add_argument("--clip-r", dest="clip_r", type=_clip_r, default=5.0)
     p_lim.add_argument("--csv", default=None)
     p_lim.set_defaults(func=cmd_limits)
     return parser
@@ -319,6 +325,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.command == "limits":
+        above = args.target == "helicoid"    # the catenoid and plane sweeps take lam < 1
+        if any(lv == 1.0 or (lv > 1.0) != above for lv in args.lambda_schedule):
+            parser.error(f"argument --lambda-schedule: the {args.target} sweep takes "
+                         f"lam {'>' if above else '<'} 1")
     try:
         return args.func(args)
     except RiemannFamilyError as exc:

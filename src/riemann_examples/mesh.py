@@ -117,41 +117,31 @@ def build_mesh(lam, norm: Normalization, *, n_rad: int = 48, n_ang: int = 96,
         raise ValueError("copies must be at least 1")
     grid = immerse_grid(lam, norm, r_min=r_min, r_max=r_max, n_rad=n_rad,
                         n_ang=n_ang, closed=True)
-    grids = {+1: grid, -1: grid.sheet_partner}
-    alignment = radial_edge_alignment(grids[+1], grids[-1])
+    pair = (grid, grid.sheet_partner)
+    alignment = radial_edge_alignment(*pair)
     t_vec = period_vectors(lam, norm).translation
-    n_col = grids[+1].n_col
-    block_size = n_rad * n_col
-    base_verts = np.concatenate([grids[s].positions.reshape(-1, 3) for s in (+1, -1)])
-    base_z = np.concatenate([grids[s].z.ravel() for s in (+1, -1)])
+    base_verts = np.concatenate([g.positions.reshape(-1, 3) for g in pair])
+    base_z = np.concatenate([g.z.ravel() for g in pair])
 
-    # cell (s, i, c) has lower corners a = (s, i, c), b = (s, i, c + 1);
-    # its upper corners follow the alignment of its east and west radial
-    # edges: cc = (s_e, i + 1, c + 1) shifted k_e periods, d likewise west
-    row = np.arange(n_rad - 1)[:, None]
-    a, up, shift = [], [], []
-    for s in (+1, -1):
-        a.append((0 if s > 0 else block_size) + row * n_col + np.arange(n_col - 1))
-        up_s = np.where(alignment.sheet[s] > 0, 0, block_size) + (row + 1) * n_col \
-            + np.arange(n_col)
-        up.append(np.stack([up_s[:, 1:], up_s[:, :-1]], axis=-1))
-        k_s = alignment.period_k[s]
-        shift.append(np.stack([k_s[:, 1:], k_s[:, :-1]], axis=-1))
-    a = np.concatenate(a).ravel()
-    up = np.concatenate(up).ravel()       # cc, d of each cell in turn
-    shift = np.concatenate(shift).ravel()
+    # cell (s, i, c), in the alignment's numbering of the pair, has lower
+    # corners a = (s, i, c), b = (s, i, c + 1); its upper corners follow the
+    # alignment of its east and west radial edges: cc = upper[s, i, c + 1]
+    # shifted period_k[s, i, c + 1] periods, d likewise west
+    a = np.arange(len(base_z)).reshape(2, n_rad, -1)[:, :-1, :-1].ravel()
+    up, shift = (np.stack([m[..., 1:], m[..., :-1]], axis=-1).ravel()   # cc, d of each cell
+                 for m in (alignment.upper, alignment.period_k))
 
     # a corner shifted by k != 0 periods is a duplicate vertex, appended
     # once per (vertex, k) in order of first use
     moved = shift != 0
-    keys, first, inverse = np.unique(up[moved] * 5 + shift[moved] + 2,
+    keys, first, inverse = np.unique(shift[moved] * len(base_z) + up[moved],
                                      return_index=True, return_inverse=True)
     order = np.argsort(first)
     rank = np.empty_like(order)
     rank[order] = np.arange(len(order))
-    up[moved] = 2 * block_size + rank[inverse]
-    src, k_extra = np.divmod(keys[order], 5)
-    verts = np.concatenate([base_verts, base_verts[src] + (k_extra - 2)[:, None] * t_vec])
+    up[moved] = len(base_z) + rank[inverse]
+    k_extra, src = np.divmod(keys[order], len(base_z))
+    verts = np.concatenate([base_verts, base_verts[src] + k_extra[:, None] * t_vec])
     zflat = np.concatenate([base_z, base_z[src]])
 
     cc, d = up[0::2], up[1::2]

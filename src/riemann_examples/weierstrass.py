@@ -755,14 +755,17 @@ def _half_offset_radii(r_min: float, r_max: float, n_rad: int, lam: Lambda):
     raise PathBlocked("could not place grid radii clear of the branch moduli")
 
 
-def _edge_locator(lam: Lambda, sheet_sign: int, z, a, b):
-    """Describe edge k, from flat vertex a[k] to b[k] of the grid z."""
-    n_col = z.shape[1]
+def _edge_locator(lam: Lambda, shape, a, b):
+    """Describe edge k, from vertex a[k] to b[k] of a pair of sheet grids of
+    shape (n_rad, n_col), numbered as one: the sheet +1 block, then the sheet
+    -1 block, each row-major.  The sheet named is a[k]'s."""
+    block, n_col = shape[0] * shape[1], shape[1]
 
     def where(k) -> str:
-        (i, j), (i2, j2) = divmod(int(a[k]), n_col), divmod(int(b[k]), n_col)
+        sheet = 1 if a[k] < block else -1
+        (i, j), (i2, j2) = divmod(int(a[k]) % block, n_col), divmod(int(b[k]) % block, n_col)
         kind = "radial" if j == j2 else "angular"
-        return (f"lam = {lam.value!r}, sheet {sheet_sign:+d}, {kind} grid edge "
+        return (f"lam = {lam.value!r}, sheet {sheet:+d}, {kind} grid edge "
                 f"({i}, {j}) -> ({i2}, {j2})")
     return where
 
@@ -802,7 +805,8 @@ def immerse_grid(lam, norm: Normalization, *, r_min: float, r_max: float,
     idx = np.arange(n_rad * n_col).reshape(n_rad, n_col)
     a = np.concatenate((idx[:-1, 0], idx[:, :-1].ravel()))
     b = np.concatenate((idx[1:, 0], idx[:, 1:].ravel()))
-    edge = _edge_locator(lam, sheet_sign, zs, a, b)
+    off = 0 if sheet_sign > 0 else n_rad * n_col     # errors name the requested sheet
+    edge = _edge_locator(lam, zs.shape, a + off, b + off)
     at = np.empty(n_rad * n_col, dtype=int)
     at[0], at[b] = m, m + 1 + np.arange(len(b))
 
@@ -822,63 +826,66 @@ def immerse_grid(lam, norm: Normalization, *, r_min: float, r_max: float,
 
 @dataclass(frozen=True)
 class RadialEdgeAlignment:
-    """Continuation-aligned upper neighbour of every radial grid edge.
+    """Continuation-aligned upper neighbour of every radial grid edge of a
+    pair of sheet grids, numbered as one: the sheet +1 block, then the sheet
+    -1 block, each row-major.
 
-    Continuing from vertex (i, j) of the grid with sheet sign s to the next
-    ring lands on vertex (i+1, j) of the grid with sheet sign `sheet[s][i, j]`
-    translated by `period_k[s][i, j]` periods.  Away from the (at most two)
-    ring pairs that straddle a branch modulus the alignment is trivial: the
-    own grid with no period offset.
+    Continuing from vertex (i, j) of block s to the next ring lands on vertex
+    `upper[s, i, j]`, which is (i+1, j) of either block, translated by
+    `period_k[s, i, j]` periods.  Away from the (at most two) ring pairs that
+    straddle a branch modulus this is (i+1, j) of block s itself, unshifted.
     """
 
-    sheet: dict
-    period_k: dict
+    upper: np.ndarray
+    period_k: np.ndarray
 
 
 def radial_edge_alignment(grid_plus: GridImmersion,
                           grid_minus: GridImmersion) -> RadialEdgeAlignment:
-    """Empirical radial-edge alignment for a pair of sheet grids.
+    """Empirical radial-edge alignment for a sheet +1 grid and its partner.
 
-    Rows whose radius interval straddles a branch modulus have their edges
-    continued and integrated in closed form (_continue_edges) and matched
-    (by root value and by position modulo the translation period) against
-    both grids; a failed match raises.
+    Only sheet +1's band-row edges (whose radius interval straddles a branch
+    modulus) are continued and integrated in closed form (_continue_edges).
+    Each lands on the sheet whose upper root is nearer to the continued
+    root, k = rint(gap.T / |T|^2) periods away; a root off by more than
+    1e-6 (1 + |w|), or a position off by more than 1e-6 max(1, |x|) after
+    k periods, raises QuadratureFailure.  By the deck involution, sheet -1's
+    edge lands on the other block, -k periods away.  grid_minus must equal
+    grid_plus.sheet_partner value for value (ValueError otherwise).
     """
-    grids = {+1: grid_plus, -1: grid_minus}
-    lam = grid_plus.lam
-    t_vec = period_vectors(lam, grid_plus.norm).translation
-    radii = grid_plus.radii
-    bands = [i for i in range(len(radii) - 1)
-             if any(radii[i] < m < radii[i + 1]
-                    for m in (lam.value, 1.0 / lam.value))]
-    sheet = {s: np.full((g.n_rad - 1, g.n_col), s, dtype=int)
-             for s, g in grids.items()}
-    period_k = {s: np.zeros((g.n_rad - 1, g.n_col), dtype=int)
-                for s, g in grids.items()}
-    n_col = grid_plus.n_col
+    partner = grid_plus.sheet_partner
+    if grid_plus.sheet_sign < 0 or not all(
+            np.array_equal(getattr(grid_minus, f.name), getattr(partner, f.name))
+            for f in dataclasses.fields(partner)):
+        raise ValueError("radial_edge_alignment takes a sheet +1 grid and its sheet_partner")
+    lam, norm, radii = grid_plus.lam, grid_plus.norm, grid_plus.radii
+    t_vec = period_vectors(lam, norm).translation
+    bands = [i for i, (r0, r1) in enumerate(zip(radii[:-1], radii[1:]))
+             if any(r0 < m < r1 for m in (lam.value, 1.0 / lam.value))]
+    n_rad, n_col = grid_plus.z.shape
+    block = n_rad * n_col
+    upper = np.arange(2 * block).reshape(2, n_rad, n_col)[:, 1:].copy()
+    period_k = np.zeros(upper.shape, dtype=int)
     a = (np.array(bands, dtype=int)[:, None] * n_col + np.arange(n_col)).ravel()
     b = a + n_col
-    for s, g in grids.items():
-        zf, wf = g.z.ravel(), g.w.ravel()
-        where = _edge_locator(lam, s, g.z, a, b)
-        w_end, vals = _continue_edges(zf[a], wf[a], zf[b], lam, g.norm, where)
-        end = g.positions.reshape(-1, 3)[a] + vals
-        tol = 1e-6 * np.maximum(1.0, np.linalg.norm(end, axis=1))
-        hit_s = np.zeros(len(a), dtype=int)
-        hit_k = np.zeros(len(a), dtype=int)
-        for s2, g2 in grids.items():
-            w_ok = np.abs(g2.w.ravel()[b] - w_end) <= 1e-6 * (1.0 + np.abs(w_end))
-            for k in range(-2, 3):
-                gap = np.linalg.norm(end - (g2.positions.reshape(-1, 3)[b] + k * t_vec), axis=1)
-                hit = w_ok & (gap < tol)
-                hit_s[hit], hit_k[hit] = s2, k
-        missed = np.flatnonzero(hit_s == 0)
-        if missed.size:
-            k = missed[0]
-            raise QuadratureFailure(
-                f"{where(k)}: continued end matched no grid vertex within "
-                f"{tol[k]:.1e} (root and position modulo the period)"
-            )
-        sheet[s][bands] = hit_s.reshape(len(bands), n_col)
-        period_k[s][bands] = hit_k.reshape(len(bands), n_col)
-    return RadialEdgeAlignment(sheet=sheet, period_k=period_k)
+    w = np.concatenate((grid_plus.w.ravel(), grid_minus.w.ravel()))
+    pos = np.concatenate((grid_plus.positions.reshape(-1, 3), grid_minus.positions.reshape(-1, 3)))
+    where = _edge_locator(lam, grid_plus.z.shape, a, b)
+    w_end, vals = _continue_edges(grid_plus.z.flat[a], w[a], grid_plus.z.flat[b], lam, norm, where)
+    end = pos[a] + vals
+    up = np.where(np.abs(w[b] - w_end) <= np.abs(w[b] + w_end), b, b + block)
+    gap = end - pos[up]
+    k = np.rint(gap @ t_vec / (t_vec @ t_vec))
+    tol = 1e-6 * np.maximum(1.0, np.linalg.norm(end, axis=1))
+    hit = ((np.abs(w[up] - w_end) <= 1e-6 * (1.0 + np.abs(w_end)))
+           & (np.linalg.norm(gap - k[:, None] * t_vec, axis=1) < tol))
+    if not hit.all():
+        j = np.flatnonzero(~hit)[0]
+        raise QuadratureFailure(
+            f"{where(j)}: continued end matched no grid vertex within "
+            f"{tol[j]:.1e} (root and position modulo the period)"
+        )
+    up, k = up.reshape(len(bands), n_col), k.reshape(len(bands), n_col)
+    upper[0, bands], upper[1, bands] = up, (up + block) % (2 * block)
+    period_k[0, bands], period_k[1, bands] = k, -k
+    return RadialEdgeAlignment(upper=upper, period_k=period_k)

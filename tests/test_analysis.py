@@ -345,8 +345,8 @@ def test_edge_crossing_unreached_height_raises(grids_lambda1):
     pos_a = g.positions[5, 5]
     c = float(pos_a[2]) + 1e3
     with pytest.raises(QuadratureFailure, match="lam = 1.0"):
-        analysis._edge_height_crossing(g.lam, g.norm, g.z[5, 5], g.w[5, 5], pos_a,
-                                       g.z[6, 5], c, float(pos_a[2]) - c)
+        analysis._edge_height_crossing(g.lam, g.norm, g.z[5, 5:6], g.w[5, 5:6], pos_a[None],
+                                       g.z[6, 5:6], [c], [float(pos_a[2]) - c])
 
 
 def test_foliation_line_at_end_height(grids_lambda1):
@@ -415,13 +415,15 @@ def _scalar_slice_points(grids, heights):
     by_sign = {g.sheet_sign: g for g in grids}
     alignment = radial_edge_alignment(by_sign[+1], by_sign[-1])
     t3 = period_vectors(by_sign[+1].lam, by_sign[+1].norm).translation[2]
+    # x3 of both grids in the alignment's numbering: sheet +1, then sheet -1
+    x3_pair = np.concatenate([by_sign[s].positions[..., 2].ravel() for s in (+1, -1)])
     out = []
     for c in heights:
         pts = []
-        for s, g in by_sign.items():
+        for block, s in enumerate((+1, -1)):
+            g = by_sign[s]
             x3 = g.positions[..., 2]
-            upper = np.where(alignment.sheet[s] > 0, by_sign[+1].positions[1:, :, 2],
-                             by_sign[-1].positions[1:, :, 2]) + alignment.period_k[s] * t3
+            upper = x3_pair[alignment.upper[block]] + alignment.period_k[block] * t3
             rad_lo, ang_lo, ang_hi = x3[:-1], x3[:, :-1], x3[:, 1:]
             rad_hit = rad_lo - c == 0.0
             rad_cross = (rad_lo - c) * (upper - c) < 0.0
@@ -459,14 +461,15 @@ def test_lockstep_slices_match_scalar_newton(lv):
 
 
 def test_lockstep_crossing_accepts_scalars_and_arrays(grids_lambda1):
+    # one edge (as 1-element arrays) and the same edge twice
     g = grids_lambda1[0]
     c = float(g.positions[5, 5, 2] + g.positions[6, 5, 2]) / 2
     args = (g.z[5, 5], g.w[5, 5], g.positions[5, 5], g.z[6, 5], c, float(g.positions[5, 5, 2]) - c)
-    one = analysis._edge_height_crossing(g.lam, g.norm, *args)
+    one = analysis._edge_height_crossing(g.lam, g.norm, *(np.array([v]) for v in args))
     many = analysis._edge_height_crossing(g.lam, g.norm, *(np.array([v, v]) for v in args))
-    assert one.shape == (3,) and many.shape == (2, 3)
-    assert np.array_equal(many[0], one) and np.array_equal(many[1], one)
-    assert abs(one[2] - c) < 1e-12 * max(1.0, abs(c))
+    assert one.shape == (1, 3) and many.shape == (2, 3)
+    assert np.array_equal(many[0], one[0]) and np.array_equal(many[1], one[0])
+    assert abs(one[0, 2] - c) < 1e-12 * max(1.0, abs(c))
 
 
 _EDGE_NAME = re.compile(r"lam = ([0-9.]+), sheet ([+-]1), (radial|angular) grid edge "

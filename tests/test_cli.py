@@ -148,3 +148,33 @@ def test_module_entry_point_help():
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage:")
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["mesh", "--lambda", "1", "--copies", "0"], "--copies"),
+    (["mesh", "--lambda", "1", "--resolution", "4x7"], "--resolution"),
+    (["mesh", "--lambda", "1", "--resolution", "1x8"], "--resolution"),
+    (["verify", "--suite", "periods", "--lambda-set", ","], "--lambda-set"),
+    (["verify", "--suite", "periods", "--seed", "-1"], "--seed"),
+    (["limits", "--target", "catenoid", "--lambda-schedule", ","], "--lambda-schedule"),
+    (["limits", "--target", "catenoid", "--lambda-schedule", "0.1", "--annulus-L", "0.5"],
+     "--annulus-L"),
+    (["limits", "--target", "catenoid", "--lambda-schedule", "0.1", "--clip-r", "-1"],
+     "--clip-r"),
+    (["limits", "--target", "catenoid", "--lambda-schedule", "0.1,1"], "--lambda-schedule"),
+    (["limits", "--target", "helicoid", "--lambda-schedule", "10,1"], "--lambda-schedule"),
+    (["limits", "--target", "planes", "--lambda-schedule", "2"], "--lambda-schedule"),
+], ids=["copies-0", "resolution-4x7", "resolution-1x8", "empty-lambda-set", "seed-negative",
+        "empty-schedule", "annulus-L-0.5", "clip-r-negative", "catenoid-lambda-1",
+        "helicoid-lambda-1", "planes-lambda-2"])
+def test_bad_flag_exits_two_naming_the_flag(tmp_path, capsys, argv, flag):
+    out_path = tmp_path / "x.obj"
+    if argv[0] == "mesh":
+        argv = argv + ["--out", str(out_path)]
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert f"argument {flag}: " in captured.err
+    assert captured.out == ""
+    assert not out_path.exists()

@@ -433,14 +433,23 @@ def test_vertex_and_triangle_order_match_cell_loop():
             extra[(s, i, j, k)] = 2 * n_rad * n_col + len(extra)
         return extra[(s, i, j, k)]
 
+    def upper_vid(s, i, j):
+        # the aligned upper vertex of radial edge (i, j) in the pair's
+        # numbering: sheet +1 block, then sheet -1 block, each row-major
+        block = 0 if s > 0 else 1
+        u, k = alignment.upper[block, i, j], alignment.period_k[block, i, j]
+        s_up = 1 if u < n_rad * n_col else -1
+        i_up, j_up = divmod(u % (n_rad * n_col), n_col)
+        assert (i_up, j_up) == (i + 1, j)
+        return vid(s_up, i_up, j_up, k)
+
     tris = []
     for s in (+1, -1):
-        sheet, shift = alignment.sheet[s], alignment.period_k[s]
         for i in range(n_rad - 1):
             for c in range(n_col - 1):
                 a, b = vid(s, i, c, 0), vid(s, i, c + 1, 0)
-                cc = vid(sheet[i, c + 1], i + 1, c + 1, shift[i, c + 1])
-                d = vid(sheet[i, c], i + 1, c, shift[i, c])
+                cc = upper_vid(s, i, c + 1)
+                d = upper_vid(s, i, c)
                 tris += [(a, b, cc), (a, cc, d)]
     mesh = build_mesh(lam, norm, n_rad=n_rad, n_ang=n_ang, r_min=0.1, r_max=10.0)
     assert extra

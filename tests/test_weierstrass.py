@@ -1,3 +1,4 @@
+import dataclasses
 import math
 import re
 
@@ -16,7 +17,7 @@ from riemann_examples.curve import (
     principal_w,
     sheeted_path_from_branch,
 )
-from riemann_examples.errors import SingularPoint
+from riemann_examples.errors import QuadratureFailure, SingularPoint
 from riemann_examples.reference import catenoid_integrand
 from riemann_examples.weierstrass import (
     BASE_POINT,
@@ -34,6 +35,7 @@ from riemann_examples.weierstrass import (
     path_integral,
     period_vectors,
     phi,
+    radial_edge_alignment,
     route_vertices,
     sheet_connection,
     vertical_end_spacing,
@@ -819,3 +821,80 @@ def test_grid_edge_errors_name_lambda_sheet_edge_and_guard(monkeypatch, sheet):
     msg = str(err.value)
     assert f"lam = 2.0, sheet {sheet:+d}, radial grid edge (0, 0) -> (1, 0)" in msg
     assert msg.endswith("lies in the guard disk of branch point 0j (radius 2.00e-05)")
+
+
+# ---------------------------------------------------------------------------
+# radial-edge alignment: the partner check, the match checks, and sheet -1
+# against its own continuation
+# ---------------------------------------------------------------------------
+
+def _alignment_grid(lv):
+    lam = Lambda(lv)
+    return immerse_grid(lam, Normalization.paper(lam), r_min=0.1, r_max=10.0, n_rad=24,
+                        n_ang=48, closed=True)
+
+
+def _first_band_row(grid):
+    radii, lv = grid.radii, grid.lam.value
+    return next(i for i in range(len(radii) - 1)
+                if any(radii[i] < m < radii[i + 1] for m in (lv, 1.0 / lv)))
+
+
+def test_alignment_refuses_a_pair_that_is_not_sheet_partners():
+    grid = _alignment_grid(0.354)
+    partner = grid.sheet_partner
+    pos = partner.positions.copy()
+    pos[3, 4, 0] = np.nextafter(pos[3, 4, 0], np.inf)
+    nudged = dataclasses.replace(partner, positions=pos)
+    other = _alignment_grid(0.5).sheet_partner
+    for plus, minus in ((grid, grid), (grid, nudged), (grid, other), (partner, grid)):
+        with pytest.raises(ValueError, match="sheet_partner"):
+            radial_edge_alignment(plus, minus)
+    assert radial_edge_alignment(grid, partner).upper.shape == (2, 23, 49)
+
+
+@pytest.mark.parametrize("lv", [0.354, 4.851])
+@pytest.mark.parametrize("miss", ["position", "root"])
+def test_alignment_refuses_an_edge_that_lands_on_no_vertex(lv, miss):
+    # a band-row start vertex of sheet +1 moved by T/3, or the root at its
+    # upper vertex scaled by 1 + 1e-3: the edge between them matches neither
+    # sheet, and the error names lam, the sheet and the edge
+    grid = _alignment_grid(lv)
+    i, j = _first_band_row(grid), 5
+    if miss == "position":
+        pos = grid.positions.copy()
+        pos[i, j] += period_vectors(grid.lam, grid.norm).translation / 3.0
+        bad = dataclasses.replace(grid, positions=pos)
+    else:
+        w = grid.w.copy()
+        w[i + 1, j] *= 1.0 + 1e-3
+        bad = dataclasses.replace(grid, w=w)
+    with pytest.raises(QuadratureFailure) as err:
+        radial_edge_alignment(bad, bad.sheet_partner)
+    assert str(err.value).startswith(
+        f"lam = {lv!r}, sheet +1, radial grid edge ({i}, {j}) -> ({i + 1}, {j}): "
+        "continued end matched no grid vertex")
+
+
+@pytest.mark.parametrize("lv", [0.354, 1.0 - 1e-6, 1.0, 1.0 + 1e-6, 4.851])
+def test_sheet_minus_alignment_matches_its_own_continuation(lv):
+    # every radial edge of sheet -1, continued from sheet -1's own vertices,
+    # ends on upper[1] shifted by period_k[1] periods
+    from riemann_examples.weierstrass import _continue_edges
+    grid = _alignment_grid(lv)
+    minus = grid.sheet_partner
+    alignment = radial_edge_alignment(grid, minus)
+    t_vec = period_vectors(grid.lam, grid.norm).translation
+    z, w = minus.z.ravel(), minus.w.ravel()
+    a = np.arange(z.size - grid.n_col)
+    w_end, vals = _continue_edges(z[a], w[a], z[a + grid.n_col], grid.lam, grid.norm,
+                                  lambda k: f"edge {k}")
+    end = minus.positions.reshape(-1, 3)[a] + vals
+    up, k = alignment.upper[1].ravel(), alignment.period_k[1].ravel()
+    w_pair = np.concatenate([grid.w.ravel(), w])
+    pos_pair = np.concatenate([grid.positions.reshape(-1, 3), minus.positions.reshape(-1, 3)])
+    scale = np.maximum(1.0, np.linalg.norm(end, axis=1))
+    assert np.all(np.abs(w_pair[up] - w_end) <= 1e-9 * (1.0 + np.abs(w_end)))
+    assert np.all(np.linalg.norm(end - pos_pair[up] - k[:, None] * t_vec, axis=1) <= 1e-9 * scale)
+    # the band rows cross to sheet +1, and some of their edges gain a period
+    assert np.any(up < z.size) and np.any(k != 0)
