@@ -21,8 +21,8 @@ safeguarded Newton iteration with the exact derivative dx3/dt = Re(Phi3 dz)
 (linear interpolation is far too coarse for the circle-fit tolerances),
 then fitted by circles or lines.  The crossings of all heights and both
 sheets step in lockstep: each Newton round continues and integrates every
-unresolved crossing at once, in the closed form of weierstrass._continue_edges;
-check_symmetries immerses all its lifts in one immerse call.
+unresolved crossing at once, carrying W and Psi at its iterates over rounds
+(weierstrass._continue_edges); check_symmetries immerses its lifts at once.
 """
 
 from __future__ import annotations
@@ -111,12 +111,13 @@ def verify_curvature_bound(lam, grid: CurvatureGrid | None = None) -> CurvatureB
     the law of cosines |z - lam|^2 = r^2 + lam^2 - 2 lam r cos(theta) and
     |z + 1/lam|^2 = r^2 + 1/lam^2 + (2 r / lam) cos(theta), so |K|^2 is
     proportional to their product times (1 / (r (r + 1/r)^4))^2, with no
-    square root and no complex value.  The
-    rings whose maximum lies within 1e-12 (relative) of the largest are then
-    re-evaluated exactly by abs_gauss_curvature on the complex nodes, and
-    max_abs_k and argmax (the first maximal node in grid order) are taken
-    there.  Rounding moves the polar values by far less than 1e-12 near the
-    maximum, so this equals the exact evaluation of the whole grid.
+    square root and no complex value; cos is even, so the ring maxima need
+    only the columns theta in [-pi, 0].  The rings whose maximum lies within
+    1e-12 (relative) of the largest are then re-evaluated exactly by
+    abs_gauss_curvature on the complex nodes, and max_abs_k and argmax (the
+    first maximal node in grid order) are taken there.  Rounding moves the
+    polar values by far less than 1e-12 near the maximum, so this equals the
+    exact evaluation of the whole grid.
 
     max_abs_k and argmax are the grid's; refined_max is the supremum and
     refined_argmax the one of +-i in the grid argmax's half-plane.  Raises
@@ -129,7 +130,7 @@ def verify_curvature_bound(lam, grid: CurvatureGrid | None = None) -> CurvatureB
     lv = lam.value
     logr = np.linspace(math.log(grid.r_min), math.log(grid.r_max), grid.n_rad)
     theta = np.linspace(-math.pi, math.pi, grid.n_ang, endpoint=False)
-    r, cos = np.exp(logr), np.cos(theta)
+    r, cos = np.exp(logr), np.cos(theta[:grid.n_ang // 2 + 1])
     rc = r[:, None]
     pq = rc * rc + lv * lv - (2.0 * lv * rc) * cos            # |z - lam|^2
     pq *= rc * rc + 1.0 / (lv * lv) + (2.0 * rc / lv) * cos   # times |z + 1/lam|^2
@@ -330,11 +331,11 @@ def _edge_height_crossing(lam, norm, za, wa, pos_a, zb, c, f_lo, where=None):
     it (or meets f' = 0) by its midpoint.  All edges step in lockstep: each
     round continues the root and integrates from every active iterate to its
     next one by one _continue_edges call (which refuses iterates inside a
-    branch guard disk), and retires the edges that meet
-    |x3 - c| < 1e-12 max(1, |c|).  `where(k)` names edge k in errors (by
-    default its end points, lam and height); an error within a round also
-    names the Newton step.  QuadratureFailure is raised for an edge not
-    resolved within 60 rounds.
+    branch guard disk, and hands W and Psi at them to the next round), and
+    retires the edges that meet |x3 - c| < 1e-12 max(1, |c|).  `where(k)`
+    names edge k in errors (by default its end points, lam and height); an
+    error within a round also names the Newton step.  QuadratureFailure is
+    raised for an edge not resolved within 60 rounds.
     """
     za, wa, zb = (np.asarray(v, dtype=complex) for v in (za, wa, zb))
     c, f = np.asarray(c, dtype=float), np.array(f_lo, dtype=float)
@@ -348,7 +349,7 @@ def _edge_height_crossing(lam, norm, za, wa, pos_a, zb, c, f_lo, where=None):
     below = f < 0
     t_lo, t_hi, t = np.zeros(len(za)), np.ones(len(za)), np.zeros(len(za))
     z, w = za.copy(), wa.copy()
-    act = np.arange(len(za))
+    act, start = np.arange(len(za)), None
     for _ in range(60):
         fp = (s2dz[act] / w[act]).real
         with np.errstate(divide="ignore", invalid="ignore"):
@@ -361,14 +362,15 @@ def _edge_height_crossing(lam, norm, za, wa, pos_a, zb, c, f_lo, where=None):
         def located_at(k, act=act, z0=z_old, z1=z_new):
             return f"{where(act[k])}, Newton step {complex(z0[k])} -> {complex(z1[k])}"
 
-        w_new, vals = _continue_edges(z_old, w_old, z_new, lam, norm, located_at)
+        w_new, vals, end = _continue_edges(z_old, w_old, z_new, lam, norm, located_at, start)
         pos[act] += vals
         t[act], z[act], w[act] = t_new, z_new, w_new
         f[act] = pos[act, 2] - c[act]
         same_side = (f[act] < 0) == below[act]
         t_lo[act] = np.where(same_side, t_new, t_lo[act])
         t_hi[act] = np.where(same_side, t_hi[act], t_new)
-        act = act[~(np.abs(f[act]) < tol[act])]
+        going = ~(np.abs(f[act]) < tol[act])
+        act, start = act[going], tuple(v[going] for v in end)
         if not act.size:
             return pos
     k = act[0]

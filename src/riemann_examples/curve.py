@@ -58,6 +58,12 @@ def curve_rhs(z, lam):
     return z * (z - lv) * (z + 1.0 / lv)
 
 
+def curve_residual(z, w, lam):
+    """Relative residual of w^2 = z (z - lam)(z + 1/lam); scalars or arrays."""
+    lv, a = as_lambda(lam).value, abs(z)
+    return abs(w * w - curve_rhs(z, lv)) / ((1.0 + a) * (lv + a) * (1.0 / lv + a))
+
+
 def curve_rhs_derivative(z, lam):
     """d/dz of the right-hand side, used to seed departures from branch points."""
     lv = as_lambda(lam).value
@@ -147,9 +153,7 @@ class CurvePoint:
         object.__setattr__(self, "z", complex(self.z))
         object.__setattr__(self, "w", complex(self.w))
         object.__setattr__(self, "lam", as_lambda(self.lam))
-        lv, a = self.lam.value, abs(self.z)
-        resid = (abs(self.w * self.w - curve_rhs(self.z, lv))
-                 / ((1.0 + a) * (lv + a) * (1.0 / lv + a)))
+        resid = curve_residual(self.z, self.w, self.lam)
         if not resid <= CURVE_TOL:
             raise ValueError(
                 f"(z, w) = ({self.z}, {self.w}) is not on the curve for "

@@ -30,7 +30,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curve import CurvePoint, Lambda, as_lambda, at_branch, principal_w
+from .curve import (CURVE_TOL, CurvePoint, Lambda, as_lambda, at_branch, curve_residual,
+                    principal_w)
 from .errors import BranchAmbiguity, PathBlocked
 from .reference import (
     ReferenceKind,
@@ -272,9 +273,6 @@ def helicoid_decomposition_residuals(lam, targets) -> np.ndarray:
 # conjugacy
 # ---------------------------------------------------------------------------
 
-_CONJ_DIAG = np.array([-1.0, -1.0, 1.0])
-
-
 @dataclass(frozen=True)
 class ConjugacyReport:
     lam: Lambda
@@ -292,20 +290,21 @@ def conjugate_check(lam, samples) -> ConjugacyReport:
     For (z, w) on the lam-curve, the mapped point (-z, i w) lies on the
     (1/lam)-curve, and the conjugated integrand i * Phi_lam, transported by
     dz -> -dz', equals diag(-1, -1, 1) applied to the integrand of the
-    (1/lam)-family at the mapped point.  Residuals are relative.
+    (1/lam)-family at the mapped point.  Residuals are relative; a sample
+    mapped off the (1/lam)-curve raises ValueError.
     """
-    lam = as_lambda(lam)
-    norm = Normalization.paper(lam)
-    norm_recip = Normalization.paper(lam.reciprocal)
-    res = []
-    for p in samples:
-        p = p if isinstance(p, CurvePoint) else CurvePoint(p, principal_w(p, lam), lam)
-        mapped = CurvePoint(-p.z, 1j * p.w, lam.reciprocal)
-        lhs = -1j * phi_components(p.z, p.w, norm)
-        rhs = _CONJ_DIAG * phi_components(mapped.z, mapped.w, norm_recip)
-        scale = max(float(np.max(np.abs(lhs))), 1e-300)
-        res.append(float(np.max(np.abs(lhs - rhs))) / scale)
-    return ConjugacyReport(lam=lam, residuals=np.array(res))
+    lam, recip = as_lambda(lam), as_lambda(lam).reciprocal
+    z, w = np.array([(p.z, p.w) if isinstance(p, CurvePoint) else (p, principal_w(p, lam))
+                     for p in samples], dtype=complex).reshape(-1, 2).T
+    on_curve = curve_residual(-z, 1j * w, recip) <= CURVE_TOL
+    if not on_curve.all():
+        k = int(np.argmin(on_curve))
+        raise ValueError(f"lam = {lam.value!r}: sample {k}, (z, w) = ({z[k]}, {w[k]}), maps to "
+                         f"(-z, i w) off the curve for lam = {recip.value!r}")
+    lhs = -1j * phi_components(z, w, Normalization.paper(lam))
+    rhs = np.array([[-1.0], [-1.0], [1.0]]) * phi_components(-z, 1j * w, Normalization.paper(recip))
+    scale = np.maximum(np.abs(lhs).max(axis=0), 1e-300)
+    return ConjugacyReport(lam=lam, residuals=np.abs(lhs - rhs).max(axis=0) / scale)
 
 
 # ---------------------------------------------------------------------------

@@ -30,12 +30,13 @@ with A and B the integrals of dt/W and dt/(t W) along the horizontal ray
 from z to +inf, Carlson's 2 R_F and (2/3) R_D (_carlson, _ray).  That form is
 analytic off (-inf, lam], so along a straight edge only the crossings of
 that half-line need bookkeeping: a sheet flip on the cuts of W and a jump
-term (_edge_terms).  Point targets, grids, the sheet connection and period
+term (_crossings).  Point targets, grids, the sheet connection and period
 cycles are immersed by one chain immersion, _immerse_chains: a tree of
 straight edges hanging off its root (the base point, or a cycle's first
-vertex), each route of an immerse call its own chain.  The quadrature of
-make_sheeted_path and path_integral (re-exported here) remains for
-reference computations and for integrands other than Phi.
+vertex), each route of an immerse call its own chain.  A tree, or a batch of
+_continue_edges, is one _carlson call over its vertices and crossings.  The
+quadrature of make_sheeted_path and path_integral (re-exported here) remains
+for reference computations.
 Guards and snaps are curve.near_branch and curve.at_branch; detours, ring
 clearances and period cycles are fractions of the gaps between branch points.
 """
@@ -156,14 +157,14 @@ def _carlson(x, y, z):
     with lm_k = sqrt(x_k y_k) + sqrt(y_k z_k) + sqrt(z_k x_k) (principal roots).
     The loop stops once every argument lies within 1e-3 |mf| of the mean mf
     of x, y and z (so within 1.6e-3 |md| of the mean md of x, y, 3z), where
-    the fifth-order series below are exact to roundoff.  Arguments on the
-    negative real axis with imaginary part +0.0 give the limit from above.
+    the fifth-order series below are exact to roundoff; a step quarters that
+    distance, so it is taken once.  Arguments on the negative real axis with
+    imaginary part +0.0 give the limit from above.
     """
     x, y, z = np.broadcast_arrays(*(np.asarray(v, dtype=complex) for v in (x, y, z)))
-    tail, scale = np.zeros(x.shape, dtype=complex), 1.0
+    tail, scale, mf = np.zeros(x.shape, dtype=complex), 1.0, (x + y + z) / 3.0
+    dev = np.maximum(np.maximum(np.abs(x - mf), np.abs(y - mf)), np.abs(z - mf))
     for _ in range(100):
-        mf = (x + y + z) / 3.0
-        dev = np.maximum(np.maximum(np.abs(x - mf), np.abs(y - mf)), np.abs(z - mf))
         if np.all(dev <= 1e-3 * np.abs(mf)):
             break
         sx, sy, sz = np.sqrt(x), np.sqrt(y), np.sqrt(z)
@@ -171,6 +172,7 @@ def _carlson(x, y, z):
         tail += scale / (sz * (z + lm))
         scale *= 0.25
         x, y, z = 0.25 * (x + lm), 0.25 * (y + lm), 0.25 * (z + lm)
+        mf, dev = (x + y + z) / 3.0, 0.25 * dev
     a, b = 1.0 - x / mf, 1.0 - y / mf
     c = -a - b
     e2, e3 = a * b - c * c, a * b * c
@@ -431,44 +433,20 @@ class _Chains:
         return out
 
 
-def _ray(z, lam: Lambda, norm: Normalization, below=False):
-    """W and Psi at the points z, of shapes (n,) and (n, 3).
-
-    W = sqrt(z - lam) sqrt(z) sqrt(z + 1/lam), each root principal, is a root
-    of the curve with cuts (0, lam) and (-inf, -1/lam).  With A = 2 R_F(z - lam,
-    z, z + 1/lam) and B = (2/3) R_D(z - lam, z + 1/lam, z), the integrals of
-    dt/W and dt/(t W) along the horizontal ray from z to +inf (DLMF 19.16,
-    19.29), Psi = s (-2 B - 2 W/z, 2 i W/z, -2 A) is an antiderivative of
-    Phi(z, W) off (-inf, lam], since d(w/z)/dz = (1 + z^2)/(2 z w) on the
-    curve.  Points on the real axis give the limits from above, or, where
-    `below` holds, from below: W, A and B conjugated.
-    """
-    z = np.asarray(z, dtype=complex) + 0.0     # imaginary parts -0.0 -> +0.0
-    x, y = z - lam.value, z + 1.0 / lam.value
-    w = np.sqrt(x) * np.sqrt(z) * np.sqrt(y)
-    rf, rd = _carlson(x, y, z)
-    w, rf, rd = (np.where(below, np.conj(v), v) for v in (w, rf, rd))
-    s = normalization_scale(norm)
-    return w, s * np.stack([-4.0 / 3.0 * rd - 2.0 * w / z, 2j * w / z, -4.0 * rf], axis=-1)
-
-
-def _edge_terms(za, zb, lam: Lambda, norm: Normalization, where):
-    """Sheet flips and real-axis crossing terms of the straight edges za -> zb.
+def _crossings(za, zb, lam: Lambda, where):
+    """Sheet flips and real-axis crossings of the straight edges za -> zb.
 
     Along an edge the continued root sigma W keeps its sign sigma, and Psi is
     analytic, until the edge crosses the real axis at some x0 < lam (a point
-    on the axis counts as above it).  There sigma flips iff x0 lies on a cut
-    of W, and the edge integral sigma_b Psi(zb) - sigma_a Psi(za) gains the
-    term sigma_a Psi(x0 on za's side) - sigma_b Psi(x0 on zb's side).
-    Returns flip = sigma_b / sigma_a, shape (n,), and the terms for
-    sigma_a = 1, shape (n, 3).
+    on the axis counts as above it); sigma flips iff x0 lies on a cut of W.
+    Returns flip = sigma_b / sigma_a, shape (n,), and the crossings for _ray:
+    the crossing edges k, their x0, whether za[k] is above the axis, flip[k].
 
     An end point zb inside a branch guard disk (near_branch) raises
-    BranchTooClose unless it is a branch point (at_branch); so does
-    a crossing inside one, unless it is an end point on the axis (imag 0.0),
-    where x0 is that end point exactly, its side is exact and Psi is the
-    closed form (e.g. the base point 1 at lam near 1).  `where(k)` names
-    edge k in errors.
+    BranchTooClose unless it is a branch point (at_branch); so does a crossing
+    inside one, unless it is an end point on the axis (imag 0.0), where x0 is
+    that end point exactly, its side is exact and Psi is the closed form (e.g.
+    the base point 1 at lam near 1).  `where(k)` names edge k in errors.
     """
     lv = lam.value
     up_a, up_b = za.imag >= 0.0, zb.imag >= 0.0
@@ -485,25 +463,50 @@ def _edge_terms(za, zb, lam: Lambda, norm: Normalization, where):
                                  f"{guard_disk(pts[k], lam)}")
     cut = x0 < lv
     flip = np.where(cut & ((x0 > 0.0) | (x0 < -1.0 / lv)), -1.0, 1.0)
-    term = np.zeros((len(za), 3), dtype=complex)
     k = np.flatnonzero(cut)
-    if k.size:
-        (_, above), (_, under) = _ray(x0[k], lam, norm), _ray(x0[k], lam, norm, below=True)
-        f = flip[k, None]
-        term[k] = np.where(up_a[k, None], above - f * under, under - f * above)
-    return flip, term
+    return flip, (k, x0[k], up_a[k], flip[k, None])
 
 
-def _continue_edges(za, wa, zb, lam: Lambda, norm: Normalization, where):
+def _ray(z, lam: Lambda, norm: Normalization, crossings):
+    """W and Psi at the points z, of shapes (n,) and (n, 3), and by the same
+    _carlson call the jumps, shape (m, 3), of the crossings of _crossings.
+
+    W = sqrt(z - lam) sqrt(z) sqrt(z + 1/lam), each root principal, is a root
+    of the curve with cuts (0, lam) and (-inf, -1/lam).  With A = 2 R_F(z - lam,
+    z, z + 1/lam) and B = (2/3) R_D(z - lam, z + 1/lam, z), the integrals of
+    dt/W and dt/(t W) along the horizontal ray from z to +inf (DLMF 19.16,
+    19.29), Psi = s (-2 B - 2 W/z, 2 i W/z, -2 A) is an antiderivative of
+    Phi(z, W) off (-inf, lam], since d(w/z)/dz = (1 + z^2)/(2 z w) on the
+    curve.  Points on the real axis give the limits from above.  An edge that
+    crosses at x0 adds sigma_a Psi(x0 on za's side) - sigma_b Psi(x0 on zb's
+    side), whose value for sigma_a = 1 is the jump.
+    """
+    (_, x0, up, f), n = crossings, len(z)
+    z = np.concatenate((np.asarray(z, dtype=complex), x0))
+    z += 0.0     # imaginary parts -0.0 -> +0.0
+    x, y = z - lam.value, z + 1.0 / lam.value
+    w = np.sqrt(x) * np.sqrt(z) * np.sqrt(y)
+    rf, rd = _carlson(x, y, z)
+    s = normalization_scale(norm)
+    psi = s * np.stack([-4.0 / 3.0 * rd - 2.0 * w / z, 2j * w / z, -4.0 * rf], axis=-1)
+    below = np.conj(psi[n:]) * [1.0, -1.0, 1.0]     # W, A, B conjugated: i W/x0 flips
+    return w[:n], psi[:n], np.where(up[:, None], psi[n:] - f * below, below - f * psi[n:])
+
+
+def _continue_edges(za, wa, zb, lam: Lambda, norm: Normalization, where, start=None):
     """Continue (za, wa) along each straight edge to zb and integrate Phi dz
-    along it in closed form: the end roots, shape (n,), and the real
-    integrals, shape (n, 3).  Guards and `where` as in _edge_terms."""
+    along it in closed form: the end roots, the real integrals and (W, Psi)
+    of _ray at zb.  One _carlson call evaluates zb, the crossings and, unless
+    a known `start` (W, Psi) is given, za.  Guards and `where` as in _crossings."""
     za, wa, zb = (np.asarray(v, dtype=complex) for v in (za, wa, zb))
-    flip, term = _edge_terms(za, zb, lam, norm, where)
-    (root_a, psi_a), (root_b, psi_b) = _ray(za, lam, norm), _ray(zb, lam, norm)
+    flip, crossings = _crossings(za, zb, lam, where)
+    roots, psi, jump = _ray(zb if start else np.concatenate((za, zb)), lam, norm, crossings)
+    root_a, psi_a = start or (roots[:len(za)], psi[:len(za)])
+    root_b, psi_b = roots[len(roots) - len(zb):], psi[len(roots) - len(zb):]
     sign = np.where(np.abs(wa - root_a) <= np.abs(wa + root_a), 1.0, -1.0)
-    vals = sign[:, None] * (flip[:, None] * psi_b - psi_a + term)
-    return sign * flip * root_b, vals.real
+    vals = flip[:, None] * psi_b - psi_a
+    vals[crossings[0]] += jump
+    return sign * flip * root_b, (sign[:, None] * vals).real, (root_b, psi_b)
 
 
 def _immerse_chains(lam: Lambda, norm: Normalization, tree: _Chains, where):
@@ -519,13 +522,14 @@ def _immerse_chains(lam: Lambda, norm: Normalization, tree: _Chains, where):
     `where(k)` names the edge into vertex k in errors.
     """
     z, parent = tree.z, tree.parent
-    roots, psi = _ray(z, lam, norm)
-    flip, term = _edge_terms(z[parent[1:]], z[1:], lam, norm, lambda j: where(j + 1))
+    flip, crossings = _crossings(z[parent[1:]], z[1:], lam, lambda j: where(j + 1))
+    roots, psi, jump = _ray(z, lam, norm, crossings)
     w0 = principal_w(z[0], lam)
     flip = np.concatenate(([1.0 if abs(w0 - roots[0]) <= abs(w0 + roots[0]) else -1.0], flip))
     sign = tree.accumulate(flip, np.multiply)
     steps = np.zeros((len(z), 3))
-    steps[1:] = (flip[1:, None] * psi[1:] - psi[parent[1:]] + term).real
+    steps[1:] = (flip[1:, None] * psi[1:] - psi[parent[1:]]).real
+    steps[1 + crossings[0]] += jump.real
     steps *= sign[parent, None]
     return sign * roots, tree.accumulate(steps)
 
@@ -639,7 +643,7 @@ def cycle_real_period(vertices, lam, norm: Normalization):
     The chords are one chain of _immerse_chains rooted at the first vertex.
     A lift that does not close (the cycle encloses an odd number of branch
     points) raises QuadratureFailure, and a chord that ends, or crosses the
-    axis, in a guard disk raises BranchTooClose (_edge_terms).
+    axis, in a guard disk raises BranchTooClose (_crossings).
     """
     lam = as_lambda(lam)
     verts = np.asarray(vertices, dtype=complex)
@@ -871,7 +875,8 @@ def radial_edge_alignment(grid_plus: GridImmersion,
     w = np.concatenate((grid_plus.w.ravel(), grid_minus.w.ravel()))
     pos = np.concatenate((grid_plus.positions.reshape(-1, 3), grid_minus.positions.reshape(-1, 3)))
     where = _edge_locator(lam, grid_plus.z.shape, a, b)
-    w_end, vals = _continue_edges(grid_plus.z.flat[a], w[a], grid_plus.z.flat[b], lam, norm, where)
+    w_end, vals, _ = _continue_edges(grid_plus.z.flat[a], w[a], grid_plus.z.flat[b], lam, norm,
+                                     where)
     end = pos[a] + vals
     up = np.where(np.abs(w[b] - w_end) <= np.abs(w[b] + w_end), b, b + block)
     gap = end - pos[up]

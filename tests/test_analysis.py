@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from riemann_examples.curve import CurvePoint, Lambda, continue_sheet, principal_w
-from riemann_examples import analysis
+from riemann_examples import analysis, weierstrass
 from riemann_examples.cli import main
 from riemann_examples.errors import (InsufficientSlicePoints, QuadratureFailure,
                                        RiemannFamilyError, SingularPoint)
@@ -222,6 +222,14 @@ def test_default_polar_grid_equals_the_complex_grid(lv):
     _assert_polar_grid_is_the_complex_grid(Lambda(lv), CurvatureGrid())
 
 
+@pytest.mark.parametrize("n_ang", [512, 511, 64])
+@pytest.mark.parametrize("lv", [0.5, 1.0, 2.0, 3.7, 1e-6, 1e6])
+def test_half_turn_ring_maxima_keep_the_complex_grid_max(lv, n_ang):
+    # the ring maxima come from the columns theta in [-pi, 0] only, for even
+    # and odd column counts, across the family
+    _assert_polar_grid_is_the_complex_grid(Lambda(lv), CurvatureGrid(n_ang=n_ang))
+
+
 # ---------------------------------------------------------------------------
 # symmetries
 # ---------------------------------------------------------------------------
@@ -318,6 +326,86 @@ def _counting_rounds():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(analysis, "_continue_edges", counted)
         yield edges
+
+
+@contextlib.contextmanager
+def _carlson_work(module, name):
+    """Record, for every call of module.name, its positional arguments and
+    the point count of each weierstrass._carlson call made within it."""
+    calls, points = [], []
+    carlson, original = weierstrass._carlson, getattr(module, name)
+
+    def counted_carlson(x, y, z):
+        points.append(np.size(x))
+        return carlson(x, y, z)
+
+    def counted(*args):
+        first = len(points)
+        out = original(*args)
+        calls.append((args, points[first:]))
+        return out
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(weierstrass, "_carlson", counted_carlson)
+        mp.setattr(module, name, counted)
+        yield calls
+
+
+def _axis_crossings(za, zb, lv) -> int:
+    """Edges za -> zb that cross the real axis left of lam (a point on the
+    axis counts as above it)."""
+    za, zb = np.asarray(za, dtype=complex), np.asarray(zb, dtype=complex)
+    sides = (za.imag >= 0.0) != (zb.imag >= 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x0 = za.real + (zb.real - za.real) * (za.imag / (za.imag - zb.imag))
+    return int(np.count_nonzero(sides & (x0 < lv)))
+
+
+def test_each_newton_round_is_one_carlson_call_over_its_new_points(grids_lambda1):
+    # the first round evaluates its start points too; later rounds carry
+    # them, and evaluate only the new iterates and their axis crossings.  The
+    # height is taken below the axis on a chord across the cut (0, 1), whose
+    # Newton steps must cross it.
+    g = grids_lambda1[0]
+    lam, i, j = g.lam, int(np.argmin(np.abs(g.radii - 0.75))), g.n_col // 2 - 1
+    z_low = g.z[i, j] + 0.75 * (g.z[i, j + 1] - g.z[i, j])
+    _, vals, _ = weierstrass._continue_edges([g.z[i, j]], [g.w[i, j]], [z_low], lam, g.norm, str)
+    with _carlson_work(analysis, "_continue_edges") as rounds:
+        foliation_slices(grids_lambda1, [g.positions[i, j, 2] + vals[0, 2]])
+    crossings = 0
+    for r, ((za, _, zb, _, _, _, start), points) in enumerate(rounds):
+        assert (start is None) == (r == 0)
+        n_cross = _axis_crossings(za, zb, lam.value)
+        assert points == [(1 if r else 2) * len(za) + n_cross]
+        crossings += n_cross
+    assert len(rounds) >= 3 and crossings > 0
+
+
+@pytest.mark.parametrize("lv", [0.7, 1.0, 2.5])
+def test_each_batch_of_edges_is_one_carlson_call(lv):
+    # a tree of edges (immerse routes with a winding circuit, a grid, the
+    # companion cycle) and a batch of edges without a tree (the alignment,
+    # and edges across both cuts) each evaluate their vertices and axis
+    # crossings in one _carlson call
+    lam = Lambda(lv)
+    norm = Normalization.paper(lam)
+    with _carlson_work(weierstrass, "_immerse_chains") as trees:
+        immerse(lam, norm, [0.5 + 0.5j, -2.0 - 1.0j, 3.0j], winding=1)
+        grid = immerse_grid(lam, norm, r_min=0.1, r_max=10.0, n_rad=8, n_ang=16)
+        weierstrass.cycle_real_period(weierstrass.companion_cycle_vertices(lam), lam, norm)
+    assert len(trees) == 3
+    for (_, _, tree, _), points in trees:
+        z, parent = tree.z, tree.parent
+        assert points == [len(z) + _axis_crossings(z[parent[1:]], z[1:], lv)]
+    za = np.array([0.5 * lv + 0.5j, -3.0 / lv - 0.5j, 3.0 * lv + 0.5j])
+    zb = np.conj(za)
+    wa = principal_w(za, lam)
+    with _carlson_work(weierstrass, "_continue_edges") as batches:
+        radial_edge_alignment(grid, grid.sheet_partner)
+        weierstrass._continue_edges(za, wa, zb, lam, norm, str)
+    assert [points for _, points in batches] == [
+        [2 * len(args[0]) + _axis_crossings(args[0], args[2], lv)] for args, _ in batches]
+    assert _axis_crossings(za, zb, lv) == 2
 
 
 def test_foliation_points_lie_on_their_height(interior_slices):

@@ -315,7 +315,7 @@ def test_edge_guards_refuse_crossings_near_a_branch_point():
         _continue_edges([2.0 + 0.5j], [w], [2.0 + 1e-6j], lam, norm, where)
     # leaving a branch point downward is no crossing near it: the root is
     # the +1 departure germ, which is W about lam in every direction
-    wb, vals = _continue_edges([2.0], [0.0], [2.0 - 0.5j], lam, norm, where)
+    wb, vals, _ = _continue_edges([2.0], [0.0], [2.0 - 0.5j], lam, norm, where)
     oracle = _oracle(lam, norm)
     w_ref, _ = oracle.ray(2.0 - 0.5j)
     assert abs(wb[0] - complex(w_ref)) <= 1e-15 * abs(wb[0])
@@ -326,7 +326,7 @@ def test_edge_guards_refuse_crossings_near_a_branch_point():
     za = 2.0 - 1e-6
     wa, psi_a = oracle.ray(za)
     x_a = np.array([float(mpmath.re(p - q)) for p, q in zip(psi_a, oracle.base)])
-    wb, vals = _continue_edges([za], [complex(wa)], [za - 0.5j], lam, norm, where)
+    wb, vals, _ = _continue_edges([za], [complex(wa)], [za - 0.5j], lam, norm, where)
     assert oracle.miss(za - 0.5j, wb[0], x_a + vals[0]) <= 1e-12
 
 

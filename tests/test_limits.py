@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from riemann_examples.curve import Lambda, branch_points, continue_sheet, principal_w
+from riemann_examples.curve import (CurvePoint, Lambda, branch_points, continue_sheet,
+                                    principal_w)
 from riemann_examples.limits import (
     Annulus,
     ClipRegion,
@@ -20,7 +21,7 @@ from riemann_examples.limits import (
     plane_limit_experiment,
 )
 from riemann_examples import weierstrass
-from riemann_examples.weierstrass import Normalization, immerse, integrate
+from riemann_examples.weierstrass import Normalization, immerse, integrate, phi_components
 
 from conftest import curve_samples
 
@@ -227,6 +228,47 @@ def test_conjugate_check(lv):
     lam = Lambda(lv)
     report = conjugate_check(lam, curve_samples(lam, 100, seed=2))
     assert report.max_residual < 1e-10
+
+
+def _conjugate_residuals_per_sample(lam, samples):
+    """conjugate_check's residuals, one sample at a time, the mapped point
+    checked by CurvePoint."""
+    norm, norm_recip = Normalization.paper(lam), Normalization.paper(lam.reciprocal)
+    res = []
+    for p in samples:
+        mapped = CurvePoint(-p.z, 1j * p.w, lam.reciprocal)
+        lhs = -1j * phi_components(p.z, p.w, norm)
+        rhs = np.array([-1.0, -1.0, 1.0]) * phi_components(mapped.z, mapped.w, norm_recip)
+        res.append(float(np.max(np.abs(lhs - rhs))) / max(float(np.max(np.abs(lhs))), 1e-300))
+    return np.array(res)
+
+
+@pytest.mark.parametrize("lv", [1e-6, 0.3, 1.0, 3.0, 1e6])
+def test_conjugate_check_matches_the_per_sample_loop(lv):
+    lam = Lambda(lv)
+    samples = curve_samples(lam, 60, seed=5)
+    report = conjugate_check(lam, samples)
+    assert np.array_equal(report.residuals, _conjugate_residuals_per_sample(lam, samples))
+    # bare z values are taken on the principal root's sheet
+    bare = [p.z for p in samples[:5]]
+    lifted = [CurvePoint(z, principal_w(z, lam), lam) for z in bare]
+    assert np.array_equal(conjugate_check(lam, bare).residuals,
+                          _conjugate_residuals_per_sample(lam, lifted))
+
+
+def test_conjugate_check_refuses_a_sample_mapped_off_the_curve():
+    # a point of the lam = 2 curve is no point of the lam = 0.5 curve, and
+    # its image is off the reciprocal curve
+    lam = Lambda(0.5)
+    samples = curve_samples(lam, 5, seed=6)
+    samples.insert(3, curve_samples(Lambda(2.0), 1, seed=6)[0])
+    with pytest.raises(ValueError, match=r"^lam = 0\.5: sample 3, .* off the curve for lam = 2\.0"):
+        conjugate_check(lam, samples)
+
+
+def test_conjugate_check_of_no_samples():
+    report = conjugate_check(Lambda(0.5), [])
+    assert report.residuals.shape == (0,) and report.max_residual == 0.0
 
 
 def conjugate_branch_points(lam) -> tuple:

@@ -887,8 +887,8 @@ def test_sheet_minus_alignment_matches_its_own_continuation(lv):
     t_vec = period_vectors(grid.lam, grid.norm).translation
     z, w = minus.z.ravel(), minus.w.ravel()
     a = np.arange(z.size - grid.n_col)
-    w_end, vals = _continue_edges(z[a], w[a], z[a + grid.n_col], grid.lam, grid.norm,
-                                  lambda k: f"edge {k}")
+    w_end, vals, _ = _continue_edges(z[a], w[a], z[a + grid.n_col], grid.lam, grid.norm,
+                                     lambda k: f"edge {k}")
     end = minus.positions.reshape(-1, 3)[a] + vals
     up, k = alignment.upper[1].ravel(), alignment.period_k[1].ravel()
     w_pair = np.concatenate([grid.w.ravel(), w])
