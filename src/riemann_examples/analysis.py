@@ -187,7 +187,7 @@ def check_symmetries(lam, norm: Normalization, samples,
     """Verify the three ambient symmetries on the given curve points.
 
     For each sample lift p the transformed lift is immersed independently
-    (its own route and sheet continuation) and compared against the ambient
+    (its own closed-form position and sheet) and compared against the ambient
     affine map: mirror across the plane of the planar geodesics (normal
     along x2), half-turn about the horizontal axes through the images of
     z = +-i, and half-turn about the straight lines (the fixed set of the
@@ -216,7 +216,7 @@ def check_symmetries(lam, norm: Normalization, samples,
     b_mirror, b_flip, b_rot, *images = images
 
     # positions of individual lifts are defined modulo the translation
-    # period (the route class picks one representative of the stack)
+    # period (immerse places the winding-0 representative of the stack)
     t_vec = period_vectors(lam, norm).translation
 
     def lattice_residual(x, y, scale):

@@ -29,7 +29,8 @@ class QuadratureFailure(RiemannFamilyError):
 
 
 class PathBlocked(RiemannFamilyError):
-    """No admissible route to the target exists at the router's resolution."""
+    """A target lies in a branch guard disk, grid rings cannot clear the
+    branch moduli, or limit samples are too few or wind too often."""
 
 
 class InsufficientSlicePoints(RiemannFamilyError):

@@ -13,14 +13,15 @@ and for lam > 1 as helicoid plus a correction with
 
 Writing the factors through the continued curve root w fixes their branches
 by continuation from z = 1, where both vanish as lam degenerates; w is the
-root immerse continues to z.  Both factors tend to zero uniformly on a
+root of immerse's point at z.  Both factors tend to zero uniformly on a
 fixed annulus, which drives the sup deviation sweeps implemented here.  The
 sweeps also report each member's end spacing s T3 / 2
 (weierstrass.vertical_end_spacing, re-exported here as end_spacing): it
 tends to 2 pi along the helicoid limit and grows like 4 log(4/lam) along
 the catenoid limit.  The decomposition identities integrate their
 correction integrands, which have no closed form here, by the reference
-quadrature along each target's route.
+quadrature along each target's route_vertices, whose lift immerse places
+in closed form.
 """
 
 from __future__ import annotations
@@ -60,7 +61,7 @@ from .weierstrass import (
 # ---------------------------------------------------------------------------
 
 def _continued_w(z: complex, lam: Lambda) -> complex:
-    """Curve root at z continued along its route from the principal seed at
+    """Curve root at z on the lift of its route from the principal seed at
     the base point: the root of immerse's point at z."""
     if at_branch(1.0, lam):
         raise BranchAmbiguity("correction factors are undefined at lam = 1")

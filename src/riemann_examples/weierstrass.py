@@ -28,15 +28,16 @@ plus two elliptic integrals,
 
 with A and B the integrals of dt/W and dt/(t W) along the horizontal ray
 from z to +inf, Carlson's 2 R_F and (2/3) R_D (_carlson, _ray).  That form is
-analytic off (-inf, lam], so along a straight edge only the crossings of
-that half-line need bookkeeping: a sheet flip on the cuts of W and a jump
-term (_crossings).  Point targets, grids, the sheet connection and period
-cycles are immersed by one chain immersion, _immerse_chains: a tree of
-straight edges hanging off its root (the base point, or a cycle's first
-vertex), each route of an immerse call its own chain.  A tree, or a batch of
-_continue_edges, is one _carlson call over its vertices and crossings.  The
-quadrature of make_sheeted_path and path_integral (re-exported here) remains
-for reference computations.
+analytic off (-inf, lam], so a path enters only through its crossings of
+that half-line: a sheet flip on the cuts of W and a jump term (_crossings).
+A point z on the root sigma W is at Re sigma Psi(z) - Re sigma0 Psi(1), plus
+sigma_before times the jump of each crossing on its path, plus n T for n
+translation circuits: immerse and immerse_grid need no routes, and evaluate
+the base point, their points and crossings in one _carlson call, as does a
+batch of _continue_edges.  cycle_real_period sums chords one by one, as the
+independent check of the closed-form periods.  The quadrature of
+make_sheeted_path and path_integral (re-exported here) along route_vertices
+remains for reference computations.
 Guards and snaps are curve.near_branch and curve.at_branch; detours, ring
 clearances and period cycles are fractions of the gaps between branch points.
 """
@@ -317,7 +318,8 @@ def make_sheeted_path(vertices, lam):
 def _radial_leg(r_from: float, r_to: float, angle: float, lam: Lambda):
     """Vertices (excluding the start) of a radial run at a fixed angle,
     detouring over any branch point b sitting strictly inside the run (more
-    than its guard radius from either end) on a semicircle of radius gap/8.
+    than its guard radius from either end) on a semicircle of radius gap/8
+    above the real axis, like every point on it.
 
     Detour entry and exit points may overshoot the run's endpoints; the leg
     then returns to its endpoint along the ray, which no longer crosses the
@@ -341,7 +343,8 @@ def _radial_leg(r_from: float, r_to: float, angle: float, lam: Lambda):
         out.append((rb - sgn * rdet) * direction)
         taus = np.linspace(0.0, math.pi, 9) if sgn < 0 else np.linspace(math.pi, 0.0, 9)
         for tau in taus[1:-1]:
-            out.append(rb * direction + rdet * direction * cmath.exp(1j * tau))
+            out.append(rb * direction + rdet * complex(direction.real * math.cos(tau),
+                                                       math.sin(tau)))
         out.append((rb + sgn * rdet) * direction)
     out.append(r_to * direction)
     return out
@@ -356,45 +359,47 @@ def _angular_leg(radius: float, a_from: float, a_to: float):
     return [radius * cmath.exp(1j * a) for a in np.linspace(a_from, a_to, n + 1)[1:]]
 
 
+def _sweep_radii(targets, lam: Lambda, winding: int):
+    """Radius of the angular sweep of each target's route: its own, or one on
+    the side of the base point if the sweep would pass within lam's detour
+    radius lam/8.  A target at the puncture raises SingularPoint, and one in
+    a guard disk (unless at_branch) PathBlocked naming lam, it and the winding."""
+    lv, rho = lam.value, np.abs(targets)
+    if np.any(rho == 0.0):
+        raise SingularPoint("targets at the puncture z = 0 are not immersible")
+    blocked = near_branch(targets, lam) & ~at_branch(targets, lam)
+    if blocked.any():
+        t = targets[np.flatnonzero(blocked)[0]]
+        raise PathBlocked(f"lam = {lv!r}: target {t} (winding {winding}) lies in "
+                          f"{guard_disk(t, lam)}")
+    detour = branch_points(lam).gaps[1] / 8.0       # _radial_leg's detour about lam
+    redirect = (np.angle(targets) != 0.0) & (np.abs(rho - lv) < detour)
+    return np.where(redirect, lv + (1.5 if 1.0 >= lv else -1.5) * detour, rho)
+
+
 def route_vertices(target: complex, lam, *, winding: int = 0):
     """Deterministic polyline from the base point to the target.
 
     Radial run along the positive real axis, then an angular sweep at the
-    target radius; optional extra full circuits about the origin are inserted
-    on the circle through lam/2 and -1.5/lam, which encloses 0 and -1/lam
-    and crosses the axis at least half a gap from every branch point.  The
-    winding about the origin of the returned route is exactly `winding`.
-
-    If the sweep would pass within the detour radius lam/8 of lam it runs at
-    a redirected radius on the side of the base point, and a radial leg at
-    the target's angle finishes the route.  A target in a guard disk, unless
-    it is the branch point itself (at_branch), raises PathBlocked.
+    target radius (_sweep_radii; if redirected, a radial leg at the
+    target's angle finishes the route); optional extra full circuits about
+    the origin are inserted on translation_cycle_vertices.  The winding about
+    the origin of the returned route is exactly `winding`.  A target on the
+    real axis is reached from above, imaginary part -0.0 included.  This is
+    the path of the quadrature reference and the lift immerse places.
     """
     lam = as_lambda(lam)
     lv = lam.value
-    target = complex(target)
-    rho = abs(target)
-    if rho == 0.0:
-        raise SingularPoint("targets at the puncture z = 0 are not immersible")
-    if near_branch(target, lam) and not at_branch(target, lam):
-        raise PathBlocked(f"lam = {lv!r}: target {target} lies in {guard_disk(target, lam)}")
-    phi_t = cmath.phase(target)
-    rho_mid = rho
-    detour = branch_points(lam).gaps[1] / 8.0       # _radial_leg's detour about lam
-    if phi_t != 0.0 and abs(rho - lv) < detour:
-        rho_mid = lv + (1.5 if 1.0 >= lv else -1.5) * detour
+    target = complex(target) + 0.0      # imaginary part -0.0 -> +0.0
+    rho, phi_t = abs(target), cmath.phase(target)
+    rho_mid = float(_sweep_radii(np.array([target]), lam, winding)[0])
     verts = [BASE_POINT]
     if winding != 0:
         # insert |winding| circuits of the translation cycle: it encloses the
         # two branch points 0 and -1/lam, so the lift closes and each circuit
         # shifts the image by exactly one period
-        center = 0.25 * lv - 0.75 / lv
-        radius = 0.25 * lv + 0.75 / lv
-        verts += _radial_leg(1.0, 0.5 * lv, 0.0, lam)
-        sgn = 1.0 if winding > 0 else -1.0
-        taus = np.linspace(0.0, sgn * 2.0 * math.pi, 129)[1:]
-        for _ in range(abs(winding)):
-            verts += [center + radius * cmath.exp(1j * t) for t in taus]
+        circuit = list(translation_cycle_vertices(lam)[::1 if winding > 0 else -1][1:])
+        verts += _radial_leg(1.0, 0.5 * lv, 0.0, lam) + abs(winding) * circuit
         verts += _radial_leg(0.5 * lv, rho_mid, 0.0, lam)
     else:
         verts += _radial_leg(1.0, rho_mid, 0.0, lam)
@@ -403,34 +408,6 @@ def route_vertices(target: complex, lam, *, winding: int = 0):
         verts += _radial_leg(rho_mid, rho, phi_t, lam)
     verts[-1] = target
     return verts
-
-
-class _Chains:
-    """A tree of straight edges given as chains.
-
-    Vertex 0 is the root.  `chains` holds (anchor, vertices) pairs: each chain
-    hangs off the earlier vertex `anchor` and is numbered after the chains
-    before it, so every vertex k > 0 has its parent[k] < k.  A cycle is one
-    chain rooted at its first vertex.
-    """
-
-    def __init__(self, root: complex, chains):
-        self.anchors = np.array([anchor for anchor, _ in chains], dtype=int)
-        runs = [np.asarray(verts, dtype=complex) for _, verts in chains]
-        self.lens = np.array([len(run) for run in runs], dtype=int)
-        self.starts = 1 + np.cumsum(self.lens) - self.lens
-        self.z = np.concatenate([[root]] + runs)
-        self.parent = np.arange(-1, len(self.z) - 1)
-        self.parent[self.starts[self.lens > 0]] = self.anchors[self.lens > 0]
-
-    def accumulate(self, steps, ufunc=np.add):
-        """steps[0] at the root, then ufunc-accumulated along every chain of
-        the per-edge steps[k] (on the edge into vertex k)."""
-        out = steps.copy()
-        for anchor, start, stop in zip(self.anchors, self.starts, self.starts + self.lens):
-            out[start:stop] = ufunc.accumulate(
-                np.concatenate((out[anchor][None], steps[start:stop])), axis=0)[1:]
-        return out
 
 
 def _crossings(za, zb, lam: Lambda, where):
@@ -509,29 +486,13 @@ def _continue_edges(za, wa, zb, lam: Lambda, norm: Normalization, where, start=N
     return sign * flip * root_b, (sign[:, None] * vals).real, (root_b, psi_b)
 
 
-def _immerse_chains(lam: Lambda, norm: Normalization, tree: _Chains, where):
-    """Roots and positions of the vertices of a tree of straight edges,
-    continued from the principal root at its vertex 0 (the base point, or a
-    cycle's first vertex).  Returns the flat arrays w and positions.
-
-    The root at vertex k is sign[k] W(z_k): the root's sign compares the
-    principal root with W (at lam = 1 both vanish at the base point, and W
-    is the +1 departure germ there), and each edge multiplies it by its
-    flip.  An edge's integral is its start sign times the closed-form
-    integral for sign 1, and positions are cumulative sums in chain order.
-    `where(k)` names the edge into vertex k in errors.
-    """
-    z, parent = tree.z, tree.parent
-    flip, crossings = _crossings(z[parent[1:]], z[1:], lam, lambda j: where(j + 1))
+def _seeded_ray(z, lam: Lambda, norm: Normalization, crossings):
+    """_ray, and the sign sigma0 of the root seeded at z[0] by the principal
+    root, as a multiple of W (at lam = 1 both vanish at the base point, and W
+    is the +1 departure germ)."""
     roots, psi, jump = _ray(z, lam, norm, crossings)
     w0 = principal_w(z[0], lam)
-    flip = np.concatenate(([1.0 if abs(w0 - roots[0]) <= abs(w0 + roots[0]) else -1.0], flip))
-    sign = tree.accumulate(flip, np.multiply)
-    steps = np.zeros((len(z), 3))
-    steps[1:] = (flip[1:, None] * psi[1:] - psi[parent[1:]]).real
-    steps[1 + crossings[0]] += jump.real
-    steps *= sign[parent, None]
-    return sign * roots, tree.accumulate(steps)
+    return (1.0 if abs(w0 - roots[0]) <= abs(w0 + roots[0]) else -1.0), roots, psi, jump
 
 
 @functools.lru_cache(maxsize=256)
@@ -570,33 +531,35 @@ class SurfacePoint:
 
 def immerse(lam, norm: Normalization, targets, *, sheet_sign: int = +1,
             winding: int = 0) -> list[SurfacePoint]:
-    """Immerse targets by integrating from the base point z0 = 1.
+    """Immerse targets on the lifts of their routes from the base point
+    z0 = 1 (route_vertices, winding number `winding` about the origin).
 
-    Each target's route (route_vertices, winding number `winding` about the
-    origin) is one chain off the base point, and all chains go through one
-    _immerse_chains call.  Sheet +1 is seeded by the principal root at z0
-    (at lam = 1, where z0 is a branch point, the base point itself is (1, 0)
-    with image 0).  Sheet -1 is not integrated: it returns the sheet
-    partners (z, -w) at C - x, C the sheet_connection.  Errors from a route
-    edge name lam, the target, the winding and the edge.
+    A route crosses (-inf, lam] at most where its sweep leaves the axis, for
+    a target below it; winding adds winding sigma0 T, T in closed form.
+    Sheet +1 is seeded by the principal root at z0 (at lam = 1, where z0 is
+    a branch point, the base point itself is (1, 0) with image 0).  Sheet -1
+    is not integrated: it returns the sheet partners (z, -w) at C - x, C the
+    sheet_connection.  Targets on the real axis are limits from above.
     """
     lam = as_lambda(lam)
-    targets = [complex(t) for t in targets]
-    routes = [route_vertices(t, lam, winding=winding) for t in targets]
-    tree = _Chains(BASE_POINT, [(0, route[1:]) for route in routes])
-    stops = tree.starts + tree.lens
+    targets = np.array([complex(t) for t in targets], dtype=complex) + 0.0
+    sweep = _sweep_radii(targets, lam, winding).astype(complex)
 
     def where(k) -> str:
-        c = int(np.searchsorted(stops, k, side="right"))
-        i = k - tree.starts[c] + 1
-        return (f"lam = {lam.value!r}, target {targets[c]}, winding {winding}, route edge "
-                f"{routes[c][i - 1]} -> {routes[c][i]}")
+        return f"lam = {lam.value!r}: target {targets[k]} (winding {winding})"
 
-    w, pos = _immerse_chains(lam, norm, tree, where)
+    flip, crossings = _crossings(sweep, targets, lam, where)
+    sign0, roots, psi, jump = _seeded_ray(np.concatenate(([BASE_POINT], targets)), lam, norm,
+                                          crossings)
+    sign = sign0 * flip
+    pos = (sign[:, None] * psi[1:] - sign0 * psi[0]).real
+    pos[crossings[0]] += sign0 * jump.real
+    t1, t3 = _raw_periods(lam.value)
+    pos += winding * sign0 * normalization_scale(norm) * np.array([t1, 0.0, t3])
+    w = sign * roots[1:]
     if sheet_sign < 0:
         pos, w = sheet_connection(lam, norm) - pos, -w
-    ends = np.where(tree.lens > 0, stops - 1, 0)
-    return [SurfacePoint(pos[k], CurvePoint(tree.z[k], w[k], lam)) for k in ends]
+    return [SurfacePoint(p, CurvePoint(z, wk, lam)) for p, z, wk in zip(pos, targets, w)]
 
 
 # ---------------------------------------------------------------------------
@@ -636,12 +599,26 @@ def companion_cycle_vertices(lam):
     return verts
 
 
+def translation_cycle_vertices(lam):
+    """The circle through lam/2 and -1.5/lam, counterclockwise as 128 chords
+    from and back to exactly lam/2: it encloses exactly 0 and -1/lam, and
+    crosses the axis at least half a gap from every branch point.  Its lift
+    from the principal root at lam/2 closes, with real period T."""
+    lv = as_lambda(lam).value
+    center = 0.25 * lv - 0.75 / lv
+    radius = 0.25 * lv + 0.75 / lv
+    verts = center + radius * np.exp(1j * np.linspace(0.0, 2.0 * math.pi, 129))
+    verts[0] = verts[-1] = 0.5 * lv
+    return verts
+
+
 def cycle_real_period(vertices, lam, norm: Normalization):
     """Real period of the lift of a closed polyline from the principal root at
     its first vertex; verifies that the lift closes.
 
-    The chords are one chain of _immerse_chains rooted at the first vertex.
-    A lift that does not close (the cycle encloses an odd number of branch
+    The chords' closed-form integrals are summed one by one, signed by the
+    running product of their flips: the check of the closed-form periods.  A
+    lift that does not close (the cycle encloses an odd number of branch
     points) raises QuadratureFailure, and a chord that ends, or crosses the
     axis, in a guard disk raises BranchTooClose (_crossings).
     """
@@ -649,17 +626,21 @@ def cycle_real_period(vertices, lam, norm: Normalization):
     verts = np.asarray(vertices, dtype=complex)
 
     def where(k) -> str:
-        return f"lam = {lam.value!r}, cycle chord {verts[k - 1]} -> {verts[k]}"
+        return f"lam = {lam.value!r}, cycle chord {verts[k]} -> {verts[k + 1]}"
 
-    w, pos = _immerse_chains(lam, norm, _Chains(verts[0], [(0, verts[1:])]), where)
-    closure = abs(w[-1] - w[0])
-    if closure > 1e-7 * (1.0 + abs(w[0])):
+    flip, crossings = _crossings(verts[:-1], verts[1:], lam, where)
+    sign0, roots, psi, jump = _seeded_ray(verts, lam, norm, crossings)
+    sign = np.cumprod(np.concatenate(([sign0], flip)))
+    steps = (flip[:, None] * psi[1:] - psi[:-1]).real
+    steps[crossings[0]] += jump.real
+    closure = abs(sign[-1] * roots[-1] - sign[0] * roots[0])
+    if closure > 1e-7 * (1.0 + abs(roots[0])):
         raise QuadratureFailure(
             f"lam = {lam.value!r}: cycle lift failed to close "
             f"(|w_end - w_start| = {closure:.3e}); "
             "the cycle encloses an odd number of branch points"
         )
-    return pos[-1]
+    return sign[:-1] @ steps
 
 
 @functools.lru_cache(maxsize=256)
@@ -707,11 +688,11 @@ def vertical_end_spacing(lam, norm: Normalization) -> float:
 class GridImmersion:
     """Immersion of a log-polar grid on one sheet of the cover.
 
-    Rows are angular chains continued eastward from the column at the most
-    western angle; every vertex position is the Weierstrass integral along
-    the chain path from the base point (winding 0 for open grids).  `angles`
-    holds the continued angle of each column, so angles[j] is also the
-    correct helicoid branch argument for column j.
+    Every vertex is on the lift of the grid path from the base point: the
+    stem to vertex (0, 0), north up the western column, then east along its
+    row (winding 0 for open grids).  `angles` holds the continued angle of
+    each column, so angles[j] is also the correct helicoid branch argument
+    for column j.
     """
 
     lam: Lambda
@@ -774,10 +755,17 @@ def _edge_locator(lam: Lambda, shape, a, b):
     return where
 
 
+def _north_then_east(steps, ufunc):
+    """Accumulate, in place, per-vertex steps on a grid (each on the edge into
+    its vertex) north up the western column, then east along every row."""
+    ufunc.accumulate(steps[:, 0], axis=0, out=steps[:, 0])
+    return ufunc.accumulate(steps, axis=1, out=steps)
+
+
 def immerse_grid(lam, norm: Normalization, *, r_min: float, r_max: float,
                  n_rad: int, n_ang: int, sheet_sign: int = +1,
                  closed: bool = False) -> GridImmersion:
-    """Immerse a half-offset log-polar grid by continuation along grid chains.
+    """Immerse a half-offset log-polar grid on the lifts of its grid paths.
 
     The grid avoids the real axis (angles are offset by half a step) and the
     branch moduli (radii are shifted if a ring lands on one).  With
@@ -785,12 +773,12 @@ def immerse_grid(lam, norm: Normalization, *, r_min: float, r_max: float,
     for parameter bands where the full circuit is a translation period the
     seam column sits exactly one period from the first column.
 
-    The stem (base point -> radius 1 at the western angle -> vertex (0, 0)),
-    the western column (radial edges, northward) and every row (angular
-    edges, eastward) are the chains of one _immerse_chains call.  Only sheet
-    +1 is integrated; sheet -1 is its sheet_partner.  Errors from an edge
-    name lam, the requested sheet, the edge, the branch point and its guard
-    radius.
+    The paths are the stem, a chord below the axis from the base point to
+    vertex (0, 0), then north up the western column and east along a row;
+    signs and crossing terms accumulate along them (_north_then_east).  Only
+    sheet +1 is computed; sheet -1 is its sheet_partner.  Errors from an
+    edge name lam, the requested sheet, the edge, the branch point and its
+    guard radius.
     """
     lam = as_lambda(lam)
     if n_ang % 2 != 0 or n_ang < 8 or n_rad < 2:
@@ -801,26 +789,32 @@ def immerse_grid(lam, norm: Normalization, *, r_min: float, r_max: float,
     n_col = len(angles)
     zs = radii[:, None] * np.exp(1j * angles[None, :])
 
-    stem = _angular_leg(1.0, 0.0, angles[0]) + _radial_leg(1.0, radii[0], angles[0], lam)
-    stem[-1] = zs[0, 0]
-    m = len(stem)
-    chains = [(0, stem), (m, zs[1:, 0])] + [(m + i, zs[i, 1:]) for i in range(n_rad)]
-    # grid edges in chain order; the far vertex of edge e is chain vertex m + 1 + e
+    # the stem, then the grid edges: the western column, then row by row
     idx = np.arange(n_rad * n_col).reshape(n_rad, n_col)
     a = np.concatenate((idx[:-1, 0], idx[:, :-1].ravel()))
     b = np.concatenate((idx[1:, 0], idx[:, 1:].ravel()))
     off = 0 if sheet_sign > 0 else n_rad * n_col     # errors name the requested sheet
     edge = _edge_locator(lam, zs.shape, a + off, b + off)
-    at = np.empty(n_rad * n_col, dtype=int)
-    at[0], at[b] = m, m + 1 + np.arange(len(b))
 
     def where(k) -> str:
-        if k <= m:
+        if k == 0:
             return f"lam = {lam.value!r}, sheet {sheet_sign:+d}, stem to grid vertex (0, 0)"
-        return edge(k - m - 1)
+        return edge(k - 1)
 
-    w, pos = _immerse_chains(lam, norm, _Chains(BASE_POINT, chains), where)
-    ws, pos = w[at].reshape(n_rad, n_col), pos[at].reshape(n_rad, n_col, 3)
+    z, ends = zs.ravel(), np.concatenate(([0], b))     # ends[k]: the vertex edge k leads to
+    flip, crossings = _crossings(np.concatenate(([BASE_POINT], z[a])), z[ends], lam, where)
+    sign0, ws, psi, jump = _seeded_ray(np.concatenate(([BASE_POINT], z)), lam, norm, crossings)
+    sign = np.empty(n_rad * n_col)
+    sign[ends] = flip
+    sign[0] *= sign0
+    sign = _north_then_east(sign.reshape(n_rad, n_col), np.multiply).ravel()
+    k, after = crossings[0], ends[crossings[0]]
+    terms = np.zeros((n_rad * n_col, 3))        # sigma_before jump, after each crossing
+    terms[after] = (sign[after] * flip[k])[:, None] * jump.real
+    psi[1:] *= sign[:, None]
+    pos = psi[1:].real - (sign0 * psi[0]).real
+    pos += _north_then_east(terms.reshape(n_rad, n_col, 3), np.add).reshape(-1, 3)
+    ws, pos = (sign * ws[1:]).reshape(n_rad, n_col), pos.reshape(n_rad, n_col, 3)
     for arr in (radii, angles, zs, ws, pos):
         arr.setflags(write=False)
     grid = GridImmersion(lam=lam, norm=norm, sheet_sign=+1, radii=radii,

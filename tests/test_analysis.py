@@ -339,9 +339,9 @@ def _carlson_work(module, name):
         points.append(np.size(x))
         return carlson(x, y, z)
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         first = len(points)
-        out = original(*args)
+        out = original(*args, **kwargs)
         calls.append((args, points[first:]))
         return out
 
@@ -383,20 +383,30 @@ def test_each_newton_round_is_one_carlson_call_over_its_new_points(grids_lambda1
 
 @pytest.mark.parametrize("lv", [0.7, 1.0, 2.5])
 def test_each_batch_of_edges_is_one_carlson_call(lv):
-    # a tree of edges (immerse routes with a winding circuit, a grid, the
-    # companion cycle) and a batch of edges without a tree (the alignment,
-    # and edges across both cuts) each evaluate their vertices and axis
-    # crossings in one _carlson call
+    # immerse (with a winding circuit), a grid and the companion cycle each
+    # evaluate the base point or first vertex, their points and their axis
+    # crossings in one _carlson call: a target crosses at most where its
+    # sweep leaves the axis, a grid on its stem from 1 and on its edges, the
+    # cycle on its chords.  So does a batch of edges (the alignment, and
+    # edges across both cuts).
     lam = Lambda(lv)
     norm = Normalization.paper(lam)
-    with _carlson_work(weierstrass, "_immerse_chains") as trees:
-        immerse(lam, norm, [0.5 + 0.5j, -2.0 - 1.0j, 3.0j], winding=1)
-        grid = immerse_grid(lam, norm, r_min=0.1, r_max=10.0, n_rad=8, n_ang=16)
-        weierstrass.cycle_real_period(weierstrass.companion_cycle_vertices(lam), lam, norm)
-    assert len(trees) == 3
-    for (_, _, tree, _), points in trees:
-        z, parent = tree.z, tree.parent
-        assert points == [len(z) + _axis_crossings(z[parent[1:]], z[1:], lv)]
+    targets = np.array([0.5 + 0.5j, -2.0 - 1.0j, 3.0j, 0.3 - 0.4j])
+    sweep = weierstrass._sweep_radii(targets, lam, 1)
+    with _carlson_work(weierstrass, "immerse") as calls:
+        weierstrass.immerse(lam, norm, targets, winding=1)
+    assert [points for _, points in calls] == [
+        [1 + len(targets) + _axis_crossings(sweep, targets, lv)]]
+    with _carlson_work(weierstrass, "immerse_grid") as calls:
+        grid = weierstrass.immerse_grid(lam, norm, r_min=0.1, r_max=10.0, n_rad=8, n_ang=16)
+    z = grid.z
+    crossings = (_axis_crossings(1.0, z[0, 0], lv) + _axis_crossings(z[:-1, 0], z[1:, 0], lv)
+                 + _axis_crossings(z[:, :-1], z[:, 1:], lv))
+    assert [points for _, points in calls] == [[1 + z.size + crossings]]
+    cycle = weierstrass.companion_cycle_vertices(lam)
+    with _carlson_work(weierstrass, "cycle_real_period") as calls:
+        weierstrass.cycle_real_period(cycle, lam, norm)
+    assert [points for _, points in calls] == [[257 + _axis_crossings(cycle[:-1], cycle[1:], lv)]]
     za = np.array([0.5 * lv + 0.5j, -3.0 / lv - 0.5j, 3.0 * lv + 0.5j])
     zb = np.conj(za)
     wa = principal_w(za, lam)

@@ -331,10 +331,17 @@ def test_edge_guards_refuse_crossings_near_a_branch_point():
 
 
 def test_real_targets_are_taken_from_above():
-    # a target on the cut (0, lam) with imaginary part -0.0 is the same point
-    # as with +0.0: points on the real axis are limits from above
+    # a target on the real axis with imaginary part -0.0 is the same point as
+    # with +0.0: points on the real axis are limits from above, on the cut
+    # (0, lam), on (-1/lam, 0) and on the cut (-inf, -1/lam) alike.  Each is
+    # 1e-9 from its image of t + 1e-12 i, and on the oracle.
     lam = Lambda(2.0)
     norm = Normalization.paper(lam)
-    up, down = immerse(lam, norm, [complex(0.3, 0.0), complex(0.3, -0.0)])
-    assert np.array_equal(up.position, down.position) and up.source.w == down.source.w
-    assert _oracle(lam, norm).miss(0.3, down.source.w, down.position) <= 1e-12
+    oracle = _oracle(lam, norm)
+    for t in (0.3, -0.3, -3.0):
+        up, down, above = immerse(lam, norm, [complex(t, 0.0), complex(t, -0.0),
+                                              complex(t, 1e-12)])
+        assert np.array_equal(up.position, down.position) and up.source.w == down.source.w, t
+        assert np.linalg.norm(up.position - above.position) <= 1e-9, t
+        assert abs(up.source.w - above.source.w) <= 1e-9, t
+        assert oracle.miss(t, down.source.w, down.position) <= 1e-12, t

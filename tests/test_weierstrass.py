@@ -38,6 +38,7 @@ from riemann_examples.weierstrass import (
     radial_edge_alignment,
     route_vertices,
     sheet_connection,
+    translation_cycle_vertices,
     vertical_end_spacing,
 )
 
@@ -266,13 +267,12 @@ def test_companion_period_that_does_not_vanish_is_a_typed_error(monkeypatch):
 
 def test_period_lattice_composition():
     # two translation circuits and one companion circuit integrate to 2T; the
-    # translation cycle is the circle about -1/(2 lam) enclosing the branch
-    # points 0 and -1/lam
+    # translation cycle is the circle through lam/2 and -1.5/lam enclosing the
+    # branch points 0 and -1/lam
     lam = Lambda(2.0)
     norm = Normalization.paper(lam)
     pv = period_vectors(lam, norm)
-    translation_cycle = -0.25 + 1.25 * np.exp(1j * np.linspace(0.0, 2.0 * math.pi, 257))
-    t = cycle_real_period(translation_cycle, lam, norm)
+    t = cycle_real_period(translation_cycle_vertices(lam), lam, norm)
     c = cycle_real_period(companion_cycle_vertices(lam), lam, norm)
     assert np.linalg.norm((2.0 * t + c) - 2.0 * pv.translation) < 1e-8
 
@@ -619,6 +619,26 @@ def test_batched_immerse_matches_scalar_routes(lv, winding, sheet):
         assert abs(sp.source.w - w) <= 1e-14 * abs(w), target
 
 
+@pytest.mark.parametrize("lv", [0.95, 1.05])
+@pytest.mark.parametrize("sheet", [+1, -1])
+def test_redirected_route_along_the_negative_axis_passes_above(lv, sheet):
+    # |1 - lam| < lam/8, so the sweep to z = -1 runs at a redirected radius
+    # and a radial leg along the negative axis finishes the route, detouring
+    # over -1/lam on a semicircle above the axis: -1 is reached from above,
+    # like every target on the real axis, and immerse agrees with the
+    # quadrature along the route
+    lam = Lambda(lv)
+    norm = Normalization.paper(lam)
+    route = np.asarray(route_vertices(-1.0, lam))
+    assert np.all(route.imag >= 0.0)
+    assert np.min(np.abs(route - complex(-1.0 / lv, 1.0 / (8.0 * lv)))) < 1e-12
+    on, above = immerse(lam, norm, [-1.0, complex(-1.0, 1e-12)], sheet_sign=sheet)
+    pos, w = _scalar_immerse(lam, norm, -1.0, 0, sheet)
+    assert np.max(np.abs(on.position - pos)) <= 1e-12 * max(1.0, np.linalg.norm(pos))
+    assert abs(on.source.w - w) <= 1e-14 * abs(w)
+    assert np.linalg.norm(on.position - above.position) <= 1e-9
+
+
 def test_symmetry_suite_routes_stay_in_the_batch(monkeypatch, refuse_quadrature):
     # the CLI symmetry suite at lam = 0.5, 1, 2 makes three immerse calls per
     # lam, each immersing all its routes in closed form, with no quadrature
@@ -661,31 +681,24 @@ def test_routes_at_small_lambda_match_x2_closed_form(sheet):
     (0.3, 2.2 * np.exp(0.05j), 1),
     (0.01, -0.5 + 0.002j, 0),
 ], ids=["guard-winding0", "guard-winding1", "guard-end"])
-def test_route_errors_name_lambda_target_winding_and_edge(monkeypatch, delta, target, winding):
-    # the routes are planned with the default guard; with every guard radius
-    # then widened to delta, the redirected route of 2.2 e^{0.05 i} (its
-    # detour and final radial leg pass within 0.3 of lam = 2) and the last
-    # chord of the sweep to -0.5 + 0.002i (ending 0.002 from the branch point
-    # -1/lam) end inside a guard disk
+def test_guard_errors_name_lambda_target_and_winding(monkeypatch, delta, target, winding):
+    # with every guard radius widened to delta, 2.2 e^{0.05 i} lies within
+    # 0.3 of lam = 2 and -0.5 + 0.002i within 0.01 of the branch point
+    # -1/lam: immerse refuses either target before evaluating anything,
+    # naming lam, the target, its winding and the guard disk with its radius
     from riemann_examples import curve, weierstrass
-    from riemann_examples.errors import BranchTooClose
+    from riemann_examples.errors import PathBlocked
     lam = Lambda(2.0)
-    route = route_vertices(target, lam, winding=winding)
-    monkeypatch.setattr(weierstrass, "route_vertices", lambda *args, **kwargs: route)
     monkeypatch.setattr(curve, "delta_branch", lambda lam: (delta,) * 3)
-    with pytest.raises(BranchTooClose) as err:
-        immerse(lam, Normalization.paper(lam), [target], winding=winding)
-    m = re.match(r"lam = 2.0, target (\S+), winding (\d+), route edge (\S+) -> (\S+): "
-                 r"end point (\S+) lies in the guard disk of branch point (\S+) "
-                 r"\(radius (\S+)\)$", str(err.value))
+    monkeypatch.setattr(weierstrass, "_carlson", None)
+    with pytest.raises(PathBlocked) as err:
+        immerse(lam, Normalization.paper(lam), [1j, target], winding=winding)
+    m = re.match(r"lam = 2.0: target (\S+) \(winding (-?\d+)\) lies in the guard disk of "
+                 r"branch point (\S+) \(radius (\S+)\)$", str(err.value))
     assert m, str(err.value)
     assert complex(m[1]) == target and int(m[2]) == winding
-    # the named edge is an edge of the target's route, ending in the guard
-    # disk of the named branch point, whose own radius is shown
-    za, zb = complex(m[3]), complex(m[4])
-    assert (za, zb) in zip(route[:-1], route[1:])
-    assert complex(m[5]) == zb and abs(zb - complex(m[6])) < delta
-    assert float(m[7]) == pytest.approx(delta, rel=1e-2)
+    assert abs(target - complex(m[3])) < delta
+    assert float(m[4]) == pytest.approx(delta, rel=1e-2)
 
 
 # ---------------------------------------------------------------------------
