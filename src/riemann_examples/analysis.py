@@ -15,14 +15,11 @@ path integrals, each anchored at a fixed point of the respective symmetry:
     rotation   (z, w) -> (-1/z, -w/z^2)        ambient diag(-1, +1, -1)
     line flip  (z, w) -> (conj z, -conj w)     ambient diag(-1, +1, -1)
 
-Horizontal foliation slices are extracted from grid immersions by solving
-x3 = c on every radial and angular grid edge that crosses the height, by a
-safeguarded Newton iteration with the exact derivative dx3/dt = Re(Phi3 dz)
-(linear interpolation is far too coarse for the circle-fit tolerances),
-then fitted by circles or lines.  The crossings of all heights and both
-sheets step in lockstep: each Newton round continues and integrates every
-unresolved crossing at once, carrying W and Psi at its iterates over rounds
-(weierstrass._continue_edges); check_symmetries immerses its lifts at once.
+Horizontal foliation slices are in closed form: on the torus coordinate v,
+which inverts the integral of dz/w by Jacobi's sn (curve._curve_at),
+x3 falls linearly with Re v, so each height is one vertical line of v.  Its
+points are immersed at once and fitted by circles or lines;
+check_symmetries also immerses its lifts at once.
 """
 
 from __future__ import annotations
@@ -32,18 +29,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curve import CurvePoint, Lambda, as_lambda, principal_w
-from .errors import (InsufficientSlicePoints, QuadratureFailure, RiemannFamilyError,
-                     SingularPoint)
+from .curve import CurvePoint, Lambda, _agm, _curve_at, as_lambda, principal_w
+from .errors import InsufficientSlicePoints, RiemannFamilyError, SingularPoint
 from .weierstrass import (
     Normalization,
-    _continue_edges,
-    _edge_locator,
-    immerse,
+    _immerse,
+    _lift_images,
+    _raw_periods,
     normalization_scale,
     period_vectors,
-    radial_edge_alignment,
-    sheet_connection,
 )
 
 # ---------------------------------------------------------------------------
@@ -195,7 +189,7 @@ def check_symmetries(lam, norm: Normalization, samples,
     base-point lifts (the base point itself at lam = 1), so the checks also
     exercise the anchoring of the second sheet.
 
-    All lifts go through one immerse call.
+    All lifts go through one closed-form immersion (_lift_images).
     """
     lam = as_lambda(lam)
     w0 = principal_w(1.0 + 0.0j, lam)
@@ -204,16 +198,8 @@ def check_symmetries(lam, norm: Normalization, samples,
         p = p if isinstance(p, CurvePoint) else CurvePoint(p, principal_w(p, lam), lam)
         lifts += [(p.z, p.w), (np.conj(p.z), np.conj(p.w)), (-1.0 / p.z, -p.w / p.z ** 2),
                   (np.conj(p.z), -np.conj(p.w))]
-    # each target is immersed once, and its sheet +1 image x is kept if the
-    # continued root is w, its partner's image C - x if it is -w
-    c = sheet_connection(lam, norm)
-    images = []
-    for sp, (z, w) in zip(immerse(lam, norm, [z for z, _ in lifts]), lifts):
-        err_plus, err_minus = abs(sp.source.w - w), abs(sp.source.w + w)
-        if min(err_plus, err_minus) > 1e-6 * (1.0 + abs(w)):
-            raise ValueError(f"no immersion sheet matches the requested root at z = {z}")
-        images.append(sp.position if err_plus <= err_minus else c - sp.position)
-    b_mirror, b_flip, b_rot, *images = images
+    images = _lift_images(lam, norm, [z for z, _ in lifts], [w for _, w in lifts])
+    b_mirror, b_flip, b_rot = images[:3]
 
     # positions of individual lifts are defined modulo the translation
     # period (immerse places the winding-0 representative of the stack)
@@ -223,7 +209,7 @@ def check_symmetries(lam, norm: Normalization, samples,
         return min(float(np.linalg.norm(x - y - n * t_vec)) for n in range(-2, 3)) / scale
 
     res_mirror, res_rot, res_flip = [], [], []
-    for pos, pos_m, pos_r, pos_f in np.reshape(images, (-1, 4, 3)):
+    for pos, pos_m, pos_r, pos_f in images[3:].reshape(-1, 4, 3):
         scale = max(1.0, float(np.linalg.norm(pos)))
         res_mirror.append(lattice_residual(pos_m, MIRROR @ pos + b_mirror, scale))
         res_rot.append(lattice_residual(pos_r, ROTATION @ pos + b_rot, scale))
@@ -278,8 +264,9 @@ class FoliationSlice:
     points: np.ndarray = field(repr=False, default=None)
 
 
-#: A slice is a line when the line fit beats the circle fit and the fitted
-#: radius has run away beyond this cutoff.
+#: A slice is a line when the fitted radius has run away beyond this cutoff
+#: and the line fit is as good as the circle fit, to 1e-12 of the slice's
+#: span (points collinear to roundoff fit both).
 LINE_RADIUS_CUTOFF = 1e6
 
 
@@ -321,132 +308,46 @@ def fit_line_2d(xy):
     return float(np.max(np.abs(perp)))
 
 
-def _edge_height_crossing(lam, norm, za, wa, pos_a, zb, c, f_lo, where=None):
-    """Solve x3 = c along the straight edges za -> zb continued from (za, wa).
-
-    Takes equal-length arrays of edges and returns an (n, 3) array.  Each
-    edge runs a safeguarded Newton iteration in its parameter t:
-    f(t) = x3(t) - c has the exact derivative f'(t) = Re(2 s dz / w(t)),
-    since Phi3 = 2 s / w, and a sign bracket replaces any step that leaves
-    it (or meets f' = 0) by its midpoint.  All edges step in lockstep: each
-    round continues the root and integrates from every active iterate to its
-    next one by one _continue_edges call (which refuses iterates inside a
-    branch guard disk, and hands W and Psi at them to the next round), and
-    retires the edges that meet |x3 - c| < 1e-12 max(1, |c|).  `where(k)`
-    names edge k in errors (by default its end points, lam and height); an
-    error within a round also names the Newton step.  QuadratureFailure is
-    raised for an edge not resolved within 60 rounds.
-    """
-    za, wa, zb = (np.asarray(v, dtype=complex) for v in (za, wa, zb))
-    c, f = np.asarray(c, dtype=float), np.array(f_lo, dtype=float)
-    pos = np.array(pos_a, dtype=float)
-    if where is None:
-        def where(k) -> str:
-            return (f"lam = {lam.value!r}, edge {complex(za[k])} -> {complex(zb[k])}, "
-                    f"height x3 = {float(c[k])!r}")
-    s2dz = 2.0 * normalization_scale(norm) * (zb - za)
-    tol = 1e-12 * np.maximum(1.0, np.abs(c))
-    below = f < 0
-    t_lo, t_hi, t = np.zeros(len(za)), np.ones(len(za)), np.zeros(len(za))
-    z, w = za.copy(), wa.copy()
-    act, start = np.arange(len(za)), None
-    for _ in range(60):
-        fp = (s2dz[act] / w[act]).real
-        with np.errstate(divide="ignore", invalid="ignore"):
-            t_newton = t[act] - f[act] / fp
-        t_new = np.where((fp != 0.0) & (t_lo[act] < t_newton) & (t_newton < t_hi[act]),
-                         t_newton, 0.5 * (t_lo[act] + t_hi[act]))
-        z_old, w_old = z[act], w[act]
-        z_new = za[act] + t_new * (zb[act] - za[act])
-
-        def located_at(k, act=act, z0=z_old, z1=z_new):
-            return f"{where(act[k])}, Newton step {complex(z0[k])} -> {complex(z1[k])}"
-
-        w_new, vals, end = _continue_edges(z_old, w_old, z_new, lam, norm, located_at, start)
-        pos[act] += vals
-        t[act], z[act], w[act] = t_new, z_new, w_new
-        f[act] = pos[act, 2] - c[act]
-        same_side = (f[act] < 0) == below[act]
-        t_lo[act] = np.where(same_side, t_new, t_lo[act])
-        t_hi[act] = np.where(same_side, t_hi[act], t_new)
-        going = ~(np.abs(f[act]) < tol[act])
-        act, start = act[going], tuple(v[going] for v in end)
-        if not act.size:
-            return pos
-    k = act[0]
-    raise QuadratureFailure(
-        f"{where(k)}: height crossing not resolved, |x3 - c| = {abs(f[k]):.3e} "
-        f"after 60 steps (tolerance {tol[k]:.3e})"
-    )
-
-
 def foliation_slices(grids, heights, min_points: int = 16):
-    """Horizontal slices of the immersed surface.
+    """Horizontal slices of the immersed surface, in closed form.
 
-    `grids` holds the two sheet grids of one immersion.  Crossing points of
-    each height are found along radial grid edges (ending on their upper
-    vertex of radial_edge_alignment, so edges through a branch band pair
-    with the correct partner) and angular grid edges, of both sheets in the
-    alignment's numbering.  The crossing edges of every height are refined
-    by one lockstep call of _edge_height_crossing, so each Newton round is
-    one batched closed-form continuation and integration over all of them.
-    Each slice is fitted by a circle and by a line; the better model is
-    reported.
+    `grids` holds the two sheet grids of one immersion; they supply lam and
+    the normalization.  On the torus coordinate v of curve._curve_at,
+    dx3 = Re(2 s dz / w) = -kappa Re dv with kappa = 4 s / sqrt(lam + 1/lam),
+    so x3 = h0 - kappa (Re v - K) modulo s T3, where h0 is the height of the
+    segment (0, lam), the line Re v = K through the end z = 0.  The slice
+    x3 = c is therefore the vertical line Re v = a, with
+    a = (K - (c - h0) / kappa) mod 2K and y = Im v in [0, 2K'): one closed
+    leaf per period, a line at the end heights (Re v = 0 or K).  Each slice
+    is sampled at `min_points` points y = 2K' (j + 1/4) / min_points, which
+    miss y = 0 and K', where those lines meet the ends and the branch points.
+    The points are immersed on their own lifts in one call and moved by
+    whole periods T to the height c.  Each slice is fitted by a circle and
+    by a line; the better model is reported.  Fewer than 3 points per slice
+    raise InsufficientSlicePoints.
     """
     by_sign = {g.sheet_sign: g for g in grids}
     if len(by_sign) != 2:
         raise ValueError("foliation slicing needs both sheet grids")
-    pair = (by_sign[+1], by_sign[-1])
-    alignment = radial_edge_alignment(*pair)
-    lam, norm = pair[0].lam, pair[0].norm
-    t3 = period_vectors(lam, norm).translation[2]
-    zf = np.concatenate([g.z.ravel() for g in pair])
-    wf = np.concatenate([g.w.ravel() for g in pair])
-    vertices = np.concatenate([g.positions.reshape(-1, 3) for g in pair])
-    idx = np.arange(len(zf)).reshape(2, *pair[0].z.shape)
-
-    def per_sheet(radial, angular):
-        """Edge values in order: per sheet, radial edges then angular."""
-        return np.concatenate((radial.reshape(2, -1), angular.reshape(2, -1)), axis=1).ravel()
-
-    # every edge: start and end vertex, and the end's period offset (radial
-    # edges end on their aligned upper vertex, angular edges stay within a
-    # row chain, consistent by construction)
-    a = per_sheet(idx[:, :-1], idx[:, :, :-1])
-    b = per_sheet(alignment.upper, idx[:, :, 1:])
-    radial = np.arange(len(a)) % (len(a) // 2) < alignment.upper[0].size
-    lo = vertices[a, 2]
-    hi = vertices[b, 2] + per_sheet(alignment.period_k, 0 * idx[:, :, 1:]) * t3
-
-    # the points of each height in order: per sheet, radial then angular
-    # edges; a radial edge starting exactly at the height gives its vertex
-    edge = []
-    for c in heights:
-        edge.append(np.flatnonzero((radial & (lo - c == 0.0)) | ((lo - c) * (hi - c) < 0.0)))
-        if len(edge[-1]) < min_points:
-            raise InsufficientSlicePoints(
-                f"slice at height {c} met only {len(edge[-1])} edges (need {min_points})"
-            )
-    if not edge:
-        return []
-    counts = [len(e) for e in edge]
-    edge, height = np.concatenate(edge), np.repeat(np.asarray(heights, dtype=float), counts)
-    va, vb = a[edge], b[edge]
-    f_lo = lo[edge] - height
-    points = vertices[va]
-    k = np.flatnonzero(f_lo != 0.0)
-    edge_at = _edge_locator(lam, pair[0].z.shape, va[k], vb[k])
-
-    def where(j) -> str:
-        c = height[k[j]]
-        return (f"{edge_at(j)}, height x3 = {float(c)!r} "
-                f"(crossing tolerance {1e-12 * max(1.0, abs(c)):.2e})")
-
-    points[k] = _edge_height_crossing(
-        lam, norm, zf[va[k]], wf[va[k]], points[k], zf[vb[k]], height[k], f_lo[k], where)
+    if min_points < 3:
+        raise InsufficientSlicePoints(f"a slice needs at least 3 points to fit a curve, "
+                                      f"not {min_points}")
+    lam, norm = by_sign[+1].lam, by_sign[+1].norm
+    lv, s = lam.value, normalization_scale(norm)
+    heights = np.asarray(heights, dtype=float)
+    quarter, quarter_c = (0.5 * math.pi / _agm(x)[-1][0] for x in (lv, 1.0 / lv))
+    kappa = 4.0 * s / math.sqrt(lv + 1.0 / lv)
+    h0 = _immerse(lam, norm, [0.5 * lv])[0][0, 2]
+    a = np.mod(quarter - (heights - h0) / kappa, 2.0 * quarter)
+    y = 2.0 * quarter_c * (np.arange(min_points) + 0.25) / min_points
+    z, w = _curve_at(a[:, None], y, lv)
+    points = _lift_images(lam, norm, z.ravel(), w.ravel()).reshape(len(heights), min_points, 3)
+    t1, t3 = _raw_periods(lv)
+    shift = np.rint((heights[:, None] - points[..., 2]) / (s * t3))
+    points += shift[..., None] * (s * np.array([t1, 0.0, t3]))
 
     slices = []
-    for c, pts in zip(heights, np.split(points, np.cumsum(counts)[:-1])):
+    for c, pts in zip(heights, points):
         xy = pts[:, :2]
         center, radius, circ_res = fit_circle(xy)
         line_res = fit_line_2d(xy)
@@ -462,7 +363,7 @@ def foliation_slices(grids, heights, min_points: int = 16):
         res_far = float(np.max(np.abs(dist - r_far)))
         if res_far < circ_res:
             center, radius, circ_res = c_far, r_far, res_far
-        if line_res < circ_res and radius > LINE_RADIUS_CUTOFF:
+        if radius > LINE_RADIUS_CUTOFF and line_res <= circ_res + 1e-12 * span:
             slices.append(FoliationSlice(height=float(c), kind="line", center=None,
                                          radius=None, residual=line_res,
                                          n_points=len(pts), points=pts))

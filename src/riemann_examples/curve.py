@@ -10,6 +10,8 @@ reference quadrature and the paths it integrates.
 
 The package's one branch guard (near_branch) and one snap (at_branch) live
 here, as fixed fractions of the gap from each branch point to the nearest.
+So does the torus's uniformisation by Jacobi's sn (_curve_at), on the AGM
+of its modulus (_agm), which the periods share.
 """
 
 from __future__ import annotations
@@ -139,6 +141,70 @@ def principal_w(z, lam):
     if np.ndim(rhs) == 0:
         return cmath.sqrt(rhs)
     return np.sqrt(rhs.astype(complex))
+
+
+def _agm(lam_value: float) -> list:
+    """The triples (a_n, b_n, c_n) of the AGM of 1 and k' = lam/sqrt(1 + lam^2),
+    k^2 = 1/(1 + lam^2), until c_n <= 1e-17 a_n (DLMF 19.8.1).  Seeding k'
+    directly and taking c_n = c_(n-1)^2 / (4 a_n) keeps every term to full
+    relative precision for lam in [1e-6, 1e6]."""
+    h = math.hypot(1.0, lam_value)
+    a, b, c = 1.0, lam_value / h, 1.0 / h
+    seq = [(a, b, c)]
+    while c > 1e-17 * a:
+        a, b = 0.5 * (a + b), math.sqrt(a * b)
+        c = 0.25 * c * c / a
+        seq.append((a, b, c))
+    return seq
+
+
+def _jacobi(u, lam_value: float):
+    """sn, cn and dn of real u at m = 1/(1 + lam^2).
+
+    u is reduced to t in [0, K/2] by the antiperiod 2K of sn and cn, parity
+    and the quarter-period shift (sn, cn, dn)(K - t) = (cd, k' sd, k' nd)(t)
+    (DLMF 22.4.3).  The descending Landen transformation (DLMF 22.7(i)) then
+    runs along the AGM of _agm, with moduli k_n = c_n/a_n and
+    1 - k_n = b_(n-1)/a_n, from (sin, cos, 1) at a_N t.  It uses products,
+    quotients and sums of positive terms only, so no digits are lost as
+    k -> 1; the arcsin recurrence of DLMF 22.20(ii) loses up to 8e-12 at
+    lam = 1e-6.
+    """
+    seq = _agm(lam_value)
+    quarter = 0.5 * math.pi / seq[-1][0]
+    n = np.rint(u / (2.0 * quarter))
+    r = u - 2.0 * quarter * n
+    near = np.abs(r) > 0.5 * quarter
+    t = np.where(near, quarter - np.abs(r), np.abs(r))
+    s, c, d = np.sin(seq[-1][0] * t), np.cos(seq[-1][0] * t), 1.0
+    for (_, b, _), (a1, _, c1) in zip(seq[-2::-1], seq[:0:-1]):
+        ss, k = s * s, c1 / a1
+        den = 1.0 + k * ss
+        s, c, d = (1.0 + k) * s / den, c * d / den, (c * c + (b / a1) * ss) / den
+    kc, sign = seq[0][1], 1.0 - 2.0 * (n % 2)
+    return (sign * np.copysign(np.where(near, c / d, s), r), sign * np.where(near, kc * s / d, c),
+            np.where(near, kc / d, d))
+
+
+def _curve_at(a, y, lam_value: float):
+    """The curve point (z, w) at the torus coordinate v = a + i y, for real a, y.
+
+    v = sqrt(lam + 1/lam) A / 2, with A = 2 R_F the integral of dt/W from z to
+    +inf, inverts to z = (lam + 1/lam) dn^2/sn^2 and w = -dz/dA =
+    (lam + 1/lam)^(3/2) cn dn / sn^3 at (v | m), m = 1/(1 + lam^2), periods 2K
+    and 2 i K'.  sn, cn and dn of v come from _jacobi at (a | m) and
+    (y | 1 - m), the latter as m(1/lam), by the addition theorems with
+    Jacobi's imaginary transformation (DLMF 22.8(i), 22.6(iv)).  The form
+    -1/lam + (lam + 1/lam)/sn^2 of z would cancel digits as lam -> 0.
+    """
+    s, c, d = _jacobi(a, lam_value)
+    s1, c1, d1 = _jacobi(y, 1.0 / lam_value)
+    m = 1.0 / (1.0 + lam_value * lam_value)
+    sn = s * d1 + 1j * c * d * s1 * c1
+    cn = c * c1 - 1j * s * d * s1 * d1
+    dn = d * c1 * d1 - 1j * m * s * c * s1
+    den, scale = c1 * c1 + m * s * s * s1 * s1, lam_value + 1.0 / lam_value
+    return scale * (dn / sn) ** 2, scale ** 1.5 * den * cn * dn / sn ** 3
 
 
 @dataclass(frozen=True)

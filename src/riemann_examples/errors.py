@@ -34,4 +34,5 @@ class PathBlocked(RiemannFamilyError):
 
 
 class InsufficientSlicePoints(RiemannFamilyError):
-    """A horizontal slice intersected too few mesh edges to fit a curve."""
+    """A horizontal slice was asked for fewer than the 3 points a curve fit
+    needs."""

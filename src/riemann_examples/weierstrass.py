@@ -33,9 +33,9 @@ that half-line: a sheet flip on the cuts of W and a jump term (_crossings).
 A point z on the root sigma W is at Re sigma Psi(z) - Re sigma0 Psi(1), plus
 sigma_before times the jump of each crossing on its path, plus n T for n
 translation circuits: immerse and immerse_grid need no routes, and evaluate
-the base point, their points and crossings in one _carlson call, as does a
-batch of _continue_edges.  cycle_real_period sums chords one by one, as the
-independent check of the closed-form periods.  The quadrature of
+the base point, their points and crossings in one _carlson call, as does the
+mesh alignment's batch of _continue_edges.  cycle_real_period sums chords one
+by one, as the independent check of the closed-form periods.  The quadrature of
 make_sheeted_path and path_integral (re-exported here) along route_vertices
 remains for reference computations.
 Guards and snaps are curve.near_branch and curve.at_branch; detours, ring
@@ -59,6 +59,7 @@ from .curve import (
     CurvePoint,
     Lambda,
     SheetedPath,
+    _agm,
     as_lambda,
     at_branch,
     branch_points,
@@ -129,22 +130,14 @@ def _raw_periods(lam_value: float) -> tuple:
     """Raw translation period components (T1, T3), in closed form (T2 = 0).
 
     With e1 = lam, e3 = -1/lam, k^2 = 1/(1 + lam^2) and r = 2/sqrt(lam + 1/lam),
-    T3 = 4 r K(k) and T1 = -4 r (e3 K + (e1 - e3)(K - E)).  K = pi / (2 M) with
-    M the arithmetic-geometric mean of 1 and k' (DLMF 19.8.1), and
-    K - E = K sum 2^(n-1) c_n^2 (DLMF 19.8.2).  Seeding k' = lam/sqrt(1 + lam^2)
-    directly, taking c_n = c_(n-1)^2 / (4 a_n) and summing K - E rather than
-    subtracting E from K keeps full relative precision for lam in [1e-6, 1e6].
+    T3 = 4 r K(k) and T1 = -4 r (e3 K + (e1 - e3)(K - E)).  K = pi / (2 a_N)
+    with a_N the AGM of curve._agm, and K - E = K sum 2^(n-1) c_n^2 (DLMF 19.8.2),
+    summed rather than subtracting E from K.
     """
     lv = lam_value
-    h = math.hypot(1.0, lv)
-    a, b, c = 1.0, lv / h, 1.0 / h
-    weight, tail = 0.5, 0.5 * c * c
-    while c > 1e-17 * a:
-        a, b = 0.5 * (a + b), math.sqrt(a * b)
-        c = 0.25 * c * c / a
-        weight *= 2.0
-        tail += weight * c * c
-    k = 0.5 * math.pi / a
+    seq = _agm(lv)
+    k = 0.5 * math.pi / seq[-1][0]
+    tail = sum(2.0 ** (n - 1) * c * c for n, (_, _, c) in enumerate(seq))
     r = 2.0 / math.sqrt(lv + 1.0 / lv)
     return 4.0 * r * (k / lv - (lv + 1.0 / lv) * k * tail), 4.0 * r * k
 
@@ -470,20 +463,19 @@ def _ray(z, lam: Lambda, norm: Normalization, crossings):
     return w[:n], psi[:n], np.where(up[:, None], psi[n:] - f * below, below - f * psi[n:])
 
 
-def _continue_edges(za, wa, zb, lam: Lambda, norm: Normalization, where, start=None):
+def _continue_edges(za, wa, zb, lam: Lambda, norm: Normalization, where):
     """Continue (za, wa) along each straight edge to zb and integrate Phi dz
-    along it in closed form: the end roots, the real integrals and (W, Psi)
-    of _ray at zb.  One _carlson call evaluates zb, the crossings and, unless
-    a known `start` (W, Psi) is given, za.  Guards and `where` as in _crossings."""
+    along it in closed form: the end roots and the real integrals.  One
+    _carlson call evaluates za, zb and the crossings.  Guards and `where` as
+    in _crossings.  The mesh's radial_edge_alignment is its one caller."""
     za, wa, zb = (np.asarray(v, dtype=complex) for v in (za, wa, zb))
     flip, crossings = _crossings(za, zb, lam, where)
-    roots, psi, jump = _ray(zb if start else np.concatenate((za, zb)), lam, norm, crossings)
-    root_a, psi_a = start or (roots[:len(za)], psi[:len(za)])
-    root_b, psi_b = roots[len(roots) - len(zb):], psi[len(roots) - len(zb):]
-    sign = np.where(np.abs(wa - root_a) <= np.abs(wa + root_a), 1.0, -1.0)
-    vals = flip[:, None] * psi_b - psi_a
+    roots, psi, jump = _ray(np.concatenate((za, zb)), lam, norm, crossings)
+    n = len(za)
+    sign = np.where(np.abs(wa - roots[:n]) <= np.abs(wa + roots[:n]), 1.0, -1.0)
+    vals = flip[:, None] * psi[n:] - psi[:n]
     vals[crossings[0]] += jump
-    return sign * flip * root_b, (sign[:, None] * vals).real, (root_b, psi_b)
+    return sign * flip * roots[n:], (sign[:, None] * vals).real
 
 
 def _seeded_ray(z, lam: Lambda, norm: Normalization, crossings):
@@ -529,6 +521,26 @@ class SurfacePoint:
         object.__setattr__(self, "position", p)
 
 
+def _immerse(lam: Lambda, norm: Normalization, targets, winding: int = 0):
+    """immerse's sheet +1 images of the targets as arrays: positions, shape
+    (n, 3), and their continued roots."""
+    targets = np.asarray(targets, dtype=complex) + 0.0
+    sweep = _sweep_radii(targets, lam, winding).astype(complex)
+
+    def where(k) -> str:
+        return f"lam = {lam.value!r}: target {targets[k]} (winding {winding})"
+
+    flip, crossings = _crossings(sweep, targets, lam, where)
+    sign0, roots, psi, jump = _seeded_ray(np.concatenate(([BASE_POINT], targets)), lam, norm,
+                                          crossings)
+    sign = sign0 * flip
+    pos = (sign[:, None] * psi[1:] - sign0 * psi[0]).real
+    pos[crossings[0]] += sign0 * jump.real
+    t1, t3 = _raw_periods(lam.value)
+    pos += winding * sign0 * normalization_scale(norm) * np.array([t1, 0.0, t3])
+    return pos, sign * roots[1:]
+
+
 def immerse(lam, norm: Normalization, targets, *, sheet_sign: int = +1,
             winding: int = 0) -> list[SurfacePoint]:
     """Immerse targets on the lifts of their routes from the base point
@@ -543,23 +555,25 @@ def immerse(lam, norm: Normalization, targets, *, sheet_sign: int = +1,
     """
     lam = as_lambda(lam)
     targets = np.array([complex(t) for t in targets], dtype=complex) + 0.0
-    sweep = _sweep_radii(targets, lam, winding).astype(complex)
-
-    def where(k) -> str:
-        return f"lam = {lam.value!r}: target {targets[k]} (winding {winding})"
-
-    flip, crossings = _crossings(sweep, targets, lam, where)
-    sign0, roots, psi, jump = _seeded_ray(np.concatenate(([BASE_POINT], targets)), lam, norm,
-                                          crossings)
-    sign = sign0 * flip
-    pos = (sign[:, None] * psi[1:] - sign0 * psi[0]).real
-    pos[crossings[0]] += sign0 * jump.real
-    t1, t3 = _raw_periods(lam.value)
-    pos += winding * sign0 * normalization_scale(norm) * np.array([t1, 0.0, t3])
-    w = sign * roots[1:]
+    pos, w = _immerse(lam, norm, targets, winding)
     if sheet_sign < 0:
         pos, w = sheet_connection(lam, norm) - pos, -w
     return [SurfacePoint(p, CurvePoint(z, wk, lam)) for p, z, wk in zip(pos, targets, w)]
+
+
+def _lift_images(lam: Lambda, norm: Normalization, z, w) -> np.ndarray:
+    """Images, shape (n, 3), of the lifts (z, w) on either sheet: immerse's
+    sheet +1 image x where its root is w, else its partner's C - x, with C
+    the sheet_connection.  ValueError if neither root is within
+    1e-6 (1 + |w|) of w."""
+    w = np.asarray(w, dtype=complex)
+    pos, root = _immerse(lam, norm, z)
+    plus, minus = np.abs(root - w), np.abs(root + w)
+    bad = np.minimum(plus, minus) > 1e-6 * (1.0 + np.abs(w))
+    if bad.any():
+        raise ValueError(f"no immersion sheet matches the requested root at "
+                         f"z = {complex(np.ravel(z)[np.argmax(bad)])}")
+    return np.where((plus <= minus)[:, None], pos, sheet_connection(lam, norm) - pos)
 
 
 # ---------------------------------------------------------------------------
@@ -681,7 +695,7 @@ def vertical_end_spacing(lam, norm: Normalization) -> float:
 
 
 # ---------------------------------------------------------------------------
-# grid immersion (shared by sweeps, foliation slicing, meshing)
+# grid immersion (shared by sweeps and meshing)
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -869,8 +883,7 @@ def radial_edge_alignment(grid_plus: GridImmersion,
     w = np.concatenate((grid_plus.w.ravel(), grid_minus.w.ravel()))
     pos = np.concatenate((grid_plus.positions.reshape(-1, 3), grid_minus.positions.reshape(-1, 3)))
     where = _edge_locator(lam, grid_plus.z.shape, a, b)
-    w_end, vals, _ = _continue_edges(grid_plus.z.flat[a], w[a], grid_plus.z.flat[b], lam, norm,
-                                     where)
+    w_end, vals = _continue_edges(grid_plus.z.flat[a], w[a], grid_plus.z.flat[b], lam, norm, where)
     end = pos[a] + vals
     up = np.where(np.abs(w[b] - w_end) <= np.abs(w[b] + w_end), b, b + block)
     gap = end - pos[up]

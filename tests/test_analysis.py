@@ -1,16 +1,14 @@
 import contextlib
 import math
-import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from riemann_examples.curve import CurvePoint, Lambda, continue_sheet, principal_w
+from riemann_examples.curve import CurvePoint, Lambda, principal_w
 from riemann_examples import analysis, weierstrass
 from riemann_examples.cli import main
-from riemann_examples.errors import (InsufficientSlicePoints, QuadratureFailure,
-                                       RiemannFamilyError, SingularPoint)
+from riemann_examples.errors import InsufficientSlicePoints, RiemannFamilyError, SingularPoint
 from riemann_examples.analysis import (
     CurvatureGrid,
     abs_gauss_curvature,
@@ -30,10 +28,8 @@ from riemann_examples.weierstrass import (
     immerse,
     immerse_grid,
     normalization_scale,
-    path_integral,
     period_vectors,
     radial_edge_alignment,
-    weierstrass_integrand,
 )
 from riemann_examples.limits import end_spacing
 
@@ -303,29 +299,10 @@ def test_foliation_circles_at_interior_heights(grids_lambda1):
 
 @pytest.fixture(scope="module")
 def interior_slices(grids_lambda1):
-    """Slices of grids_lambda1 at 20 interior heights, with the number of
-    edges the slicer continued (one per crossing and Newton step) and the
-    number of batched rounds it took."""
+    """Slices of grids_lambda1 at 20 interior heights."""
     lam = Lambda(1.0)
     heights = end_spacing(lam, Normalization.paper(lam)) * np.linspace(0.15, 0.85, 20)
-    with _counting_rounds() as edges:
-        slices = foliation_slices(grids_lambda1, heights)
-    return slices, sum(edges), len(edges)
-
-
-@contextlib.contextmanager
-def _counting_rounds():
-    """Record the number of edges of every _continue_edges call the slicer makes."""
-    edges = []
-    original = analysis._continue_edges
-
-    def counted(za, *args, **kwargs):
-        edges.append(len(za))
-        return original(za, *args, **kwargs)
-
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(analysis, "_continue_edges", counted)
-        yield edges
+    return foliation_slices(grids_lambda1, heights)
 
 
 @contextlib.contextmanager
@@ -359,26 +336,6 @@ def _axis_crossings(za, zb, lv) -> int:
     with np.errstate(divide="ignore", invalid="ignore"):
         x0 = za.real + (zb.real - za.real) * (za.imag / (za.imag - zb.imag))
     return int(np.count_nonzero(sides & (x0 < lv)))
-
-
-def test_each_newton_round_is_one_carlson_call_over_its_new_points(grids_lambda1):
-    # the first round evaluates its start points too; later rounds carry
-    # them, and evaluate only the new iterates and their axis crossings.  The
-    # height is taken below the axis on a chord across the cut (0, 1), whose
-    # Newton steps must cross it.
-    g = grids_lambda1[0]
-    lam, i, j = g.lam, int(np.argmin(np.abs(g.radii - 0.75))), g.n_col // 2 - 1
-    z_low = g.z[i, j] + 0.75 * (g.z[i, j + 1] - g.z[i, j])
-    _, vals, _ = weierstrass._continue_edges([g.z[i, j]], [g.w[i, j]], [z_low], lam, g.norm, str)
-    with _carlson_work(analysis, "_continue_edges") as rounds:
-        foliation_slices(grids_lambda1, [g.positions[i, j, 2] + vals[0, 2]])
-    crossings = 0
-    for r, ((za, _, zb, _, _, _, start), points) in enumerate(rounds):
-        assert (start is None) == (r == 0)
-        n_cross = _axis_crossings(za, zb, lam.value)
-        assert points == [(1 if r else 2) * len(za) + n_cross]
-        crossings += n_cross
-    assert len(rounds) >= 3 and crossings > 0
 
 
 @pytest.mark.parametrize("lv", [0.7, 1.0, 2.5])
@@ -419,32 +376,20 @@ def test_each_batch_of_edges_is_one_carlson_call(lv):
 
 
 def test_foliation_points_lie_on_their_height(interior_slices):
-    for s in interior_slices[0]:
+    for s in interior_slices:
         assert np.all(np.abs(s.points[:, 2] - s.height) < 1e-12 * max(1.0, abs(s.height)))
 
 
-def test_foliation_crossings_take_few_continuations(interior_slices):
-    slices, n_continuations, _ = interior_slices
-    assert n_continuations / sum(s.n_points for s in slices) <= 6.0
-
-
-def test_foliation_rounds_do_not_grow_with_heights(grids_lambda1, interior_slices):
-    # every crossing of every height steps in the same batched rounds
-    lam = Lambda(1.0)
-    height = 0.5 * end_spacing(lam, Normalization.paper(lam))
-    with _counting_rounds() as edges:
-        foliation_slices(grids_lambda1, [height])
-    assert len(edges) <= 8
-    assert interior_slices[2] <= 8
-
-
-def test_edge_crossing_unreached_height_raises(grids_lambda1):
-    g = grids_lambda1[0]
-    pos_a = g.positions[5, 5]
-    c = float(pos_a[2]) + 1e3
-    with pytest.raises(QuadratureFailure, match="lam = 1.0"):
-        analysis._edge_height_crossing(g.lam, g.norm, g.z[5, 5:6], g.w[5, 5:6], pos_a[None],
-                                       g.z[6, 5:6], [c], [float(pos_a[2]) - c])
+@pytest.mark.parametrize("lv", [1e-6, 1e-3, 1e3, 1e6])
+def test_foliation_points_lie_on_their_height_across_the_family(lv):
+    # x3 has no W/z term, so the closed-form slices meet their heights to
+    # roundoff at the ends of the family too; the heights span two periods
+    lam = Lambda(lv)
+    norm = Normalization.paper(lam)
+    grid = immerse_grid(lam, norm, r_min=0.1, r_max=10.0, n_rad=4, n_ang=8, closed=True)
+    heights = end_spacing(lam, norm) * np.linspace(-2.0, 2.0, 17)[1::2]
+    for s in foliation_slices([grid, grid.sheet_partner], heights):
+        assert np.all(np.abs(s.points[:, 2] - s.height) < 1e-12 * max(1.0, abs(s.height)))
 
 
 def test_foliation_line_at_end_height(grids_lambda1):
@@ -453,9 +398,38 @@ def test_foliation_line_at_end_height(grids_lambda1):
     assert slices[0].residual < 1e-9
 
 
+@pytest.mark.parametrize("lv", [1e-3, 0.5, 100.0, 1e4])
+def test_foliation_lines_at_both_end_heights(lv):
+    # the heights of the segments (0, lam) and (-inf, -1/lam), which run into
+    # the ends z = 0 and z = inf: their slices are collinear to roundoff,
+    # where the circle fit returns a runaway radius with residual 0.0
+    lam = Lambda(lv)
+    norm = Normalization.paper(lam)
+    grid = immerse_grid(lam, norm, r_min=0.5, r_max=2.0, n_rad=2, n_ang=8)
+    ends = [p.position[2] for p in immerse(lam, norm, [0.5 * lv, -2.0 / lv])]
+    for s in foliation_slices([grid, grid.sheet_partner], ends):
+        assert s.kind == "line"
+        assert s.residual <= 1e-12 * np.max(np.abs(s.points))
+
+
+def test_foliation_slices_repeat_by_the_period(grids_lambda1):
+    # the slice one vertical period s T3 up, or 1e5 periods up (height about
+    # 1e6), is the slice at c translated by as many periods T
+    g = grids_lambda1[0]
+    t_vec = period_vectors(g.lam, g.norm).translation
+    c = 0.4 * end_spacing(g.lam, g.norm)
+    for n in (1, 100_000):
+        base, up = foliation_slices(grids_lambda1, [c, c + n * t_vec[2]])
+        assert up.kind == base.kind == "circle"
+        expected = base.points + n * t_vec
+        scale = np.maximum(1.0, np.linalg.norm(expected, axis=1))
+        assert np.all(np.linalg.norm(up.points - expected, axis=1) <= 1e-12 * scale)
+
+
 def test_foliation_insufficient_points(grids_lambda1):
     with pytest.raises(InsufficientSlicePoints):
-        foliation_slices(grids_lambda1, [1e6])
+        foliation_slices(grids_lambda1, [1.0], min_points=2)
+    assert foliation_slices(grids_lambda1, [1.0], min_points=3)[0].n_points == 3
 
 
 def test_center_curve_flattens_and_radius_grows():
@@ -474,152 +448,3 @@ def test_center_curve_flattens_and_radius_grows():
         curvatures.append(max_center_curvature(slices))
     assert all(b > a for a, b in zip(radii[:-1], radii[1:]))
     assert all(b < a for a, b in zip(curvatures[:-1], curvatures[1:]))
-
-
-# ---------------------------------------------------------------------------
-# lockstep crossings against the per-crossing Newton loop
-# ---------------------------------------------------------------------------
-
-def _scalar_crossing(lam, norm, za, wa, pos_a, zb, c, f_lo):
-    """Reference crossing: safeguarded Newton on one edge, one continue_sheet
-    and one path_integral per step."""
-    fn = weierstrass_integrand(norm)
-    s2dz = 2.0 * normalization_scale(norm) * (zb - za)
-    tol = 1e-12 * max(1.0, abs(c))
-    t_lo, t_hi = 0.0, 1.0
-    t, z, w, f = 0.0, za, wa, f_lo
-    pos = np.asarray(pos_a, dtype=float)
-    for _ in range(60):
-        fp = (s2dz / w).real
-        t_new = 0.5 * (t_lo + t_hi)
-        if fp != 0.0 and t_lo < t - f / fp < t_hi:
-            t_new = t - f / fp
-        z_new = za + t_new * (zb - za)
-        seg = continue_sheet([z, z_new], w, lam)
-        pos = pos + path_integral(seg, fn).real
-        t, z, w, f = t_new, z_new, seg.w_values[-1], pos[2] - c
-        if abs(f) < tol:
-            return pos
-        if (f_lo < 0) == (f < 0):
-            t_lo = t
-        else:
-            t_hi = t
-    raise AssertionError("reference crossing not resolved")
-
-
-def _scalar_slice_points(grids, heights):
-    """Reference slice points, height by height: per sheet the crossing
-    radial edges (to the aligned upper vertex), then the angular edges."""
-    by_sign = {g.sheet_sign: g for g in grids}
-    alignment = radial_edge_alignment(by_sign[+1], by_sign[-1])
-    t3 = period_vectors(by_sign[+1].lam, by_sign[+1].norm).translation[2]
-    # x3 of both grids in the alignment's numbering: sheet +1, then sheet -1
-    x3_pair = np.concatenate([by_sign[s].positions[..., 2].ravel() for s in (+1, -1)])
-    out = []
-    for c in heights:
-        pts = []
-        for block, s in enumerate((+1, -1)):
-            g = by_sign[s]
-            x3 = g.positions[..., 2]
-            upper = x3_pair[alignment.upper[block]] + alignment.period_k[block] * t3
-            rad_lo, ang_lo, ang_hi = x3[:-1], x3[:, :-1], x3[:, 1:]
-            rad_hit = rad_lo - c == 0.0
-            rad_cross = (rad_lo - c) * (upper - c) < 0.0
-            for i, j in zip(*np.nonzero(rad_hit | rad_cross)):
-                if rad_hit[i, j]:
-                    pts.append(g.positions[i, j])
-                else:
-                    pts.append(_scalar_crossing(g.lam, g.norm, g.z[i, j], g.w[i, j],
-                                                g.positions[i, j], g.z[i + 1, j], c,
-                                                rad_lo[i, j] - c))
-            for i, j in zip(*np.nonzero((ang_lo - c) * (ang_hi - c) < 0.0)):
-                pts.append(_scalar_crossing(g.lam, g.norm, g.z[i, j], g.w[i, j],
-                                            g.positions[i, j], g.z[i, j + 1], c,
-                                            ang_lo[i, j] - c))
-        out.append(np.array(pts))
-    return out
-
-
-def _verify_grids_and_heights(lv):
-    lam = Lambda(lv)
-    norm = Normalization.paper(lam)
-    grids = [immerse_grid(lam, norm, r_min=0.1, r_max=10.0, n_rad=24, n_ang=48,
-                          sheet_sign=s, closed=True) for s in (+1, -1)]
-    base = float(immerse(lam, norm, [0.5 * min(lv, 1.0) + 0j])[0].position[2])
-    return grids, base + end_spacing(lam, norm) * np.linspace(0.25, 0.75, 8)
-
-
-@pytest.mark.parametrize("lv", [0.35, 1.0, 3.3])
-def test_lockstep_slices_match_scalar_newton(lv):
-    grids, heights = _verify_grids_and_heights(lv)
-    slices = foliation_slices(grids, heights)
-    for s, ref in zip(slices, _scalar_slice_points(grids, heights)):
-        assert s.points.shape == ref.shape
-        assert np.max(np.abs(s.points - ref)) <= 1e-12 * max(1.0, abs(s.height))
-
-
-def test_lockstep_crossing_accepts_scalars_and_arrays(grids_lambda1):
-    # one edge (as 1-element arrays) and the same edge twice
-    g = grids_lambda1[0]
-    c = float(g.positions[5, 5, 2] + g.positions[6, 5, 2]) / 2
-    args = (g.z[5, 5], g.w[5, 5], g.positions[5, 5], g.z[6, 5], c, float(g.positions[5, 5, 2]) - c)
-    one = analysis._edge_height_crossing(g.lam, g.norm, *(np.array([v]) for v in args))
-    many = analysis._edge_height_crossing(g.lam, g.norm, *(np.array([v, v]) for v in args))
-    assert one.shape == (1, 3) and many.shape == (2, 3)
-    assert np.array_equal(many[0], one[0]) and np.array_equal(many[1], one[0])
-    assert abs(one[0, 2] - c) < 1e-12 * max(1.0, abs(c))
-
-
-_EDGE_NAME = re.compile(r"lam = ([0-9.]+), sheet ([+-]1), (radial|angular) grid edge "
-                        r"\((\d+), (\d+)\) -> \((\d+), (\d+)\), "
-                        r"height x3 = (\S+) \(crossing tolerance (\S+)\), "
-                        r"Newton step (\S+) -> (\S+): ")
-
-
-def _named_crossing(msg, lam, heights, grids):
-    m = _EDGE_NAME.match(msg)
-    assert m, msg
-    lv, sheet, kind, i, j, i2, j2, height, tol, z0, z1 = m.groups()
-    i, j, i2, j2 = int(i), int(j), int(i2), int(j2)
-    assert float(lv) == lam.value and sheet in ("+1", "-1")
-    assert (i2, j2) == ((i + 1, j) if kind == "radial" else (i, j + 1))
-    assert float(height) in [float(h) for h in heights]
-    assert float(tol) == pytest.approx(1e-12 * max(1.0, abs(float(height))), rel=1e-2)
-    # the step that failed runs along the named edge
-    z = {g.sheet_sign: g.z for g in grids}[int(sheet)]
-    z0, z1 = complex(z0), complex(z1)
-    for zt in (z0, z1):
-        t = (zt - z[i, j]) / (z[i2, j2] - z[i, j])
-        assert abs(t.imag) < 1e-12 and -1e-12 < t.real < 1.0 + 1e-12
-    return z1
-
-
-@pytest.mark.parametrize("case", ["guard-coarse", "guard"])
-def test_crossing_errors_name_lambda_sheet_edge_height_and_tolerance(monkeypatch, case,
-                                                                    grids_lambda1):
-    from riemann_examples import curve, errors, weierstrass
-    if case == "guard-coarse":
-        # a coarse grid, with a guard radius of 1
-        lam = Lambda(2.0)
-        grids = [immerse_grid(lam, Normalization.paper(lam), r_min=1.0, r_max=2.3 ** 2,
-                              n_rad=3, n_ang=8, sheet_sign=s, closed=True) for s in (+1, -1)]
-        x3 = np.concatenate([g.positions[..., 2].ravel() for g in grids])
-        heights = np.linspace(x3.min(), x3.max(), 12)[1:-1]
-    else:
-        lam = Lambda(1.0)
-        grids = grids_lambda1
-        heights = end_spacing(lam, Normalization.paper(lam)) * np.linspace(0.15, 0.85, 20)
-    # the alignment is computed with the default settings, so every error
-    # below comes from a height crossing
-    alignment = weierstrass.radial_edge_alignment(*grids)
-    monkeypatch.setattr(analysis, "radial_edge_alignment", lambda *args: alignment)
-    delta = 1.0 if case == "guard-coarse" else 0.1
-    monkeypatch.setattr(curve, "delta_branch", lambda lam: (delta,) * 3)
-    with pytest.raises(errors.BranchTooClose) as err:
-        foliation_slices(grids, heights, min_points=1)
-    z1 = _named_crossing(str(err.value), lam, heights, grids)
-    # the refused iterate lies within the widened guard of a branch point,
-    # whose own radius the error shows
-    assert "end point" in str(err.value)
-    assert str(err.value).endswith(f"(radius {delta:.2e})")
-    assert min(abs(z1 - b) for b in (0.0, lam.value, -1.0 / lam.value)) < delta

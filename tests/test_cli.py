@@ -86,6 +86,17 @@ def test_verify_conjugate_suite(capsys):
     assert all(c["residual"] < 1e-10 for c in payload["checks"])
 
 
+def test_verify_foliation_suite_at_small_lambda(capsys):
+    # heights below the 0.1 < |z| < 10 grid window are closed-form slices
+    # like any other: every one is a circle
+    code, out = run_cli(capsys, "verify", "--suite", "foliation",
+                        "--lambda-set", "1e-6,1e-3")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["passed"] and len(payload["checks"]) == 2
+    assert all(set(c["kinds"]) == {"circle"} for c in payload["checks"])
+
+
 def test_limits_catenoid_monotone(tmp_path, capsys):
     csv_path = tmp_path / "sweep.csv"
     code, out = run_cli(capsys, "limits", "--target", "catenoid",

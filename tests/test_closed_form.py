@@ -23,7 +23,7 @@ from hypothesis import given, settings, strategies as st
 
 from riemann_examples import curve, weierstrass
 from riemann_examples.analysis import foliation_slices
-from riemann_examples.curve import Lambda, branch_points
+from riemann_examples.curve import CURVE_TOL, Lambda, _curve_at, branch_points, curve_residual
 from riemann_examples.errors import BranchTooClose
 from riemann_examples.mesh import build_mesh
 from riemann_examples.weierstrass import (
@@ -207,6 +207,65 @@ def test_the_whole_family_meets_the_oracle(lv):
 
 
 # ---------------------------------------------------------------------------
+# the uniformisation by Jacobi's sn, and the foliation slices
+# ---------------------------------------------------------------------------
+
+def _jacobi_oracle(lv, v):
+    """(z, w) at the torus coordinate v, from mpmath's ellipfun at 30 digits:
+    z = (lam + 1/lam) dn^2/sn^2, w = (lam + 1/lam)^(3/2) cn dn / sn^3 at
+    (v | m), m = 1/(1 + lam^2)."""
+    with mpmath.workdps(30):
+        lam = mpmath.mpf(lv)
+        m, c = 1 / (1 + lam ** 2), lam + 1 / lam
+        sn, cn, dn = (mpmath.ellipfun(f, v, m=m) for f in ("sn", "cn", "dn"))
+        return complex(c * dn ** 2 / sn ** 2), complex(c ** 1.5 * cn * dn / sn ** 3)
+
+
+def _quarter_periods(lv):
+    with mpmath.workdps(30):
+        m = 1 / (1 + mpmath.mpf(lv) ** 2)
+        return float(mpmath.ellipk(m)), float(mpmath.ellipk(1 - m))
+
+
+@pytest.mark.parametrize("lv", [1e-6, 1e-3, 0.5, 1.0, 2.0, 1e3, 1e6])
+def test_curve_at_matches_jacobi_elliptic_functions(lv):
+    # v over two periods 2K either way and one period 2iK', off the poles
+    # and zeros of sn (y = 0 and K' at Re v in K Z)
+    k, kc = _quarter_periods(lv)
+    a = k * np.linspace(-4.0, 4.0, 12, endpoint=False) + 0.3 * k
+    y = kc * (np.arange(6) + 0.3) / 3.0
+    z, w = _curve_at(a[:, None], y, lv)
+    for zk, wk, ak, yk in zip(z.ravel(), w.ravel(), np.repeat(a, len(y)), np.tile(y, len(a))):
+        z_ref, w_ref = _jacobi_oracle(lv, mpmath.mpc(ak, yk))
+        assert abs(zk - z_ref) <= 1e-13 * abs(z_ref), (ak, yk)
+        assert abs(wk - w_ref) <= 1e-13 * abs(w_ref), (ak, yk)
+    assert np.all(curve_residual(z, w, lv) <= CURVE_TOL)
+
+
+@pytest.mark.parametrize("lv", [0.35, 1.0, 3.3])
+def test_slices_match_the_elliptic_oracle(lv):
+    # the slice at height c samples the line Re v = a, a = (K - (c - h0) /
+    # kappa) mod 2K, at y = 2K' (j + 1/4) / n: every point is an oracle image
+    # of its lift (ellipfun at 30 digits), at its height
+    lam = Lambda(lv)
+    norm = Normalization.paper(lam)
+    oracle = _oracle(lam, norm)
+    s = normalization_scale(norm)
+    grid = immerse_grid(lam, norm, r_min=0.1, r_max=10.0, n_rad=4, n_ang=8, closed=True)
+    _, psi = oracle.ray(0.5 * lv)
+    h0 = float(mpmath.re(psi[2] - oracle.base[2]))
+    heights = h0 + vertical_end_spacing(lam, norm) * np.linspace(0.25, 0.75, 8)
+    k, kc = _quarter_periods(lv)
+    kappa = 4.0 * s / np.sqrt(lv + 1.0 / lv)
+    for sl in foliation_slices([grid, grid.sheet_partner], heights):
+        a = (k - (sl.height - h0) / kappa) % (2.0 * k)
+        for j, x in enumerate(sl.points):
+            z, w = _jacobi_oracle(lv, mpmath.mpc(a, 2.0 * kc * (j + 0.25) / sl.n_points))
+            assert oracle.miss(z, w, x) <= 1e-12, (sl.height, j)
+            assert abs(x[2] - sl.height) <= 1e-12 * max(1.0, abs(sl.height))
+
+
+# ---------------------------------------------------------------------------
 # near-singular edges, small lam and lam next to 1
 # ---------------------------------------------------------------------------
 
@@ -292,7 +351,7 @@ def test_immersion_runs_without_quadrature(refuse_quadrature, lv):
                           sheet_sign=s, closed=True) for s in (+1, -1)]
     radial_edge_alignment(*grids)
     spacing = vertical_end_spacing(lam, norm)
-    assert len(foliation_slices(grids, spacing * np.array([0.3, 0.6]), min_points=4)) == 2
+    assert len(foliation_slices(grids, spacing * np.array([0.3, 0.6]))) == 2
 
 
 # ---------------------------------------------------------------------------
@@ -315,7 +374,7 @@ def test_edge_guards_refuse_crossings_near_a_branch_point():
         _continue_edges([2.0 + 0.5j], [w], [2.0 + 1e-6j], lam, norm, where)
     # leaving a branch point downward is no crossing near it: the root is
     # the +1 departure germ, which is W about lam in every direction
-    wb, vals, _ = _continue_edges([2.0], [0.0], [2.0 - 0.5j], lam, norm, where)
+    wb, vals = _continue_edges([2.0], [0.0], [2.0 - 0.5j], lam, norm, where)
     oracle = _oracle(lam, norm)
     w_ref, _ = oracle.ray(2.0 - 0.5j)
     assert abs(wb[0] - complex(w_ref)) <= 1e-15 * abs(wb[0])
@@ -326,7 +385,7 @@ def test_edge_guards_refuse_crossings_near_a_branch_point():
     za = 2.0 - 1e-6
     wa, psi_a = oracle.ray(za)
     x_a = np.array([float(mpmath.re(p - q)) for p, q in zip(psi_a, oracle.base)])
-    wb, vals, _ = _continue_edges([za], [complex(wa)], [za - 0.5j], lam, norm, where)
+    wb, vals = _continue_edges([za], [complex(wa)], [za - 0.5j], lam, norm, where)
     assert oracle.miss(za - 0.5j, wb[0], x_a + vals[0]) <= 1e-12
 
 

@@ -316,12 +316,13 @@ def test_cycle_enclosing_one_branch_point_does_not_close():
 
 @pytest.mark.parametrize("lv", [0.5, 1.0, 3.0])
 def test_winding_adds_translation(lv):
+    # one circuit of the translation cycle, summed chord by chord, adds the
+    # closed-form T that immerse adds per winding
     lam = Lambda(lv)
     norm = Normalization.paper(lam)
-    pv = period_vectors(lam, norm)
-    p0 = immerse(lam, norm, [2j])[0].position
-    p1 = immerse(lam, norm, [2j], winding=1)[0].position
-    assert np.linalg.norm((p1 - p0) - pv.translation) < 1e-8
+    t_vec = period_vectors(lam, norm).translation
+    circuit = cycle_real_period(translation_cycle_vertices(lam), lam, norm)
+    assert np.linalg.norm(circuit - t_vec) <= 1e-12 * np.linalg.norm(t_vec)
 
 
 # ---------------------------------------------------------------------------
@@ -640,19 +641,22 @@ def test_redirected_route_along_the_negative_axis_passes_above(lv, sheet):
 
 
 def test_symmetry_suite_routes_stay_in_the_batch(monkeypatch, refuse_quadrature):
-    # the CLI symmetry suite at lam = 0.5, 1, 2 makes three immerse calls per
-    # lam, each immersing all its routes in closed form, with no quadrature
-    # and no scalar continuation (at lam = 1 too, where the routes leave the
-    # branch point 1)
+    # the CLI symmetry suite at lam = 0.5, 1, 2 makes three immersion calls
+    # per lam (two immerse calls and check_symmetries' one _lift_images call),
+    # each immersing all its routes in closed form, with no quadrature and no
+    # scalar continuation (at lam = 1 too, where the routes leave the branch
+    # point 1)
     from riemann_examples import analysis, cli
     calls = []
 
-    def recording_immerse(*args, **kwargs):
-        calls.append(len(args[2]))
-        return immerse(*args, **kwargs)
+    def recording(fn):
+        def call(*args, **kwargs):
+            calls.append(len(args[2]))
+            return fn(*args, **kwargs)
+        return call
 
-    monkeypatch.setattr(cli, "immerse", recording_immerse)
-    monkeypatch.setattr(analysis, "immerse", recording_immerse)
+    monkeypatch.setattr(cli, "immerse", recording(immerse))
+    monkeypatch.setattr(analysis, "_lift_images", recording(analysis._lift_images))
     rng = np.random.default_rng(0)
     refuse_quadrature()
     for lv in (0.5, 1.0, 2.0):
@@ -900,7 +904,7 @@ def test_sheet_minus_alignment_matches_its_own_continuation(lv):
     t_vec = period_vectors(grid.lam, grid.norm).translation
     z, w = minus.z.ravel(), minus.w.ravel()
     a = np.arange(z.size - grid.n_col)
-    w_end, vals, _ = _continue_edges(z[a], w[a], z[a + grid.n_col], grid.lam, grid.norm,
+    w_end, vals = _continue_edges(z[a], w[a], z[a + grid.n_col], grid.lam, grid.norm,
                                      lambda k: f"edge {k}")
     end = minus.positions.reshape(-1, 3)[a] + vals
     up, k = alignment.upper[1].ravel(), alignment.period_k[1].ravel()
