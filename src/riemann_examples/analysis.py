@@ -38,6 +38,7 @@ from .weierstrass import (
     _raw_periods,
     normalization_scale,
     period_vectors,
+    sheet_connection,
 )
 
 # ---------------------------------------------------------------------------
@@ -185,41 +186,46 @@ def check_symmetries(lam, norm: Normalization, samples,
     affine map: mirror across the plane of the planar geodesics (normal
     along x2), half-turn about the horizontal axes through the images of
     z = +-i, and half-turn about the straight lines (the fixed set of the
-    line flip).  Translation parts are pinned by the images of the
-    base-point lifts (the base point itself at lam = 1), so the checks also
-    exercise the anchoring of the second sheet.
+    line flip).  The mirror and the line flip fix z = 1 and send the
+    base-point lift (1, w0) to (1, conj w0) and (1, -conj w0); w0 is real for
+    lam <= 1 and imaginary beyond, so their translation parts are the images
+    0 and C of the two base-point lifts (C the sheet_connection), swapped
+    beyond lam = 1.  The rotation fixes both lifts over z = i, which is at
+    least 1 from every branch point, so its translation part is (I - R) x(i)
+    for the lift on W(i) = -principal_w(i) (arguments pi/2 + atan lam and
+    atan lam - pi/2), whose image carries no C.  No target at z = +-1 is
+    immersed, so a base point near a branch point blocks nothing.
 
-    All lifts go through one closed-form immersion (_lift_images).
+    All lifts go through one closed-form immersion (_lift_images).  Positions
+    of lifts are defined modulo the translation period T (immerse places the
+    winding-0 representative of the stack), so each difference d is reduced
+    by its nearest multiple rint(d.T / |T|^2) T.
     """
     lam = as_lambda(lam)
-    w0 = principal_w(1.0 + 0.0j, lam)
-    lifts = [(1.0 + 0.0j, np.conj(w0)), (1.0 + 0.0j, -np.conj(w0)), (-1.0 + 0.0j, -w0)]
-    for p in samples:
-        p = p if isinstance(p, CurvePoint) else CurvePoint(p, principal_w(p, lam), lam)
-        lifts += [(p.z, p.w), (np.conj(p.z), np.conj(p.w)), (-1.0 / p.z, -p.w / p.z ** 2),
-                  (np.conj(p.z), -np.conj(p.w))]
-    images = _lift_images(lam, norm, [z for z, _ in lifts], [w for _, w in lifts])
-    b_mirror, b_flip, b_rot = images[:3]
-
-    # positions of individual lifts are defined modulo the translation
-    # period (immerse places the winding-0 representative of the stack)
+    pts = [p if isinstance(p, CurvePoint) else CurvePoint(p, principal_w(p, lam), lam)
+           for p in samples]
+    z = np.array([p.z for p in pts], dtype=complex)
+    w = np.array([p.w for p in pts], dtype=complex)
+    images = _lift_images(
+        lam, norm, np.concatenate(([1j], z, np.conj(z), -1.0 / z, np.conj(z))),
+        np.concatenate(([-principal_w(1j, lam)], w, np.conj(w), -w / z ** 2, -np.conj(w))))
+    pos, pos_m, pos_r, pos_f = images[1:].reshape(4, -1, 3)
+    c = sheet_connection(lam, norm)
+    b_mirror, b_flip = (np.zeros(3), c) if lam.value <= 1.0 else (c, np.zeros(3))
+    b_rot = images[0] - ROTATION @ images[0]
     t_vec = period_vectors(lam, norm).translation
+    scale = np.maximum(1.0, np.linalg.norm(pos, axis=1))
 
-    def lattice_residual(x, y, scale):
-        return min(float(np.linalg.norm(x - y - n * t_vec)) for n in range(-2, 3)) / scale
-
-    res_mirror, res_rot, res_flip = [], [], []
-    for pos, pos_m, pos_r, pos_f in images[3:].reshape(-1, 4, 3):
-        scale = max(1.0, float(np.linalg.norm(pos)))
-        res_mirror.append(lattice_residual(pos_m, MIRROR @ pos + b_mirror, scale))
-        res_rot.append(lattice_residual(pos_r, ROTATION @ pos + b_rot, scale))
-        res_flip.append(lattice_residual(pos_f, ROTATION @ pos + b_flip, scale))
+    def lattice_residual(x, y):
+        d = x - y
+        d -= np.rint(d @ t_vec / (t_vec @ t_vec))[:, None] * t_vec
+        return np.linalg.norm(d, axis=1) / scale
 
     return SymmetryReport(
         lam=lam, tolerance=tolerance,
-        mirror_residuals=np.array(res_mirror),
-        rotation_residuals=np.array(res_rot),
-        line_flip_residuals=np.array(res_flip),
+        mirror_residuals=lattice_residual(pos_m, pos @ MIRROR + b_mirror),
+        rotation_residuals=lattice_residual(pos_r, pos @ ROTATION + b_rot),
+        line_flip_residuals=lattice_residual(pos_f, pos @ ROTATION + b_flip),
     )
 
 

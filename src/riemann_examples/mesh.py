@@ -120,7 +120,7 @@ def build_mesh(lam, norm: Normalization, *, n_rad: int = 48, n_ang: int = 96,
     grid = immerse_grid(lam, norm, r_min=r_min, r_max=r_max, n_rad=n_rad,
                         n_ang=n_ang, closed=True)
     pair = (grid, grid.sheet_partner)
-    alignment = radial_edge_alignment(*pair)
+    alignment = radial_edge_alignment(grid)
     t_vec = period_vectors(lam, norm).translation
     base_verts = np.concatenate([g.positions.reshape(-1, 3) for g in pair])
     base_z = np.concatenate([g.z.ravel() for g in pair])

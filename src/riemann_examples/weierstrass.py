@@ -30,12 +30,14 @@ with A and B the integrals of dt/W and dt/(t W) along the horizontal ray
 from z to +inf, Carlson's 2 R_F and (2/3) R_D (_carlson, _ray).  That form is
 analytic off (-inf, lam], so a path enters only through its crossings of
 that half-line: a sheet flip on the cuts of W and a jump term (_crossings).
-A point z on the root sigma W is at Re sigma Psi(z) - Re sigma0 Psi(1), plus
-sigma_before times the jump of each crossing on its path, plus n T for n
-translation circuits: immerse and immerse_grid need no routes, and evaluate
-the base point, their points and crossings in one _carlson call, as does the
-mesh alignment's batch of _continue_edges.  cycle_real_period sums chords one
-by one, as the independent check of the closed-form periods.  The quadrature of
+W(1) = sqrt(1 - lam) sqrt(1 + 1/lam) is the principal root at the base point
+(i sqrt(lam - 1) sqrt(1 + 1/lam) beyond lam = 1, 0 at it), so a point z on
+the root sigma W is at Re sigma Psi(z) - Re Psi(1), plus sigma_before times
+the jump of each crossing on its path, plus n T for n translation circuits:
+immerse and immerse_grid need no routes, and evaluate the base point, their
+points and crossings in one _carlson call, as does the mesh alignment's batch
+of radial edges.  cycle_real_period sums chords one by one, as the
+independent check of the closed-form periods.  The quadrature of
 make_sheeted_path and path_integral (re-exported here) along route_vertices
 remains for reference computations.
 Guards and snaps are curve.near_branch and curve.at_branch; detours, ring
@@ -463,30 +465,6 @@ def _ray(z, lam: Lambda, norm: Normalization, crossings):
     return w[:n], psi[:n], np.where(up[:, None], psi[n:] - f * below, below - f * psi[n:])
 
 
-def _continue_edges(za, wa, zb, lam: Lambda, norm: Normalization, where):
-    """Continue (za, wa) along each straight edge to zb and integrate Phi dz
-    along it in closed form: the end roots and the real integrals.  One
-    _carlson call evaluates za, zb and the crossings.  Guards and `where` as
-    in _crossings.  The mesh's radial_edge_alignment is its one caller."""
-    za, wa, zb = (np.asarray(v, dtype=complex) for v in (za, wa, zb))
-    flip, crossings = _crossings(za, zb, lam, where)
-    roots, psi, jump = _ray(np.concatenate((za, zb)), lam, norm, crossings)
-    n = len(za)
-    sign = np.where(np.abs(wa - roots[:n]) <= np.abs(wa + roots[:n]), 1.0, -1.0)
-    vals = flip[:, None] * psi[n:] - psi[:n]
-    vals[crossings[0]] += jump
-    return sign * flip * roots[n:], (sign[:, None] * vals).real
-
-
-def _seeded_ray(z, lam: Lambda, norm: Normalization, crossings):
-    """_ray, and the sign sigma0 of the root seeded at z[0] by the principal
-    root, as a multiple of W (at lam = 1 both vanish at the base point, and W
-    is the +1 departure germ)."""
-    roots, psi, jump = _ray(z, lam, norm, crossings)
-    w0 = principal_w(z[0], lam)
-    return (1.0 if abs(w0 - roots[0]) <= abs(w0 + roots[0]) else -1.0), roots, psi, jump
-
-
 @functools.lru_cache(maxsize=256)
 def _sheet_connection_cached(norm: Normalization) -> tuple:
     return tuple(2.0 * immerse(norm.lam, norm, [norm.lam.value])[0].position)
@@ -531,14 +509,12 @@ def _immerse(lam: Lambda, norm: Normalization, targets, winding: int = 0):
         return f"lam = {lam.value!r}: target {targets[k]} (winding {winding})"
 
     flip, crossings = _crossings(sweep, targets, lam, where)
-    sign0, roots, psi, jump = _seeded_ray(np.concatenate(([BASE_POINT], targets)), lam, norm,
-                                          crossings)
-    sign = sign0 * flip
-    pos = (sign[:, None] * psi[1:] - sign0 * psi[0]).real
-    pos[crossings[0]] += sign0 * jump.real
+    roots, psi, jump = _ray(np.concatenate(([BASE_POINT], targets)), lam, norm, crossings)
+    pos = (flip[:, None] * psi[1:] - psi[0]).real
+    pos[crossings[0]] += jump.real
     t1, t3 = _raw_periods(lam.value)
-    pos += winding * sign0 * normalization_scale(norm) * np.array([t1, 0.0, t3])
-    return pos, sign * roots[1:]
+    pos += winding * normalization_scale(norm) * np.array([t1, 0.0, t3])
+    return pos, flip * roots[1:]
 
 
 def immerse(lam, norm: Normalization, targets, *, sheet_sign: int = +1,
@@ -547,9 +523,9 @@ def immerse(lam, norm: Normalization, targets, *, sheet_sign: int = +1,
     z0 = 1 (route_vertices, winding number `winding` about the origin).
 
     A route crosses (-inf, lam] at most where its sweep leaves the axis, for
-    a target below it; winding adds winding sigma0 T, T in closed form.
-    Sheet +1 is seeded by the principal root at z0 (at lam = 1, where z0 is
-    a branch point, the base point itself is (1, 0) with image 0).  Sheet -1
+    a target below it; winding adds winding T, T in closed form.  Sheet +1
+    starts on the principal root W(1) at z0 (at lam = 1, where z0 is a
+    branch point, the base point itself is (1, 0) with image 0).  Sheet -1
     is not integrated: it returns the sheet partners (z, -w) at C - x, C the
     sheet_connection.  Targets on the real axis are limits from above.
     """
@@ -643,8 +619,10 @@ def cycle_real_period(vertices, lam, norm: Normalization):
         return f"lam = {lam.value!r}, cycle chord {verts[k]} -> {verts[k + 1]}"
 
     flip, crossings = _crossings(verts[:-1], verts[1:], lam, where)
-    sign0, roots, psi, jump = _seeded_ray(verts, lam, norm, crossings)
-    sign = np.cumprod(np.concatenate(([sign0], flip)))
+    roots, psi, jump = _ray(verts, lam, norm, crossings)
+    w0 = principal_w(verts[0], lam)
+    seed = 1.0 if abs(w0 - roots[0]) <= abs(w0 + roots[0]) else -1.0
+    sign = np.cumprod(np.concatenate(([seed], flip)))
     steps = (flip[:, None] * psi[1:] - psi[:-1]).real
     steps[crossings[0]] += jump.real
     closure = abs(sign[-1] * roots[-1] - sign[0] * roots[0])
@@ -817,16 +795,15 @@ def immerse_grid(lam, norm: Normalization, *, r_min: float, r_max: float,
 
     z, ends = zs.ravel(), np.concatenate(([0], b))     # ends[k]: the vertex edge k leads to
     flip, crossings = _crossings(np.concatenate(([BASE_POINT], z[a])), z[ends], lam, where)
-    sign0, ws, psi, jump = _seeded_ray(np.concatenate(([BASE_POINT], z)), lam, norm, crossings)
+    ws, psi, jump = _ray(np.concatenate(([BASE_POINT], z)), lam, norm, crossings)
     sign = np.empty(n_rad * n_col)
     sign[ends] = flip
-    sign[0] *= sign0
     sign = _north_then_east(sign.reshape(n_rad, n_col), np.multiply).ravel()
     k, after = crossings[0], ends[crossings[0]]
     terms = np.zeros((n_rad * n_col, 3))        # sigma_before jump, after each crossing
     terms[after] = (sign[after] * flip[k])[:, None] * jump.real
     psi[1:] *= sign[:, None]
-    pos = psi[1:].real - (sign0 * psi[0]).real
+    pos = psi[1:].real - psi[0].real
     pos += _north_then_east(terms.reshape(n_rad, n_col, 3), np.add).reshape(-1, 3)
     ws, pos = (sign * ws[1:]).reshape(n_rad, n_col), pos.reshape(n_rad, n_col, 3)
     for arr in (radii, angles, zs, ws, pos):
@@ -852,39 +829,44 @@ class RadialEdgeAlignment:
     period_k: np.ndarray
 
 
-def radial_edge_alignment(grid_plus: GridImmersion,
-                          grid_minus: GridImmersion) -> RadialEdgeAlignment:
-    """Empirical radial-edge alignment for a sheet +1 grid and its partner.
+def radial_edge_alignment(grid: GridImmersion) -> RadialEdgeAlignment:
+    """Empirical radial-edge alignment for a sheet +1 grid and its
+    sheet_partner (roots -w, positions C - x).
 
     Only sheet +1's band-row edges (whose radius interval straddles a branch
-    modulus) are continued and integrated in closed form (_continue_edges).
-    Each lands on the sheet whose upper root is nearer to the continued
-    root, k = rint(gap.T / |T|^2) periods away; a root off by more than
-    1e-6 (1 + |w|), or a position off by more than 1e-6 max(1, |x|) after
-    k periods, raises QuadratureFailure.  By the deck involution, sheet -1's
-    edge lands on the other block, -k periods away.  grid_minus must equal
-    grid_plus.sheet_partner value for value (ValueError otherwise).
+    modulus) are continued and integrated in closed form by one _ray call:
+    at half-offset angles they never meet the real axis, so the root sigma_a
+    W_a at the start ends as sigma_a W_b, at pos[a] + Re sigma_a (Psi_b -
+    Psi_a).  Each lands on the sheet whose upper root is nearer to the
+    continued root, k = rint(gap.T / |T|^2) periods away; a root off by more
+    than 1e-6 (1 + |w|), or a position off by more than 1e-6 max(1, |x|)
+    after k periods, raises QuadratureFailure.  By the deck involution,
+    sheet -1's edge lands on the other block, -k periods away.  A sheet -1
+    grid raises ValueError.
     """
-    partner = grid_plus.sheet_partner
-    if grid_plus.sheet_sign < 0 or not all(
-            np.array_equal(getattr(grid_minus, f.name), getattr(partner, f.name))
-            for f in dataclasses.fields(partner)):
-        raise ValueError("radial_edge_alignment takes a sheet +1 grid and its sheet_partner")
-    lam, norm, radii = grid_plus.lam, grid_plus.norm, grid_plus.radii
+    if grid.sheet_sign < 0:
+        raise ValueError("radial_edge_alignment takes a sheet +1 grid, not its sheet_partner")
+    lam, norm, radii = grid.lam, grid.norm, grid.radii
     t_vec = period_vectors(lam, norm).translation
     bands = [i for i, (r0, r1) in enumerate(zip(radii[:-1], radii[1:]))
              if any(r0 < m < r1 for m in (lam.value, 1.0 / lam.value))]
-    n_rad, n_col = grid_plus.z.shape
+    n_rad, n_col = grid.z.shape
     block = n_rad * n_col
     upper = np.arange(2 * block).reshape(2, n_rad, n_col)[:, 1:].copy()
     period_k = np.zeros(upper.shape, dtype=int)
     a = (np.array(bands, dtype=int)[:, None] * n_col + np.arange(n_col)).ravel()
     b = a + n_col
-    w = np.concatenate((grid_plus.w.ravel(), grid_minus.w.ravel()))
-    pos = np.concatenate((grid_plus.positions.reshape(-1, 3), grid_minus.positions.reshape(-1, 3)))
-    where = _edge_locator(lam, grid_plus.z.shape, a, b)
-    w_end, vals = _continue_edges(grid_plus.z.flat[a], w[a], grid_plus.z.flat[b], lam, norm, where)
-    end = pos[a] + vals
+    partner = grid.sheet_partner
+    w = np.concatenate((grid.w.ravel(), partner.w.ravel()))
+    pos = np.concatenate((grid.positions.reshape(-1, 3), partner.positions.reshape(-1, 3)))
+    where = _edge_locator(lam, grid.z.shape, a, b)
+    za, zb = grid.z.flat[a], grid.z.flat[b]
+    _, crossings = _crossings(za, zb, lam, where)       # none: radial edges stay off the axis
+    roots, psi, _ = _ray(np.concatenate((za, zb)), lam, norm, crossings)
+    n = len(a)
+    sign = np.where(np.abs(w[a] - roots[:n]) <= np.abs(w[a] + roots[:n]), 1.0, -1.0)
+    w_end = sign * roots[n:]
+    end = pos[a] + (sign[:, None] * (psi[n:] - psi[:n])).real
     up = np.where(np.abs(w[b] - w_end) <= np.abs(w[b] + w_end), b, b + block)
     gap = end - pos[up]
     k = np.rint(gap @ t_vec / (t_vec @ t_vec))

@@ -240,6 +240,17 @@ def test_symmetries_on_random_samples(lv):
     assert report.max_residual < 1e-7
 
 
+@pytest.mark.parametrize("lv", [1e-6, 1e-3, 1.0 - 1e-12, 1.0 + 1e-7, 1e3, 1e6])
+def test_symmetries_across_the_family_and_near_one(lv):
+    # no anchor is immersed at z = +-1, so the base point may sit within
+    # 1e-12 of lam; the rotation's anchor is the lift over i whose image
+    # carries no C (|C| is 4e6 at lam = 1e-6), so every residual stays
+    # within the closed form's own precision max(1e-12, 1e-15 max(lam, 1/lam))
+    lam = Lambda(lv)
+    report = check_symmetries(lam, Normalization.paper(lam), curve_samples(lam, 6, seed=13))
+    assert report.max_residual <= max(1e-12, 1e-15 * max(lv, 1.0 / lv))
+
+
 def test_rotation_fixed_point_at_i():
     lam = Lambda(2.0)
     norm = Normalization.paper(lam)
@@ -344,8 +355,8 @@ def test_each_batch_of_edges_is_one_carlson_call(lv):
     # evaluate the base point or first vertex, their points and their axis
     # crossings in one _carlson call: a target crosses at most where its
     # sweep leaves the axis, a grid on its stem from 1 and on its edges, the
-    # cycle on its chords.  So does a batch of edges (the alignment, and
-    # edges across both cuts).
+    # cycle on its chords.  So does a batch of edges: the alignment's band
+    # rows, which never cross the axis, and edges across both cuts.
     lam = Lambda(lv)
     norm = Normalization.paper(lam)
     targets = np.array([0.5 + 0.5j, -2.0 - 1.0j, 3.0j, 0.3 - 0.4j])
@@ -366,13 +377,15 @@ def test_each_batch_of_edges_is_one_carlson_call(lv):
     assert [points for _, points in calls] == [[257 + _axis_crossings(cycle[:-1], cycle[1:], lv)]]
     za = np.array([0.5 * lv + 0.5j, -3.0 / lv - 0.5j, 3.0 * lv + 0.5j])
     zb = np.conj(za)
-    wa = principal_w(za, lam)
-    with _carlson_work(weierstrass, "_continue_edges") as batches:
-        radial_edge_alignment(grid, grid.sheet_partner)
-        weierstrass._continue_edges(za, wa, zb, lam, norm, str)
-    assert [points for _, points in batches] == [
-        [2 * len(args[0]) + _axis_crossings(args[0], args[2], lv)] for args, _ in batches]
-    assert _axis_crossings(za, zb, lv) == 2
+    bands = sum(any(r0 < m < r1 for m in (lv, 1.0 / lv))
+                for r0, r1 in zip(grid.radii[:-1], grid.radii[1:]))
+    period_vectors(lam, norm), grid.sheet_partner      # fill the caches the alignment reads
+    with _carlson_work(weierstrass, "_ray") as rays:
+        radial_edge_alignment(grid)
+        _, crossings = weierstrass._crossings(za, zb, lam, str)
+        weierstrass._ray(np.concatenate((za, zb)), lam, norm, crossings)
+    assert bands > 0 and _axis_crossings(za, zb, lv) == 2
+    assert [points for _, points in rays] == [[2 * bands * grid.n_col], [2 * len(za) + 2]]
 
 
 def test_foliation_points_lie_on_their_height(interior_slices):

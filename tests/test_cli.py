@@ -135,6 +135,15 @@ def test_verify_all_suites(capsys):
     assert payload["config"]["version"]
 
 
+def test_verify_all_suites_at_the_ends_of_the_family_and_near_one(capsys):
+    # the base point 1 sits within 1e-6 of the branch point lam, and the
+    # translation sums at 1e-6 and 1e6 are judged relative to |T|
+    code, out = run_cli(capsys, "verify", "--suite", "all", "--lambda-set",
+                        "1e-6,0.9999999,1.000000000001,1.000001,1e6")
+    assert code == 0
+    assert json.loads(out)["passed"]
+
+
 def test_reports_are_deterministic(tmp_path, capsys):
     outs = []
     meshes = []

@@ -28,7 +28,6 @@ from riemann_examples.errors import BranchTooClose
 from riemann_examples.mesh import build_mesh
 from riemann_examples.weierstrass import (
     Normalization,
-    _continue_edges,
     immerse,
     immerse_grid,
     normalization_scale,
@@ -37,6 +36,8 @@ from riemann_examples.weierstrass import (
     sheet_connection,
     vertical_end_spacing,
 )
+
+from conftest import continue_edges
 
 _LAMBDAS = [1e-6, 1e-5, 1e-3, 0.05, 0.5, 1.0 - 1e-6, 1.0, 1.0 + 1e-6, 2.0, 40.0, 1e3, 1e5,
             1e6]
@@ -332,6 +333,23 @@ def test_probe_immersions_just_off_lambda_one():
 
 
 # ---------------------------------------------------------------------------
+# the base point
+# ---------------------------------------------------------------------------
+
+def test_principal_root_at_the_base_point_is_plus_w():
+    # every closed-form lift starts at z0 = 1 on W itself: the principal root
+    # there is +W(1) of _ray, real for lam < 1, +i times a positive number
+    # beyond and 0 at lam = 1, including where the base point nears lam
+    no_crossings = (np.zeros(0, dtype=int), np.zeros(0), np.zeros(0, dtype=bool), np.ones((0, 1)))
+    for lv in [*np.logspace(-6, 6), 1.0, 1.0 - 1e-12, 1.0 + 1e-12, 1.0 - 1e-7, 1.0 + 1e-7]:
+        lam = Lambda(lv)
+        w = weierstrass._ray([1.0 + 0.0j], lam, Normalization.raw(lam), no_crossings)[0][0]
+        w0 = curve.principal_w(1.0 + 0.0j, lam)
+        assert abs(w0 - w) <= abs(w0 + w), lv
+        assert abs(w0 - w) <= 1e-15 * abs(w), lv
+
+
+# ---------------------------------------------------------------------------
 # no quadrature and no scalar continuation
 # ---------------------------------------------------------------------------
 
@@ -349,7 +367,7 @@ def test_immersion_runs_without_quadrature(refuse_quadrature, lv):
     period_vectors(lam, norm)
     grids = [immerse_grid(lam, norm, r_min=0.1, r_max=10.0, n_rad=12, n_ang=24,
                           sheet_sign=s, closed=True) for s in (+1, -1)]
-    radial_edge_alignment(*grids)
+    radial_edge_alignment(grids[0])
     spacing = vertical_end_spacing(lam, norm)
     assert len(foliation_slices(grids, spacing * np.array([0.3, 0.6]))) == 2
 
@@ -368,13 +386,13 @@ def test_edge_guards_refuse_crossings_near_a_branch_point():
 
     # crossing the axis 1e-6 from lam, inside the guard disk of radius 2e-6
     with pytest.raises(BranchTooClose, match="edge 0: real-axis crossing"):
-        _continue_edges([2.0 + 1e-6 + 0.5j], [w], [2.0 + 1e-6 - 0.5j], lam, norm, where)
+        continue_edges(2.0 + 1e-6 + 0.5j, w, 2.0 + 1e-6 - 0.5j, lam, norm, where)
     # ending there
     with pytest.raises(BranchTooClose, match="edge 0: end point"):
-        _continue_edges([2.0 + 0.5j], [w], [2.0 + 1e-6j], lam, norm, where)
+        continue_edges(2.0 + 0.5j, w, 2.0 + 1e-6j, lam, norm, where)
     # leaving a branch point downward is no crossing near it: the root is
     # the +1 departure germ, which is W about lam in every direction
-    wb, vals = _continue_edges([2.0], [0.0], [2.0 - 0.5j], lam, norm, where)
+    wb, vals = continue_edges(2.0, 0.0, 2.0 - 0.5j, lam, norm, where)
     oracle = _oracle(lam, norm)
     w_ref, _ = oracle.ray(2.0 - 0.5j)
     assert abs(wb[0] - complex(w_ref)) <= 1e-15 * abs(wb[0])
@@ -385,7 +403,7 @@ def test_edge_guards_refuse_crossings_near_a_branch_point():
     za = 2.0 - 1e-6
     wa, psi_a = oracle.ray(za)
     x_a = np.array([float(mpmath.re(p - q)) for p, q in zip(psi_a, oracle.base)])
-    wb, vals = _continue_edges([za], [complex(wa)], [za - 0.5j], lam, norm, where)
+    wb, vals = continue_edges(za, complex(wa), za - 0.5j, lam, norm, where)
     assert oracle.miss(za - 0.5j, wb[0], x_a + vals[0]) <= 1e-12
 
 

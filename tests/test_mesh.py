@@ -419,7 +419,7 @@ def test_vertex_and_triangle_order_match_cell_loop():
     n_rad, n_ang = 12, 24
     grids = {s: immerse_grid(lam, norm, r_min=0.1, r_max=10.0, n_rad=n_rad, n_ang=n_ang,
                              sheet_sign=s, closed=True) for s in (+1, -1)}
-    alignment = radial_edge_alignment(grids[+1], grids[-1])
+    alignment = radial_edge_alignment(grids[+1])
     t_vec = period_vectors(lam, norm).translation
     n_col = n_ang + 1
     verts = [grids[+1].positions.reshape(-1, 3), grids[-1].positions.reshape(-1, 3)]

@@ -42,6 +42,7 @@ from riemann_examples.weierstrass import (
     vertical_end_spacing,
 )
 
+from conftest import continue_edges
 
 
 # ---------------------------------------------------------------------------
@@ -841,7 +842,7 @@ def test_grid_edge_errors_name_lambda_sheet_edge_and_guard(monkeypatch, sheet):
 
 
 # ---------------------------------------------------------------------------
-# radial-edge alignment: the partner check, the match checks, and sheet -1
+# radial-edge alignment: the sheet check, the match checks, and sheet -1
 # against its own continuation
 # ---------------------------------------------------------------------------
 
@@ -857,17 +858,11 @@ def _first_band_row(grid):
                 if any(radii[i] < m < radii[i + 1] for m in (lv, 1.0 / lv)))
 
 
-def test_alignment_refuses_a_pair_that_is_not_sheet_partners():
+def test_alignment_refuses_a_sheet_minus_grid():
     grid = _alignment_grid(0.354)
-    partner = grid.sheet_partner
-    pos = partner.positions.copy()
-    pos[3, 4, 0] = np.nextafter(pos[3, 4, 0], np.inf)
-    nudged = dataclasses.replace(partner, positions=pos)
-    other = _alignment_grid(0.5).sheet_partner
-    for plus, minus in ((grid, grid), (grid, nudged), (grid, other), (partner, grid)):
-        with pytest.raises(ValueError, match="sheet_partner"):
-            radial_edge_alignment(plus, minus)
-    assert radial_edge_alignment(grid, partner).upper.shape == (2, 23, 49)
+    with pytest.raises(ValueError, match="sheet_partner"):
+        radial_edge_alignment(grid.sheet_partner)
+    assert radial_edge_alignment(grid).upper.shape == (2, 23, 49)
 
 
 @pytest.mark.parametrize("lv", [0.354, 4.851])
@@ -887,7 +882,7 @@ def test_alignment_refuses_an_edge_that_lands_on_no_vertex(lv, miss):
         w[i + 1, j] *= 1.0 + 1e-3
         bad = dataclasses.replace(grid, w=w)
     with pytest.raises(QuadratureFailure) as err:
-        radial_edge_alignment(bad, bad.sheet_partner)
+        radial_edge_alignment(bad)
     assert str(err.value).startswith(
         f"lam = {lv!r}, sheet +1, radial grid edge ({i}, {j}) -> ({i + 1}, {j}): "
         "continued end matched no grid vertex")
@@ -897,15 +892,14 @@ def test_alignment_refuses_an_edge_that_lands_on_no_vertex(lv, miss):
 def test_sheet_minus_alignment_matches_its_own_continuation(lv):
     # every radial edge of sheet -1, continued from sheet -1's own vertices,
     # ends on upper[1] shifted by period_k[1] periods
-    from riemann_examples.weierstrass import _continue_edges
     grid = _alignment_grid(lv)
     minus = grid.sheet_partner
-    alignment = radial_edge_alignment(grid, minus)
+    alignment = radial_edge_alignment(grid)
     t_vec = period_vectors(grid.lam, grid.norm).translation
     z, w = minus.z.ravel(), minus.w.ravel()
     a = np.arange(z.size - grid.n_col)
-    w_end, vals = _continue_edges(z[a], w[a], z[a + grid.n_col], grid.lam, grid.norm,
-                                     lambda k: f"edge {k}")
+    w_end, vals = continue_edges(z[a], w[a], z[a + grid.n_col], grid.lam, grid.norm,
+                                 lambda k: f"edge {k}")
     end = minus.positions.reshape(-1, 3)[a] + vals
     up, k = alignment.upper[1].ravel(), alignment.period_k[1].ravel()
     w_pair = np.concatenate([grid.w.ravel(), w])
