@@ -8,7 +8,10 @@ perfbench/run.py twice, untraced (--trace 0: the end-to-end metrics) and
 traced (--trace 1: the per-layer counters and times), for the run length
 BENCHMARK.json sets.  The output file holds, per
 workload and metric, the unit, the median and quartiles over the seeds and
-every seed's value, with the operations attempted and failed.  The ungated
+every seed's value, with the operations attempted and failed, and the
+same summary of each operation's scaled seconds (the median over the
+untraced run's passes, keyed "op@k" with k the index of the operation's
+lam in the pass: the seeds draw different lams).  The ungated
 workloads of UNGATED run untraced at the same seeds, for the same run
 length; for them it records per seed the operations attempted and failed,
 ops_ok_frac and oracle_digits, and the distinct failing operations of the
@@ -58,6 +61,17 @@ def failing_ops(report: dict, seed: int) -> list:
     return out
 
 
+def op_seconds(report: dict) -> dict:
+    """Median over a report's untraced passes of each operation's scaled
+    seconds, keyed "op@k" with k the index of the operation's lam among the
+    pass's lams in order of first use; repeats of a key in a pass add up."""
+    lams = list(dict.fromkeys(r["lam"] for r in report["operations"]))
+    keys = [f"{r['op']}@{lams.index(r['lam'])}" for r in report["operations"]]
+    passes = report["samples"]["op_s_scaled"]
+    return {k: statistics.median(sum(s for key, s in zip(keys, p) if key == k) for p in passes)
+            for k in dict.fromkeys(keys)}
+
+
 def summarize(runs: list) -> dict:
     """Unit, median, quartiles and per-seed values of every metric of the runs."""
     out = {}
@@ -86,9 +100,14 @@ def main(argv=None) -> int:
     }
     for workload in (w["name"] for w in spec["workloads"]):
         runs = {trace: [] for trace in (0, 1)}
+        op_s = []
         for seed in SEEDS:
             for trace in (0, 1):
-                runs[trace].append(run_once(workload, seed, spec["run_seconds"], trace)[1])
+                report, run = run_once(workload, seed, spec["run_seconds"], trace)
+                runs[trace].append(run)
+                if trace == 0:
+                    op_s.append({"metrics": {k: {"value": v, "unit": "s"}
+                                             for k, v in op_seconds(report).items()}})
                 print(f"{workload} seed {seed} trace {trace}: done", file=sys.stderr)
         result["workloads"][workload] = {
             "attempted": [r["attempted"] for r in runs[0]],
@@ -96,6 +115,7 @@ def main(argv=None) -> int:
             "correct": [r["correct"] for r in runs[0] + runs[1]],
             "end_to_end": summarize(runs[0]),
             "layers": summarize(runs[1]),
+            "op_s_scaled": summarize(op_s),
         }
     for workload in UNGATED:
         out = {"seeds": list(SEEDS), "attempted": [], "failed": [], "ops_ok_frac": [],

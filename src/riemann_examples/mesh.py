@@ -8,14 +8,16 @@ from the other sheet's grid, so triangles never bridge the two sheets
 incorrectly near a branch point.  Further copies are exact translates by
 the period vector T.
 
-The ASCII OBJ/PLY writers format each distinct normal component and |K|
-value once per file: both depend on z alone, so both sheets and every copy
-repeat them.  Positions, nearly all distinct, are formatted chunk by chunk.
+The ASCII OBJ/PLY writers share the text that depends on the mesh alone,
+formatted once per mesh and kept on it: the "x y z" text of the positions,
+chunk by chunk, and a table of each distinct normal component and |K| value
+(both depend on z alone, so both sheets and every copy repeat them).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -84,14 +86,25 @@ class SurfaceMesh:
     def n_triangles(self) -> int:
         return len(self.triangles)
 
+    @cached_property
+    def _export_text(self) -> _ExportText:
+        # cached_property writes the instance __dict__ directly, past the
+        # frozen __setattr__; it is no field, so repr and == ignore it
+        return _ExportText(self)
+
 
 def triangle_areas(mesh: SurfaceMesh) -> np.ndarray:
     v = mesh.vertices
     t = mesh.triangles
     a, ab, ac = v[t[:, 0]], v[t[:, 1]], v[t[:, 2]]
-    ab -= a     # in place: these gathers are the peak memory of build_mesh
+    ab -= a
     ac -= a
-    return 0.5 * np.linalg.norm(np.cross(ab, ac), axis=1)
+    del a
+    # the cross product component by component, with no (m, 3) temporaries
+    cx = ab[:, 1] * ac[:, 2] - ab[:, 2] * ac[:, 1]
+    cy = ab[:, 2] * ac[:, 0] - ab[:, 0] * ac[:, 2]
+    cz = ab[:, 0] * ac[:, 1] - ab[:, 1] * ac[:, 0]
+    return 0.5 * np.sqrt(cx * cx + cy * cy + cz * cz)
 
 
 def euler_characteristic(mesh: SurfaceMesh) -> int:
@@ -102,21 +115,11 @@ def euler_characteristic(mesh: SurfaceMesh) -> int:
     return mesh.n_vertices - len(edges) + mesh.n_triangles
 
 
-def build_mesh(lam, norm: Normalization, *, n_rad: int = 48, n_ang: int = 96,
-               copies: int = 1, r_min: float = 1.0 / 40.0, r_max: float = 40.0) -> SurfaceMesh:
-    """Mesh of `copies` fundamental domains of the immersed surface.
-
-    Quad cells follow the continuation alignment of their radial edges, so
-    cells in the ring pair straddling a branch modulus take their upper
-    corners from the other sheet's grid (and, where the alignment carries a
-    period offset, from a translated duplicate vertex).  Ends are trimmed at
-    |z| in [r_min, r_max]; the second and later copies reuse the first
-    copy's immersion values translated by multiples of the period vector,
-    exactly.
-    """
-    lam = as_lambda(lam)
-    if copies < 1:
-        raise ValueError("copies must be at least 1")
+def _fundamental_domain(lam, norm: Normalization, n_rad: int, n_ang: int,
+                        r_min: float, r_max: float):
+    """(vertices, triangles, z of each vertex, period vector T) of one
+    fundamental domain.  Its own function so that the grids and the
+    assembly's index arrays are freed before the copies and the area check."""
     grid = immerse_grid(lam, norm, r_min=r_min, r_max=r_max, n_rad=n_rad,
                         n_ang=n_ang, closed=True)
     pair = (grid, grid.sheet_partner)
@@ -148,15 +151,31 @@ def build_mesh(lam, norm: Normalization, *, n_rad: int = 48, n_ang: int = 96,
 
     cc, d = up[0::2], up[1::2]
     tris = np.stack([a, a + 1, cc, a, cc, d], axis=-1).reshape(-1, 3).astype(np.int64)
+    return verts, tris, zflat, t_vec
 
+
+def build_mesh(lam, norm: Normalization, *, n_rad: int = 48, n_ang: int = 96,
+               copies: int = 1, r_min: float = 1.0 / 40.0, r_max: float = 40.0) -> SurfaceMesh:
+    """Mesh of `copies` fundamental domains of the immersed surface.
+
+    Quad cells follow the continuation alignment of their radial edges, so
+    cells in the ring pair straddling a branch modulus take their upper
+    corners from the other sheet's grid (and, where the alignment carries a
+    period offset, from a translated duplicate vertex).  Ends are trimmed at
+    |z| in [r_min, r_max]; the second and later copies reuse the first
+    copy's immersion values translated by multiples of the period vector,
+    exactly.
+    """
+    lam = as_lambda(lam)
+    if copies < 1:
+        raise ValueError("copies must be at least 1")
+    verts, tris, zflat, t_vec = _fundamental_domain(lam, norm, n_rad, n_ang, r_min, r_max)
     normals = unit_normal(zflat)
     curv = abs_gauss_curvature(zflat, lam, norm)
 
     if copies > 1:
-        all_verts = [verts + k * t_vec for k in range(copies)]
-        all_tris = [tris + k * len(verts) for k in range(copies)]
-        verts = np.concatenate(all_verts)
-        tris = np.concatenate(all_tris)
+        tris = np.concatenate([tris + k * len(verts) for k in range(copies)])
+        verts = np.concatenate([verts + k * t_vec for k in range(copies)])
         normals = np.tile(normals, (copies, 1))
         curv = np.tile(curv, copies)
 
@@ -184,11 +203,13 @@ def export(mesh: SurfaceMesh, fmt: str, path) -> None:
     """Write the mesh as ASCII OBJ (v/vn/f) or PLY 1.0 (with |K| as quality).
 
     Output is deterministic: identical meshes produce byte-identical files.
-    Every float is written with %.17g.  The normals and |K| depend on z
-    alone, so both sheets and every translated copy repeat them: each
-    distinct value (by bit pattern, so -0.0 and 0.0 stay apart) is formatted
-    once per export, and so is each vertex's index token of the face rows.
-    Rows are written EXPORT_CHUNK at a time.
+    Every float is written with %.17g.  The text that depends on the mesh
+    alone is formatted once per mesh, kept on it and shared by both formats:
+    the "x y z" text of the positions, and a table of each distinct normal
+    component and |K| value (by bit pattern, so -0.0 and 0.0 stay apart),
+    which both sheets and every translated copy repeat since they depend on
+    z alone.  Each vertex's index token of the face rows is formatted once
+    per export.  Rows are written EXPORT_CHUNK at a time.
     """
     writers = {"obj": _obj_text, "ply": _ply_text}
     fmt = fmt.lower()
@@ -209,31 +230,51 @@ def _strings(row: str, values) -> np.ndarray:
     return np.array(_lines(row, values).split("\n")[:-1], dtype=object)
 
 
-def _distinct(values):
-    """(table, index): %.17g of each distinct double of `values`, keyed by
-    bit pattern, and the position of every value in that table."""
-    keys, index = np.unique(values.view(np.int64), return_inverse=True)
-    return _strings(_FLOAT, keys.view(np.float64)[:, None]), index.reshape(values.shape)
-
-
 def _chunks(n: int):
     """Slices of EXPORT_CHUNK rows that cover rows 0 .. n - 1."""
     return (slice(lo, lo + EXPORT_CHUNK) for lo in range(0, n, EXPORT_CHUNK))
 
 
+class _ExportText:
+    """Export text of one mesh that both formats share.
+
+    `table` holds %.17g of each distinct double of [normals | abs_curvature],
+    keyed by bit pattern, and `index` (n, 4) the position of every value in
+    it.  `positions()` is the "x y z\n" text of each EXPORT_CHUNK block of
+    rows, formatted again only if EXPORT_CHUNK has changed since.
+    """
+
+    def __init__(self, mesh: SurfaceMesh):
+        values = np.column_stack([mesh.normals, mesh.abs_curvature])
+        keys, index = np.unique(values.view(np.int64), return_inverse=True)
+        self.table = _strings(_FLOAT, keys.view(np.float64)[:, None])
+        self.index = index.reshape(values.shape)
+        self._vertices = mesh.vertices
+        self._blocks = None, []
+
+    def positions(self) -> list:
+        chunk, blocks = self._blocks
+        if chunk != EXPORT_CHUNK:
+            blocks = [_lines(f"{_FLOAT} {_FLOAT} {_FLOAT}", self._vertices[rows])
+                      for rows in _chunks(len(self._vertices))]
+            self._blocks = EXPORT_CHUNK, blocks
+        return blocks
+
+
 def _obj_text(mesh: SurfaceMesh):
+    text = mesh._export_text
     yield "# riemann-examples surface mesh\n"
+    for block in text.positions():
+        yield "v " + block[:-1].replace("\n", "\nv ") + "\n"
     for rows in _chunks(mesh.n_vertices):
-        yield _lines(f"v {_FLOAT} {_FLOAT} {_FLOAT}", mesh.vertices[rows])
-    table, index = _distinct(mesh.normals)
-    for rows in _chunks(len(index)):
-        yield _lines("vn %s %s %s", table[index[rows]])
+        yield _lines("vn %s %s %s", text.table[text.index[rows, :3]])
     corner = _strings("%d//%d", np.repeat(np.arange(1, mesh.n_vertices + 1), 2).reshape(-1, 2))
     for rows in _chunks(mesh.n_triangles):
         yield _lines("f %s %s %s", corner[mesh.triangles[rows]])
 
 
 def _ply_text(mesh: SurfaceMesh):
+    text = mesh._export_text
     yield "\n".join([
         "ply",
         "format ascii 1.0",
@@ -250,10 +291,12 @@ def _ply_text(mesh: SurfaceMesh):
         "property list uchar int vertex_indices",
         "end_header",
     ]) + "\n"
-    table, index = _distinct(np.column_stack([mesh.normals, mesh.abs_curvature]))
-    for rows in _chunks(mesh.n_vertices):
-        yield _lines(" ".join([_FLOAT] * 3 + ["%s"] * 4),
-                     np.concatenate([mesh.vertices[rows], table[index[rows]]], axis=1))
+    for rows, block in zip(_chunks(mesh.n_vertices), text.positions()):
+        xyz = block.split("\n")[:-1]
+        cells = np.empty((len(xyz), 5), dtype=object)
+        cells[:, 0] = xyz
+        cells[:, 1:] = text.table[text.index[rows]]
+        yield _lines("%s %s %s %s %s", cells)
     token = _strings("%d", np.arange(mesh.n_vertices)[:, None])
     for rows in _chunks(mesh.n_triangles):
         yield _lines("3 %s %s %s", token[mesh.triangles[rows]])

@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -133,6 +135,20 @@ def test_copies_are_exact_translates():
     assert np.array_equal(m2.vertices[:n], m1.vertices)
     assert np.array_equal(m2.vertices[n:], m1.vertices + t_vec)
     assert np.array_equal(m2.triangles[len(m1.triangles):] - n, m1.triangles)
+
+
+def cross_product_areas(mesh: SurfaceMesh) -> np.ndarray:
+    v, t = mesh.vertices, mesh.triangles
+    return 0.5 * np.linalg.norm(np.cross(v[t[:, 1]] - v[t[:, 0]], v[t[:, 2]] - v[t[:, 0]]), axis=1)
+
+
+@pytest.mark.parametrize("lv", [0.354, 1.0, 4.851])
+def test_triangle_areas_equal_cross_product_norm_bitwise(lv):
+    for mesh in (small_mesh(lv, copies=2), special_values_mesh()):
+        with np.errstate(over="ignore", invalid="ignore"):
+            areas, reference = triangle_areas(mesh), cross_product_areas(mesh)
+        assert areas.dtype == reference.dtype
+        assert np.array_equal(areas.view(np.int64), reference.view(np.int64))
 
 
 def test_euler_characteristic_constant_across_resolutions():
@@ -409,6 +425,38 @@ def test_export_streams_at_most_chunk_rows(monkeypatch, chunk):
         rows = [piece.count("\n") for piece in list(writer(mesh))[1:]]
         assert max(rows) <= chunk
         assert sum(rows) == n_rows
+
+
+def _export_matches_reference(tmp_path, mesh, fmt):
+    path = tmp_path / f"shared.{fmt}"
+    export(mesh, fmt, path)
+    assert path.read_bytes() == _reference_text(mesh, fmt).encode("ascii")
+
+
+@pytest.mark.parametrize("order", [("obj", "ply"), ("ply", "obj")])
+def test_both_formats_of_one_mesh_share_its_text(tmp_path, order):
+    mesh = small_mesh(0.5, copies=2, n_rad=8, n_ang=16)
+    for fmt in order + order:
+        _export_matches_reference(tmp_path, mesh, fmt)
+
+
+def test_shared_text_follows_a_chunk_change(tmp_path, monkeypatch):
+    mesh = small_mesh(2.0, copies=2, n_rad=8, n_ang=16)
+    _export_matches_reference(tmp_path, mesh, "obj")
+    monkeypatch.setattr(mesh_module, "EXPORT_CHUNK", 3)
+    for fmt, writer in (("ply", mesh_module._ply_text), ("obj", mesh_module._obj_text)):
+        _export_matches_reference(tmp_path, mesh, fmt)
+        assert max(piece.count("\n") for piece in list(writer(mesh))[1:]) <= 3
+
+
+def test_shared_text_is_freed_with_its_mesh(tmp_path):
+    mesh = small_mesh(1.0, n_rad=8, n_ang=16)
+    for fmt in ("obj", "ply"):
+        _export_matches_reference(tmp_path, mesh, fmt)
+    refs = weakref.ref(mesh), weakref.ref(mesh._export_text)
+    del mesh
+    gc.collect()
+    assert [ref() for ref in refs] == [None, None]
 
 
 def test_vertex_and_triangle_order_match_cell_loop():
