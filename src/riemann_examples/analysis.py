@@ -18,8 +18,9 @@ path integrals, each anchored at a fixed point of the respective symmetry:
 Horizontal foliation slices are in closed form: on the torus coordinate v,
 which inverts the integral of dz/w by Jacobi's sn (curve._curve_at),
 x3 falls linearly with Re v, so each height is one vertical line of v.  Its
-points are immersed at once and fitted by circles or lines;
-check_symmetries also immerses its lifts at once.
+points are immersed at once, and every slice is fitted as a generalized
+circle (a circle or a line) by one batched SVD; check_symmetries also
+immerses its lifts at once.
 """
 
 from __future__ import annotations
@@ -275,48 +276,47 @@ class FoliationSlice:
     points: np.ndarray = field(repr=False, default=None)
 
 
-#: A slice is a line when the fitted radius has run away beyond this cutoff
-#: and the line fit is as good as the circle fit, to 1e-12 of the slice's
-#: span (points collinear to roundoff fit both).
+#: A slice is a line when its fitted radius has run away beyond this cutoff
+#: and the linear part of its generalized circle fits as well as the circle,
+#: to 1e-12 of the slice's span (points collinear to roundoff fit both).
 LINE_RADIUS_CUTOFF = 1e6
 
 
-def fit_circle(xy):
-    """Algebraic least-squares circle fit with a few Gauss-Newton polish steps.
+def fit_generalized_circles(xy):
+    """Fit a circle or a line to each planar point set of a stack (..., n, 2).
 
-    Returns (center (2,), radius, max | |p - c| - R |).
+    Circles and lines are the generalized circles F = a |q|^2 + b q1 + c q2
+    + d = 0 (a = 0 a line), fitted algebraically (Pratt 1987) with unit
+    coefficient norm: each set is centred on its centroid and scaled to unit
+    rms radius, q, and (a, b, c, d) is the right singular vector of
+    [|q|^2, q1, q2, 1] with the smallest singular value, one batched SVD for
+    the whole stack (full, so that n = 3 has its null vector).  The circle
+    residual is the first-order distance |F| / |grad F|, free of the
+    cancellation in |p - center| - radius; the line residual is that of the
+    linear part, |b q1 + c q2 + d| / |(b, c)|.  LINE_RADIUS_CUTOFF decides
+    which model a set takes.
+
+    Returns (line, center, radius, residual): whether each set is a line, its
+    circle center and radius, and the max residual of the reported model.
     """
     xy = np.asarray(xy, dtype=float)
-    x, y = xy[:, 0], xy[:, 1]
-    a = np.column_stack([2.0 * x, 2.0 * y, np.ones_like(x)])
-    b = x * x + y * y
-    sol, *_ = np.linalg.lstsq(a, b, rcond=None)
-    cx, cy, c0 = sol
-    r = math.sqrt(max(c0 + cx * cx + cy * cy, 0.0))
-    for _ in range(3):
-        dx, dy = x - cx, y - cy
-        di = np.hypot(dx, dy)
-        if np.any(di == 0):
-            break
-        j = np.column_stack([-dx / di, -dy / di, -np.ones_like(di)])
-        res = di - r
-        try:
-            step, *_ = np.linalg.lstsq(j, -res, rcond=None)
-        except np.linalg.LinAlgError:
-            break
-        cx, cy, r = cx + step[0], cy + step[1], r + step[2]
-    di = np.hypot(x - cx, y - cy)
-    return np.array([cx, cy]), float(r), float(np.max(np.abs(di - r)))
-
-
-def fit_line_2d(xy):
-    """Total-least-squares line fit in the plane: max perpendicular distance."""
-    xy = np.asarray(xy, dtype=float)
-    c = xy.mean(axis=0)
-    d = xy - c
-    _, _, vt = np.linalg.svd(d, full_matrices=False)
-    perp = d @ vt[1]
-    return float(np.max(np.abs(perp)))
+    centroid = xy.mean(axis=-2)
+    rel = xy - centroid[..., None, :]
+    scale = np.sqrt(np.mean(np.sum(rel * rel, axis=-1), axis=-1))
+    q1, q2 = np.moveaxis(rel / scale[..., None, None], -1, 0)
+    qq = q1 * q1 + q2 * q2
+    vt = np.linalg.svd(np.stack([qq, q1, q2, np.ones_like(qq)], axis=-1))[2]
+    a, b, c, d = np.moveaxis(vt[..., -1, :, None], -2, 0)
+    lin = b * q1 + c * q2 + d
+    with np.errstate(divide="ignore", invalid="ignore"):
+        circle_res = scale * np.max(abs(a * qq + lin) / np.hypot(2 * a * q1 + b, 2 * a * q2 + c),
+                                    axis=-1)
+        line_res = scale * np.max(abs(lin) / np.hypot(b, c), axis=-1)
+        radius = scale * (np.sqrt(np.maximum(b * b + c * c - 4 * a * d, 0.0)) / (2 * abs(a)))[..., 0]
+        center = centroid - scale[..., None] * np.concatenate([b, c], axis=-1) / (2 * a)
+    span = np.maximum(np.linalg.norm(xy.max(axis=-2) - xy.min(axis=-2), axis=-1), 1.0)
+    line = (radius > LINE_RADIUS_CUTOFF) & (line_res <= circle_res + 1e-12 * span)
+    return line, center, radius, np.where(line, line_res, circle_res)
 
 
 def foliation_slices(grids, heights, min_points: int = 16):
@@ -333,9 +333,10 @@ def foliation_slices(grids, heights, min_points: int = 16):
     is sampled at `min_points` points y = 2K' (j + 1/4) / min_points, which
     miss y = 0 and K', where those lines meet the ends and the branch points.
     The points are immersed on their own lifts in one call and moved by
-    whole periods T to the height c.  Each slice is fitted by a circle and
-    by a line; the better model is reported.  Fewer than 3 points per slice
-    raise InsufficientSlicePoints.
+    whole periods T to the height c.  All slices are fitted at once by
+    fit_generalized_circles, as circles or lines.  Fewer than 3 points per
+    slice raise InsufficientSlicePoints; heights that are not a 1-d sequence
+    of finite numbers raise ValueError.
     """
     by_sign = {g.sheet_sign: g for g in grids}
     if len(by_sign) != 2:
@@ -346,6 +347,12 @@ def foliation_slices(grids, heights, min_points: int = 16):
     lam, norm = by_sign[+1].lam, by_sign[+1].norm
     lv, s = lam.value, normalization_scale(norm)
     heights = np.asarray(heights, dtype=float)
+    if heights.ndim != 1:
+        raise ValueError(f"lam = {lv!r}: slice heights must be a 1-d sequence, "
+                         f"not {heights.tolist()!r}")
+    if not np.all(np.isfinite(heights)):
+        raise ValueError(f"lam = {lv!r}: slice height {heights[~np.isfinite(heights)][0]} "
+                         f"is not finite")
     quarter, quarter_c = (0.5 * math.pi / _agm(x)[-1][0] for x in (lv, 1.0 / lv))
     kappa = 4.0 * s / math.sqrt(lv + 1.0 / lv)
     h0 = _immerse(lam, norm, [0.5 * lv])[0][0, 2]
@@ -357,32 +364,11 @@ def foliation_slices(grids, heights, min_points: int = 16):
     shift = np.rint((heights[:, None] - points[..., 2]) / (s * t3))
     points += shift[..., None] * (s * np.array([t1, 0.0, t3]))
 
-    slices = []
-    for c, pts in zip(heights, points):
-        xy = pts[:, :2]
-        center, radius, circ_res = fit_circle(xy)
-        line_res = fit_line_2d(xy)
-        # the algebraic fit degenerates on near-collinear data; offer it the
-        # far-center circle that a line really is
-        centroid = xy.mean(axis=0)
-        d = xy - centroid
-        _, _, vt = np.linalg.svd(d, full_matrices=False)
-        span = max(float(np.linalg.norm(xy.max(axis=0) - xy.min(axis=0))), 1.0)
-        c_far = centroid + vt[1] * max(1e7, 1e3 * span)
-        dist = np.linalg.norm(xy - c_far, axis=1)
-        r_far = float(dist.mean())
-        res_far = float(np.max(np.abs(dist - r_far)))
-        if res_far < circ_res:
-            center, radius, circ_res = c_far, r_far, res_far
-        if radius > LINE_RADIUS_CUTOFF and line_res <= circ_res + 1e-12 * span:
-            slices.append(FoliationSlice(height=float(c), kind="line", center=None,
-                                         radius=None, residual=line_res,
-                                         n_points=len(pts), points=pts))
-        else:
-            slices.append(FoliationSlice(height=float(c), kind="circle", center=center,
-                                         radius=radius, residual=circ_res,
-                                         n_points=len(pts), points=pts))
-    return slices
+    line, center, radius, residual = fit_generalized_circles(points[..., :2])
+    return [FoliationSlice(height=float(c), kind="line" if ln else "circle",
+                           center=None if ln else ctr, radius=None if ln else float(r),
+                           residual=float(res), n_points=min_points, points=pts)
+            for c, ln, ctr, r, res, pts in zip(heights, line, center, radius, residual, points)]
 
 
 def max_center_curvature(slices) -> float:

@@ -13,8 +13,7 @@ from riemann_examples.analysis import (
     CurvatureGrid,
     abs_gauss_curvature,
     check_symmetries,
-    fit_circle,
-    fit_line_2d,
+    fit_generalized_circles,
     foliation_slices,
     general_curvature,
     line_fit_residual,
@@ -275,16 +274,24 @@ def test_line_flip_fixes_line_samples():
 def test_fit_circle_exact():
     ang = np.linspace(0, 2 * math.pi, 37)[:-1]
     xy = np.stack([3.0 + 2.5 * np.cos(ang), -1.0 + 2.5 * np.sin(ang)], axis=1)
-    center, radius, res = fit_circle(xy)
+    line, center, radius, res = fit_generalized_circles(xy)
+    assert not line
     assert np.allclose(center, [3.0, -1.0], atol=1e-9)
     assert radius == pytest.approx(2.5, abs=1e-9)
     assert res < 1e-9
+    # the points are centred before |q|^2 is formed, so a circle 1e8 from
+    # the origin keeps its radius (an uncentred fit loses it to cancellation)
+    far = np.stack([1e8 + 2.5 * np.cos(ang), -3e7 + 2.5 * np.sin(ang)], axis=1)
+    line, _, radius, _ = fit_generalized_circles(far)
+    assert not line
+    assert radius == pytest.approx(2.5, abs=1e-7)
 
 
 def test_fit_line_and_plane():
     t = np.linspace(-2, 2, 15)
     xy = np.stack([1.0 + 2.0 * t, -0.5 * t], axis=1)
-    assert fit_line_2d(xy) < 1e-12
+    line, _, _, res = fit_generalized_circles(xy)
+    assert line and res < 1e-12
     pts = np.stack([t, 2 * t + 1, np.full_like(t, 3.0)], axis=1)
     normal, _, dev = plane_fit(pts)
     assert dev < 1e-12
@@ -425,15 +432,24 @@ def test_foliation_lines_at_both_end_heights(lv):
         assert s.residual <= 1e-12 * np.max(np.abs(s.points))
 
 
-def test_foliation_slices_repeat_by_the_period(grids_lambda1):
+@pytest.mark.parametrize("lv", [1e-6, 1e-3, 1.0])
+def test_foliation_slices_repeat_by_the_period(lv, grids_lambda1):
     # the slice one vertical period s T3 up, or 1e5 periods up (height about
-    # 1e6), is the slice at c translated by as many periods T
-    g = grids_lambda1[0]
-    t_vec = period_vectors(g.lam, g.norm).translation
-    c = 0.4 * end_spacing(g.lam, g.norm)
+    # 1e6, or 1e7 at lam = 1e-6), is the slice at c translated by as many
+    # periods T, with the same kind and radius
+    lam = Lambda(lv)
+    norm = Normalization.paper(lam)
+    if lv == 1.0:
+        grids = grids_lambda1
+    else:
+        grid = immerse_grid(lam, norm, r_min=0.1, r_max=10.0, n_rad=4, n_ang=8, closed=True)
+        grids = [grid, grid.sheet_partner]
+    t_vec = period_vectors(lam, norm).translation
+    c = 0.4 * end_spacing(lam, norm)
     for n in (1, 100_000):
-        base, up = foliation_slices(grids_lambda1, [c, c + n * t_vec[2]])
+        base, up = foliation_slices(grids, [c, c + n * t_vec[2]])
         assert up.kind == base.kind == "circle"
+        assert up.radius == pytest.approx(base.radius, rel=1e-8)
         expected = base.points + n * t_vec
         scale = np.maximum(1.0, np.linalg.norm(expected, axis=1))
         assert np.all(np.linalg.norm(up.points - expected, axis=1) <= 1e-12 * scale)
@@ -443,6 +459,16 @@ def test_foliation_insufficient_points(grids_lambda1):
     with pytest.raises(InsufficientSlicePoints):
         foliation_slices(grids_lambda1, [1.0], min_points=2)
     assert foliation_slices(grids_lambda1, [1.0], min_points=3)[0].n_points == 3
+
+
+@pytest.mark.parametrize("heights", [[math.nan], [1.0, math.inf], [-math.inf], 1.0, [[1.0, 2.0]]])
+def test_foliation_refuses_heights_that_are_not_finite_numbers_in_a_row(heights, monkeypatch):
+    # refused before anything is evaluated, naming lam and the height
+    monkeypatch.setattr(analysis, "_immerse", None)
+    g = immerse_grid(Lambda(2.0), Normalization.paper(Lambda(2.0)), r_min=0.5, r_max=2.0,
+                     n_rad=2, n_ang=8)
+    with pytest.raises(ValueError, match=r"lam = 2\.0: slice height.*(nan|inf|1\.0)"):
+        foliation_slices([g, g.sheet_partner], heights)
 
 
 def test_center_curve_flattens_and_radius_grows():
