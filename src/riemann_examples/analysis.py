@@ -36,6 +36,7 @@ from .weierstrass import (
     Normalization,
     _immerse,
     _lift_images,
+    _matched_lambda,
     _raw_periods,
     normalization_scale,
     period_vectors,
@@ -49,7 +50,7 @@ from .weierstrass import (
 
 def abs_gauss_curvature(z, lam, norm: Normalization):
     """Closed-form |K| at parameter z; vectorized over z."""
-    lam = as_lambda(lam)
+    lam = _matched_lambda(lam, norm)
     z = np.asarray(z, dtype=complex)
     if np.any(z == 0):
         raise SingularPoint("curvature is evaluated away from the puncture z = 0")
@@ -207,7 +208,7 @@ def check_symmetries(lam, norm: Normalization, samples,
     winding-0 representative of the stack), so each difference d is reduced
     by its nearest multiple rint(d.T / |T|^2) T.
     """
-    lam = as_lambda(lam)
+    lam = _matched_lambda(lam, norm)
     pts = [p if isinstance(p, CurvePoint) else CurvePoint(p, principal_w(p, lam), lam)
            for p in samples]
     z = np.array([p.z for p in pts], dtype=complex)

@@ -237,36 +237,25 @@ def cmd_verify(args) -> int:
 def cmd_limits(args) -> int:
     annulus = Annulus(L=args.annulus_L)
     clip = ClipRegion("ball", args.clip_r)
-    schedule = args.lambda_schedule
-    if args.target == "catenoid":
-        report = catenoid_limit_sweep(schedule, annulus, clip)
-        norm_of = Normalization.paper
-    elif args.target == "helicoid":
-        report = helicoid_limit_sweep(schedule, annulus, clip)
-        norm_of = Normalization.paper
-    else:
-        report = plane_limit_experiment(schedule, annulus, clip)
-        norm_of = Normalization.spacing
-
+    lambdas = args.lambda_schedule
     if args.target == "planes":
-        lambdas = report.lambdas
-        deviations = report.plane_deviations
+        report = plane_limit_experiment(lambdas, annulus, clip)
+        deviations, norm_of = report.plane_deviations, Normalization.spacing
         spacings = tuple(2.0 * math.pi for _ in lambdas)
         extra = {"vertical_normal_fractions": report.vertical_normal_fractions,
                  "waist_radii": report.waist_radii,
                  "horizontal_deviations": report.horizontal_deviations}
     else:
-        lambdas = report.lambdas
-        deviations = report.deviations
-        spacings = report.extras["end_spacing"]
-        extra = {}
+        sweep = catenoid_limit_sweep if args.target == "catenoid" else helicoid_limit_sweep
+        report = sweep(lambdas, annulus, clip)
+        deviations, norm_of = report.deviations, Normalization.paper
+        spacings, extra = report.extras["end_spacing"], {}
     # the annulus 1/L < |z| < L (L > 1) contains +-i, where the supremum lies
     max_k = tuple(max_abs_curvature(Lambda(lv), norm_of(Lambda(lv))) for lv in lambdas)
 
-    monotone = all(b < a for a, b in zip(deviations[:-1], deviations[1:]))
-    sheet = getattr(report, "sheet_sign", +1)
+    monotone = report.is_strictly_decreasing()
     payload = {"schema": SCHEMA,
-               "config": _config(args, sheet_sign=sheet,
+               "config": _config(args, sheet_sign=1,
                                  sheet_convention="principal root at z0 = 1"),
                "target": args.target,
                "lambdas": list(lambdas), "deviations": list(deviations),

@@ -13,15 +13,17 @@ and for lam > 1 as helicoid plus a correction with
 
 Writing the factors through the continued curve root w fixes their branches
 by continuation from z = 1, where both vanish as lam degenerates; w is the
-root of immerse's point at z.  Both factors tend to zero uniformly on a
-fixed annulus, which drives the sup deviation sweeps implemented here.  The
-sweeps also report each member's end spacing s T3 / 2
-(weierstrass.vertical_end_spacing, re-exported here as end_spacing): it
-tends to 2 pi along the helicoid limit and grows like 4 log(4/lam) along
-the catenoid limit.  The decomposition identities integrate their
-correction integrands, which have no closed form here, by the reference
-quadrature along each target's route_vertices, whose lift immerse places
-in closed form.
+root of immerse's point at z.  f0 and f_inf take a scalar or an array of z,
+immersed in one closed-form call.  Both factors tend to zero uniformly on a
+fixed annulus, which drives the sup deviation sweeps implemented here; each
+sweep samples sheet +1 of the annulus on its open log-polar grid (sheet -1
+is the point reflection C - x of sheet +1).  The sweeps also report each
+member's end spacing s T3 / 2 (weierstrass.vertical_end_spacing,
+re-exported here as end_spacing): it tends to 2 pi along the helicoid limit
+and grows like 4 log(4/lam) along the catenoid limit.  The decomposition
+identities integrate their correction integrands, which have no closed
+form here, by the reference quadrature along each target's route_vertices,
+whose lift immerse places in closed form.
 """
 
 from __future__ import annotations
@@ -31,9 +33,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .analysis import plane_fit
 from .curve import (CURVE_TOL, CurvePoint, Lambda, as_lambda, at_branch, curve_residual,
                     principal_w)
-from .errors import BranchAmbiguity, PathBlocked
+from .errors import BranchAmbiguity, PathBlocked, SingularPoint
 from .reference import (
     ReferenceKind,
     catenoid_integrand,
@@ -44,6 +47,7 @@ from .reference import (
 from .weierstrass import (
     GridImmersion,
     Normalization,
+    _immerse,
     immerse,
     immerse_grid,
     make_sheeted_path,
@@ -60,12 +64,13 @@ from .weierstrass import (
 # correction factors
 # ---------------------------------------------------------------------------
 
-def _continued_w(z: complex, lam: Lambda) -> complex:
-    """Curve root at z on the lift of its route from the principal seed at
-    the base point: the root of immerse's point at z."""
+def _continued_w(z, lam: Lambda):
+    """Curve roots at z (any shape) on the lifts of their routes from the
+    principal seed at the base point: the roots of immerse's points at z."""
     if at_branch(1.0, lam):
         raise BranchAmbiguity("correction factors are undefined at lam = 1")
-    return immerse(lam, Normalization.raw(lam), [z])[0].source.w
+    z = np.asarray(z, dtype=complex)
+    return _immerse(lam, Normalization.raw(lam), z.ravel())[1].reshape(z.shape)
 
 
 def _f0_of_root(z, w, lv: float):
@@ -76,29 +81,33 @@ def _f_inf_of_root(z, w, lv: float):
     return 1.0 - 1j * math.sqrt(lv) * z / w
 
 
-def f0(z, lam) -> complex:
-    """Catenoid-side correction factor, branch continued from z = 1."""
+def _correction_factor(of_root, z, lam: Lambda):
+    """of_root at z and its continued roots.  A finite branch point, where
+    the root vanishes and the factor has a pole, raises SingularPoint."""
+    z = np.asarray(z, dtype=complex)
+    w = _continued_w(z, lam)
+    if np.any(w == 0):
+        raise SingularPoint(f"lam = {lam.value!r}: the correction factors have a pole at "
+                            f"the branch point z = {complex(z[w == 0].flat[0])}")
+    return of_root(z, w, lam.value)
+
+
+def f0(z, lam):
+    """Catenoid-side correction factor at z (a scalar or an array), branch
+    continued from z = 1."""
     lam = as_lambda(lam)
     if lam.value >= 1.0:
         raise ValueError("f0 is the lam < 1 correction factor")
-    return _f0_of_root(complex(z), _continued_w(complex(z), lam), lam.value)
+    return _correction_factor(_f0_of_root, z, lam)
 
 
-def f_inf(z, lam) -> complex:
-    """Helicoid-side correction factor, branch continued from z = 1."""
+def f_inf(z, lam):
+    """Helicoid-side correction factor at z (a scalar or an array), branch
+    continued from z = 1."""
     lam = as_lambda(lam)
     if lam.value <= 1.0:
         raise ValueError("f_inf is the lam > 1 correction factor")
-    return _f_inf_of_root(complex(z), _continued_w(complex(z), lam), lam.value)
-
-
-def f0_on_grid(grid: GridImmersion):
-    """f0 over a grid immersion, using its already-continued roots."""
-    return _f0_of_root(grid.z, grid.w, grid.lam.value)
-
-
-def f_inf_on_grid(grid: GridImmersion):
-    return _f_inf_of_root(grid.z, grid.w, grid.lam.value)
+    return _correction_factor(_f_inf_of_root, z, lam)
 
 
 # ---------------------------------------------------------------------------
@@ -114,15 +123,15 @@ class Annulus:
     n_ang: int = 48
 
     def __post_init__(self):
-        if not self.L > 1.0:
-            raise ValueError("annulus parameter L must exceed 1")
+        if not (math.isfinite(self.L) and self.L > 1.0):
+            raise ValueError(f"annulus parameter L must be a finite number > 1, not {self.L!r}")
         if self.n_rad < 8 or self.n_ang < 8:
             raise ValueError("annulus resolutions must be at least 8")
 
-    def grid(self, lam, norm: Normalization, sheet_sign: int = +1) -> GridImmersion:
+    def grid(self, lam, norm: Normalization) -> GridImmersion:
+        """The open sheet +1 grid of the ring."""
         return immerse_grid(lam, norm, r_min=1.0 / self.L, r_max=self.L,
-                            n_rad=self.n_rad, n_ang=self.n_ang,
-                            sheet_sign=sheet_sign, closed=False)
+                            n_rad=self.n_rad, n_ang=self.n_ang)
 
 
 @dataclass(frozen=True)
@@ -152,7 +161,6 @@ class ConvergenceReport:
     reference: str
     annulus: Annulus
     clip: ClipRegion
-    sheet_sign: int = +1
     extras: dict = field(default_factory=dict)
 
     def is_strictly_decreasing(self) -> bool:
@@ -170,17 +178,17 @@ def _clipped(mask, values):
     return values[mask]
 
 
-def _limit_sweep(lambdas: tuple, annulus: Annulus, clip: ClipRegion, sheet_sign: int,
-                 reference: ReferenceKind, reference_points, extras: dict) -> ConvergenceReport:
+def _limit_sweep(lambdas: tuple, annulus: Annulus, clip: ClipRegion,
+                 reference: ReferenceKind, reference_points) -> ConvergenceReport:
     """Sup deviation of the paper-normalized immersion from the reference
-    surface, per lam, over the sheet_sign component of the annulus preimage;
+    surface, per lam, over the sheet +1 component of the annulus preimage;
     positions are clipped before the sup is taken.  reference_points(grid, z)
     gives the reference positions of the grid's flattened parameters z."""
     deviations, spacings = [], []
     for lv in lambdas:
         lam = Lambda(lv)
         norm = Normalization.paper(lam)
-        grid = annulus.grid(lam, norm, sheet_sign)
+        grid = annulus.grid(lam, norm)
         z, pos = grid.flat_points()
         mask = clip.contains(pos)
         dev = np.linalg.norm(pos - reference_points(grid, z), axis=-1)
@@ -188,40 +196,28 @@ def _limit_sweep(lambdas: tuple, annulus: Annulus, clip: ClipRegion, sheet_sign:
         spacings.append(end_spacing(lam, norm))
     return ConvergenceReport(lambdas=lambdas, deviations=tuple(deviations),
                              reference=reference.value, annulus=annulus, clip=clip,
-                             sheet_sign=sheet_sign,
-                             extras={"end_spacing": tuple(spacings), **extras})
+                             extras={"end_spacing": tuple(spacings)})
 
 
-def catenoid_limit_sweep(lambdas, annulus: Annulus, clip: ClipRegion,
-                         sheet_sign: int = +1) -> ConvergenceReport:
+def catenoid_limit_sweep(lambdas, annulus: Annulus, clip: ClipRegion) -> ConvergenceReport:
     """Sup deviation of the normalized immersion from the catenoid, per lam."""
     lambdas = tuple(float(x) for x in lambdas)
     if any(x >= 1.0 for x in lambdas):
         raise ValueError("catenoid sweeps take lam < 1")
-    return _limit_sweep(lambdas, annulus, clip, sheet_sign, ReferenceKind.CATENOID,
-                        lambda grid, z: catenoid_point(z), {})
+    return _limit_sweep(lambdas, annulus, clip, ReferenceKind.CATENOID,
+                        lambda grid, z: catenoid_point(z))
 
 
-def helicoid_limit_sweep(lambdas, annulus: Annulus, clip: ClipRegion,
-                         max_winding: int = 4, sheet_sign: int = +1) -> ConvergenceReport:
+def helicoid_limit_sweep(lambdas, annulus: Annulus, clip: ClipRegion) -> ConvergenceReport:
     """Sup deviation from the helicoid, with the helicoid branch matched to
-    each sample's continued path argument.
-
-    The annulus grid is open, so every sample's angle lies in (-pi, pi),
-    within the 2*pi*max_winding that any admitted max_winding (at least 1)
-    allows; max_winding is checked and recorded in the report's extras."""
+    each sample's continued path argument: its grid column's angle, in
+    (-pi, pi) on the open annulus grid."""
     lambdas = tuple(float(x) for x in lambdas)
     if any(x <= 1.0 for x in lambdas):
         raise ValueError("helicoid sweeps take lam > 1")
-    if max_winding < 1:
-        raise ValueError("max_winding must be at least 1")
-
-    def continued_helicoid(grid, z):
-        stop = grid.n_col - 1 if grid.closed else grid.n_col
-        return helicoid_point_continued(z, np.tile(grid.angles[:stop], grid.n_rad))
-
-    return _limit_sweep(lambdas, annulus, clip, sheet_sign, ReferenceKind.HELICOID,
-                        continued_helicoid, {"max_winding": max_winding})
+    return _limit_sweep(
+        lambdas, annulus, clip, ReferenceKind.HELICOID,
+        lambda grid, z: helicoid_point_continued(z, np.tile(grid.angles, grid.n_rad)))
 
 
 # ---------------------------------------------------------------------------
@@ -338,8 +334,6 @@ def plane_limit_experiment(lambdas, annulus: Annulus | None = None,
     the best horizontal plane away from the waist, the fraction of clipped
     samples with a near-vertical normal, and the waist radius.
     """
-    from .analysis import plane_fit  # local import to keep module layering flat
-
     annulus = annulus or Annulus(L=10.0, n_rad=24, n_ang=48)
     clip = clip or ClipRegion("ball", 4.0 * math.pi)
     lambdas = tuple(float(x) for x in lambdas)

@@ -22,10 +22,10 @@ from functools import cached_property
 import numpy as np
 
 from .analysis import abs_gauss_curvature
-from .curve import as_lambda
 from .errors import RiemannFamilyError
 from .weierstrass import (
     Normalization,
+    _matched_lambda,
     immerse_grid,
     period_vectors,
     radial_edge_alignment,
@@ -166,7 +166,7 @@ def build_mesh(lam, norm: Normalization, *, n_rad: int = 48, n_ang: int = 96,
     copy's immersion values translated by multiples of the period vector,
     exactly.
     """
-    lam = as_lambda(lam)
+    lam = _matched_lambda(lam, norm)
     if copies < 1:
         raise ValueError("copies must be at least 1")
     verts, tris, zflat, t_vec = _fundamental_domain(lam, norm, n_rad, n_ang, r_min, r_max)

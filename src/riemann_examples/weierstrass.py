@@ -113,6 +113,16 @@ class Normalization:
         return cls(NormalizationKind.FIXED_VERTICAL_SPACING, as_lambda(lam))
 
 
+def _matched_lambda(lam, norm: Normalization) -> Lambda:
+    """lam as a Lambda; ValueError, naming both parameters, unless norm was
+    built for it."""
+    lam = as_lambda(lam)
+    if norm.lam != lam:
+        raise ValueError(f"normalization was built for lam = {norm.lam.value!r}, "
+                         f"not lam = {lam.value!r}")
+    return lam
+
+
 def normalization_scale(norm: Normalization) -> float:
     """The factor s applied to eta (hence to the whole immersion)."""
     lv = norm.lam.value
@@ -478,9 +488,7 @@ def sheet_connection(lam, norm: Normalization) -> np.ndarray:
     and back on the other sheet, it joins the two lifts in two equal halves,
     so C = 2 x(lam).  At lam = 1 both lifts are the branch point and C = 0.
     """
-    lam = as_lambda(lam)
-    if norm.lam != lam:
-        raise ValueError("normalization was built for a different family parameter")
+    _matched_lambda(lam, norm)
     return np.array(_sheet_connection_cached(norm))
 
 
@@ -529,7 +537,7 @@ def immerse(lam, norm: Normalization, targets, *, sheet_sign: int = +1,
     is not integrated: it returns the sheet partners (z, -w) at C - x, C the
     sheet_connection.  Targets on the real axis are limits from above.
     """
-    lam = as_lambda(lam)
+    lam = _matched_lambda(lam, norm)
     targets = np.array([complex(t) for t in targets], dtype=complex) + 0.0
     pos, w = _immerse(lam, norm, targets, winding)
     if sheet_sign < 0:
@@ -612,7 +620,7 @@ def cycle_real_period(vertices, lam, norm: Normalization):
     points) raises QuadratureFailure, and a chord that ends, or crosses the
     axis, in a guard disk raises BranchTooClose (_crossings).
     """
-    lam = as_lambda(lam)
+    lam = _matched_lambda(lam, norm)
     verts = np.asarray(vertices, dtype=complex)
 
     def where(k) -> str:
@@ -656,9 +664,7 @@ def period_vectors(lam, norm: Normalization) -> PeriodVector:
     period, summed over the cycle's 256 chords in closed form by
     cycle_real_period.  A companion period not below 1e-6 |T| raises
     QuadratureFailure."""
-    lam = as_lambda(lam)
-    if norm.lam != lam:
-        raise ValueError("normalization was built for a different family parameter")
+    _matched_lambda(lam, norm)
     return _period_vectors_cached(norm)
 
 
@@ -669,7 +675,7 @@ def vertical_end_spacing(lam, norm: Normalization) -> float:
     run into the planar ends z = 0 and z = infinity; their heights differ by
     half the vertical period.
     """
-    return normalization_scale(norm) * 0.5 * _raw_periods(as_lambda(lam).value)[1]
+    return normalization_scale(norm) * 0.5 * _raw_periods(_matched_lambda(lam, norm).value)[1]
 
 
 # ---------------------------------------------------------------------------
@@ -772,7 +778,7 @@ def immerse_grid(lam, norm: Normalization, *, r_min: float, r_max: float,
     edge name lam, the requested sheet, the edge, the branch point and its
     guard radius.
     """
-    lam = as_lambda(lam)
+    lam = _matched_lambda(lam, norm)
     if n_ang % 2 != 0 or n_ang < 8 or n_rad < 2:
         raise ValueError("need even n_ang >= 8 and n_rad >= 2")
     radii = _half_offset_radii(r_min, r_max, n_rad, lam)

@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,6 +9,7 @@ import pytest
 
 from riemann_examples import Lambda, Normalization
 from riemann_examples.cli import main
+from riemann_examples.limits import Annulus, ClipRegion, plane_limit_experiment
 from riemann_examples.mesh import build_mesh, export
 
 
@@ -108,6 +110,19 @@ def test_limits_catenoid_monotone(tmp_path, capsys):
     lines = csv_path.read_text().strip().splitlines()
     assert lines[0] == "lambda,deviation,end_spacing,max_absK"
     assert len(lines) == 3
+
+
+def test_limits_planes_reports_the_plane_limit_experiment(capsys):
+    code, out = run_cli(capsys, "limits", "--target", "planes",
+                        "--lambda-schedule", "0.1,0.03")
+    assert code == 0
+    payload = json.loads(out)
+    report = plane_limit_experiment([0.1, 0.03], Annulus(L=10.0), ClipRegion("ball", 5.0))
+    assert payload["deviations"] == list(report.plane_deviations)
+    assert payload["end_spacing"] == [2.0 * math.pi] * 2
+    for key in ("vertical_normal_fractions", "waist_radii", "horizontal_deviations"):
+        assert payload[key] == list(getattr(report, key))
+    assert payload["config"]["sheet_sign"] == 1
 
 
 def test_limits_singleton_schedule_trivially_monotone(capsys):

@@ -13,14 +13,13 @@ from riemann_examples.limits import (
     conjugate_check,
     end_spacing,
     f0,
-    f0_on_grid,
     f_inf,
-    f_inf_on_grid,
     helicoid_decomposition_residuals,
     helicoid_limit_sweep,
     plane_limit_experiment,
 )
 from riemann_examples import weierstrass
+from riemann_examples.errors import SingularPoint
 from riemann_examples.weierstrass import Normalization, immerse, integrate, phi_components
 
 from conftest import curve_samples
@@ -56,6 +55,20 @@ def test_f0_f_inf_domain_validation():
         f0(1.0, 2.0)
     with pytest.raises(ValueError):
         f_inf(1.0, 0.5)
+    # w = 0 at a finite branch point: the factors have a pole there
+    with pytest.raises(SingularPoint, match=r"lam = 0\.1: .* pole at the branch point z = \(-10"):
+        f0([2j, -10.0], 0.1)
+    with pytest.raises(SingularPoint, match=r"lam = 10\.0: .* z = \(10"):
+        f_inf(10.0, 10.0)
+
+
+@pytest.mark.parametrize("factor, lv", [(f0, 0.1), (f0, 0.01), (f_inf, 100.0)])
+def test_correction_factor_on_an_array_is_the_scalar_calls(factor, lv):
+    z = np.append(_annulus_targets(48), [1.0, 3.0, -2.0]).reshape(3, -1)
+    values = factor(z, lv)
+    assert values.shape == z.shape
+    scalars = np.array([factor(t, lv) for t in z.ravel()]).reshape(z.shape)
+    assert np.array_equal(values.view(float), scalars.view(float))
 
 
 def test_sup_f0_decreases():
@@ -64,7 +77,7 @@ def test_sup_f0_decreases():
     for lv in (0.1, 0.01, 0.001):
         lam = Lambda(lv)
         grid = ann.grid(lam, Normalization.paper(lam))
-        sups.append(float(np.max(np.abs(f0_on_grid(grid)))))
+        sups.append(float(np.max(np.abs(f0(grid.z, lam)))))
     assert sups[0] > sups[1] > sups[2]
 
 
@@ -74,7 +87,7 @@ def test_sup_f_inf_decreases():
     for lv in (10.0, 100.0, 1000.0):
         lam = Lambda(lv)
         grid = ann.grid(lam, Normalization.paper(lam))
-        sups.append(float(np.max(np.abs(f_inf_on_grid(grid)))))
+        sups.append(float(np.max(np.abs(f_inf(grid.z, lam)))))
     assert sups[0] > sups[1] > sups[2]
 
 
@@ -117,11 +130,11 @@ def test_sweep_validation():
     with pytest.raises(ValueError):
         helicoid_limit_sweep([0.5], ann, clip)
     with pytest.raises(ValueError):
-        helicoid_limit_sweep([10.0], ann, clip, max_winding=0)
-    with pytest.raises(ValueError):
         ClipRegion("cube", 1.0)
     with pytest.raises(ValueError):
         Annulus(L=0.5)
+    with pytest.raises(ValueError, match="finite number > 1, not inf"):
+        Annulus(L=math.inf)
 
 
 def test_positive_real_axis_heights_vanish():

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from riemann_examples.analysis import abs_gauss_curvature, check_symmetries, max_abs_curvature
 from riemann_examples.curve import (
     BranchDeparture,
     CurvePoint,
@@ -18,6 +19,7 @@ from riemann_examples.curve import (
     sheeted_path_from_branch,
 )
 from riemann_examples.errors import QuadratureFailure, SingularPoint
+from riemann_examples.mesh import build_mesh
 from riemann_examples.reference import catenoid_integrand
 from riemann_examples.weierstrass import (
     BASE_POINT,
@@ -62,6 +64,31 @@ def test_paper_normalization_at_lambda_one_is_identity():
     lam = Lambda(1.0)
     assert normalization_scale(Normalization.paper(lam)) == 1.0
     assert normalization_scale(Normalization.raw(lam)) == 1.0
+
+
+# every public entry that takes (lam, norm): a lam = 2 family at the lam = 3
+# scale.  The paper scale is symmetric under lam -> 1/lam, so a 2 against
+# 0.5 pair would hide the mix.
+_MISMATCHED_ENTRIES = {
+    "immerse": lambda lam, norm: immerse(lam, norm, [1j]),
+    "immerse_grid": lambda lam, norm: immerse_grid(lam, norm, r_min=0.5, r_max=2.0,
+                                                   n_rad=2, n_ang=8),
+    "vertical_end_spacing": vertical_end_spacing,
+    "cycle_real_period": lambda lam, norm: cycle_real_period(
+        translation_cycle_vertices(lam), lam, norm),
+    "abs_gauss_curvature": lambda lam, norm: abs_gauss_curvature(1j, lam, norm),
+    "max_abs_curvature": max_abs_curvature,
+    "period_vectors": period_vectors,
+    "sheet_connection": sheet_connection,
+    "check_symmetries": lambda lam, norm: check_symmetries(lam, norm, [0.5 + 0.5j]),
+    "build_mesh": lambda lam, norm: build_mesh(lam, norm, n_rad=4, n_ang=8),
+}
+
+
+@pytest.mark.parametrize("entry", sorted(_MISMATCHED_ENTRIES))
+def test_mismatched_normalization_is_refused_naming_both_lambdas(entry):
+    with pytest.raises(ValueError, match=r"built for lam = 3\.0, not lam = 2\.0"):
+        _MISMATCHED_ENTRIES[entry](Lambda(2.0), Normalization.paper(Lambda(3.0)))
 
 
 def test_normalization_scale_symmetry():
