@@ -4,10 +4,13 @@
 Writes one OBJ per family parameter into the output directory (default
 ./figures).  These are fundamental-domain meshes plus one translated copy,
 with per-vertex unit normals; PLY output additionally carries |K| in the
-quality channel for curvature coloring.
+quality channel for curvature coloring.  Each file's JSON line carries the
+sha256 of its bytes, so two runs wrote the same files when `diff` finds
+their output equal.
 """
 
 import argparse
+import hashlib
 import json
 import pathlib
 
@@ -39,6 +42,7 @@ def main() -> None:
             "lambda": lv, "file": str(path),
             "vertices": mesh.n_vertices, "triangles": mesh.n_triangles,
             "max_abs_curvature": float(mesh.abs_curvature.max()),
+            "sha256": hashlib.sha256(path.read_bytes()).hexdigest(),
         }))
 
 

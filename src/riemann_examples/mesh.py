@@ -8,14 +8,20 @@ from the other sheet's grid, so triangles never bridge the two sheets
 incorrectly near a branch point.  Further copies are exact translates by
 the period vector T.
 
-The ASCII OBJ/PLY writers share the text that depends on the mesh alone,
-formatted once per mesh and kept on it: the "x y z" text of the positions,
-chunk by chunk, and a table of each distinct normal component and |K| value
+The ASCII OBJ/PLY writers write every float as Python's "%.17g" does.
+numpy formats whole arrays of doubles with 1e-4 <= |x| < 1e17 (an exact
+two-product gives their 17 digits), and "%.17g" the rest one value at a
+time: zeros, subnormals, |x| < 1e-4, |x| >= 1e17, inf and nan.  The text is
+fixed-width uint8 rows padded with zero bytes; each chunk of lines is
+assembled from them and the padding dropped.  The text that depends on the
+mesh alone is formatted once per mesh and kept on it: the positions, chunk
+by chunk, and a table of each distinct normal component and |K| value
 (both depend on z alone, so both sheets and every copy repeat them).
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -32,11 +38,8 @@ from .weierstrass import (
     unit_normal,
 )
 
-#: Decimal precision used for all exported floats; round-trips doubles exactly.
-EXPORT_DIGITS = 17
-_FLOAT = f"%.{EXPORT_DIGITS}g"
-
-#: Rows formatted per %-operation when writing; bounds the text held at once.
+#: Rows formatted and written per piece of export text; bounds the
+#: temporaries held at once.
 EXPORT_CHUNK = 2048
 
 
@@ -162,7 +165,8 @@ def build_mesh(lam, norm: Normalization, *, n_rad: int = 48, n_ang: int = 96,
     cells in the ring pair straddling a branch modulus take their upper
     corners from the other sheet's grid (and, where the alignment carries a
     period offset, from a translated duplicate vertex).  Ends are trimmed at
-    |z| in [r_min, r_max]; the second and later copies reuse the first
+    |z| in [r_min, r_max], finite with 0 < r_min < r_max (`immerse_grid`
+    raises ValueError otherwise); the second and later copies reuse the first
     copy's immersion values translated by multiples of the period vector,
     exactly.
     """
@@ -203,13 +207,16 @@ def export(mesh: SurfaceMesh, fmt: str, path) -> None:
     """Write the mesh as ASCII OBJ (v/vn/f) or PLY 1.0 (with |K| as quality).
 
     Output is deterministic: identical meshes produce byte-identical files.
-    Every float is written with %.17g.  The text that depends on the mesh
-    alone is formatted once per mesh, kept on it and shared by both formats:
-    the "x y z" text of the positions, and a table of each distinct normal
-    component and |K| value (by bit pattern, so -0.0 and 0.0 stay apart),
-    which both sheets and every translated copy repeat since they depend on
-    z alone.  Each vertex's index token of the face rows is formatted once
-    per export.  Rows are written EXPORT_CHUNK at a time.
+    Every float is written as Python's "%.17g" writes it, which round-trips
+    doubles exactly.  Doubles with 1e-4 <= |x| < 1e17 are formatted by numpy
+    for whole arrays at once (`_float_text`); the others (zeros, subnormals,
+    |x| < 1e-4, |x| >= 1e17, inf and nan) by "%.17g" one at a time.  The
+    text that depends on the mesh alone is formatted once per mesh, kept on
+    it and shared by both formats: the text of the positions, and a table of
+    each distinct normal component and |K| value (by bit pattern, so -0.0
+    and 0.0 stay apart), which both sheets and every translated copy repeat
+    since they depend on z alone.  The vertex numbers of the face rows are
+    formatted once per export.  Rows are written EXPORT_CHUNK at a time.
     """
     writers = {"obj": _obj_text, "ply": _ply_text}
     fmt = fmt.lower()
@@ -219,15 +226,139 @@ def export(mesh: SurfaceMesh, fmt: str, path) -> None:
         fh.writelines(writers[fmt](mesh))
 
 
-def _lines(row: str, values) -> str:
-    """Lines `row % values[r]`, one per row r of a 2-d array, formatted by one
-    %-operation."""
-    return (row + "\n") * len(values) % tuple(values.ravel().tolist())
+#: Bytes of the text of one double: "-d.dddddddddddddddde-ddd" at most.
+FLOAT_WIDTH = 24
+
+#: 10**0 .. 10**20, each an exact double, and their Veltkamp halves.
+_POW10 = np.array([float(10 ** k) for k in range(21)])
 
 
-def _strings(row: str, values) -> np.ndarray:
-    """Object array of the strings `row % values[r]`."""
-    return np.array(_lines(row, values).split("\n")[:-1], dtype=object)
+def _veltkamp(a):
+    """(hi, lo) with hi + lo = a exactly, each of at most 26 significant bits."""
+    c = 134217729.0 * a     # 2**27 + 1
+    hi = c - (c - a)
+    return hi, a - hi
+
+
+_POW10_HI, _POW10_LO = _veltkamp(_POW10)
+
+
+def _scaled(mag, k):
+    """(p, e): p = fl(mag * 10**k) and the exact error e = mag * 10**k - p
+    of Dekker's two-product, for 0 <= k <= 20 and 1e-4 <= mag < 1e17."""
+    p = mag * _POW10[k]
+    hi, lo = _veltkamp(mag)
+    ten_hi, ten_lo = _POW10_HI[k], _POW10_LO[k]
+    return p, ((hi * ten_hi - p) + hi * ten_lo + lo * ten_hi) + lo * ten_lo
+
+
+def _float_text(values) -> np.ndarray:
+    """The "%.17g" text of each double of `values` (flattened), one
+    (FLOAT_WIDTH,) uint8 row each, padded with zero bytes.
+
+    For 1e-4 <= |x| < 1e17, "%.17g" writes the 17 significant digits of |x|
+    in fixed notation.  With X = floor(log10 |x|) in [-4, 16], they are the
+    digits of N = round-half-even(|x| * 10**(16 - X)) in [1e16, 1e17), read
+    off the exact product p + e of `_scaled` as p + rint(e): p is an even
+    integer there, and np.rint rounds half to even.  A floor(log10) one off
+    near a power of ten moves X one step.  N never rounds up to 1e17: no
+    double of the range lies within half a unit of the 17th digit below a
+    power of ten.  The digits are laid out per exponent, the values sorted
+    by X, and the trailing zeros of the fraction (and a point with no
+    fraction left) are dropped.  Every other double is formatted by "%.17g"
+    one at a time.
+    """
+    x = np.asarray(values, dtype=np.float64).ravel()
+    mag = np.abs(x)
+    fast = (mag >= 1e-4) & (mag < 1e17)
+    mag[~fast] = 1.0
+    exp10 = np.floor(np.log10(mag)).astype(np.int8).clip(-4, 16)
+    p, e = _scaled(mag, 16 - exp10)
+    step = (((p > 1e17) | ((p == 1e17) & (e >= 0))).view(np.int8)     # p + e >= 1e17
+            - ((p < 1e16) | ((p == 1e16) & (e < 0))).view(np.int8))   # p + e < 1e16
+    moved = np.flatnonzero(step)
+    if len(moved):
+        exp10[moved] += step[moved]
+        p[moved], e[moved] = _scaled(mag[moved], 16 - exp10[moved])
+    sig = p.astype(np.int64) + np.rint(e).astype(np.int64)
+
+    # column-major text of the values sorted by exponent, so that each
+    # exponent's layout is a few block copies
+    order = np.argsort(exp10, kind="stable")
+    exp10, sig = exp10[order], sig[order]
+    digits = np.empty((17, len(x)), np.uint8)
+    high, low = np.divmod(sig, 10 ** 9)
+    for part, rows in ((low.astype(np.uint32), range(16, 7, -1)),
+                       (high.astype(np.uint32), range(7, -1, -1))):
+        for row in rows:
+            rest = part // 10
+            digits[row] = part - 10 * rest
+            part = rest
+    digits += ord("0")
+    text = np.zeros((FLOAT_WIDTH, len(x)), np.uint8)
+    text[0] = (x[order] < 0).view(np.uint8) * ord("-")
+    bounds = np.searchsorted(exp10, np.arange(-4, 18))
+    for exp, lo, hi in zip(range(-4, 17), bounds[:-1], bounds[1:]):
+        block = text[:, lo:hi]
+        if exp >= 0:        # exp + 1 digits before the point
+            block[1:exp + 2] = digits[:exp + 1, lo:hi]
+            block[exp + 2] = ord(".")
+            block[exp + 3:19] = digits[exp + 1:, lo:hi]
+        else:               # "0." and -exp - 1 zeros before the digits
+            block[1:2 - exp] = ord("0")
+            block[2] = ord(".")
+            block[2 - exp:19 - exp] = digits[:, lo:hi]
+
+    # drop the trailing zeros from the last digit back, and the point if
+    # they reach it
+    flat = text.ravel()
+    at = (18 - np.minimum(exp10, 0).astype(np.intp)) * len(x) + np.arange(len(x))
+    while len(at):
+        char = flat[at]
+        at = at[(char == ord("0")) | (char == ord("."))]
+        char = flat[at]
+        flat[at] = 0
+        at = at[char == ord("0")] - len(x)
+
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(x))
+    out = np.take(np.ascontiguousarray(text.T), rank, axis=0)
+    slow = np.flatnonzero(~fast)
+    if len(slow):
+        out[slow] = np.frombuffer(b"".join(
+            (b"%.17g" % v).ljust(FLOAT_WIDTH, b"\0") for v in x[slow].tolist()),
+            np.uint8).reshape(-1, FLOAT_WIDTH)
+    return out
+
+
+def _int_text(values) -> np.ndarray:
+    """The decimal text of each non-negative integer of `values`, one uint8
+    row each as wide as the largest, padded with zero bytes."""
+    n = np.asarray(values, dtype=np.int64).ravel()
+    width = len(str(n.max())) if len(n) else 1
+    text = np.empty((width, len(n)), np.uint8)
+    for row in range(width - 1, -1, -1):
+        rest = n // 10
+        text[row] = (n - 10 * rest + ord("0")) * ((n > 0) | (row == width - 1))
+        n = rest
+    return np.ascontiguousarray(text.T)
+
+
+def _concat(n: int, *parts) -> np.ndarray:
+    """(n, w) uint8 rows that put `parts` side by side: bytes, the same in
+    every row, or uint8 texts of n rows."""
+    return np.concatenate([
+        np.broadcast_to(np.frombuffer(part, np.uint8), (n, len(part))) if isinstance(part, bytes)
+        else part.reshape(n, math.prod(part.shape[1:])) for part in parts], axis=1)
+
+
+def _rows(prefix: bytes, *cells) -> str:
+    """Lines of `prefix` and the cells of each row: uint8 texts, each ending
+    in its separator, padded with zero bytes, which are dropped.  The last
+    separator of a line becomes its newline."""
+    line = _concat(len(cells[0]), prefix, *cells)
+    line[:, -1] = ord("\n")
+    return line.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _chunks(n: int):
@@ -235,42 +366,44 @@ def _chunks(n: int):
     return (slice(lo, lo + EXPORT_CHUNK) for lo in range(0, n, EXPORT_CHUNK))
 
 
-class _ExportText:
-    """Export text of one mesh that both formats share.
+def _float_cells(values) -> np.ndarray:
+    """`_float_text` of each value and a space, formatted EXPORT_CHUNK rows
+    at a time, in shape values.shape + (FLOAT_WIDTH + 1,)."""
+    cells = np.empty(values.shape + (FLOAT_WIDTH + 1,), np.uint8)
+    cells[..., FLOAT_WIDTH] = ord(" ")
+    for rows in _chunks(len(values)):
+        text = cells[rows, ..., :FLOAT_WIDTH]
+        text[...] = _float_text(values[rows]).reshape(text.shape)
+    return cells
 
-    `table` holds %.17g of each distinct double of [normals | abs_curvature],
-    keyed by bit pattern, and `index` (n, 4) the position of every value in
-    it.  `positions()` is the "x y z\n" text of each EXPORT_CHUNK block of
-    rows, formatted again only if EXPORT_CHUNK has changed since.
+
+class _ExportText:
+    """Export text of one mesh that both formats share, as `_float_cells`.
+
+    `positions` (n, 3, FLOAT_WIDTH + 1) holds the vertices, `table` each
+    distinct double of [normals | abs_curvature], keyed by bit pattern, and
+    `index` (n, 4) the row of every value in it.
     """
 
     def __init__(self, mesh: SurfaceMesh):
         values = np.column_stack([mesh.normals, mesh.abs_curvature])
         keys, index = np.unique(values.view(np.int64), return_inverse=True)
-        self.table = _strings(_FLOAT, keys.view(np.float64)[:, None])
+        self.table = _float_cells(keys.view(np.float64))
         self.index = index.reshape(values.shape)
-        self._vertices = mesh.vertices
-        self._blocks = None, []
-
-    def positions(self) -> list:
-        chunk, blocks = self._blocks
-        if chunk != EXPORT_CHUNK:
-            blocks = [_lines(f"{_FLOAT} {_FLOAT} {_FLOAT}", self._vertices[rows])
-                      for rows in _chunks(len(self._vertices))]
-            self._blocks = EXPORT_CHUNK, blocks
-        return blocks
+        self.positions = _float_cells(mesh.vertices)
 
 
 def _obj_text(mesh: SurfaceMesh):
     text = mesh._export_text
     yield "# riemann-examples surface mesh\n"
-    for block in text.positions():
-        yield "v " + block[:-1].replace("\n", "\nv ") + "\n"
     for rows in _chunks(mesh.n_vertices):
-        yield _lines("vn %s %s %s", text.table[text.index[rows, :3]])
-    corner = _strings("%d//%d", np.repeat(np.arange(1, mesh.n_vertices + 1), 2).reshape(-1, 2))
+        yield _rows(b"v ", text.positions[rows])
+    for rows in _chunks(mesh.n_vertices):
+        yield _rows(b"vn ", np.take(text.table, text.index[rows, :3], axis=0))
+    number = _int_text(np.arange(1, mesh.n_vertices + 1))
+    corner = _concat(mesh.n_vertices, number, b"//", number, b" ")
     for rows in _chunks(mesh.n_triangles):
-        yield _lines("f %s %s %s", corner[mesh.triangles[rows]])
+        yield _rows(b"f ", np.take(corner, mesh.triangles[rows], axis=0))
 
 
 def _ply_text(mesh: SurfaceMesh):
@@ -291,12 +424,8 @@ def _ply_text(mesh: SurfaceMesh):
         "property list uchar int vertex_indices",
         "end_header",
     ]) + "\n"
-    for rows, block in zip(_chunks(mesh.n_vertices), text.positions()):
-        xyz = block.split("\n")[:-1]
-        cells = np.empty((len(xyz), 5), dtype=object)
-        cells[:, 0] = xyz
-        cells[:, 1:] = text.table[text.index[rows]]
-        yield _lines("%s %s %s %s %s", cells)
-    token = _strings("%d", np.arange(mesh.n_vertices)[:, None])
+    for rows in _chunks(mesh.n_vertices):
+        yield _rows(b"", text.positions[rows], np.take(text.table, text.index[rows], axis=0))
+    number = _concat(mesh.n_vertices, _int_text(np.arange(mesh.n_vertices)), b" ")
     for rows in _chunks(mesh.n_triangles):
-        yield _lines("3 %s %s %s", token[mesh.triangles[rows]])
+        yield _rows(b"3 ", np.take(number, mesh.triangles[rows], axis=0))

@@ -769,7 +769,8 @@ def immerse_grid(lam, norm: Normalization, *, r_min: float, r_max: float,
     branch moduli (radii are shifted if a ring lands on one).  With
     closed=True an extra seam column at western angle + 2 pi is appended;
     for parameter bands where the full circuit is a translation period the
-    seam column sits exactly one period from the first column.
+    seam column sits exactly one period from the first column.  The radii
+    must be finite with 0 < r_min < r_max (ValueError otherwise).
 
     The paths are the stem, a chord below the axis from the base point to
     vertex (0, 0), then north up the western column and east along a row;
@@ -781,6 +782,9 @@ def immerse_grid(lam, norm: Normalization, *, r_min: float, r_max: float,
     lam = _matched_lambda(lam, norm)
     if n_ang % 2 != 0 or n_ang < 8 or n_rad < 2:
         raise ValueError("need even n_ang >= 8 and n_rad >= 2")
+    if not (math.isfinite(r_min) and math.isfinite(r_max) and 0.0 < r_min < r_max):
+        raise ValueError(f"grid radii need finite 0 < r_min < r_max, not r_min = {r_min!r}, "
+                         f"r_max = {r_max!r} (lam = {lam.value!r})")
     radii = _half_offset_radii(r_min, r_max, n_rad, lam)
     dtheta = 2.0 * math.pi / n_ang
     angles = -math.pi + (np.arange(n_ang + (1 if closed else 0)) + 0.5) * dtheta

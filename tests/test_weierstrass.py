@@ -91,6 +91,26 @@ def test_mismatched_normalization_is_refused_naming_both_lambdas(entry):
         _MISMATCHED_ENTRIES[entry](Lambda(2.0), Normalization.paper(Lambda(3.0)))
 
 
+_GRID_ENTRIES = {
+    "immerse_grid": lambda lam, norm, r_min, r_max: immerse_grid(
+        lam, norm, r_min=r_min, r_max=r_max, n_rad=8, n_ang=16),
+    "build_mesh": lambda lam, norm, r_min, r_max: build_mesh(
+        lam, norm, n_rad=8, n_ang=16, r_min=r_min, r_max=r_max),
+}
+
+
+@pytest.mark.parametrize("r_min, r_max", [(2.0, 1.0), (1.0, 1.0), (0.0, 1.0), (-1.0, 2.0),
+                                          (0.1, math.inf), (math.nan, 2.0)])
+@pytest.mark.parametrize("entry", sorted(_GRID_ENTRIES))
+def test_bad_grid_radii_are_refused_naming_lambda_and_both_radii(entry, r_min, r_max):
+    # (0.1, inf) used to build a mesh of non-finite vertices, and (2, 1)
+    # descending rings, with no error
+    lam = Lambda(0.5)
+    with pytest.raises(ValueError, match=re.escape(
+            f"r_min = {r_min!r}, r_max = {r_max!r} (lam = 0.5)")):
+        _GRID_ENTRIES[entry](lam, Normalization.paper(lam), r_min, r_max)
+
+
 def test_normalization_scale_symmetry():
     # the normalized family always rescales by the larger of sqrt(lam), 1/sqrt(lam)
     assert normalization_scale(Normalization.paper(Lambda(4.0))) == pytest.approx(2.0)
