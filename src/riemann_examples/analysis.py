@@ -90,6 +90,11 @@ class CurvatureGrid:
     n_ang: int = 512
 
 
+#: Columns of each ring evaluated by verify_curvature_bound: the two that
+#: bracket the vertex of the ring's concave product, and one on each side.
+RING_WINDOW = 4
+
+
 @dataclass(frozen=True)
 class CurvatureBoundReport:
     lam: Lambda
@@ -104,36 +109,49 @@ def verify_curvature_bound(lam, grid: CurvatureGrid | None = None) -> CurvatureB
     """Grid maximum of |K| on the normalized family over the large annulus,
     checked against the closed-form supremum max_abs_curvature.
 
-    Every node z = r e^(i theta) is evaluated in real polar arithmetic: by
-    the law of cosines |z - lam|^2 = r^2 + lam^2 - 2 lam r cos(theta) and
-    |z + 1/lam|^2 = r^2 + 1/lam^2 + (2 r / lam) cos(theta), so |K|^2 is
-    proportional to their product times (1 / (r (r + 1/r)^4))^2, with no
-    square root and no complex value; cos is even, so the ring maxima need
-    only the columns theta in [-pi, 0].  The rings whose maximum lies within
-    1e-12 (relative) of the largest are then re-evaluated exactly by
-    abs_gauss_curvature on the complex nodes, and max_abs_k and argmax (the
-    first maximal node in grid order) are taken there.  Rounding moves the
-    polar values by far less than 1e-12 near the maximum, so this equals the
-    exact evaluation of the whole grid.
+    On the ring |z| = r, |z - lam|^2 |z + 1/lam|^2 is, by the law of
+    cosines, P(c) = (r^2 + lam^2 - 2 lam r c)(r^2 + 1/lam^2 + (2 r / lam) c)
+    with c = cos(theta), and |K|^2 is P times (1 / (r (r + 1/r)^4))^2.  P is
+    concave in c, with vertex c* = (1/lam - lam)(r - 1/r) / 4, so a ring's
+    grid maximum lies at the columns theta in [-pi, 0] whose c bracket c*
+    (an end column if c* is outside [-1, 1]): one searchsorted finds them, and P is evaluated in real arithmetic on
+    RING_WINDOW columns about them, n_rad x 4 nodes in all.  The rings
+    within 1e-12 (relative) of the largest are re-evaluated exactly by
+    abs_gauss_curvature on their complex nodes, where max_abs_k and argmax
+    (the first maximal node in grid order) are taken; rounding moves P far
+    less than that near the maximum, so this is the whole grid's maximum.
 
-    max_abs_k and argmax are the grid's; refined_max is the supremum and
-    refined_argmax the one of +-i in the grid argmax's half-plane.  Raises
-    RiemannFamilyError if the grid maximum exceeds the supremum by more than
-    1e-12 relative, or exceeds 4.
+    refined_max is the supremum and refined_argmax the one of +-i in the
+    argmax's half-plane.  Raises ValueError, before any evaluation, for a
+    radius that is not finite and > 0 or n_rad or n_ang below 1, and
+    RiemannFamilyError if the grid maximum exceeds the supremum by more
+    than 1e-12 relative, or exceeds 4.
     """
     lam = as_lambda(lam)
     grid = grid or CurvatureGrid()
-    norm = Normalization.paper(lam)
     lv = lam.value
+    for name in ("r_min", "r_max"):
+        value = getattr(grid, name)
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError(f"lam = {lv!r}: curvature grid radii must be finite and > 0, "
+                             f"not {name} = {value!r}")
+    for name in ("n_rad", "n_ang"):
+        value = getattr(grid, name)
+        if not value >= 1:
+            raise ValueError(f"lam = {lv!r}: curvature grid needs {name} >= 1, "
+                             f"not {name} = {value!r}")
+    norm = Normalization.paper(lam)
     logr = np.linspace(math.log(grid.r_min), math.log(grid.r_max), grid.n_rad)
     theta = np.linspace(-math.pi, math.pi, grid.n_ang, endpoint=False)
     r, cos = np.exp(logr), np.cos(theta[:grid.n_ang // 2 + 1])
+    cstar = (1.0 / lv - lv) * (r - 1.0 / r) / 4.0
+    width = min(RING_WINDOW, len(cos))
+    first = np.clip(np.searchsorted(cos, cstar) - width // 2, 0, len(cos) - width)
+    c = cos[first[:, None] + np.arange(width)]
     rc = r[:, None]
-    # in place, so that only two (n_rad, n_ang/2 + 1) arrays are ever live:
-    # this grid sets the peak memory of `verify`
-    pq = (2.0 * lv * rc) * cos
+    pq = (2.0 * lv * rc) * c
     np.subtract(rc * rc + lv * lv, pq, out=pq)                # |z - lam|^2
-    q = (2.0 * rc / lv) * cos
+    q = (2.0 * rc / lv) * c
     q += rc * rc + 1.0 / (lv * lv)
     pq *= q                                                   # times |z + 1/lam|^2
     h = 1.0 / (r * (r + 1.0 / r) ** 4)
@@ -279,8 +297,10 @@ class FoliationSlice:
 
 #: A slice is a line when its fitted radius has run away beyond this cutoff
 #: and the linear part of its generalized circle fits as well as the circle,
-#: to 1e-12 of the slice's span (points collinear to roundoff fit both).
+#: to 1e-12 of the slice's span plus 8 ulp of the points' own size (points
+#: collinear to roundoff fit both, however far out they lie).
 LINE_RADIUS_CUTOFF = 1e6
+EPS = 2.0 ** -52              # the double precision machine epsilon
 
 
 def fit_generalized_circles(xy):
@@ -316,22 +336,24 @@ def fit_generalized_circles(xy):
         radius = scale * (np.sqrt(np.maximum(b * b + c * c - 4 * a * d, 0.0)) / (2 * abs(a)))[..., 0]
         center = centroid - scale[..., None] * np.concatenate([b, c], axis=-1) / (2 * a)
     span = np.maximum(np.linalg.norm(xy.max(axis=-2) - xy.min(axis=-2), axis=-1), 1.0)
-    line = (radius > LINE_RADIUS_CUTOFF) & (line_res <= circle_res + 1e-12 * span)
+    tie = 1e-12 * span + 8.0 * EPS * np.max(abs(xy), axis=(-2, -1))
+    line = (radius > LINE_RADIUS_CUTOFF) & (line_res <= circle_res + tie)
     return line, center, radius, np.where(line, line_res, circle_res)
 
 
-def foliation_slices(grids, heights, min_points: int = 16):
+def foliation_slices(norm, heights, min_points: int = 16):
     """Horizontal slices of the immersed surface, in closed form.
 
-    `grids` holds the two sheet grids of one immersion; they supply lam and
-    the normalization.  On the torus coordinate v of curve._curve_at,
+    `norm` is the surface's Normalization, or the two sheet grids of one
+    immersion, which supply it.  On the torus coordinate v of curve._curve_at,
     dx3 = Re(2 s dz / w) = -kappa Re dv with kappa = 4 s / sqrt(lam + 1/lam),
     so x3 = h0 - kappa (Re v - K) modulo s T3, where h0 is the height of the
     segment (0, lam), the line Re v = K through the end z = 0.  The slice
     x3 = c is therefore the vertical line Re v = a, with
     a = (K - (c - h0) / kappa) mod 2K and y = Im v in [0, 2K'): one closed
-    leaf per period, a line at the end heights (Re v = 0 or K).  Each slice
-    is sampled at `min_points` points y = 2K' (j + 1/4) / min_points, which
+    leaf per period, a line at the end heights (Re v = 0 or K, onto which
+    an a is set when it lies within the rounding it takes from c).  Each
+    slice is sampled at `min_points` points y = 2K' (j + 1/4) / min_points, which
     miss y = 0 and K', where those lines meet the ends and the branch points.
     The points are immersed on their own lifts in one call and moved by
     whole periods T to the height c.  All slices are fitted at once by
@@ -339,13 +361,15 @@ def foliation_slices(grids, heights, min_points: int = 16):
     slice raise InsufficientSlicePoints; heights that are not a 1-d sequence
     of finite numbers raise ValueError.
     """
-    by_sign = {g.sheet_sign: g for g in grids}
-    if len(by_sign) != 2:
-        raise ValueError("foliation slicing needs both sheet grids")
+    if not isinstance(norm, Normalization):
+        by_sign = {g.sheet_sign: g for g in norm}
+        if len(by_sign) != 2:
+            raise ValueError("foliation slicing needs both sheet grids")
+        norm = by_sign[+1].norm
     if min_points < 3:
         raise InsufficientSlicePoints(f"a slice needs at least 3 points to fit a curve, "
                                       f"not {min_points}")
-    lam, norm = by_sign[+1].lam, by_sign[+1].norm
+    lam = norm.lam
     lv, s = lam.value, normalization_scale(norm)
     heights = np.asarray(heights, dtype=float)
     if heights.ndim != 1:
@@ -358,6 +382,9 @@ def foliation_slices(grids, heights, min_points: int = 16):
     kappa = 4.0 * s / math.sqrt(lv + 1.0 / lv)
     h0 = _immerse(lam, norm, [0.5 * lv])[0][0, 2]
     a = np.mod(quarter - (heights - h0) / kappa, 2.0 * quarter)
+    end = np.rint(a / quarter)
+    snap = abs(a - end * quarter) <= 8.0 * EPS * ((abs(heights) + abs(h0)) / kappa + quarter)
+    a = np.where(snap, np.mod(end * quarter, 2.0 * quarter), a)
     y = 2.0 * quarter_c * (np.arange(min_points) + 0.25) / min_points
     z, w = _curve_at(a[:, None], y, lv)
     points = _lift_images(lam, norm, z.ravel(), w.ravel()).reshape(len(heights), min_points, 3)

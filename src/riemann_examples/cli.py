@@ -37,7 +37,7 @@ from .limits import (
     plane_limit_experiment,
 )
 from .mesh import build_mesh, export
-from .weierstrass import (Normalization, cycle_real_period, immerse, immerse_grid, period_vectors,
+from .weierstrass import (Normalization, cycle_real_period, immerse, period_vectors,
                           translation_cycle_vertices)
 
 SCHEMA = 1
@@ -193,12 +193,10 @@ def _suite_conjugate(lam: Lambda, rng) -> list:
 
 def _suite_foliation(lam: Lambda, rng) -> list:
     norm = Normalization.paper(lam)
-    grid = immerse_grid(lam, norm, r_min=0.1, r_max=10.0, n_rad=24, n_ang=48, closed=True)
-    grids = [grid, grid.sheet_partner]
     spacing = end_spacing(lam, norm)
     base = float(immerse(lam, norm, [complex(min(lam.value, 1.0) * 0.5)])[0].position[2])
     heights = base + spacing * np.linspace(0.25, 0.75, 8)
-    slices = foliation_slices(grids, heights)
+    slices = foliation_slices(norm, heights)
     worst = max((s.residual / s.radius if s.kind == "circle" else math.inf)
                 for s in slices)
     return [{"name": "level-circle-fit", "lambda": lam.value,

@@ -1,5 +1,6 @@
 import contextlib
 import math
+import re
 
 import numpy as np
 import pytest
@@ -223,6 +224,78 @@ def test_half_turn_ring_maxima_keep_the_complex_grid_max(lv, n_ang):
     # the ring maxima come from the columns theta in [-pi, 0] only, for even
     # and odd column counts, across the family
     _assert_polar_grid_is_the_complex_grid(Lambda(lv), CurvatureGrid(n_ang=n_ang))
+
+
+def _full_polar_grid_report(lam, grid):
+    """verify_curvature_bound's report from every column theta in [-pi, 0]
+    of every ring: the ring maxima of the whole polar grid, then the same
+    exact re-evaluation of the rings within 1e-12 of the largest."""
+    lv = lam.value
+    logr = np.linspace(math.log(grid.r_min), math.log(grid.r_max), grid.n_rad)
+    theta = np.linspace(-math.pi, math.pi, grid.n_ang, endpoint=False)
+    r, cos = np.exp(logr), np.cos(theta[:grid.n_ang // 2 + 1])
+    rc = r[:, None]
+    pq = (2.0 * lv * rc) * cos
+    np.subtract(rc * rc + lv * lv, pq, out=pq)
+    q = (2.0 * rc / lv) * cos
+    q += rc * rc + 1.0 / (lv * lv)
+    pq *= q
+    h = 1.0 / (r * (r + 1.0 / r) ** 4)
+    ring_max = pq.max(axis=1) * (h * h)
+    rows = np.flatnonzero(ring_max >= ring_max.max() * (1.0 - 1e-12))
+    z = np.exp(logr[rows, None] + 1j * theta[None, :])
+    k = abs_gauss_curvature(z, lam, Normalization.paper(lam))
+    idx = np.unravel_index(np.argmax(k), k.shape)
+    zmax = complex(z[idx])
+    return (float(k[idx]), zmax, max_abs_curvature(lam, Normalization.paper(lam)),
+            1j if zmax.imag >= 0 else -1j)
+
+
+_WINDOW_GRIDS = [
+    CurvatureGrid(n_rad=256, n_ang=256),
+    CurvatureGrid(n_rad=64, n_ang=64),
+    CurvatureGrid(r_min=0.5, r_max=2.0, n_rad=33, n_ang=10),
+    CurvatureGrid(n_rad=100, n_ang=1000),
+    CurvatureGrid(n_rad=64, n_ang=1),
+    CurvatureGrid(n_rad=64, n_ang=3),
+    CurvatureGrid(n_rad=1, n_ang=64),
+    CurvatureGrid(n_rad=8, n_ang=11),
+    CurvatureGrid(n_rad=64, n_ang=63),
+]
+
+
+@pytest.mark.parametrize("grid", _WINDOW_GRIDS, ids=lambda g: f"{g.n_rad}x{g.n_ang}")
+def test_ring_windows_report_what_the_full_polar_grid_reports(grid):
+    # each ring's maximum comes from the columns about the vertex of its
+    # concave product in cos(theta); the report is bitwise the one of all
+    # columns, across the family and within 1e-9 of lam = 1 (an odd column
+    # count leaves the rings r and 1/r different columns, so a vertex of the
+    # wrong sign shows there)
+    for lv in [*np.logspace(-6.0, 6.0, 25), 1.0 - 1e-9, 1.0, 1.0 + 1e-9]:
+        lam = Lambda(float(lv))
+        rep = verify_curvature_bound(lam, grid)
+        got = (rep.max_abs_k, rep.argmax, rep.refined_max, rep.refined_argmax)
+        assert got == _full_polar_grid_report(lam, grid), (lv, grid)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("r_min", 0.0), ("r_min", -1.0), ("r_min", math.nan), ("r_max", math.inf),
+    ("r_max", -math.inf), ("n_rad", 0), ("n_ang", 0), ("n_ang", -3)])
+def test_bad_curvature_grids_are_refused_naming_lambda_field_and_value(field, value,
+                                                                        monkeypatch):
+    # refused before anything is evaluated
+    monkeypatch.setattr(analysis, "abs_gauss_curvature", None)
+    grid = CurvatureGrid(**{"n_rad": 8, "n_ang": 8, field: value})
+    with pytest.raises(ValueError, match=rf"lam = 2\.0: .*{field} = {re.escape(repr(value))}$"):
+        verify_curvature_bound(Lambda(2.0), grid)
+
+
+@pytest.mark.parametrize("grid", [CurvatureGrid(r_min=2.0, r_max=0.5, n_rad=8, n_ang=8),
+                                  CurvatureGrid(n_rad=1, n_ang=8)])
+def test_reversed_radii_and_one_ring_still_give_reports(grid):
+    rep = verify_curvature_bound(Lambda(2.0), grid)
+    assert rep.max_abs_k <= rep.refined_max
+    assert (rep.max_abs_k, rep.argmax) == _complex_grid_max(Lambda(2.0), grid)
 
 
 # ---------------------------------------------------------------------------
@@ -453,6 +526,32 @@ def test_foliation_slices_repeat_by_the_period(lv, grids_lambda1):
         expected = base.points + n * t_vec
         scale = np.maximum(1.0, np.linalg.norm(expected, axis=1))
         assert np.all(np.linalg.norm(up.points - expected, axis=1) <= 1e-12 * scale)
+
+
+@pytest.mark.parametrize("lv", [1e-6, 1.0, 1e6])
+def test_end_slices_stay_lines_far_up_the_period(lv):
+    # the end heights 1e3 and 1e5 periods up carry the rounding of their
+    # size, which is no reason for a line to become a circle
+    lam = Lambda(lv)
+    for norm in (Normalization.raw(lam), Normalization.paper(lam), Normalization.spacing(lam)):
+        h0 = immerse(lam, norm, [0.5 * lv])[0].position[2]
+        t3 = period_vectors(lam, norm).translation[2]
+        for n in (0, 1e3, 1e5):
+            for s in foliation_slices(norm, h0 + t3 * (n + np.array([0.0, 0.5]))):
+                assert s.kind == "line", (norm.kind, n, s.height)
+
+
+@pytest.mark.parametrize("lv", [1e-6, 0.5, 1.0, 2.0, 1e6])
+def test_foliation_from_the_normalization_is_the_foliation_from_the_grids(lv):
+    lam = Lambda(lv)
+    norm = Normalization.paper(lam)
+    grid = immerse_grid(lam, norm, r_min=0.5, r_max=2.0, n_rad=2, n_ang=8)
+    heights = end_spacing(lam, norm) * np.linspace(-1.0, 1.0, 9)
+    for a, b in zip(foliation_slices(norm, heights), foliation_slices([grid, grid.sheet_partner],
+                                                                      heights)):
+        assert (a.height, a.kind, a.radius, a.residual) == (b.height, b.kind, b.radius, b.residual)
+        assert np.array_equal(a.points, b.points)
+        assert a.center is b.center is None or np.array_equal(a.center, b.center)
 
 
 def test_foliation_insufficient_points(grids_lambda1):
