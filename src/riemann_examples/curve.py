@@ -62,8 +62,9 @@ def curve_rhs(z, lam):
 
 def curve_residual(z, w, lam):
     """Relative residual of w^2 = z (z - lam)(z + 1/lam); scalars or arrays."""
-    lv, a = as_lambda(lam).value, abs(z)
-    return abs(w * w - curve_rhs(z, lv)) / ((1.0 + a) * (lv + a) * (1.0 / lv + a))
+    lam = as_lambda(lam)
+    lv, a = lam.value, abs(z)
+    return abs(w * w - curve_rhs(z, lam)) / ((1.0 + a) * (lv + a) * (1.0 / lv + a))
 
 
 def curve_rhs_derivative(z, lam):

@@ -382,14 +382,22 @@ class _ExportText:
 
     `positions` (n, 3, FLOAT_WIDTH + 1) holds the vertices, `table` each
     distinct double of [normals | abs_curvature], keyed by bit pattern, and
-    `index` (n, 4) the row of every value in it.
+    `index` (n, 4) the row of every value in it.  When those rows are the
+    provenance's copies of the first copy's, bit for bit (as build_mesh
+    tiles them), only the first copy's are looked up and its index tiled.
     """
 
     def __init__(self, mesh: SurfaceMesh):
-        values = np.column_stack([mesh.normals, mesh.abs_curvature])
+        n, copies = mesh.n_vertices, max(mesh.provenance.copies, 1)
+        rows = n // copies
+        if rows * copies != n or not all(
+                np.array_equal(a[k * rows:(k + 1) * rows].view(np.int64), a[:rows].view(np.int64))
+                for a in (mesh.normals, mesh.abs_curvature) for k in range(1, copies)):
+            rows, copies = n, 1
+        values = np.column_stack([mesh.normals[:rows], mesh.abs_curvature[:rows]])
         keys, index = np.unique(values.view(np.int64), return_inverse=True)
         self.table = _float_cells(keys.view(np.float64))
-        self.index = index.reshape(values.shape)
+        self.index = np.tile(index.reshape(values.shape), (copies, 1))
         self.positions = _float_cells(mesh.vertices)
 
 

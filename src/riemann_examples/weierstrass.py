@@ -36,10 +36,10 @@ the root sigma W is at Re sigma Psi(z) - Re Psi(1), plus sigma_before times
 the jump of each crossing on its path, plus n T for n translation circuits:
 immerse and immerse_grid need no routes, and evaluate the base point, their
 points and crossings in one _carlson call, as does the mesh alignment's batch
-of radial edges.  cycle_real_period sums chords one by one, as the
-independent check of the closed-form periods.  The quadrature of
-make_sheeted_path and path_integral (re-exported here) along route_vertices
-remains for reference computations.
+of radial edges; a grid's conjugate points are evaluated once (_mirror).
+cycle_real_period sums chords one by one, as the independent check of the
+closed-form periods.  The quadrature of make_sheeted_path and path_integral
+(re-exported here) along route_vertices remains for reference computations.
 Guards and snaps are curve.near_branch and curve.at_branch; detours, ring
 clearances and period cycles are fractions of the gaps between branch points.
 """
@@ -138,6 +138,7 @@ def _fixed_spacing_scale(lam_value: float) -> float:
     return 4.0 * math.pi / _raw_periods(lam_value)[1]
 
 
+@functools.lru_cache(maxsize=256)
 def _raw_periods(lam_value: float) -> tuple:
     """Raw translation period components (T1, T3), in closed form (T2 = 0).
 
@@ -449,9 +450,27 @@ def _crossings(za, zb, lam: Lambda, where):
     return flip, (k, x0[k], up_a[k], flip[k, None])
 
 
-def _ray(z, lam: Lambda, norm: Normalization, crossings):
+def _closed_form(z, lam: Lambda, norm: Normalization):
+    """W and Psi at the points z, by one _carlson call (see _ray)."""
+    x, y = z - lam.value, z + 1.0 / lam.value
+    w = np.sqrt(x) * np.sqrt(z) * np.sqrt(y)
+    rf, rd = _carlson(x, y, z)
+    s = normalization_scale(norm)
+    return w, s * np.stack([-4.0 / 3.0 * rd - 2.0 * w / z, 2j * w / z, -4.0 * rf], axis=-1)
+
+
+def _mirror(psi):
+    """Psi at the conjugate points: the data have real coefficients, so
+    Psi(conj z) = (conj Psi1, -conj Psi2, conj Psi3)(z) off the real axis."""
+    return np.conj(psi) * [1.0, -1.0, 1.0]
+
+
+def _ray(z, lam: Lambda, norm: Normalization, crossings, mirror=None):
     """W and Psi at the points z, of shapes (n,) and (n, 3), and by the same
     _carlson call the jumps, shape (m, 3), of the crossings of _crossings.
+    With mirror = (lower, upper), indices into z, each z[lower[k]] that is
+    exactly conj z[upper[k]], above the axis, takes conj W and _mirror(Psi)
+    from there, bitwise what _carlson would give it.
 
     W = sqrt(z - lam) sqrt(z) sqrt(z + 1/lam), each root principal, is a root
     of the curve with cuts (0, lam) and (-inf, -1/lam).  With A = 2 R_F(z - lam,
@@ -466,12 +485,18 @@ def _ray(z, lam: Lambda, norm: Normalization, crossings):
     (_, x0, up, f), n = crossings, len(z)
     z = np.concatenate((np.asarray(z, dtype=complex), x0))
     z += 0.0     # imaginary parts -0.0 -> +0.0
-    x, y = z - lam.value, z + 1.0 / lam.value
-    w = np.sqrt(x) * np.sqrt(z) * np.sqrt(y)
-    rf, rd = _carlson(x, y, z)
-    s = normalization_scale(norm)
-    psi = s * np.stack([-4.0 / 3.0 * rd - 2.0 * w / z, 2j * w / z, -4.0 * rf], axis=-1)
-    below = np.conj(psi[n:]) * [1.0, -1.0, 1.0]     # W, A, B conjugated: i W/x0 flips
+    if mirror is None:
+        w, psi = _closed_form(z, lam, norm)
+    else:
+        lower, upper = mirror
+        exact = (z[lower] == np.conj(z[upper])) & (z[upper].imag > 0.0)
+        lower, upper = lower[exact], upper[exact]
+        keep = np.ones(len(z), dtype=bool)
+        keep[lower] = False
+        w, psi = np.empty(len(z), dtype=complex), np.empty((len(z), 3), dtype=complex)
+        w[keep], psi[keep] = _closed_form(z[keep], lam, norm)
+        w[lower], psi[lower] = np.conj(w[upper]), _mirror(psi[upper])
+    below = _mirror(psi[n:])     # W, A, B conjugated: i W/x0 flips
     return w[:n], psi[:n], np.where(up[:, None], psi[n:] - f * below, below - f * psi[n:])
 
 
@@ -753,6 +778,14 @@ def _edge_locator(lam: Lambda, shape, a, b):
     return where
 
 
+def _column_mirror(n_row, n_col, n_ang, start=0):
+    """(lower, upper) indices for _ray of the points of n_row grid rows of
+    n_col columns, row-major from index start: column j < n_ang/2 of a
+    half-offset grid is the conjugate of column n_ang - 1 - j."""
+    idx = start + np.arange(n_row * n_col).reshape(n_row, n_col)
+    return idx[:, :n_ang // 2].ravel(), idx[:, n_ang - 1:n_ang // 2 - 1:-1].ravel()
+
+
 def _north_then_east(steps, ufunc):
     """Accumulate, in place, per-vertex steps on a grid (each on the edge into
     its vertex) north up the western column, then east along every row."""
@@ -766,16 +799,20 @@ def immerse_grid(lam, norm: Normalization, *, r_min: float, r_max: float,
     """Immerse a half-offset log-polar grid on the lifts of its grid paths.
 
     The grid avoids the real axis (angles are offset by half a step) and the
-    branch moduli (radii are shifted if a ring lands on one).  With
-    closed=True an extra seam column at western angle + 2 pi is appended;
-    for parameter bands where the full circuit is a translation period the
-    seam column sits exactly one period from the first column.  The radii
-    must be finite with 0 < r_min < r_max (ValueError otherwise).
+    branch moduli (radii are shifted if a ring lands on one).  The angles of
+    the lower half are the exact negatives of the upper half's, so its z are
+    the exact conjugates.  With closed=True an extra seam column at western
+    angle + 2 pi is appended; for parameter bands where the full circuit is
+    a translation period the seam column sits exactly one period from the
+    first column.  The radii must be finite with 0 < r_min < r_max
+    (ValueError otherwise).
 
     The paths are the stem, a chord below the axis from the base point to
     vertex (0, 0), then north up the western column and east along a row;
-    signs and crossing terms accumulate along them (_north_then_east).  Only
-    sheet +1 is computed; sheet -1 is its sheet_partner.  Errors from an
+    signs and crossing terms accumulate along them (_north_then_east).  One
+    _carlson call evaluates the base point, the upper half, the seam and the
+    crossings; the lower half's W and Psi are their mirror images (_ray).
+    Only sheet +1 is computed; sheet -1 is its sheet_partner.  Errors from an
     edge name lam, the requested sheet, the edge, the branch point and its
     guard radius.
     """
@@ -788,6 +825,7 @@ def immerse_grid(lam, norm: Normalization, *, r_min: float, r_max: float,
     radii = _half_offset_radii(r_min, r_max, n_rad, lam)
     dtheta = 2.0 * math.pi / n_ang
     angles = -math.pi + (np.arange(n_ang + (1 if closed else 0)) + 0.5) * dtheta
+    angles[:n_ang // 2] = -angles[n_ang - 1:n_ang // 2 - 1:-1]
     n_col = len(angles)
     zs = radii[:, None] * np.exp(1j * angles[None, :])
 
@@ -805,7 +843,8 @@ def immerse_grid(lam, norm: Normalization, *, r_min: float, r_max: float,
 
     z, ends = zs.ravel(), np.concatenate(([0], b))     # ends[k]: the vertex edge k leads to
     flip, crossings = _crossings(np.concatenate(([BASE_POINT], z[a])), z[ends], lam, where)
-    ws, psi, jump = _ray(np.concatenate(([BASE_POINT], z)), lam, norm, crossings)
+    ws, psi, jump = _ray(np.concatenate(([BASE_POINT], z)), lam, norm, crossings,
+                         _column_mirror(n_rad, n_col, n_ang, 1))
     sign = np.empty(n_rad * n_col)
     sign[ends] = flip
     sign = _north_then_east(sign.reshape(n_rad, n_col), np.multiply).ravel()
@@ -872,7 +911,9 @@ def radial_edge_alignment(grid: GridImmersion) -> RadialEdgeAlignment:
     where = _edge_locator(lam, grid.z.shape, a, b)
     za, zb = grid.z.flat[a], grid.z.flat[b]
     _, crossings = _crossings(za, zb, lam, where)       # none: radial edges stay off the axis
-    roots, psi, _ = _ray(np.concatenate((za, zb)), lam, norm, crossings)
+    n_ang = n_col - 1 if grid.closed else n_col
+    roots, psi, _ = _ray(np.concatenate((za, zb)), lam, norm, crossings,
+                         _column_mirror(2 * len(bands), n_col, n_ang))
     n = len(a)
     sign = np.where(np.abs(w[a] - roots[:n]) <= np.abs(w[a] + roots[:n]), 1.0, -1.0)
     w_end = sign * roots[n:]

@@ -436,7 +436,9 @@ def test_each_batch_of_edges_is_one_carlson_call(lv):
     # crossings in one _carlson call: a target crosses at most where its
     # sweep leaves the axis, a grid on its stem from 1 and on its edges, the
     # cycle on its chords.  So does a batch of edges: the alignment's band
-    # rows, which never cross the axis, and edges across both cuts.
+    # rows, which never cross the axis, and edges across both cuts.  A grid
+    # and the band rows evaluate only the upper half of their mirrored
+    # columns, and a closed grid's seam column.
     lam = Lambda(lv)
     norm = Normalization.paper(lam)
     targets = np.array([0.5 + 0.5j, -2.0 - 1.0j, 3.0j, 0.3 - 0.4j])
@@ -445,12 +447,14 @@ def test_each_batch_of_edges_is_one_carlson_call(lv):
         weierstrass.immerse(lam, norm, targets, winding=1)
     assert [points for _, points in calls] == [
         [1 + len(targets) + _axis_crossings(sweep, targets, lv)]]
-    with _carlson_work(weierstrass, "immerse_grid") as calls:
-        grid = weierstrass.immerse_grid(lam, norm, r_min=0.1, r_max=10.0, n_rad=8, n_ang=16)
-    z = grid.z
-    crossings = (_axis_crossings(1.0, z[0, 0], lv) + _axis_crossings(z[:-1, 0], z[1:, 0], lv)
-                 + _axis_crossings(z[:, :-1], z[:, 1:], lv))
-    assert [points for _, points in calls] == [[1 + z.size + crossings]]
+    for closed in (False, True):
+        with _carlson_work(weierstrass, "immerse_grid") as calls:
+            grid = weierstrass.immerse_grid(lam, norm, r_min=0.1, r_max=10.0, n_rad=8,
+                                            n_ang=16, closed=closed)
+        z = grid.z
+        crossings = (_axis_crossings(1.0, z[0, 0], lv) + _axis_crossings(z[:-1, 0], z[1:, 0], lv)
+                     + _axis_crossings(z[:, :-1], z[:, 1:], lv))
+        assert [points for _, points in calls] == [[1 + 8 * (8 + closed) + crossings]]
     cycle = weierstrass.companion_cycle_vertices(lam)
     with _carlson_work(weierstrass, "cycle_real_period") as calls:
         weierstrass.cycle_real_period(cycle, lam, norm)
@@ -465,7 +469,7 @@ def test_each_batch_of_edges_is_one_carlson_call(lv):
         _, crossings = weierstrass._crossings(za, zb, lam, str)
         weierstrass._ray(np.concatenate((za, zb)), lam, norm, crossings)
     assert bands > 0 and _axis_crossings(za, zb, lv) == 2
-    assert [points for _, points in rays] == [[2 * bands * grid.n_col], [2 * len(za) + 2]]
+    assert [points for _, points in rays] == [[2 * bands * (8 + 1)], [2 * len(za) + 2]]
 
 
 def test_foliation_points_lie_on_their_height(interior_slices):

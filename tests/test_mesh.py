@@ -1,10 +1,11 @@
+import dataclasses
 import gc
 import math
 import weakref
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from riemann_examples import mesh as mesh_module
 from riemann_examples.curve import Lambda
@@ -361,8 +362,12 @@ def special_values_mesh():
 def test_export_equals_reference_formatter(tmp_path, monkeypatch, fmt):
     from riemann_examples import mesh as mesh_module
     built = small_mesh(2.0, copies=2, n_rad=8, n_ang=16)
-    for name, m, chunk in (("built", built, None), ("special", special_values_mesh(), 2),
-                           ("empty", empty_mesh(), None)):
+    # the second copy's last |K| one ulp off: its rows no longer tile the first's
+    curv = built.abs_curvature.copy()
+    curv[-1] = np.nextafter(curv[-1], np.inf)
+    untiled = dataclasses.replace(built, abs_curvature=curv)
+    for name, m, chunk in (("built", built, None), ("untiled", untiled, None),
+                           ("special", special_values_mesh(), 2), ("empty", empty_mesh(), None)):
         if chunk is not None:
             monkeypatch.setattr(mesh_module, "EXPORT_CHUNK", chunk)
         path = tmp_path / f"{name}.{fmt}"
@@ -383,29 +388,40 @@ UNIT_POOL = ((0.0, 0.0, 1.0), (0.6, -0.8, 0.0), (1.0 / 3.0, 2.0 / 3.0, 2.0 / 3.0
 @st.composite
 def pooled_meshes(draw):
     """Small meshes whose floats repeat, drawn from VALUE_POOL and, for the
-    normals, UNIT_POOL with each component's sign flipped at random."""
+    normals, UNIT_POOL with each component's sign flipped at random.  The
+    provenance names 0-3 copies, and the normals and |K| may repeat per
+    copy, as build_mesh's do."""
+    copies = draw(st.integers(0, 3))
     n = draw(st.integers(0, 6))
     value = st.sampled_from(VALUE_POOL)
     sign = st.sampled_from((1.0, -1.0))
-    vertices = [draw(st.tuples(value, value, value)) for _ in range(n)]
     normals = [[s * c for s, c in zip(draw(st.tuples(sign, sign, sign)),
                                       draw(st.sampled_from(UNIT_POOL)))] for _ in range(n)]
     curvature = [draw(value) for _ in range(n)]
+    if draw(st.booleans()):
+        normals, curvature = normals * max(copies, 1), curvature * max(copies, 1)
+        n = len(normals)
+    vertices = [draw(st.tuples(value, value, value)) for _ in range(n)]
     index = st.integers(0, max(n - 1, 0))
     triangles = draw(st.lists(st.tuples(index, index, index), max_size=8 if n else 0))
     return SurfaceMesh(
         vertices=np.array(vertices).reshape(-1, 3),
         triangles=np.array(triangles, dtype=np.int64).reshape(-1, 3),
         normals=np.array(normals).reshape(-1, 3), abs_curvature=np.array(curvature),
-        provenance=empty_mesh().provenance)
+        provenance=dataclasses.replace(empty_mesh().provenance, copies=copies))
 
 
 @settings(max_examples=80, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(mesh=pooled_meshes(), chunk=st.sampled_from((1, 2, 3, 7, 2048)))
+@example(mesh=SurfaceMesh(
+    vertices=np.zeros((2, 3)), triangles=np.zeros((0, 3), dtype=np.int64),
+    normals=np.array([[0.0, 0.0, 1.0], [-0.0, 0.0, 1.0]]), abs_curvature=np.zeros(2),
+    provenance=dataclasses.replace(empty_mesh().provenance, copies=2)), chunk=2048)
 def test_export_equals_reference_on_repeated_values(tmp_path, mesh, chunk):
     # the writers format each distinct value once, keyed by bit pattern:
-    # -0.0 and 0.0 compare equal but must keep their own text
+    # -0.0 and 0.0 compare equal but must keep their own text, also where
+    # they are all that tells one copy's rows from another's
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(mesh_module, "EXPORT_CHUNK", chunk)
         for fmt in ("obj", "ply"):

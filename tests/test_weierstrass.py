@@ -888,6 +888,37 @@ def test_grid_edge_errors_name_lambda_sheet_edge_and_guard(monkeypatch, sheet):
     assert msg.endswith("lies in the guard disk of branch point 0j (radius 2.00e-05)")
 
 
+@pytest.mark.parametrize("lv", [1e-6, 0.35, 1.0, 4.851, 1e6])
+@pytest.mark.parametrize("closed", [False, True])
+def test_mirrored_grid_evaluation_is_the_direct_one_bitwise(monkeypatch, lv, closed):
+    # the lower-half columns are the exact conjugates of the upper half, so
+    # immerse_grid and the alignment's band rows evaluate only the upper half
+    # (and a closed grid's seam): by W(conj z) = conj W(z) the grid and the
+    # alignment are bitwise those of one _ray over every point
+    from riemann_examples import weierstrass
+    lam = Lambda(lv)
+    norm = Normalization.paper(lam)
+    m = max(lv, 1.0 / lv)
+
+    def build():
+        grid = immerse_grid(lam, norm, r_min=0.5 / m, r_max=2.0 * m, n_rad=12, n_ang=24,
+                            closed=closed)
+        return grid, radial_edge_alignment(grid)
+
+    grid, alignment = build()
+    assert np.array_equal(grid.angles[:12], -grid.angles[23:11:-1])
+    assert np.array_equal(grid.z[:, :12], np.conj(grid.z[:, 23:11:-1]))
+    ray = weierstrass._ray
+    monkeypatch.setattr(weierstrass, "_ray",
+                        lambda z, lam, norm, crossings, mirror=None: ray(z, lam, norm, crossings))
+    direct, direct_alignment = build()
+    assert np.array_equal(direct.z, grid.z)
+    assert np.array_equal(direct.w, grid.w)
+    assert np.array_equal(direct.positions, grid.positions)
+    assert np.array_equal(direct_alignment.upper, alignment.upper)
+    assert np.array_equal(direct_alignment.period_k, alignment.period_k)
+
+
 # ---------------------------------------------------------------------------
 # radial-edge alignment: the sheet check, the match checks, and sheet -1
 # against its own continuation
