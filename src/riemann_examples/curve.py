@@ -256,17 +256,6 @@ class SheetedPath:
         object.__setattr__(self, "w_values", w)
         object.__setattr__(self, "lam", as_lambda(self.lam))
 
-    def __len__(self) -> int:
-        return len(self.vertices)
-
-    @property
-    def start(self) -> CurvePoint:
-        return CurvePoint(self.vertices[0], self.w_values[0], self.lam)
-
-    @property
-    def end(self) -> CurvePoint:
-        return CurvePoint(self.vertices[-1], self.w_values[-1], self.lam)
-
     def reversed(self) -> "SheetedPath":
         return SheetedPath(self.vertices[::-1].copy(), self.w_values[::-1].copy(), self.lam)
 

@@ -242,9 +242,8 @@ def _decomposition_residuals(lam: Lambda, targets, factor, integrand, reference)
     pos = np.array([p.position for p in immerse(lam, norm, targets)])
     rhs = []
     for t in targets:
-        path, ss, se = make_sheeted_path(route_vertices(t, lam), lam)
-        rhs.append(reference(t) + path_integral(path, corr, singular_start=ss,
-                                                singular_end=se).real)
+        path = make_sheeted_path(route_vertices(t, lam), lam)
+        rhs.append(reference(t) + path_integral(path, corr).real)
     return np.linalg.norm(pos - np.array(rhs), axis=1)
 
 

@@ -2,10 +2,10 @@
 
 One fundamental-domain mesh covers both sheets of the cover over a trimmed
 annulus, built from the two closed grid immersions.  Cell assembly follows
-the sheet alignment of radial edges: for the single row pair straddling a
-branch modulus, cells past the branch crossing take their upper corners
-from the other sheet's grid, so triangles never bridge the two sheets
-incorrectly near a branch point.  Further copies are exact translates by
+the sheet alignment of radial edges: in the band rows, where the sign of
+w = sigma W changes between rings, cells past the branch crossing take
+their upper corners from the other sheet's grid, so triangles never bridge
+the two sheets incorrectly near a branch point.  Further copies are exact translates by
 the period vector T.
 
 The ASCII OBJ/PLY writers write every float as Python's "%.17g" does.
@@ -162,9 +162,9 @@ def build_mesh(lam, norm: Normalization, *, n_rad: int = 48, n_ang: int = 96,
     """Mesh of `copies` fundamental domains of the immersed surface.
 
     Quad cells follow the continuation alignment of their radial edges, so
-    cells in the ring pair straddling a branch modulus take their upper
-    corners from the other sheet's grid (and, where the alignment carries a
-    period offset, from a translated duplicate vertex).  Ends are trimmed at
+    cells in a band row of radial_edge_alignment take their upper corners
+    from the other sheet's grid (and, where the alignment carries a period
+    offset, from a translated duplicate vertex).  Ends are trimmed at
     |z| in [r_min, r_max], finite with 0 < r_min < r_max (`immerse_grid`
     raises ValueError otherwise); the second and later copies reuse the first
     copy's immersion values translated by multiples of the period vector,

@@ -5,13 +5,14 @@ at each node chosen as the root nearest to the linear interpolation of the
 continued end roots.  Square-root singular endpoints (paths that start or
 end at a finite branch point, which happens for every path at lam = 1
 where the base point is a branch point) are handled by the substitution
-u^2 = z - z_branch.
+u^2 = z - z_branch.  The path's own roots say which ends these are: an end
+with w = 0, which must be a branch point by curve.at_branch, the package's
+one snap.
 
 The immersion itself is in closed form (weierstrass); path_integral remains
 public API, the reference the tests check that closed form against, and the
 integrator of the limit decompositions' correction integrands, which are
-not Phi.  A singular end must be a branch point by curve.at_branch, the
-package's one snap.
+not Phi.
 """
 
 from __future__ import annotations
@@ -170,19 +171,23 @@ def _branch_segment_integral(fn, b, z_far, w_far, lam: Lambda, tol: float):
     return _adaptive_vec(f, 0.0, u_max, tol)
 
 
-def _assert_branch_endpoint(z, w, lam: Lambda, which: str):
-    """A singular end is a branch point, snapped by at_branch, with w = 0."""
-    if not at_branch(z, lam) or w != 0:
-        raise ValueError(f"path {which} flagged singular but is not at a branch point")
+def _singular_end(z, w, lam: Lambda, which: str) -> bool:
+    """Whether a path end is singular: w = 0 there, which must be at a branch
+    point by at_branch (else ValueError naming the end)."""
+    if w != 0:
+        return False
+    if not at_branch(z, lam):
+        raise ValueError(f"path {which} has w = 0 but is not at a branch point "
+                         f"(z = {z}, lam = {lam.value!r})")
+    return True
 
 
-def path_integral(path: SheetedPath, fn, *, singular_start: bool = False,
-                  singular_end: bool = False):
+def path_integral(path: SheetedPath, fn):
     """Contour integral of fn(z, w) dz along a sheeted path.
 
     fn must be vectorized: given equal-length arrays z, w it returns an array
-    of shape (..., len(z)).  Singular endpoint flags request the square-root
-    substitution for a first/last vertex sitting at a finite branch point.
+    of shape (..., len(z)).  A first or last vertex with w = 0 is a finite
+    branch point (_singular_end), integrated by the square-root substitution.
     """
     verts = path.vertices
     ws = path.w_values
@@ -192,13 +197,11 @@ def path_integral(path: SheetedPath, fn, *, singular_start: bool = False,
     if n < 2:
         return total
     i0, i1 = 0, n - 1
-    if singular_start:
-        _assert_branch_endpoint(verts[0], ws[0], lam, "start")
+    if _singular_end(verts[0], ws[0], lam, "start"):
         tol = TOL_PER_UNIT * max(abs(verts[1] - verts[0]), 1e-6)
         total += _branch_segment_integral(fn, verts[0], verts[1], ws[1], lam, tol)
         i0 = 1
-    if singular_end:
-        _assert_branch_endpoint(verts[-1], ws[-1], lam, "end")
+    if _singular_end(verts[-1], ws[-1], lam, "end"):
         tol = TOL_PER_UNIT * max(abs(verts[-1] - verts[-2]), 1e-6)
         total -= _branch_segment_integral(fn, verts[-1], verts[-2], ws[-2], lam, tol)
         i1 = n - 2
@@ -209,4 +212,3 @@ def path_integral(path: SheetedPath, fn, *, singular_start: bool = False,
         tol = TOL_PER_UNIT * abs(zb - za)
         total += _segment_integral(fn, za, ws[i], zb, ws[i + 1], lam, tol)
     return total
-

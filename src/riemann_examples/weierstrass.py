@@ -274,25 +274,23 @@ def weierstrass_integrand(norm: Normalization):
     return fn
 
 
-def integrate(path: SheetedPath, norm: Normalization, *,
-              singular_start: bool = False, singular_end: bool = False) -> np.ndarray:
-    """Real part of the Weierstrass contour integral along the path."""
-    val = path_integral(path, weierstrass_integrand(norm),
-                        singular_start=singular_start, singular_end=singular_end)
-    return val.real.copy()
+def integrate(path: SheetedPath, norm: Normalization) -> np.ndarray:
+    """Real part of the Weierstrass contour integral along the path; an end
+    with w = 0 is a branch point (path_integral)."""
+    return path_integral(path, weierstrass_integrand(norm)).real.copy()
 
 
 # ---------------------------------------------------------------------------
 # path construction
 # ---------------------------------------------------------------------------
 
-def make_sheeted_path(vertices, lam):
-    """Build a SheetedPath on sheet +1, detecting branch-point endpoints.
+def make_sheeted_path(vertices, lam) -> SheetedPath:
+    """The SheetedPath on sheet +1 along the vertices.
 
-    Returns (path, singular_start, singular_end).  A first vertex at a finite
-    branch point is seeded by the +1 departure germ, any other by the
-    principal root; a last vertex at a branch point is stored with w = 0 and
-    must be integrated with the singular_end flag.
+    A first vertex at a finite branch point is seeded by the +1 departure
+    germ, any other by the principal root; a first or last vertex at a
+    branch point is stored with w = 0, which path_integral reads as a
+    singular end.
     """
     lam = as_lambda(lam)
     verts = np.asarray(vertices, dtype=complex)
@@ -308,7 +306,7 @@ def make_sheeted_path(vertices, lam):
     b_end = branch_at(verts[-1]) if len(verts) > 1 else None
     if len(verts) == 2 and b_start is not None and b_start == b_end:
         # both ends snap to the same branch point: the path is that point
-        return SheetedPath([b_start], [0.0j], lam), False, False
+        return SheetedPath([b_start], [0.0j], lam)
 
     body = verts[:-1] if b_end is not None else verts
     if b_start is not None:
@@ -318,7 +316,7 @@ def make_sheeted_path(vertices, lam):
     if b_end is not None:
         path = SheetedPath(np.append(path.vertices, b_end),
                            np.append(path.w_values, 0.0j), lam)
-    return path, b_start is not None, b_end is not None
+    return path
 
 
 def _radial_leg(r_from: float, r_to: float, angle: float, lam: Lambda):
@@ -450,11 +448,16 @@ def _crossings(za, zb, lam: Lambda, where):
     return flip, (k, x0[k], up_a[k], flip[k, None])
 
 
+def _root(z, lam: Lambda):
+    """W = sqrt(z - lam) sqrt(z) sqrt(z + 1/lam), each root principal: the
+    root of the curve with cuts (0, lam) and (-inf, -1/lam)."""
+    return np.sqrt(z - lam.value) * np.sqrt(z) * np.sqrt(z + 1.0 / lam.value)
+
+
 def _closed_form(z, lam: Lambda, norm: Normalization):
     """W and Psi at the points z, by one _carlson call (see _ray)."""
-    x, y = z - lam.value, z + 1.0 / lam.value
-    w = np.sqrt(x) * np.sqrt(z) * np.sqrt(y)
-    rf, rd = _carlson(x, y, z)
+    w = _root(z, lam)
+    rf, rd = _carlson(z - lam.value, z + 1.0 / lam.value, z)
     s = normalization_scale(norm)
     return w, s * np.stack([-4.0 / 3.0 * rd - 2.0 * w / z, 2j * w / z, -4.0 * rf], axis=-1)
 
@@ -472,15 +475,14 @@ def _ray(z, lam: Lambda, norm: Normalization, crossings, mirror=None):
     exactly conj z[upper[k]], above the axis, takes conj W and _mirror(Psi)
     from there, bitwise what _carlson would give it.
 
-    W = sqrt(z - lam) sqrt(z) sqrt(z + 1/lam), each root principal, is a root
-    of the curve with cuts (0, lam) and (-inf, -1/lam).  With A = 2 R_F(z - lam,
-    z, z + 1/lam) and B = (2/3) R_D(z - lam, z + 1/lam, z), the integrals of
-    dt/W and dt/(t W) along the horizontal ray from z to +inf (DLMF 19.16,
-    19.29), Psi = s (-2 B - 2 W/z, 2 i W/z, -2 A) is an antiderivative of
-    Phi(z, W) off (-inf, lam], since d(w/z)/dz = (1 + z^2)/(2 z w) on the
-    curve.  Points on the real axis give the limits from above.  An edge that
-    crosses at x0 adds sigma_a Psi(x0 on za's side) - sigma_b Psi(x0 on zb's
-    side), whose value for sigma_a = 1 is the jump.
+    W is _root.  With A = 2 R_F(z - lam, z, z + 1/lam) and
+    B = (2/3) R_D(z - lam, z + 1/lam, z), the integrals of dt/W and dt/(t W)
+    along the horizontal ray from z to +inf (DLMF 19.16, 19.29),
+    Psi = s (-2 B - 2 W/z, 2 i W/z, -2 A) is an antiderivative of Phi(z, W)
+    off (-inf, lam], since d(w/z)/dz = (1 + z^2)/(2 z w) on the curve.
+    Points on the real axis give the limits from above.  An edge that crosses
+    at x0 adds sigma_a Psi(x0 on za's side) - sigma_b Psi(x0 on zb's side),
+    whose value for sigma_a = 1 is the jump.
     """
     (_, x0, up, f), n = crossings, len(z)
     z = np.concatenate((np.asarray(z, dtype=complex), x0))
@@ -751,12 +753,15 @@ class GridImmersion:
         return self.z[:, :stop].ravel(), self.positions[:, :stop].reshape(-1, 3)
 
 
-def _half_offset_radii(r_min: float, r_max: float, n_rad: int, lam: Lambda):
+def _half_offset_radii(r_min: float, r_max: float, n_rad: int, n_ang: int, lam: Lambda):
     step = (math.log(r_max) - math.log(r_min)) / n_rad
     radii = np.exp(math.log(r_min) + (np.arange(n_rad) + 0.5) * step)
-    # keep every ring 4 guard radii (4 GUARD_RATIO m) clear of each branch modulus m
+    # keep every ring r, and the axis crossing r cos(pi/n_ang) of its chords,
+    # 4 guard radii (4 GUARD_RATIO m) clear of each branch modulus m
+    chord = math.cos(math.pi / n_ang)
     for _ in range(4):
         if all(np.min(np.abs(radii - m)) >= max(0.02 * step, 4.0 * GUARD_RATIO) * m
+               and np.min(np.abs(chord * radii - m)) >= 4.0 * GUARD_RATIO * m
                for m in (lam.value, 1.0 / lam.value)):
             return radii
         radii = radii * math.exp(0.137 * step)
@@ -799,13 +804,13 @@ def immerse_grid(lam, norm: Normalization, *, r_min: float, r_max: float,
     """Immerse a half-offset log-polar grid on the lifts of its grid paths.
 
     The grid avoids the real axis (angles are offset by half a step) and the
-    branch moduli (radii are shifted if a ring lands on one).  The angles of
-    the lower half are the exact negatives of the upper half's, so its z are
-    the exact conjugates.  With closed=True an extra seam column at western
-    angle + 2 pi is appended; for parameter bands where the full circuit is
-    a translation period the seam column sits exactly one period from the
-    first column.  The radii must be finite with 0 < r_min < r_max
-    (ValueError otherwise).
+    branch moduli (radii are shifted if a ring, or the axis crossing of its
+    chords, lands on one).  The angles of the lower half are the exact
+    negatives of the upper half's, so its z are the exact conjugates.  With
+    closed=True an extra seam column at western angle + 2 pi is appended;
+    for parameter bands where the full circuit is a translation period the
+    seam column sits exactly one period from the first column.  The radii
+    must be finite with 0 < r_min < r_max (ValueError otherwise).
 
     The paths are the stem, a chord below the axis from the base point to
     vertex (0, 0), then north up the western column and east along a row;
@@ -822,7 +827,7 @@ def immerse_grid(lam, norm: Normalization, *, r_min: float, r_max: float,
     if not (math.isfinite(r_min) and math.isfinite(r_max) and 0.0 < r_min < r_max):
         raise ValueError(f"grid radii need finite 0 < r_min < r_max, not r_min = {r_min!r}, "
                          f"r_max = {r_max!r} (lam = {lam.value!r})")
-    radii = _half_offset_radii(r_min, r_max, n_rad, lam)
+    radii = _half_offset_radii(r_min, r_max, n_rad, n_ang, lam)
     dtheta = 2.0 * math.pi / n_ang
     angles = -math.pi + (np.arange(n_ang + (1 if closed else 0)) + 0.5) * dtheta
     angles[:n_ang // 2] = -angles[n_ang - 1:n_ang // 2 - 1:-1]
@@ -870,8 +875,9 @@ class RadialEdgeAlignment:
 
     Continuing from vertex (i, j) of block s to the next ring lands on vertex
     `upper[s, i, j]`, which is (i+1, j) of either block, translated by
-    `period_k[s, i, j]` periods.  Away from the (at most two) ring pairs that
-    straddle a branch modulus this is (i+1, j) of block s itself, unshifted.
+    `period_k[s, i, j]` periods.  Away from the band rows, where the sign
+    sigma of the root w = sigma W changes between rings i and i+1 in some
+    column, this is (i+1, j) of block s itself, unshifted.
     """
 
     upper: np.ndarray
@@ -879,50 +885,51 @@ class RadialEdgeAlignment:
 
 
 def radial_edge_alignment(grid: GridImmersion) -> RadialEdgeAlignment:
-    """Empirical radial-edge alignment for a sheet +1 grid and its
-    sheet_partner (roots -w, positions C - x).
+    """Radial-edge alignment for a sheet +1 grid and its sheet_partner (roots
+    -w, positions C - x).
 
-    Only sheet +1's band-row edges (whose radius interval straddles a branch
-    modulus) are continued and integrated in closed form by one _ray call:
-    at half-offset angles they never meet the real axis, so the root sigma_a
-    W_a at the start ends as sigma_a W_b, at pos[a] + Re sigma_a (Psi_b -
-    Psi_a).  Each lands on the sheet whose upper root is nearer to the
-    continued root, k = rint(gap.T / |T|^2) periods away; a root off by more
-    than 1e-6 (1 + |w|), or a position off by more than 1e-6 max(1, |x|)
-    after k periods, raises QuadratureFailure.  By the deck involution,
-    sheet -1's edge lands on the other block, -k periods away.  A sheet -1
-    grid raises ValueError.
+    Each vertex's root is w = sigma W (_root).  A radial edge at a
+    half-offset angle never meets the real axis, so it keeps sigma: from
+    vertex a it ends on the root sigma_a W_b, at pos[a] + Re sigma_a (Psi_b -
+    Psi_a), on sheet +1's vertex b if sigma_a = sigma_b, else on its partner
+    (-w[b], C - pos[b]).  sigma flips exactly where the loop that closes the
+    edge through the grid paths encloses an odd number of branch points, so
+    only the band rows, where sigma changes in some column, are continued,
+    every column of them, by one _ray call.  Each lands
+    k = rint(gap.T / |T|^2) periods away; a root off by more than
+    1e-6 (1 + |w|), or a position off by more than 1e-6 max(1, |x|) after k
+    periods, raises QuadratureFailure.  By the deck involution, sheet -1's
+    edge lands on the other block, -k periods away.  A sheet -1 grid raises
+    ValueError.
     """
     if grid.sheet_sign < 0:
         raise ValueError("radial_edge_alignment takes a sheet +1 grid, not its sheet_partner")
-    lam, norm, radii = grid.lam, grid.norm, grid.radii
+    lam, norm = grid.lam, grid.norm
     t_vec = period_vectors(lam, norm).translation
-    bands = [i for i, (r0, r1) in enumerate(zip(radii[:-1], radii[1:]))
-             if any(r0 < m < r1 for m in (lam.value, 1.0 / lam.value))]
+    sigma = np.where((grid.w * np.conj(_root(grid.z, lam))).real >= 0.0, 1.0, -1.0)
+    bands = np.flatnonzero(np.any(sigma[1:] != sigma[:-1], axis=1))
     n_rad, n_col = grid.z.shape
     block = n_rad * n_col
     upper = np.arange(2 * block).reshape(2, n_rad, n_col)[:, 1:].copy()
     period_k = np.zeros(upper.shape, dtype=int)
-    a = (np.array(bands, dtype=int)[:, None] * n_col + np.arange(n_col)).ravel()
+    a = (bands[:, None] * n_col + np.arange(n_col)).ravel()
     b = a + n_col
-    partner = grid.sheet_partner
-    w = np.concatenate((grid.w.ravel(), partner.w.ravel()))
-    pos = np.concatenate((grid.positions.reshape(-1, 3), partner.positions.reshape(-1, 3)))
     where = _edge_locator(lam, grid.z.shape, a, b)
     za, zb = grid.z.flat[a], grid.z.flat[b]
     _, crossings = _crossings(za, zb, lam, where)       # none: radial edges stay off the axis
     n_ang = n_col - 1 if grid.closed else n_col
     roots, psi, _ = _ray(np.concatenate((za, zb)), lam, norm, crossings,
                          _column_mirror(2 * len(bands), n_col, n_ang))
-    n = len(a)
-    sign = np.where(np.abs(w[a] - roots[:n]) <= np.abs(w[a] + roots[:n]), 1.0, -1.0)
+    n, pos = len(a), grid.positions.reshape(-1, 3)
+    sign, same = sigma.flat[a], sigma.flat[a] == sigma.flat[b]
     w_end = sign * roots[n:]
     end = pos[a] + (sign[:, None] * (psi[n:] - psi[:n])).real
-    up = np.where(np.abs(w[b] - w_end) <= np.abs(w[b] + w_end), b, b + block)
-    gap = end - pos[up]
+    up = np.where(same, b, b + block)
+    w_up = np.where(same, grid.w.flat[b], -grid.w.flat[b])
+    gap = end - np.where(same[:, None], pos[b], sheet_connection(lam, norm) - pos[b])
     k = np.rint(gap @ t_vec / (t_vec @ t_vec))
     tol = 1e-6 * np.maximum(1.0, np.linalg.norm(end, axis=1))
-    hit = ((np.abs(w[up] - w_end) <= 1e-6 * (1.0 + np.abs(w_end)))
+    hit = ((np.abs(w_up - w_end) <= 1e-6 * (1.0 + np.abs(w_end)))
            & (np.linalg.norm(gap - k[:, None] * t_vec, axis=1) < tol))
     if not hit.all():
         j = np.flatnonzero(~hit)[0]

@@ -111,6 +111,22 @@ def test_bad_grid_radii_are_refused_naming_lambda_and_both_radii(entry, r_min, r
         _GRID_ENTRIES[entry](lam, Normalization.paper(lam), r_min, r_max)
 
 
+@pytest.mark.parametrize("k", [3, 5, 8])
+def test_rings_clear_the_axis_crossings_of_their_chords(k):
+    # lam exactly where the chords of ring k of a 12x8 grid over [0.1, 10]
+    # cross the positive axis: the rings are shifted until r cos(pi/8) is 4
+    # guard radii clear of lam and 1/lam, so the grid and its mesh build
+    # (both used to raise BranchTooClose on that crossing)
+    chord = math.cos(math.pi / 8)
+    lam = Lambda(math.exp(math.log(0.1) + (k + 0.5) * math.log(100.0) / 12) * chord)
+    norm = Normalization.paper(lam)
+    grid = immerse_grid(lam, norm, r_min=0.1, r_max=10.0, n_rad=12, n_ang=8, closed=True)
+    for m in (lam.value, 1.0 / lam.value):
+        assert np.min(np.abs(chord * grid.radii - m)) >= 4e-6 * m
+    mesh = build_mesh(lam, norm, n_rad=12, n_ang=8, r_min=0.1, r_max=10.0)
+    assert np.all(np.isfinite(mesh.vertices))
+
+
 def test_normalization_scale_symmetry():
     # the normalized family always rescales by the larger of sqrt(lam), 1/sqrt(lam)
     assert normalization_scale(Normalization.paper(Lambda(4.0))) == pytest.approx(2.0)
@@ -186,6 +202,17 @@ def test_reversed_path_negates_integral():
     assert np.allclose(fwd, -bwd, atol=1e-10)
 
 
+@pytest.mark.parametrize("which", ["start", "end"])
+def test_an_end_with_w_zero_off_a_branch_point_is_refused_naming_it(which):
+    # w = 0 at a path end declares it a branch point; off one it is refused
+    lam = Lambda(2.0)
+    verts = np.array([0.5 + 0.5j, 0.6 + 0.5j])
+    w = np.array([principal_w(z, lam) for z in verts])
+    w[0 if which == "start" else -1] = 0.0
+    with pytest.raises(ValueError, match=f"path {which} has w = 0 but is not at a branch point"):
+        integrate(SheetedPath(verts, w, lam), Normalization.paper(lam))
+
+
 def test_homotopic_routes_agree():
     lam = Lambda(2.0)
     norm = Normalization.paper(lam)
@@ -195,8 +222,7 @@ def test_homotopic_routes_agree():
     from riemann_examples.weierstrass import _angular_leg, _radial_leg
     verts = [BASE_POINT] + _angular_leg(1.0, 0.0, 2.2) + _radial_leg(1.0, 0.7, 2.2, lam)
     verts[-1] = target
-    path, ss, se = make_sheeted_path(verts, lam)
-    alt = integrate(path, norm, singular_start=ss, singular_end=se)
+    alt = integrate(make_sheeted_path(verts, lam), norm)
     assert np.linalg.norm(direct - alt) < 1e-9
 
 
@@ -227,8 +253,7 @@ def _upper_semicircle_x3(lam, norm):
     end spacing for lam >= 1, where the semicircle separates the branch
     points 0 and -1/lam from lam."""
     verts = np.exp(1j * np.linspace(0.0, math.pi, 97))
-    path, ss, se = make_sheeted_path(verts, lam)
-    return float(integrate(path, norm, singular_start=ss, singular_end=se)[2])
+    return float(integrate(make_sheeted_path(verts, lam), norm)[2])
 
 
 def test_end_spacing_matches_semicircle_quadrature_for_large_lam():
@@ -566,9 +591,9 @@ def test_end_spacing_orientation_and_fixed_spacing_normalization():
     lam = Lambda(5.0)
     norm = Normalization.paper(lam)
     verts = np.exp(1j * np.linspace(0.0, math.pi, 97))
-    path, ss, se = make_sheeted_path(verts, lam)
-    fwd = integrate(path, norm, singular_start=ss, singular_end=se)
-    bwd = integrate(path.reversed(), norm, singular_start=se, singular_end=ss)
+    path = make_sheeted_path(verts, lam)
+    fwd = integrate(path, norm)
+    bwd = integrate(path.reversed(), norm)
     assert fwd[2] == pytest.approx(-bwd[2], abs=1e-10)
 
     spacing = vertical_end_spacing(lam, Normalization.spacing(lam))
@@ -629,8 +654,7 @@ def _scalar_immerse(lam, norm, target, winding, sheet_sign):
     at_end = abs(curve_rhs(target, lam)) < 1e-12
     offset = np.zeros(3)
     if sheet_sign < 0 and not at_base:
-        path, _, singular_end = make_sheeted_path([BASE_POINT, lam.value], lam)
-        offset = 2.0 * integrate(path, norm, singular_end=singular_end)
+        offset = 2.0 * integrate(make_sheeted_path([BASE_POINT, lam.value], lam), norm)
     if len(verts) == 1:
         return offset, sheet_sign * principal_w(BASE_POINT, lam)
     body = verts[:-1] if at_end else verts
@@ -640,7 +664,7 @@ def _scalar_immerse(lam, norm, target, winding, sheet_sign):
         path = continue_sheet(body, sheet_sign * principal_w(BASE_POINT, lam), lam)
     if at_end:
         path = SheetedPath(np.append(path.vertices, target), np.append(path.w_values, 0j), lam)
-    pos = integrate(path, norm, singular_start=at_base, singular_end=at_end)
+    pos = integrate(path, norm)
     return offset + pos, path.w_values[-1]
 
 
@@ -776,7 +800,7 @@ def _scalar_grid(lam, norm, radii, angles, sheet_sign):
     w = np.zeros(z.shape, dtype=complex)
     pos = np.zeros(z.shape + (3,))
     w[0, 0] = path.w_values[-1]
-    pos[0, 0] = path_integral(path, fn, singular_start=ss).real
+    pos[0, 0] = path_integral(path, fn).real
     if sheet_sign < 0 and not ss:
         pos[0, 0] += sheet_connection(lam, norm)
 
@@ -966,24 +990,45 @@ def test_alignment_refuses_an_edge_that_lands_on_no_vertex(lv, miss):
         "continued end matched no grid vertex")
 
 
-@pytest.mark.parametrize("lv", [0.354, 1.0 - 1e-6, 1.0, 1.0 + 1e-6, 4.851])
-def test_sheet_minus_alignment_matches_its_own_continuation(lv):
-    # every radial edge of sheet -1, continued from sheet -1's own vertices,
-    # ends on upper[1] shifted by period_k[1] periods
-    grid = _alignment_grid(lv)
-    minus = grid.sheet_partner
+#: Ring 5 of the 12-ring grid over [0.1, 10].
+_R5 = 0.1 * 100.0 ** (5.5 / 12.0)
+
+#: (lam, (r_min, r_max, n_rad, n_ang)) of the alignment checks: 24x48 grids,
+#: then branch points between a ring and the axis crossing r cos(pi/n_ang)
+#: of its chords, where the row of the straddled ring radii is no band row:
+#: 1/lam at 1.02 r5 and lam at 0.96 r5 on 12x8 grids, and lam = 0.3 and 2.0
+#: on 48x8 grids over [1/40, 40].
+_ALIGNMENT_CASES = (
+    [pytest.param(lv, (0.1, 10.0, 24, 48), id=str(lv))
+     for lv in (0.354, 1.0 - 1e-6, 1.0, 1.0 + 1e-6, 4.851)]
+    + [pytest.param(f * _R5, (0.1, 10.0, 12, 8), id=f"{f}r5-12x8") for f in (1.02, 0.96)]
+    + [pytest.param(lv, (1.0 / 40.0, 40.0, 48, 8), id=f"{lv}-48x8") for lv in (0.3, 2.0)])
+
+
+@pytest.mark.parametrize("lv, spec", _ALIGNMENT_CASES)
+def test_sheet_minus_alignment_matches_its_own_continuation(lv, spec):
+    # every radial edge of either sheet, continued from that sheet's own
+    # vertices, ends on upper[s] shifted by period_k[s] periods
+    lam = Lambda(lv)
+    r_min, r_max, n_rad, n_ang = spec
+    grid = immerse_grid(lam, Normalization.paper(lam), r_min=r_min, r_max=r_max,
+                        n_rad=n_rad, n_ang=n_ang, closed=True)
+    pair = (grid, grid.sheet_partner)
     alignment = radial_edge_alignment(grid)
     t_vec = period_vectors(grid.lam, grid.norm).translation
-    z, w = minus.z.ravel(), minus.w.ravel()
-    a = np.arange(z.size - grid.n_col)
-    w_end, vals = continue_edges(z[a], w[a], z[a + grid.n_col], grid.lam, grid.norm,
-                                 lambda k: f"edge {k}")
-    end = minus.positions.reshape(-1, 3)[a] + vals
-    up, k = alignment.upper[1].ravel(), alignment.period_k[1].ravel()
-    w_pair = np.concatenate([grid.w.ravel(), w])
-    pos_pair = np.concatenate([grid.positions.reshape(-1, 3), minus.positions.reshape(-1, 3)])
-    scale = np.maximum(1.0, np.linalg.norm(end, axis=1))
-    assert np.all(np.abs(w_pair[up] - w_end) <= 1e-9 * (1.0 + np.abs(w_end)))
-    assert np.all(np.linalg.norm(end - pos_pair[up] - k[:, None] * t_vec, axis=1) <= 1e-9 * scale)
-    # the band rows cross to sheet +1, and some of their edges gain a period
-    assert np.any(up < z.size) and np.any(k != 0)
+    w_pair = np.concatenate([g.w.ravel() for g in pair])
+    pos_pair = np.concatenate([g.positions.reshape(-1, 3) for g in pair])
+    z, block = grid.z.ravel(), grid.z.size
+    a = np.arange(block - grid.n_col)
+    for s, g in enumerate(pair):
+        w_end, vals = continue_edges(z[a], g.w.ravel()[a], z[a + grid.n_col], grid.lam,
+                                     grid.norm, lambda k: f"edge {k}")
+        end = g.positions.reshape(-1, 3)[a] + vals
+        up, k = alignment.upper[s].ravel(), alignment.period_k[s].ravel()
+        scale = np.maximum(1.0, np.linalg.norm(end, axis=1))
+        assert np.all(np.abs(w_pair[up] - w_end) <= 1e-9 * (1.0 + np.abs(w_end)))
+        assert np.all(np.linalg.norm(end - pos_pair[up] - k[:, None] * t_vec, axis=1)
+                      <= 1e-9 * scale)
+        # the band rows cross to the other sheet, and some of their edges
+        # gain a period
+        assert np.any((up < block) == (s == 1)) and np.any(k != 0)
