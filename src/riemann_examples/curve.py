@@ -9,15 +9,19 @@ z-plane, nearest-root selection with adaptive bisection, serves the
 reference quadrature and the paths it integrates.
 
 The package's one branch guard (near_branch) and one snap (at_branch) live
-here, as fixed fractions of the gap from each branch point to the nearest.
-So does the torus's uniformisation by Jacobi's sn (_curve_at), on the AGM
-of its modulus (_agm), which the periods share.
+here, as fixed fractions of the gap from each branch point to the nearest;
+_branch_guards finds both in one pass.  So do the torus's elliptic
+integrals, Carlson's R_F and R_D (_carlson, on which the closed-form
+immersion rests), and its uniformisation by Jacobi's sn (_curve_at), on the
+AGM of its modulus (_agm), which the periods share.
 """
 
 from __future__ import annotations
 
 import cmath
+import functools
 import math
+import types
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,7 +93,11 @@ class BranchPoints:
 
 
 def branch_points(lam) -> BranchPoints:
-    lv = as_lambda(lam).value
+    return _branch_points(as_lambda(lam).value)
+
+
+@functools.lru_cache(maxsize=256)
+def _branch_points(lv: float) -> BranchPoints:
     return BranchPoints(finite=(0.0 + 0.0j, complex(lv), complex(-1.0 / lv)),
                         gaps=(min(lv, 1.0 / lv), lv, 1.0 / lv))
 
@@ -109,20 +117,25 @@ def delta_branch(lam) -> tuple:
 def near_branch(z, lam):
     """Mask of the points inside the guard disk of a finite branch point, the
     one branch guard of paths, routes, grids and cycles."""
-    near = np.zeros(np.shape(z), dtype=bool)
-    for b, delta in zip(branch_points(lam).finite, delta_branch(lam)):
-        near |= np.abs(z - b) < delta
-    return near
+    return _branch_guards(z, lam)[0]
 
 
 def at_branch(z, lam):
     """Mask of the points within the snapping tolerance of a finite branch
     point: such a point is taken to be the branch point itself."""
+    return _branch_guards(z, lam)[1]
+
+
+def _branch_guards(z, lam) -> tuple:
+    """The masks near_branch(z, lam) and at_branch(z, lam), in one pass of one
+    distance |z - b| per finite branch point."""
     bp = branch_points(lam)
-    at = np.zeros(np.shape(z), dtype=bool)
-    for b, gap in zip(bp.finite, bp.gaps):
-        at |= np.abs(z - b) <= SNAP_RATIO * gap
-    return at
+    near, at = np.zeros(np.shape(z), dtype=bool), np.zeros(np.shape(z), dtype=bool)
+    for b, gap, delta in zip(bp.finite, bp.gaps, delta_branch(lam)):
+        d = np.abs(z - b)
+        near |= d < delta
+        at |= d <= SNAP_RATIO * gap
+    return near, at
 
 
 def guard_disk(z, lam) -> str:
@@ -142,6 +155,74 @@ def principal_w(z, lam):
     if np.ndim(rhs) == 0:
         return cmath.sqrt(rhs)
     return np.sqrt(rhs.astype(complex))
+
+
+#: Largest batch that _carlson evaluates point by point (see there).
+_SMALL_BATCH = 16
+
+#: What _carlson_body takes from numpy, for one Python complex.
+_COMPLEX_OPS = types.SimpleNamespace(sqrt=cmath.sqrt, maximum=max, all=bool)
+
+
+def _carlson(x, y, z):
+    """Carlson's R_F(x, y, z) and R_D(x, y, z), elementwise, by duplication
+    (DLMF 19.36(i); B. C. Carlson, Numer. Algorithms 10 (1995)).
+
+    One _carlson_body runs over the arrays, or, for batches of at most
+    _SMALL_BATCH points, one per point over Python complex numbers with
+    cmath's roots: numpy's fixed cost of about 130 us per call outweighs
+    the arithmetic of a few points.  On a 2-core x86-64 machine one point
+    took 10 us that way and 16 points 117 us, against 127 and 137 us
+    through numpy, which was faster from about 20 points on.  The two
+    paths agree to a few ulp, not bitwise; every batch of more points is
+    bitwise what one array body gives.
+    """
+    x, y, z = np.broadcast_arrays(*(np.asarray(v, dtype=complex) for v in (x, y, z)))
+    if x.size > _SMALL_BATCH:
+        return _carlson_body(x, y, z, np)
+    out = np.array([_carlson_body(*p, _COMPLEX_OPS) for p in
+                    zip(x.ravel().tolist(), y.ravel().tolist(), z.ravel().tolist())],
+                   dtype=complex).reshape(x.shape + (2,))
+    return out[..., 0], out[..., 1]
+
+
+def _carlson_body(x, y, z, xp):
+    """R_F(x, y, z) and R_D(x, y, z), with sqrt, maximum and all from xp:
+    numpy over arrays, _COMPLEX_OPS over Python complex numbers (whose **
+    can raise OverflowError, so the cube is a product).
+
+    Both share the duplicated arguments x_m, y_m, z_m; R_F(x_0) = R_F(x_m)
+    and R_D(x_0) = 4^-m R_D(x_m) + 3 sum_k 4^-k / (sqrt(z_k) (z_k + lm_k)),
+    with lm_k = sqrt(x_k y_k) + sqrt(y_k z_k) + sqrt(z_k x_k) (principal roots).
+    The loop stops once every argument lies within 1e-3 |mf| of the mean mf
+    of x, y and z (so within 1.6e-3 |md| of the mean md of x, y, 3z), where
+    the fifth-order series below are exact to roundoff; a step quarters that
+    distance, so it is taken once.  Arguments on the negative real axis with
+    imaginary part +0.0 give the limit from above.
+    """
+    tail, scale, mf = 0.0, 1.0, (x + y + z) / 3.0
+    dev = xp.maximum(xp.maximum(abs(x - mf), abs(y - mf)), abs(z - mf))
+    for _ in range(100):
+        if xp.all(dev <= 1e-3 * abs(mf)):
+            break
+        sx, sy, sz = xp.sqrt(x), xp.sqrt(y), xp.sqrt(z)
+        lm = sx * sy + sy * sz + sz * sx
+        tail = tail + scale / (sz * (z + lm))
+        scale *= 0.25
+        x, y, z = 0.25 * (x + lm), 0.25 * (y + lm), 0.25 * (z + lm)
+        mf, dev = (x + y + z) / 3.0, 0.25 * dev
+    a, b = 1.0 - x / mf, 1.0 - y / mf
+    c = -a - b
+    e2, e3 = a * b - c * c, a * b * c
+    rf = (1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0) / xp.sqrt(mf)
+    md = (x + y + 3.0 * z) / 5.0
+    a, b = 1.0 - x / md, 1.0 - y / md
+    c = -(a + b) / 3.0
+    e2, e3 = a * b - 6.0 * c * c, (3.0 * a * b - 8.0 * c * c) * c
+    e4, e5 = 3.0 * (a * b - c * c) * c * c, a * b * (c * c * c)
+    series = (1.0 - 3.0 * e2 / 14.0 + e3 / 6.0 + 9.0 * e2 * e2 / 88.0 - 3.0 * e4 / 22.0
+              - 9.0 * e2 * e3 / 52.0 + 3.0 * e5 / 26.0)
+    return rf, scale * series / (md * xp.sqrt(md)) + 3.0 * tail
 
 
 def _agm(lam_value: float) -> list:

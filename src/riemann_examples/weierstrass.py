@@ -27,9 +27,10 @@ plus two elliptic integrals,
     x = Re s (-2 B - 2 W/z, 2 i W/z, -2 A) + const,
 
 with A and B the integrals of dt/W and dt/(t W) along the horizontal ray
-from z to +inf, Carlson's 2 R_F and (2/3) R_D (_carlson, _ray).  That form is
-analytic off (-inf, lam], so a path enters only through its crossings of
-that half-line: a sheet flip on the cuts of W and a jump term (_crossings).
+from z to +inf, Carlson's 2 R_F and (2/3) R_D (curve._carlson, _ray).  That
+form is analytic off (-inf, lam], so a path enters only through its
+crossings of that half-line: a sheet flip on the cuts of W and a jump term
+(_crossings).
 W(1) = sqrt(1 - lam) sqrt(1 + 1/lam) is the principal root at the base point
 (i sqrt(lam - 1) sqrt(1 + 1/lam) beyond lam = 1, 0 at it), so a point z on
 the root sigma W is at Re sigma Psi(z) - Re Psi(1), plus sigma_before times
@@ -37,11 +38,16 @@ the jump of each crossing on its path, plus n T for n translation circuits:
 immerse and immerse_grid need no routes, and evaluate the base point, their
 points and crossings in one _carlson call, as does the mesh alignment's batch
 of radial edges; a grid's conjugate points are evaluated once (_mirror).
+_carlson is one duplication body, run over numpy arrays, or point by point
+over Python complex numbers for batches of a few points, which numpy's
+fixed cost per call would dominate.
 cycle_real_period sums chords one by one, as the independent check of the
 closed-form periods.  The quadrature of make_sheeted_path and path_integral
 (re-exported here) along route_vertices remains for reference computations.
-Guards and snaps are curve.near_branch and curve.at_branch; detours, ring
-clearances and period cycles are fractions of the gaps between branch points.
+Guards and snaps are curve.near_branch and curve.at_branch, both found in
+one pass over each batch (curve._branch_guards); detours, ring clearances
+and period cycles are fractions of the gaps between branch points.  Targets
+and cycle points must be finite, with a finite curve polynomial.
 """
 
 from __future__ import annotations
@@ -62,13 +68,14 @@ from .curve import (
     Lambda,
     SheetedPath,
     _agm,
+    _branch_guards,
+    _carlson,
     as_lambda,
     at_branch,
     branch_points,
     continue_sheet,
     delta_branch,
     guard_disk,
-    near_branch,
     principal_w,
     sheeted_path_from_branch,
 )
@@ -153,45 +160,6 @@ def _raw_periods(lam_value: float) -> tuple:
     tail = sum(2.0 ** (n - 1) * c * c for n, (_, _, c) in enumerate(seq))
     r = 2.0 / math.sqrt(lv + 1.0 / lv)
     return 4.0 * r * (k / lv - (lv + 1.0 / lv) * k * tail), 4.0 * r * k
-
-
-def _carlson(x, y, z):
-    """Carlson's R_F(x, y, z) and R_D(x, y, z), elementwise, by duplication
-    (DLMF 19.36(i); B. C. Carlson, Numer. Algorithms 10 (1995)).
-
-    Both share the duplicated arguments x_m, y_m, z_m; R_F(x_0) = R_F(x_m)
-    and R_D(x_0) = 4^-m R_D(x_m) + 3 sum_k 4^-k / (sqrt(z_k) (z_k + lm_k)),
-    with lm_k = sqrt(x_k y_k) + sqrt(y_k z_k) + sqrt(z_k x_k) (principal roots).
-    The loop stops once every argument lies within 1e-3 |mf| of the mean mf
-    of x, y and z (so within 1.6e-3 |md| of the mean md of x, y, 3z), where
-    the fifth-order series below are exact to roundoff; a step quarters that
-    distance, so it is taken once.  Arguments on the negative real axis with
-    imaginary part +0.0 give the limit from above.
-    """
-    x, y, z = np.broadcast_arrays(*(np.asarray(v, dtype=complex) for v in (x, y, z)))
-    tail, scale, mf = np.zeros(x.shape, dtype=complex), 1.0, (x + y + z) / 3.0
-    dev = np.maximum(np.maximum(np.abs(x - mf), np.abs(y - mf)), np.abs(z - mf))
-    for _ in range(100):
-        if np.all(dev <= 1e-3 * np.abs(mf)):
-            break
-        sx, sy, sz = np.sqrt(x), np.sqrt(y), np.sqrt(z)
-        lm = sx * sy + sy * sz + sz * sx
-        tail += scale / (sz * (z + lm))
-        scale *= 0.25
-        x, y, z = 0.25 * (x + lm), 0.25 * (y + lm), 0.25 * (z + lm)
-        mf, dev = (x + y + z) / 3.0, 0.25 * dev
-    a, b = 1.0 - x / mf, 1.0 - y / mf
-    c = -a - b
-    e2, e3 = a * b - c * c, a * b * c
-    rf = (1.0 - e2 / 10.0 + e3 / 14.0 + e2 * e2 / 24.0 - 3.0 * e2 * e3 / 44.0) / np.sqrt(mf)
-    md = (x + y + 3.0 * z) / 5.0
-    a, b = 1.0 - x / md, 1.0 - y / md
-    c = -(a + b) / 3.0
-    e2, e3 = a * b - 6.0 * c * c, (3.0 * a * b - 8.0 * c * c) * c
-    e4, e5 = 3.0 * (a * b - c * c) * c * c, a * b * c ** 3
-    series = (1.0 - 3.0 * e2 / 14.0 + e3 / 6.0 + 9.0 * e2 * e2 / 88.0 - 3.0 * e4 / 22.0
-              - 9.0 * e2 * e3 / 52.0 + 3.0 * e5 / 26.0)
-    return rf, scale * series / (md * np.sqrt(md)) + 3.0 * tail
 
 
 # ---------------------------------------------------------------------------
@@ -363,20 +331,36 @@ def _angular_leg(radius: float, a_from: float, a_to: float):
     return [radius * cmath.exp(1j * a) for a in np.linspace(a_from, a_to, n + 1)[1:]]
 
 
+def _finite_moduli(points, lam: Lambda, what: str):
+    """|z| of the points; ValueError, naming lam and the point, for one that
+    is not finite or whose curve polynomial z (z - lam)(z + 1/lam) overflows."""
+    lv = lam.value
+    with np.errstate(over="ignore", invalid="ignore"):
+        rho = np.abs(points)
+        huge = ~np.isfinite((1.0 + rho) * (lv + rho) * (1.0 / lv + rho))
+    if huge.any():
+        raise ValueError(f"{what}s need a finite curve polynomial, not {what} "
+                         f"{points[np.flatnonzero(huge)[0]]} (lam = {lv!r})")
+    return rho
+
+
 def _sweep_radii(targets, lam: Lambda, winding: int):
     """Radius of the angular sweep of each target's route: its own, or one on
     the side of the base point if the sweep would pass within lam's detour
-    radius lam/8.  A target at the puncture raises SingularPoint, and one in
-    a guard disk (unless at_branch) PathBlocked naming lam, it and the winding."""
-    lv, rho = lam.value, np.abs(targets)
+    radius lam/8.  A target that is not finite raises ValueError
+    (_finite_moduli), before anything is evaluated; one at the puncture
+    SingularPoint; one in a guard disk (unless at_branch) PathBlocked naming
+    lam, it and the winding."""
+    lv, rho = lam.value, _finite_moduli(targets, lam, "target")
     if np.any(rho == 0.0):
         raise SingularPoint("targets at the puncture z = 0 are not immersible")
-    blocked = near_branch(targets, lam) & ~at_branch(targets, lam)
+    near, at = _branch_guards(targets, lam)
+    blocked = near & ~at
     if blocked.any():
         t = targets[np.flatnonzero(blocked)[0]]
         raise PathBlocked(f"lam = {lv!r}: target {t} (winding {winding}) lies in "
                           f"{guard_disk(t, lam)}")
-    detour = branch_points(lam).gaps[1] / 8.0       # _radial_leg's detour about lam
+    detour = lv / 8.0       # _radial_leg's detour about lam, whose gap is lam
     redirect = (np.angle(targets) != 0.0) & (np.abs(rho - lv) < detour)
     return np.where(redirect, lv + (1.5 if 1.0 >= lv else -1.5) * detour, rho)
 
@@ -436,8 +420,10 @@ def _crossings(za, zb, lam: Lambda, where):
                       za.real + (zb.real - za.real) * (za.imag / (za.imag - zb.imag)))
     x0 = np.where(up_a != up_b, x0, np.inf)
     at_end = (za.imag == 0.0) | (zb.imag == 0.0)
-    for what, pts, bad in (("end point", zb, near_branch(zb, lam) & ~at_branch(zb, lam)),
-                           ("real-axis crossing", x0, near_branch(x0, lam) & ~at_end)):
+    near, at = _branch_guards(np.concatenate((zb, x0)), lam)
+    n = len(zb)
+    for what, pts, bad in (("end point", zb, near[:n] & ~at[:n]),
+                           ("real-axis crossing", x0, near[n:] & ~at_end)):
         if bad.any():
             k = np.flatnonzero(bad)[0]
             raise BranchTooClose(f"{where(k)}: {what} {pts[k]} lies in "
@@ -645,10 +631,12 @@ def cycle_real_period(vertices, lam, norm: Normalization):
     running product of their flips: the check of the closed-form periods.  A
     lift that does not close (the cycle encloses an odd number of branch
     points) raises QuadratureFailure, and a chord that ends, or crosses the
-    axis, in a guard disk raises BranchTooClose (_crossings).
+    axis, in a guard disk raises BranchTooClose (_crossings), and a vertex
+    that is not finite ValueError (_finite_moduli).
     """
     lam = _matched_lambda(lam, norm)
     verts = np.asarray(vertices, dtype=complex)
+    _finite_moduli(verts, lam, "cycle point")
 
     def where(k) -> str:
         return f"lam = {lam.value!r}, cycle chord {verts[k]} -> {verts[k + 1]}"
