@@ -165,10 +165,10 @@ def build_mesh(lam, norm: Normalization, *, n_rad: int = 48, n_ang: int = 96,
     cells in a band row of radial_edge_alignment take their upper corners
     from the other sheet's grid (and, where the alignment carries a period
     offset, from a translated duplicate vertex).  Ends are trimmed at
-    |z| in [r_min, r_max], finite with 0 < r_min < r_max (`immerse_grid`
-    raises ValueError otherwise); the second and later copies reuse the first
-    copy's immersion values translated by multiples of the period vector,
-    exactly.
+    |z| in [r_min, r_max], finite with 0 < r_min < r_max and rings with a
+    finite curve polynomial (`immerse_grid` raises ValueError otherwise); the
+    second and later copies reuse the first copy's immersion values
+    translated by multiples of the period vector, exactly.
     """
     lam = _matched_lambda(lam, norm)
     if copies < 1:

@@ -14,7 +14,7 @@ adjacent planar ends is exactly 2*pi.
 The translation period T = s (T1, 0, T3) and the end spacing s T3 / 2 are
 complete elliptic integrals of the curve, evaluated in closed form by the
 arithmetic-geometric mean; the companion period, which must vanish, is
-summed along its cycle as an independent check.
+checked on its cycle, from Psi at the cycle's ends and axis crossings.
 
 Only sheet +1 is ever integrated.  The deck involution w -> -w negates Phi,
 so sheet -1 is the point reflection x(z, -w) = C - x(z, w), with C = 2 x(lam)
@@ -41,13 +41,13 @@ of radial edges; a grid's conjugate points are evaluated once (_mirror).
 _carlson is one duplication body, run over numpy arrays, or point by point
 over Python complex numbers for batches of a few points, which numpy's
 fixed cost per call would dominate.
-cycle_real_period sums chords one by one, as the independent check of the
-closed-form periods.  The quadrature of make_sheeted_path and path_integral
+cycle_real_period's chords telescope to one _carlson call at the cycle's two
+ends and axis crossings.  The quadrature of make_sheeted_path and path_integral
 (re-exported here) along route_vertices remains for reference computations.
 Guards and snaps are curve.near_branch and curve.at_branch, both found in
 one pass over each batch (curve._branch_guards); detours, ring clearances
-and period cycles are fractions of the gaps between branch points.  Targets
-and cycle points must be finite, with a finite curve polynomial.
+and period cycles are fractions of the gaps between branch points.  Targets,
+cycle points and grid rings must be finite, with a finite curve polynomial.
 """
 
 from __future__ import annotations
@@ -331,16 +331,16 @@ def _angular_leg(radius: float, a_from: float, a_to: float):
     return [radius * cmath.exp(1j * a) for a in np.linspace(a_from, a_to, n + 1)[1:]]
 
 
-def _finite_moduli(points, lam: Lambda, what: str):
-    """|z| of the points; ValueError, naming lam and the point, for one that
-    is not finite or whose curve polynomial z (z - lam)(z + 1/lam) overflows."""
+def _finite_moduli(points, lam: Lambda, what: str, refusal: str | None = None):
+    """|z| of the points; ValueError naming lam and the point, or refusal if
+    given, for one not finite or whose curve polynomial z (z - lam)(z + 1/lam) overflows."""
     lv = lam.value
     with np.errstate(over="ignore", invalid="ignore"):
         rho = np.abs(points)
         huge = ~np.isfinite((1.0 + rho) * (lv + rho) * (1.0 / lv + rho))
     if huge.any():
-        raise ValueError(f"{what}s need a finite curve polynomial, not {what} "
-                         f"{points[np.flatnonzero(huge)[0]]} (lam = {lv!r})")
+        raise ValueError(refusal or f"{what}s need a finite curve polynomial, not {what} "
+                                    f"{points[np.flatnonzero(huge)[0]]} (lam = {lv!r})")
     return rho
 
 
@@ -349,11 +349,11 @@ def _sweep_radii(targets, lam: Lambda, winding: int):
     the side of the base point if the sweep would pass within lam's detour
     radius lam/8.  A target that is not finite raises ValueError
     (_finite_moduli), before anything is evaluated; one at the puncture
-    SingularPoint; one in a guard disk (unless at_branch) PathBlocked naming
-    lam, it and the winding."""
+    SingularPoint and one in a guard disk (unless at_branch) PathBlocked, each
+    naming lam, it and the winding."""
     lv, rho = lam.value, _finite_moduli(targets, lam, "target")
     if np.any(rho == 0.0):
-        raise SingularPoint("targets at the puncture z = 0 are not immersible")
+        raise SingularPoint(f"lam = {lv!r}: target 0j (winding {winding}) is the puncture z = 0")
     near, at = _branch_guards(targets, lam)
     blocked = near & ~at
     if blocked.any():
@@ -627,12 +627,12 @@ def cycle_real_period(vertices, lam, norm: Normalization):
     """Real period of the lift of a closed polyline from the principal root at
     its first vertex; verifies that the lift closes.
 
-    The chords' closed-form integrals are summed one by one, signed by the
-    running product of their flips: the check of the closed-form periods.  A
-    lift that does not close (the cycle encloses an odd number of branch
-    points) raises QuadratureFailure, and a chord that ends, or crosses the
-    axis, in a guard disk raises BranchTooClose (_crossings), and a vertex
-    that is not finite ValueError (_finite_moduli).
+    The chord sum of Re sigma_k (flip_k Psi_k+1 - Psi_k), sigma_k+1 = flip_k
+    sigma_k, telescopes to Re (sigma_n Psi_n - sigma_0 Psi_0); with the signed
+    crossing jumps that is one _ray call at the two ends and the crossings.
+    A lift that does not close (odd number of branch points enclosed) raises
+    QuadratureFailure, a chord that ends, or crosses the axis, in a guard disk
+    BranchTooClose (_crossings), and a vertex not finite ValueError (_finite_moduli).
     """
     lam = _matched_lambda(lam, norm)
     verts = np.asarray(vertices, dtype=complex)
@@ -642,12 +642,9 @@ def cycle_real_period(vertices, lam, norm: Normalization):
         return f"lam = {lam.value!r}, cycle chord {verts[k]} -> {verts[k + 1]}"
 
     flip, crossings = _crossings(verts[:-1], verts[1:], lam, where)
-    roots, psi, jump = _ray(verts, lam, norm, crossings)
-    w0 = principal_w(verts[0], lam)
-    seed = 1.0 if abs(w0 - roots[0]) <= abs(w0 + roots[0]) else -1.0
+    roots, psi, jump = _ray(verts[[0, -1]], lam, norm, crossings)
+    seed = 1.0 if (principal_w(verts[0], lam) * roots[0].conjugate()).real >= 0.0 else -1.0
     sign = np.cumprod(np.concatenate(([seed], flip)))
-    steps = (flip[:, None] * psi[1:] - psi[:-1]).real
-    steps[crossings[0]] += jump.real
     closure = abs(sign[-1] * roots[-1] - sign[0] * roots[0])
     if closure > 1e-7 * (1.0 + abs(roots[0])):
         raise QuadratureFailure(
@@ -655,7 +652,7 @@ def cycle_real_period(vertices, lam, norm: Normalization):
             f"(|w_end - w_start| = {closure:.3e}); "
             "the cycle encloses an odd number of branch points"
         )
-    return sign[:-1] @ steps
+    return (sign[-1] * psi[1] - sign[0] * psi[0]).real + sign[crossings[0]] @ jump.real
 
 
 @functools.lru_cache(maxsize=256)
@@ -676,8 +673,8 @@ def _period_vectors_cached(norm: Normalization) -> PeriodVector:
 def period_vectors(lam, norm: Normalization) -> PeriodVector:
     """The translation period T in closed form (the lift of a circle
     enclosing the branch points 0 and -1/lam) and the companion cycle's real
-    period, summed over the cycle's 256 chords in closed form by
-    cycle_real_period.  A companion period not below 1e-6 |T| raises
+    period, its 256 chords telescoped by cycle_real_period to the cycle's
+    ends and axis crossings.  A companion period not below 1e-6 |T| raises
     QuadratureFailure."""
     _matched_lambda(lam, norm)
     return _period_vectors_cached(norm)
@@ -798,7 +795,8 @@ def immerse_grid(lam, norm: Normalization, *, r_min: float, r_max: float,
     closed=True an extra seam column at western angle + 2 pi is appended;
     for parameter bands where the full circuit is a translation period the
     seam column sits exactly one period from the first column.  The radii
-    must be finite with 0 < r_min < r_max (ValueError otherwise).
+    must be finite with 0 < r_min < r_max, and every ring's curve polynomial
+    finite (_finite_moduli), or ValueError names lam and both radii.
 
     The paths are the stem, a chord below the axis from the base point to
     vertex (0, 0), then north up the western column and east along a row;
@@ -812,10 +810,12 @@ def immerse_grid(lam, norm: Normalization, *, r_min: float, r_max: float,
     lam = _matched_lambda(lam, norm)
     if n_ang % 2 != 0 or n_ang < 8 or n_rad < 2:
         raise ValueError("need even n_ang >= 8 and n_rad >= 2")
+    refusal = (f"grid radii need finite 0 < r_min < r_max and rings with a finite curve "
+               f"polynomial, not r_min = {r_min!r}, r_max = {r_max!r} (lam = {lam.value!r})")
     if not (math.isfinite(r_min) and math.isfinite(r_max) and 0.0 < r_min < r_max):
-        raise ValueError(f"grid radii need finite 0 < r_min < r_max, not r_min = {r_min!r}, "
-                         f"r_max = {r_max!r} (lam = {lam.value!r})")
+        raise ValueError(refusal)
     radii = _half_offset_radii(r_min, r_max, n_rad, n_ang, lam)
+    _finite_moduli(radii, lam, "ring", refusal)
     dtheta = 2.0 * math.pi / n_ang
     angles = -math.pi + (np.arange(n_ang + (1 if closed else 0)) + 0.5) * dtheta
     angles[:n_ang // 2] = -angles[n_ang - 1:n_ang // 2 - 1:-1]

@@ -1,6 +1,7 @@
 import dataclasses
 import math
 import re
+import warnings
 
 import mpmath
 import numpy as np
@@ -100,14 +101,16 @@ _GRID_ENTRIES = {
 
 
 @pytest.mark.parametrize("r_min, r_max", [(2.0, 1.0), (1.0, 1.0), (0.0, 1.0), (-1.0, 2.0),
-                                          (0.1, math.inf), (math.nan, 2.0)])
+                                          (0.1, math.inf), (math.nan, 2.0), (0.1, 1e300)])
 @pytest.mark.parametrize("entry", sorted(_GRID_ENTRIES))
 def test_bad_grid_radii_are_refused_naming_lambda_and_both_radii(entry, r_min, r_max):
-    # (0.1, inf) used to build a mesh of non-finite vertices, and (2, 1)
-    # descending rings, with no error
+    # (0.1, inf) used to build a mesh of non-finite vertices, (2, 1)
+    # descending rings, and (0.1, 1e300) rings whose curve polynomial
+    # overflows, with no error (the last one with an overflow warning)
     lam = Lambda(0.5)
-    with pytest.raises(ValueError, match=re.escape(
+    with warnings.catch_warnings(), pytest.raises(ValueError, match=re.escape(
             f"r_min = {r_min!r}, r_max = {r_max!r} (lam = 0.5)")):
+        warnings.simplefilter("error")
         _GRID_ENTRIES[entry](lam, Normalization.paper(lam), r_min, r_max)
 
 
@@ -387,15 +390,20 @@ def test_cycle_enclosing_one_branch_point_does_not_close():
         cycle_real_period(about_lam, lam, Normalization.paper(lam))
 
 
-@pytest.mark.parametrize("lv", [0.5, 1.0, 3.0])
+@pytest.mark.parametrize("lv", [1e-6, 1e-3, 0.5, 1.0, 3.0, 1e3, 8e5, 1e6])
 def test_winding_adds_translation(lv):
-    # one circuit of the translation cycle, summed chord by chord, adds the
-    # closed-form T that immerse adds per winding
+    # one circuit of the translation cycle adds the closed-form T that
+    # immerse adds per winding, and the companion cycle adds nothing: its
+    # chords telescope to Psi at the cycle's ends and axis crossings, so no
+    # interior vertex adds rounding, even at the ends of the family (a sum
+    # over every vertex missed T by 1.4e-12 |T| at 8e5, above verify's 1e-12)
     lam = Lambda(lv)
     norm = Normalization.paper(lam)
     t_vec = period_vectors(lam, norm).translation
     circuit = cycle_real_period(translation_cycle_vertices(lam), lam, norm)
-    assert np.linalg.norm(circuit - t_vec) <= 1e-12 * np.linalg.norm(t_vec)
+    assert np.linalg.norm(circuit - t_vec) <= 1e-14 * np.linalg.norm(t_vec)
+    companion = cycle_real_period(companion_cycle_vertices(lam), lam, norm)
+    assert np.linalg.norm(companion) <= 1e-15 * np.linalg.norm(t_vec)
 
 
 # ---------------------------------------------------------------------------
@@ -634,8 +642,12 @@ def test_route_blocked_inside_branch_guard():
     with pytest.raises(PathBlocked, match=r"lam = 2.0: target .* lies in the guard disk of "
                                           r"branch point \(2\+0j\) \(radius 2.00e-06\)$"):
         route_vertices(target, lam)
-    with pytest.raises(SingularPoint):
+    with pytest.raises(SingularPoint, match=r"^lam = 2.0: target 0j \(winding 0\) is the "
+                                            r"puncture z = 0$"):
         route_vertices(0.0 + 0.0j, lam)
+    with pytest.raises(SingularPoint, match=r"^lam = 2.0: target 0j \(winding 1\) is the "
+                                            r"puncture z = 0$"):
+        immerse(lam, Normalization.paper(lam), [0j], winding=1)
 
 
 # ---------------------------------------------------------------------------
