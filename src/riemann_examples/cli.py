@@ -153,9 +153,9 @@ def _suite_periods(lam: Lambda, rng) -> list:
     ratio = float(np.linalg.norm(pv.companion) / np.linalg.norm(pv.translation))
     checks = [{"name": "companion-period-vanishes", "lambda": lam.value,
                "residual": ratio, "tolerance": 1e-6, "passed": bool(ratio < 1e-6)}]
-    # the translation cycle's lift, telescoped to its two ends and axis
-    # crossings, against the closed-form T, relative to |T|: both round off
-    # in proportion to |T|
+    # the translation cycle's lift, telescoped to its two ends plus the jump
+    # 2 Re Psi(lam) of its crossing of the cut (0, lam), against the AGM T,
+    # relative to |T|: both round off in proportion to |T|
     t = cycle_real_period(translation_cycle_vertices(lam), lam, norm)
     gap = float(np.linalg.norm(t - pv.translation) / np.linalg.norm(pv.translation))
     checks.append({"name": "winding-adds-translation", "lambda": lam.value,

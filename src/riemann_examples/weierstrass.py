@@ -14,7 +14,7 @@ adjacent planar ends is exactly 2*pi.
 The translation period T = s (T1, 0, T3) and the end spacing s T3 / 2 are
 complete elliptic integrals of the curve, evaluated in closed form by the
 arithmetic-geometric mean; the companion period, which must vanish, is
-checked on its cycle, from Psi at the cycle's ends and axis crossings.
+checked on its cycle, from Psi at the cycle's two ends.
 
 Only sheet +1 is ever integrated.  The deck involution w -> -w negates Phi,
 so sheet -1 is the point reflection x(z, -w) = C - x(z, w), with C = 2 x(lam)
@@ -29,23 +29,22 @@ plus two elliptic integrals,
 with A and B the integrals of dt/W and dt/(t W) along the horizontal ray
 from z to +inf, Carlson's 2 R_F and (2/3) R_D (curve._carlson, _ray).  That
 form is analytic off (-inf, lam], so a path enters only through its
-crossings of that half-line: a sheet flip on the cuts of W and a jump term
-(_crossings).
-W(1) = sqrt(1 - lam) sqrt(1 + 1/lam) is the principal root at the base point
-(i sqrt(lam - 1) sqrt(1 + 1/lam) beyond lam = 1, 0 at it), so a point z on
-the root sigma W is at Re sigma Psi(z) - Re Psi(1), plus sigma_before times
-the jump of each crossing on its path, plus n T for n translation circuits:
-immerse and immerse_grid need no routes, and evaluate the base point, their
-points and crossings in one _carlson call, as does the mesh alignment's batch
-of radial edges; a grid's conjugate points are evaluated once (_mirror).
-_carlson is one duplication body, run over numpy arrays, or point by point
-over Python complex numbers for batches of a few points, which numpy's
-fixed cost per call would dominate.
-cycle_real_period's chords telescope to one _carlson call at the cycle's two
-ends and axis crossings.  The quadrature of make_sheeted_path and path_integral
-(re-exported here) along route_vertices remains for reference computations.
+crossings of that half-line (_crossings): the sign sigma of the root flips
+on the cuts of W, and x jumps by sigma_before J, J = 2 Re Psi(lam) = -T, on
+the cut (0, lam), and not at all on (-inf, 0).  Paths start on the principal
+root W(1) = sqrt(1 - lam) sqrt(1 + 1/lam) (i sqrt(lam - 1) sqrt(1 + 1/lam)
+beyond lam = 1, 0 at it), so a point z on the root sigma W is at
+Re sigma Psi(z) - Re Psi(1) plus its path's jumps, plus n T for n
+translation circuits: immerse and immerse_grid need no routes, and evaluate
+the base point and their points in one _carlson call, as does the mesh
+alignment's batch of radial edges; a grid's conjugate points are evaluated
+once (_mirror), Psi(lam) once per scale (_lam_terms).  _carlson runs one
+duplication body over numpy arrays, or point by point for a few points,
+where numpy's fixed cost per call would dominate.  The quadrature of
+make_sheeted_path and path_integral (re-exported here) along route_vertices
+remains for reference computations.
 Guards and snaps are curve.near_branch and curve.at_branch, both found in
-one pass over each batch (curve._branch_guards); detours, ring clearances
+one pass over each batch (curve._branch_guards); detours, chord clearances
 and period cycles are fractions of the gaps between branch points.  Targets,
 cycle points and grid rings must be finite, with a finite curve polynomial.
 """
@@ -399,19 +398,21 @@ def route_vertices(target: complex, lam, *, winding: int = 0):
 
 
 def _crossings(za, zb, lam: Lambda, where):
-    """Sheet flips and real-axis crossings of the straight edges za -> zb.
+    """Sheet flips and crossings of the cut (0, lam) of the edges za -> zb.
 
     Along an edge the continued root sigma W keeps its sign sigma, and Psi is
     analytic, until the edge crosses the real axis at some x0 < lam (a point
     on the axis counts as above it); sigma flips iff x0 lies on a cut of W.
-    Returns flip = sigma_b / sigma_a, shape (n,), and the crossings for _ray:
-    the crossing edges k, their x0, whether za[k] is above the axis, flip[k].
+    Returns flip = sigma_b / sigma_a and cut, whether 0 < x0 < lam, shape
+    (n,).  The real jump Re (Psi(x0 on za's side) - flip Psi(x0 on zb's side))
+    is 0 on (-inf, 0); on the cut its derivative Phi(x0, W) + Phi(x0, -W)
+    vanishes, so it is its value at lam, J = 2 Re Psi(lam) (_lam_terms).
 
     An end point zb inside a branch guard disk (near_branch) raises
     BranchTooClose unless it is a branch point (at_branch); so does a crossing
     inside one, unless it is an end point on the axis (imag 0.0), where x0 is
-    that end point exactly, its side is exact and Psi is the closed form (e.g.
-    the base point 1 at lam near 1).  `where(k)` names edge k in errors.
+    that end point exactly and its side is exact (e.g. the base point 1 at
+    lam near 1).  `where(k)` names edge k in errors.
     """
     lv = lam.value
     up_a, up_b = za.imag >= 0.0, zb.imag >= 0.0
@@ -428,10 +429,8 @@ def _crossings(za, zb, lam: Lambda, where):
             k = np.flatnonzero(bad)[0]
             raise BranchTooClose(f"{where(k)}: {what} {pts[k]} lies in "
                                  f"{guard_disk(pts[k], lam)}")
-    cut = x0 < lv
-    flip = np.where(cut & ((x0 > 0.0) | (x0 < -1.0 / lv)), -1.0, 1.0)
-    k = np.flatnonzero(cut)
-    return flip, (k, x0[k], up_a[k], flip[k, None])
+    cut = (0.0 < x0) & (x0 < lv)
+    return np.where(cut | (x0 < -1.0 / lv), -1.0, 1.0), cut
 
 
 def _root(z, lam: Lambda):
@@ -454,43 +453,42 @@ def _mirror(psi):
     return np.conj(psi) * [1.0, -1.0, 1.0]
 
 
-def _ray(z, lam: Lambda, norm: Normalization, crossings, mirror=None):
-    """W and Psi at the points z, of shapes (n,) and (n, 3), and by the same
-    _carlson call the jumps, shape (m, 3), of the crossings of _crossings.
-    With mirror = (lower, upper), indices into z, each z[lower[k]] that is
-    exactly conj z[upper[k]], above the axis, takes conj W and _mirror(Psi)
-    from there, bitwise what _carlson would give it.
+def _ray(z, lam: Lambda, norm: Normalization, mirror=None):
+    """W and Psi at the points z, of shapes (n,) and (n, 3).  With mirror =
+    (lower, upper), indices into z, each z[lower[k]] that is exactly
+    conj z[upper[k]], above the axis, takes conj W and _mirror(Psi) from
+    there, bitwise what _carlson would give it.
 
     W is _root.  With A = 2 R_F(z - lam, z, z + 1/lam) and
     B = (2/3) R_D(z - lam, z + 1/lam, z), the integrals of dt/W and dt/(t W)
     along the horizontal ray from z to +inf (DLMF 19.16, 19.29),
     Psi = s (-2 B - 2 W/z, 2 i W/z, -2 A) is an antiderivative of Phi(z, W)
     off (-inf, lam], since d(w/z)/dz = (1 + z^2)/(2 z w) on the curve.
-    Points on the real axis give the limits from above.  An edge that crosses
-    at x0 adds sigma_a Psi(x0 on za's side) - sigma_b Psi(x0 on zb's side),
-    whose value for sigma_a = 1 is the jump.
+    Points on the real axis give the limits from above.
     """
-    (_, x0, up, f), n = crossings, len(z)
-    z = np.concatenate((np.asarray(z, dtype=complex), x0))
-    z += 0.0     # imaginary parts -0.0 -> +0.0
+    z = np.asarray(z, dtype=complex) + 0.0     # imaginary parts -0.0 -> +0.0
     if mirror is None:
-        w, psi = _closed_form(z, lam, norm)
-    else:
-        lower, upper = mirror
-        exact = (z[lower] == np.conj(z[upper])) & (z[upper].imag > 0.0)
-        lower, upper = lower[exact], upper[exact]
-        keep = np.ones(len(z), dtype=bool)
-        keep[lower] = False
-        w, psi = np.empty(len(z), dtype=complex), np.empty((len(z), 3), dtype=complex)
-        w[keep], psi[keep] = _closed_form(z[keep], lam, norm)
-        w[lower], psi[lower] = np.conj(w[upper]), _mirror(psi[upper])
-    below = _mirror(psi[n:])     # W, A, B conjugated: i W/x0 flips
-    return w[:n], psi[:n], np.where(up[:, None], psi[n:] - f * below, below - f * psi[n:])
+        return _closed_form(z, lam, norm)
+    lower, upper = mirror
+    exact = (z[lower] == np.conj(z[upper])) & (z[upper].imag > 0.0)
+    lower, upper = lower[exact], upper[exact]
+    keep = np.ones(len(z), dtype=bool)
+    keep[lower] = False
+    w, psi = np.empty(len(z), dtype=complex), np.empty((len(z), 3), dtype=complex)
+    w[keep], psi[keep] = _closed_form(z[keep], lam, norm)
+    w[lower], psi[lower] = np.conj(w[upper]), _mirror(psi[upper])
+    return w, psi
 
 
 @functools.lru_cache(maxsize=256)
-def _sheet_connection_cached(norm: Normalization) -> tuple:
-    return tuple(2.0 * immerse(norm.lam, norm, [norm.lam.value])[0].position)
+def _lam_terms(norm: Normalization) -> np.ndarray:
+    """Rows C = 2 Re (Psi(lam) - Psi(1)), the sheet_connection, and the jump
+    J = 2 Re Psi(lam) of a crossing of the cut (0, lam) (_crossings), from
+    one _closed_form call at [1, lam]; read-only."""
+    _, psi = _closed_form(np.array([BASE_POINT, norm.lam.value + 0.0j]), norm.lam, norm)
+    terms = 2.0 * np.stack((psi[1].real - psi[0].real, psi[1].real))
+    terms.setflags(write=False)
+    return terms
 
 
 def sheet_connection(lam, norm: Normalization) -> np.ndarray:
@@ -499,10 +497,11 @@ def sheet_connection(lam, norm: Normalization) -> np.ndarray:
     w -> -w negates Phi, and C is the image of the second base-point lift
     (1, -w0).  The segment [1, lam] holds no other branch point; out to lam
     and back on the other sheet, it joins the two lifts in two equal halves,
-    so C = 2 x(lam).  At lam = 1 both lifts are the branch point and C = 0.
+    so C = 2 x(lam) (_lam_terms).  At lam = 1 both lifts are the branch
+    point and C = 0.
     """
     _matched_lambda(lam, norm)
-    return np.array(_sheet_connection_cached(norm))
+    return _lam_terms(norm)[0].copy()
 
 
 @dataclass(frozen=True)
@@ -529,10 +528,10 @@ def _immerse(lam: Lambda, norm: Normalization, targets, winding: int = 0):
     def where(k) -> str:
         return f"lam = {lam.value!r}: target {targets[k]} (winding {winding})"
 
-    flip, crossings = _crossings(sweep, targets, lam, where)
-    roots, psi, jump = _ray(np.concatenate(([BASE_POINT], targets)), lam, norm, crossings)
+    flip, cut = _crossings(sweep, targets, lam, where)
+    roots, psi = _ray(np.concatenate(([BASE_POINT], targets)), lam, norm)
     pos = (flip[:, None] * psi[1:] - psi[0]).real
-    pos[crossings[0]] += jump.real
+    pos[cut] += _lam_terms(norm)[1]
     t1, t3 = _raw_periods(lam.value)
     pos += winding * normalization_scale(norm) * np.array([t1, 0.0, t3])
     return pos, flip * roots[1:]
@@ -628,8 +627,8 @@ def cycle_real_period(vertices, lam, norm: Normalization):
     its first vertex; verifies that the lift closes.
 
     The chord sum of Re sigma_k (flip_k Psi_k+1 - Psi_k), sigma_k+1 = flip_k
-    sigma_k, telescopes to Re (sigma_n Psi_n - sigma_0 Psi_0); with the signed
-    crossing jumps that is one _ray call at the two ends and the crossings.
+    sigma_k, telescopes to Re (sigma_n Psi_n - sigma_0 Psi_0), one _ray call
+    at the two ends, plus sigma_k J for each chord k across the cut (0, lam).
     A lift that does not close (odd number of branch points enclosed) raises
     QuadratureFailure, a chord that ends, or crosses the axis, in a guard disk
     BranchTooClose (_crossings), and a vertex not finite ValueError (_finite_moduli).
@@ -641,8 +640,8 @@ def cycle_real_period(vertices, lam, norm: Normalization):
     def where(k) -> str:
         return f"lam = {lam.value!r}, cycle chord {verts[k]} -> {verts[k + 1]}"
 
-    flip, crossings = _crossings(verts[:-1], verts[1:], lam, where)
-    roots, psi, jump = _ray(verts[[0, -1]], lam, norm, crossings)
+    flip, cut = _crossings(verts[:-1], verts[1:], lam, where)
+    roots, psi = _ray(verts[[0, -1]], lam, norm)
     seed = 1.0 if (principal_w(verts[0], lam) * roots[0].conjugate()).real >= 0.0 else -1.0
     sign = np.cumprod(np.concatenate(([seed], flip)))
     closure = abs(sign[-1] * roots[-1] - sign[0] * roots[0])
@@ -652,7 +651,7 @@ def cycle_real_period(vertices, lam, norm: Normalization):
             f"(|w_end - w_start| = {closure:.3e}); "
             "the cycle encloses an odd number of branch points"
         )
-    return (sign[-1] * psi[1] - sign[0] * psi[0]).real + sign[crossings[0]] @ jump.real
+    return (sign[-1] * psi[1] - sign[0] * psi[0]).real + (sign[:-1] @ cut) * _lam_terms(norm)[1]
 
 
 @functools.lru_cache(maxsize=256)
@@ -674,8 +673,7 @@ def period_vectors(lam, norm: Normalization) -> PeriodVector:
     """The translation period T in closed form (the lift of a circle
     enclosing the branch points 0 and -1/lam) and the companion cycle's real
     period, its 256 chords telescoped by cycle_real_period to the cycle's
-    ends and axis crossings.  A companion period not below 1e-6 |T| raises
-    QuadratureFailure."""
+    two ends.  A companion period not below 1e-6 |T| raises QuadratureFailure."""
     _matched_lambda(lam, norm)
     return _period_vectors_cached(norm)
 
@@ -741,16 +739,19 @@ class GridImmersion:
 def _half_offset_radii(r_min: float, r_max: float, n_rad: int, n_ang: int, lam: Lambda):
     step = (math.log(r_max) - math.log(r_min)) / n_rad
     radii = np.exp(math.log(r_min) + (np.arange(n_rad) + 0.5) * step)
-    # keep every ring r, and the axis crossing r cos(pi/n_ang) of its chords,
-    # 4 guard radii (4 GUARD_RATIO m) clear of each branch modulus m
-    chord = math.cos(math.pi / n_ang)
+    # shift the rings out until each is max(0.02 step, 4 GUARD_RATIO) in log r
+    # from lam and 1/lam, and its chords cross the axis 4 guard radii from each
+    # branch point; a ring past the largest float is inf, for _finite_moduli
+    moduli, guards = np.abs(branch_points(lam).finite), 4.0 * np.array(delta_branch(lam))
+    clear, chord = max(0.02 * step, 4.0 * GUARD_RATIO), math.cos(math.pi / n_ang)
     for _ in range(4):
-        if all(np.min(np.abs(radii - m)) >= max(0.02 * step, 4.0 * GUARD_RATIO) * m
-               and np.min(np.abs(chord * radii - m)) >= 4.0 * GUARD_RATIO * m
-               for m in (lam.value, 1.0 / lam.value)):
+        if (np.min(np.abs(np.log(radii)[:, None] - np.log(moduli[1:]))) >= clear
+                and np.all(np.abs(chord * radii[:, None] - moduli) >= guards)):
             return radii
-        radii = radii * math.exp(0.137 * step)
-    raise PathBlocked("could not place grid radii clear of the branch moduli")
+        with np.errstate(over="ignore"):
+            radii = radii * math.exp(0.137 * step)
+    raise PathBlocked(f"lam = {lam.value!r}: could not place grid rings clear of the branch "
+                      f"points, r_min = {r_min!r}, r_max = {r_max!r}")
 
 
 def _edge_locator(lam: Lambda, shape, a, b):
@@ -789,8 +790,9 @@ def immerse_grid(lam, norm: Normalization, *, r_min: float, r_max: float,
     """Immerse a half-offset log-polar grid on the lifts of its grid paths.
 
     The grid avoids the real axis (angles are offset by half a step) and the
-    branch moduli (radii are shifted if a ring, or the axis crossing of its
-    chords, lands on one).  The angles of the lower half are the exact
+    branch points (radii are shifted if a ring lands on a branch modulus, or
+    the axis crossing of its chords on a branch point, else PathBlocked names
+    lam and both radii).  The angles of the lower half are the exact
     negatives of the upper half's, so its z are the exact conjugates.  With
     closed=True an extra seam column at western angle + 2 pi is appended;
     for parameter bands where the full circuit is a translation period the
@@ -800,12 +802,12 @@ def immerse_grid(lam, norm: Normalization, *, r_min: float, r_max: float,
 
     The paths are the stem, a chord below the axis from the base point to
     vertex (0, 0), then north up the western column and east along a row;
-    signs and crossing terms accumulate along them (_north_then_east).  One
-    _carlson call evaluates the base point, the upper half, the seam and the
-    crossings; the lower half's W and Psi are their mirror images (_ray).
-    Only sheet +1 is computed; sheet -1 is its sheet_partner.  Errors from an
-    edge name lam, the requested sheet, the edge, the branch point and its
-    guard radius.
+    signs, and sigma_before J per crossing of the cut (0, lam), accumulate
+    along them (_north_then_east).  One _carlson call evaluates the base
+    point, the upper half and the seam; the lower half's W and Psi are their
+    mirror images (_ray).  Only sheet +1 is computed; sheet -1 is its
+    sheet_partner.  Errors from an edge name lam, the requested sheet, the
+    edge, the branch point and its guard radius.
     """
     lam = _matched_lambda(lam, norm)
     if n_ang % 2 != 0 or n_ang < 8 or n_rad < 2:
@@ -835,18 +837,17 @@ def immerse_grid(lam, norm: Normalization, *, r_min: float, r_max: float,
         return edge(k - 1)
 
     z, ends = zs.ravel(), np.concatenate(([0], b))     # ends[k]: the vertex edge k leads to
-    flip, crossings = _crossings(np.concatenate(([BASE_POINT], z[a])), z[ends], lam, where)
-    ws, psi, jump = _ray(np.concatenate(([BASE_POINT], z)), lam, norm, crossings,
-                         _column_mirror(n_rad, n_col, n_ang, 1))
+    flip, cut = _crossings(np.concatenate(([BASE_POINT], z[a])), z[ends], lam, where)
+    ws, psi = _ray(np.concatenate(([BASE_POINT], z)), lam, norm,
+                   _column_mirror(n_rad, n_col, n_ang, 1))
     sign = np.empty(n_rad * n_col)
     sign[ends] = flip
     sign = _north_then_east(sign.reshape(n_rad, n_col), np.multiply).ravel()
-    k, after = crossings[0], ends[crossings[0]]
-    terms = np.zeros((n_rad * n_col, 3))        # sigma_before jump, after each crossing
-    terms[after] = (sign[after] * flip[k])[:, None] * jump.real
+    jumps = np.empty(n_rad * n_col)     # sigma_before on a crossing of (0, lam), else 0
+    jumps[ends] = sign[ends] * flip * cut
+    jumps = _north_then_east(jumps.reshape(n_rad, n_col), np.add).reshape(-1, 1)
     psi[1:] *= sign[:, None]
-    pos = psi[1:].real - psi[0].real
-    pos += _north_then_east(terms.reshape(n_rad, n_col, 3), np.add).reshape(-1, 3)
+    pos = psi[1:].real - psi[0].real + jumps * _lam_terms(norm)[1]
     ws, pos = (sign * ws[1:]).reshape(n_rad, n_col), pos.reshape(n_rad, n_col, 3)
     for arr in (radii, angles, zs, ws, pos):
         arr.setflags(write=False)
@@ -883,12 +884,11 @@ def radial_edge_alignment(grid: GridImmersion) -> RadialEdgeAlignment:
     (-w[b], C - pos[b]).  sigma flips exactly where the loop that closes the
     edge through the grid paths encloses an odd number of branch points, so
     only the band rows, where sigma changes in some column, are continued,
-    every column of them, by one _ray call.  Each lands
-    k = rint(gap.T / |T|^2) periods away; a root off by more than
-    1e-6 (1 + |w|), or a position off by more than 1e-6 max(1, |x|) after k
-    periods, raises QuadratureFailure.  By the deck involution, sheet -1's
-    edge lands on the other block, -k periods away.  A sheet -1 grid raises
-    ValueError.
+    every column of them, by one _ray call.  Each lands k = rint(gap.T/|T|^2)
+    periods away; a root off by more than 1e-6 (1 + |w|), or a position off
+    by more than 1e-6 max(1, |x|) after k periods, raises QuadratureFailure.
+    By the deck involution, sheet -1's edge lands on the other block, -k
+    periods away.  A sheet -1 grid raises ValueError.
     """
     if grid.sheet_sign < 0:
         raise ValueError("radial_edge_alignment takes a sheet +1 grid, not its sheet_partner")
@@ -904,10 +904,10 @@ def radial_edge_alignment(grid: GridImmersion) -> RadialEdgeAlignment:
     b = a + n_col
     where = _edge_locator(lam, grid.z.shape, a, b)
     za, zb = grid.z.flat[a], grid.z.flat[b]
-    _, crossings = _crossings(za, zb, lam, where)       # none: radial edges stay off the axis
+    _crossings(za, zb, lam, where)       # the guards: radial edges stay off the axis
     n_ang = n_col - 1 if grid.closed else n_col
-    roots, psi, _ = _ray(np.concatenate((za, zb)), lam, norm, crossings,
-                         _column_mirror(2 * len(bands), n_col, n_ang))
+    roots, psi = _ray(np.concatenate((za, zb)), lam, norm,
+                      _column_mirror(2 * len(bands), n_col, n_ang))
     n, pos = len(a), grid.positions.reshape(-1, 3)
     sign, same = sigma.flat[a], sigma.flat[a] == sigma.flat[b]
     w_end = sign * roots[n:]

@@ -6,7 +6,7 @@ import pytest
 
 from riemann_examples import Lambda, Normalization
 from riemann_examples.curve import CurvePoint, principal_w
-from riemann_examples.weierstrass import _crossings, _ray, immerse_grid
+from riemann_examples.weierstrass import _crossings, _lam_terms, _ray, immerse_grid
 
 
 def curve_samples(lam: Lambda, n: int, seed: int = 0, *, both_sheets: bool = True):
@@ -32,15 +32,16 @@ def continue_edges(za, wa, zb, lam, norm, where):
     """Continue the lifts (za, wa) along the straight edges to zb in closed
     form, from one _crossings and one _ray call: the roots at zb and the real
     integrals of Phi dz along the edges.  Each wa picks the nearer of the
-    roots +-W at za; the edge keeps that sign up to its flip."""
+    roots +-W at za; the edge keeps that sign up to its flip, and a crossing
+    of the cut (0, lam) adds the jump J = 2 Re Psi(lam)."""
     za, wa, zb = (np.atleast_1d(np.asarray(v, dtype=complex)) for v in (za, wa, zb))
-    flip, crossings = _crossings(za, zb, lam, where)
-    roots, psi, jump = _ray(np.concatenate((za, zb)), lam, norm, crossings)
+    flip, cut = _crossings(za, zb, lam, where)
+    roots, psi = _ray(np.concatenate((za, zb)), lam, norm)
     n = len(za)
     sign = np.where(np.abs(wa - roots[:n]) <= np.abs(wa + roots[:n]), 1.0, -1.0)
-    vals = flip[:, None] * psi[n:] - psi[:n]
-    vals[crossings[0]] += jump
-    return sign * flip * roots[n:], (sign[:, None] * vals).real
+    vals = (flip[:, None] * psi[n:] - psi[:n]).real
+    vals[cut] += _lam_terms(norm)[1]
+    return sign * flip * roots[n:], sign[:, None] * vals
 
 
 @pytest.fixture(scope="session")

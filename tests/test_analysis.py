@@ -30,6 +30,7 @@ from riemann_examples.weierstrass import (
     normalization_scale,
     period_vectors,
     radial_edge_alignment,
+    sheet_connection,
 )
 from riemann_examples.limits import end_spacing
 
@@ -432,34 +433,32 @@ def _axis_crossings(za, zb, lv) -> int:
 @pytest.mark.parametrize("lv", [0.7, 1.0, 2.5])
 def test_each_batch_of_edges_is_one_carlson_call(lv):
     # immerse (with a winding circuit) and a grid each evaluate the base
-    # point, their points and their axis crossings in one _carlson call, and
-    # the companion cycle, whose chords telescope, its first and last vertex
-    # and its crossings: a target crosses at most where its sweep leaves the
-    # axis, a grid on its stem from 1 and on its edges, the cycle on its
-    # chords.  So does a batch of edges: the alignment's band
-    # rows, which never cross the axis, and edges across both cuts.  A grid
-    # and the band rows evaluate only the upper half of their mirrored
-    # columns, and a closed grid's seam column.
+    # point and their points in one _carlson call, and the companion cycle,
+    # whose chords telescope, its first and last vertex: no axis crossing is
+    # evaluated, since a crossing of (-inf, 0) adds nothing and one of the
+    # cut (0, lam) the jump 2 Re Psi(lam), cached with the sheet connection.
+    # So does a batch of edges: the alignment's band rows, which never cross
+    # the axis, and edges across both cuts.  A grid and the band rows
+    # evaluate only the upper half of their mirrored columns, and a closed
+    # grid's seam column.
     lam = Lambda(lv)
     norm = Normalization.paper(lam)
     targets = np.array([0.5 + 0.5j, -2.0 - 1.0j, 3.0j, 0.3 - 0.4j])
     sweep = weierstrass._sweep_radii(targets, lam, 1)
+    assert _axis_crossings(sweep, targets, lv) > 0
+    sheet_connection(lam, norm)         # fill the cache of Psi at [1, lam]
     with _carlson_work(weierstrass, "immerse") as calls:
         weierstrass.immerse(lam, norm, targets, winding=1)
-    assert [points for _, points in calls] == [
-        [1 + len(targets) + _axis_crossings(sweep, targets, lv)]]
+    assert [points for _, points in calls] == [[1 + len(targets)]]
     for closed in (False, True):
         with _carlson_work(weierstrass, "immerse_grid") as calls:
             grid = weierstrass.immerse_grid(lam, norm, r_min=0.1, r_max=10.0, n_rad=8,
                                             n_ang=16, closed=closed)
-        z = grid.z
-        crossings = (_axis_crossings(1.0, z[0, 0], lv) + _axis_crossings(z[:-1, 0], z[1:, 0], lv)
-                     + _axis_crossings(z[:, :-1], z[:, 1:], lv))
-        assert [points for _, points in calls] == [[1 + 8 * (8 + closed) + crossings]]
+        assert [points for _, points in calls] == [[1 + 8 * (8 + closed)]]
     cycle = weierstrass.companion_cycle_vertices(lam)
     with _carlson_work(weierstrass, "cycle_real_period") as calls:
         weierstrass.cycle_real_period(cycle, lam, norm)
-    assert [points for _, points in calls] == [[2 + _axis_crossings(cycle[:-1], cycle[1:], lv)]]
+    assert [points for _, points in calls] == [[2]]
     za = np.array([0.5 * lv + 0.5j, -3.0 / lv - 0.5j, 3.0 * lv + 0.5j])
     zb = np.conj(za)
     bands = sum(any(r0 < m < r1 for m in (lv, 1.0 / lv))
@@ -467,10 +466,10 @@ def test_each_batch_of_edges_is_one_carlson_call(lv):
     period_vectors(lam, norm), grid.sheet_partner      # fill the caches the alignment reads
     with _carlson_work(weierstrass, "_ray") as rays:
         radial_edge_alignment(grid)
-        _, crossings = weierstrass._crossings(za, zb, lam, str)
-        weierstrass._ray(np.concatenate((za, zb)), lam, norm, crossings)
+        weierstrass._crossings(za, zb, lam, str)
+        weierstrass._ray(np.concatenate((za, zb)), lam, norm)
     assert bands > 0 and _axis_crossings(za, zb, lv) == 2
-    assert [points for _, points in rays] == [[2 * bands * (8 + 1)], [2 * len(za) + 2]]
+    assert [points for _, points in rays] == [[2 * bands * (8 + 1)], [2 * len(za)]]
 
 
 def test_foliation_points_lie_on_their_height(interior_slices):

@@ -340,10 +340,9 @@ def test_principal_root_at_the_base_point_is_plus_w():
     # every closed-form lift starts at z0 = 1 on W itself: the principal root
     # there is +W(1) of _ray, real for lam < 1, +i times a positive number
     # beyond and 0 at lam = 1, including where the base point nears lam
-    no_crossings = (np.zeros(0, dtype=int), np.zeros(0), np.zeros(0, dtype=bool), np.ones((0, 1)))
     for lv in [*np.logspace(-6, 6), 1.0, 1.0 - 1e-12, 1.0 + 1e-12, 1.0 - 1e-7, 1.0 + 1e-7]:
         lam = Lambda(lv)
-        w = weierstrass._ray([1.0 + 0.0j], lam, Normalization.raw(lam), no_crossings)[0][0]
+        w = weierstrass._ray([1.0 + 0.0j], lam, Normalization.raw(lam))[0][0]
         w0 = curve.principal_w(1.0 + 0.0j, lam)
         assert abs(w0 - w) <= abs(w0 + w), lv
         assert abs(w0 - w) <= 1e-15 * abs(w), lv
@@ -359,7 +358,7 @@ def test_immersion_runs_without_quadrature(refuse_quadrature, lv):
     with pytest.raises(AssertionError, match="reached"):
         curve.continue_sheet([1.0], 1.0, 0.5)
     weierstrass._period_vectors_cached.cache_clear()
-    weierstrass._sheet_connection_cached.cache_clear()
+    weierstrass._lam_terms.cache_clear()
     lam = Lambda(lv)
     norm = Normalization.paper(lam)
     for sheet in (+1, -1):
@@ -370,6 +369,45 @@ def test_immersion_runs_without_quadrature(refuse_quadrature, lv):
     radial_edge_alignment(grids[0])
     spacing = vertical_end_spacing(lam, norm)
     assert len(foliation_slices(grids, spacing * np.array([0.3, 0.6]))) == 2
+
+
+# ---------------------------------------------------------------------------
+# the jump of an axis crossing
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("kind", ["raw", "paper", "spacing"])
+@pytest.mark.parametrize("lv", [*np.logspace(-6, 6, 13), 1.0 - 1e-9, 1.0, 1.0 + 1e-9])
+def test_a_crossing_adds_the_jump_its_interval_fixes(lv, kind):
+    # an edge that crosses the axis at x0 < lam adds Psi(x0 on za's side) -
+    # flip Psi(x0 on zb's side), Psi from above the _closed_form at x0 and
+    # from below its _mirror: that per-crossing formula is the oracle.  Its
+    # real part is J = 2 Re Psi(lam) on the whole cut (0, lam), exactly 0 on
+    # (-1/lam, 0) and on the cut (-inf, -1/lam), and J is -T
+    lam = Lambda(lv)
+    norm = getattr(Normalization, kind)(lam)
+    jump = weierstrass._lam_terms(norm)[1]
+    t_vec = period_vectors(lam, norm).translation
+    assert np.linalg.norm(jump + t_vec) <= 1e-14 * np.linalg.norm(t_vec)
+    rng = np.random.default_rng(29)
+    u = rng.uniform(0.0, 1.0, 60)
+    for x0, on_cut, flip in ((lv * u, True, -1.0), (-u / lv, False, 1.0),
+                             (-np.exp(6.0 * u) / lv, False, -1.0)):
+        x0 = x0[~curve.near_branch(x0, lam)]
+        step = rng.uniform(0.1, 2.0, len(x0)) * np.exp(1j * rng.uniform(0.1, 3.0, len(x0)))
+        step *= np.where(rng.random(len(x0)) < 0.5, 1.0, -1.0)      # za above or below
+        step *= min(lv, 1.0 / lv) * 1e-3
+        za, zb = x0 + step, x0 - step
+        flips, cut = weierstrass._crossings(za, zb, lam, str)
+        assert np.all(cut == on_cut) and np.all(flips == flip)
+        _, above = weierstrass._closed_form(x0 + 0.0j, lam, norm)
+        below = weierstrass._mirror(above)
+        up = (za.imag > 0.0)[:, None]
+        oracle = np.where(up, above - flip * below, below - flip * above).real
+        if on_cut:
+            miss = np.linalg.norm(oracle - jump, axis=1)
+            assert np.all(miss <= 1e-14 * max(1.0, np.linalg.norm(jump)))
+        else:
+            assert np.all(oracle == 0.0)
 
 
 # ---------------------------------------------------------------------------

@@ -19,7 +19,7 @@ from riemann_examples.curve import (
     principal_w,
     sheeted_path_from_branch,
 )
-from riemann_examples.errors import QuadratureFailure, SingularPoint
+from riemann_examples.errors import QuadratureFailure, RiemannFamilyError, SingularPoint
 from riemann_examples.mesh import build_mesh
 from riemann_examples.reference import catenoid_integrand
 from riemann_examples.weierstrass import (
@@ -112,6 +112,26 @@ def test_bad_grid_radii_are_refused_naming_lambda_and_both_radii(entry, r_min, r
             f"r_min = {r_min!r}, r_max = {r_max!r} (lam = 0.5)")):
         warnings.simplefilter("error")
         _GRID_ENTRIES[entry](lam, Normalization.paper(lam), r_min, r_max)
+
+
+@pytest.mark.parametrize("lv, r_min, r_max", [(0.5, 1e-300, 1e308), (1e-6, 1e-308, 1e300),
+                                              (0.5, 1e-30, 1e30)])
+def test_wide_grids_build_or_are_refused_naming_lambda_and_both_radii(lv, r_min, r_max):
+    # 2 rings over hundreds of decades: a ring's clearance from a branch
+    # modulus is measured in log r, as the rings are spaced, and the shifted
+    # rings do not overflow (the first two used to warn of an overflow, and
+    # all three raised a PathBlocked that named neither lam nor the radii)
+    lam = Lambda(lv)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            grid = immerse_grid(lam, Normalization.paper(lam), r_min=r_min, r_max=r_max,
+                                n_rad=2, n_ang=8)
+        except (RiemannFamilyError, ValueError) as err:
+            assert f"lam = {lv!r}" in str(err)
+            assert f"r_min = {r_min!r}, r_max = {r_max!r}" in str(err)
+        else:
+            assert np.all(np.isfinite(grid.positions)) and np.all(np.isfinite(grid.w))
 
 
 @pytest.mark.parametrize("k", [3, 5, 8])
@@ -394,9 +414,10 @@ def test_cycle_enclosing_one_branch_point_does_not_close():
 def test_winding_adds_translation(lv):
     # one circuit of the translation cycle adds the closed-form T that
     # immerse adds per winding, and the companion cycle adds nothing: its
-    # chords telescope to Psi at the cycle's ends and axis crossings, so no
-    # interior vertex adds rounding, even at the ends of the family (a sum
-    # over every vertex missed T by 1.4e-12 |T| at 8e5, above verify's 1e-12)
+    # chords telescope to Psi at the cycle's two ends and the jump
+    # 2 Re Psi(lam) of each crossing of the cut (0, lam), so no interior
+    # vertex adds rounding, even at the ends of the family (a sum over every
+    # vertex missed T by 1.4e-12 |T| at 8e5, above verify's 1e-12)
     lam = Lambda(lv)
     norm = Normalization.paper(lam)
     t_vec = period_vectors(lam, norm).translation
@@ -946,7 +967,7 @@ def test_mirrored_grid_evaluation_is_the_direct_one_bitwise(monkeypatch, lv, clo
     assert np.array_equal(grid.z[:, :12], np.conj(grid.z[:, 23:11:-1]))
     ray = weierstrass._ray
     monkeypatch.setattr(weierstrass, "_ray",
-                        lambda z, lam, norm, crossings, mirror=None: ray(z, lam, norm, crossings))
+                        lambda z, lam, norm, mirror=None: ray(z, lam, norm))
     direct, direct_alignment = build()
     assert np.array_equal(direct.z, grid.z)
     assert np.array_equal(direct.w, grid.w)
