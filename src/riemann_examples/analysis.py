@@ -1,4 +1,4 @@
-"""Curvature, symmetry, and foliation analysis of the immersed family.
+"""Curvature, symmetry, conjugacy and foliation analysis of the immersed family.
 
 The closed-form curvature of the family with scale s is
 
@@ -15,6 +15,16 @@ path integrals, each anchored at a fixed point of the respective symmetry:
     rotation   (z, w) -> (-1/z, -w/z^2)        ambient diag(-1, +1, -1)
     line flip  (z, w) -> (conj z, -conj w)     ambient diag(-1, +1, -1)
 
+The members lam and 1/lam are conjugate: (z, w) -> (z', w') = (-z, i w)
+maps the lam-curve onto the (1/lam)-curve, and on the paper scale
+
+    -i Phi_lam(z, w) = diag(-1, -1, 1) Phi_{1/lam}(-z, i w),
+
+that is i Phi_lam dz = diag(-1, -1, 1) Phi_{1/lam} dz': the conjugate
+surface of the member lam, integrated from i Phi_lam, is the member 1/lam
+turned by pi about the x3 axis.  conjugate_check verifies the identity
+pointwise on the integrands.
+
 Horizontal foliation slices are in closed form: on the torus coordinate v,
 which inverts the integral of dz/w by Jacobi's sn (curve._curve_at),
 x3 falls linearly with Re v, so each height is one vertical line of v.  Its
@@ -30,7 +40,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curve import CurvePoint, Lambda, _agm, _curve_at, as_lambda, principal_w
+from .curve import (CURVE_TOL, CurvePoint, Lambda, _agm, _curve_at, as_lambda, curve_residual,
+                    principal_w)
 from .errors import InsufficientSlicePoints, RiemannFamilyError, SingularPoint
 from .weierstrass import (
     Normalization,
@@ -40,6 +51,7 @@ from .weierstrass import (
     _raw_periods,
     normalization_scale,
     period_vectors,
+    phi_components,
     sheet_connection,
 )
 
@@ -84,6 +96,10 @@ def general_curvature(g_value, g_derivative, f_value) -> float:
 
 @dataclass(frozen=True)
 class CurvatureGrid:
+    """The polar grid of z that verify_curvature_bound searches: n_rad rings
+    log-spaced on [r_min, r_max], each with n_ang angles equally spaced on
+    [-pi, pi), endpoint excluded."""
+
     r_min: float = 1e-3
     r_max: float = 1e3
     n_rad: int = 512
@@ -97,6 +113,11 @@ RING_WINDOW = 4
 
 @dataclass(frozen=True)
 class CurvatureBoundReport:
+    """verify_curvature_bound at lam, paper scale: max_abs_k is the grid
+    maximum of |K|, at the node argmax; refined_max is the closed-form
+    supremum, at refined_argmax (+-i, in the argmax's half-plane), the
+    fixed point named by argmax_locus."""
+
     lam: Lambda
     max_abs_k: float
     argmax: complex
@@ -185,6 +206,11 @@ ROTATION = np.diag([-1.0, 1.0, -1.0])
 
 @dataclass(frozen=True)
 class SymmetryReport:
+    """check_symmetries at lam: per sample and symmetry, the distance of the
+    transformed lift's position from the ambient image of the sample's,
+    modulo the period T, relative to max(1, |x|).  It passes when the
+    largest residual is below `tolerance`."""
+
     lam: Lambda
     tolerance: float
     mirror_residuals: np.ndarray
@@ -255,6 +281,48 @@ def check_symmetries(lam, norm: Normalization, samples,
 
 
 # ---------------------------------------------------------------------------
+# conjugacy
+# ---------------------------------------------------------------------------
+
+@dataclass(frozen=True)
+class ConjugacyReport:
+    """Residuals of conjugate_check at the member lam: one per sample, the
+    largest component of |-i Phi_lam - diag(-1, -1, 1) Phi_{1/lam}| relative
+    to the largest component of |Phi_lam| there (paper scale)."""
+
+    lam: Lambda
+    residuals: np.ndarray
+
+    @property
+    def max_residual(self) -> float:
+        return float(np.max(self.residuals)) if len(self.residuals) else 0.0
+
+
+def conjugate_check(lam, samples) -> ConjugacyReport:
+    """Pointwise conjugacy identity between the normalized families at lam
+    and 1/lam.
+
+    For (z, w) on the lam-curve, the mapped point (-z, i w) lies on the
+    (1/lam)-curve, and the conjugated integrand i * Phi_lam, transported by
+    dz -> -dz', equals diag(-1, -1, 1) applied to the integrand of the
+    (1/lam)-family at the mapped point.  Residuals are relative; a sample
+    mapped off the (1/lam)-curve raises ValueError.
+    """
+    lam, recip = as_lambda(lam), as_lambda(lam).reciprocal
+    z, w = np.array([(p.z, p.w) if isinstance(p, CurvePoint) else (p, principal_w(p, lam))
+                     for p in samples], dtype=complex).reshape(-1, 2).T
+    on_curve = curve_residual(-z, 1j * w, recip) <= CURVE_TOL
+    if not on_curve.all():
+        k = int(np.argmin(on_curve))
+        raise ValueError(f"lam = {lam.value!r}: sample {k}, (z, w) = ({z[k]}, {w[k]}), maps to "
+                         f"(-z, i w) off the curve for lam = {recip.value!r}")
+    lhs = -1j * phi_components(z, w, Normalization.paper(lam))
+    rhs = np.array([[-1.0], [-1.0], [1.0]]) * phi_components(-z, 1j * w, Normalization.paper(recip))
+    scale = np.maximum(np.abs(lhs).max(axis=0), 1e-300)
+    return ConjugacyReport(lam=lam, residuals=np.abs(lhs - rhs).max(axis=0) / scale)
+
+
+# ---------------------------------------------------------------------------
 # colinearity / coplanarity of the special real intervals
 # ---------------------------------------------------------------------------
 
@@ -286,6 +354,11 @@ def plane_fit(points):
 
 @dataclass(frozen=True)
 class FoliationSlice:
+    """The slice x3 = height, fitted as a circle or a line (kind): a circle's
+    center (x1, x2) and radius, both None for a line, and the largest
+    first-order distance (ambient units) of its n_points sampled positions,
+    `points` of shape (n_points, 3), from the fitted curve."""
+
     height: float
     kind: str                      # "circle" or "line"
     center: np.ndarray | None

@@ -24,6 +24,11 @@ and grows like 4 log(4/lam) along the catenoid limit.  The decomposition
 identities integrate their correction integrands, which have no closed
 form here, by the reference quadrature along each target's route_vertices,
 whose lift immerse places in closed form.
+
+The lam <-> 1/lam conjugacy check, conjugate_check and its ConjugacyReport,
+lives in analysis with the other `verify` checks, so that
+`import riemann_examples` need not load this module; both are re-exported
+here as the same objects.
 """
 
 from __future__ import annotations
@@ -33,9 +38,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .analysis import plane_fit
-from .curve import (CURVE_TOL, CurvePoint, Lambda, as_lambda, at_branch, curve_residual,
-                    principal_w)
+from .analysis import ConjugacyReport, conjugate_check, plane_fit
+from .curve import Lambda, as_lambda, at_branch
 from .errors import BranchAmbiguity, PathBlocked, SingularPoint
 from .reference import (
     ReferenceKind,
@@ -53,7 +57,6 @@ from .weierstrass import (
     make_sheeted_path,
     normalization_scale,
     path_integral,
-    phi_components,
     route_vertices,
     unit_normal,
     vertical_end_spacing as end_spacing,
@@ -264,44 +267,6 @@ def helicoid_decomposition_residuals(lam, targets) -> np.ndarray:
     return _decomposition_residuals(
         lam, targets, _f_inf_of_root, helicoid_integrand,
         lambda z: helicoid_point_continued(z, np.angle(z)))
-
-
-# ---------------------------------------------------------------------------
-# conjugacy
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class ConjugacyReport:
-    lam: Lambda
-    residuals: np.ndarray
-
-    @property
-    def max_residual(self) -> float:
-        return float(np.max(self.residuals)) if len(self.residuals) else 0.0
-
-
-def conjugate_check(lam, samples) -> ConjugacyReport:
-    """Pointwise conjugacy identity between the normalized families at lam
-    and 1/lam.
-
-    For (z, w) on the lam-curve, the mapped point (-z, i w) lies on the
-    (1/lam)-curve, and the conjugated integrand i * Phi_lam, transported by
-    dz -> -dz', equals diag(-1, -1, 1) applied to the integrand of the
-    (1/lam)-family at the mapped point.  Residuals are relative; a sample
-    mapped off the (1/lam)-curve raises ValueError.
-    """
-    lam, recip = as_lambda(lam), as_lambda(lam).reciprocal
-    z, w = np.array([(p.z, p.w) if isinstance(p, CurvePoint) else (p, principal_w(p, lam))
-                     for p in samples], dtype=complex).reshape(-1, 2).T
-    on_curve = curve_residual(-z, 1j * w, recip) <= CURVE_TOL
-    if not on_curve.all():
-        k = int(np.argmin(on_curve))
-        raise ValueError(f"lam = {lam.value!r}: sample {k}, (z, w) = ({z[k]}, {w[k]}), maps to "
-                         f"(-z, i w) off the curve for lam = {recip.value!r}")
-    lhs = -1j * phi_components(z, w, Normalization.paper(lam))
-    rhs = np.array([[-1.0], [-1.0], [1.0]]) * phi_components(-z, 1j * w, Normalization.paper(recip))
-    scale = np.maximum(np.abs(lhs).max(axis=0), 1e-300)
-    return ConjugacyReport(lam=lam, residuals=np.abs(lhs - rhs).max(axis=0) / scale)
 
 
 # ---------------------------------------------------------------------------

@@ -45,6 +45,11 @@ EXPORT_CHUNK = 2048
 
 @dataclass(frozen=True)
 class MeshProvenance:
+    """How a SurfaceMesh was built: lam, the normalization's kind ("raw",
+    "paper" or "spacing"), the sheet convention of its roots, the trimmed
+    annulus r_min <= |z| <= r_max sampled n_rad x n_ang per sheet, and the
+    number of fundamental domains (copies) translated by the period."""
+
     lam: float
     normalization: str
     sheet_convention: str
@@ -57,6 +62,11 @@ class MeshProvenance:
 
 @dataclass(frozen=True)
 class SurfaceMesh:
+    """Triangulated surface: vertex positions in the ambient units of the
+    normalization, triangles as vertex indices, and per vertex the unit
+    normal and |K| (in inverse squared ambient units); arrays are stored
+    read-only."""
+
     vertices: np.ndarray      # (n, 3) float
     triangles: np.ndarray     # (m, 3) int, counterclockwise in grid orientation
     normals: np.ndarray       # (n, 3) unit
