@@ -6,7 +6,11 @@ The closed-form curvature of the family with scale s is
 
 whose supremum is attained only at z = +-i: lam + 1/lam on the raw family,
 exactly 1 + min(lam, 1/lam)^2 on the paper scale, below the universal
-bound 4 of the normalized family.
+bound 4 of the normalized family.  This |K| is the curvature of the
+half-size surface x/2, four times that of the immersed surface x: it is
+Osserman's (4 |g'| / (|f| (1 + |g|^2)^2))^2 with g = z and f = s/(z w), the
+eta of weierstrass, while Phi is Osserman's (f (1 - g^2)/2, i f (1 + g^2)/2,
+f g) with f = 2 s/(z w).  The reported numbers keep this convention.
 
 Symmetry checks verify the three isometry lifts of the cover at the level of
 path integrals, each anchored at a fixed point of the respective symmetry:
@@ -61,7 +65,8 @@ from .weierstrass import (
 
 
 def abs_gauss_curvature(z, lam, norm: Normalization):
-    """Closed-form |K| at parameter z; vectorized over z."""
+    """Closed-form |K| at parameter z; vectorized over z.  It is the
+    curvature of the surface x/2, four times that of the immersed surface."""
     lam = _matched_lambda(lam, norm)
     z = np.asarray(z, dtype=complex)
     if np.any(z == 0):
@@ -77,6 +82,8 @@ def abs_gauss_curvature(z, lam, norm: Normalization):
 
 def max_abs_curvature(lam, norm: Normalization) -> float:
     """The supremum of |K|, |K(+-i)| = (lam + 1/lam) / s^2, attained only at z = +-i.
+    Like abs_gauss_curvature it is the curvature of the surface x/2, four
+    times the supremum on the immersed surface.
 
     At |z| = r the angular maximum of |z - lam| |z + 1/lam| is
     (1 + r^2)(lam + 1/lam) / 2, at cos(theta) = (1/lam - lam)(r^2 - 1) / (4 r)
@@ -384,7 +391,8 @@ def fit_generalized_circles(xy):
     coefficient norm: each set is centred on its centroid and scaled to unit
     rms radius, q, and (a, b, c, d) is the right singular vector of
     [|q|^2, q1, q2, 1] with the smallest singular value, one batched SVD for
-    the whole stack (full, so that n = 3 has its null vector).  The circle
+    the whole stack (full only for n = 3, whose null vector a reduced SVD
+    drops; for n >= 4 the reduced one builds no n x n factor).  The circle
     residual is the first-order distance |F| / |grad F|, free of the
     cancellation in |p - center| - radius; the line residual is that of the
     linear part, |b q1 + c q2 + d| / |(b, c)|.  LINE_RADIUS_CUTOFF decides
@@ -399,7 +407,8 @@ def fit_generalized_circles(xy):
     scale = np.sqrt(np.mean(np.sum(rel * rel, axis=-1), axis=-1))
     q1, q2 = np.moveaxis(rel / scale[..., None, None], -1, 0)
     qq = q1 * q1 + q2 * q2
-    vt = np.linalg.svd(np.stack([qq, q1, q2, np.ones_like(qq)], axis=-1))[2]
+    vt = np.linalg.svd(np.stack([qq, q1, q2, np.ones_like(qq)], axis=-1),
+                       full_matrices=xy.shape[-2] < 4)[2]
     a, b, c, d = np.moveaxis(vt[..., -1, :, None], -2, 0)
     lin = b * q1 + c * q2 + d
     with np.errstate(divide="ignore", invalid="ignore"):

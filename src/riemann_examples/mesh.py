@@ -2,11 +2,12 @@
 
 One fundamental-domain mesh covers both sheets of the cover over a trimmed
 annulus, built from the two closed grid immersions.  Cell assembly follows
-the sheet alignment of radial edges: in the band rows, where the sign of
-w = sigma W changes between rings, cells past the branch crossing take
-their upper corners from the other sheet's grid, so triangles never bridge
-the two sheets incorrectly near a branch point.  Further copies are exact translates by
-the period vector T.
+the sheet alignment of radial edges, read off the grid paths' lifts: an
+edge keeps its start's root sign sigma (w = sigma W), so where sigma
+changes between rings a cell takes its upper corners from the other
+sheet's grid, translated by the periods its count of cut crossings
+differs by; triangles never bridge the two sheets incorrectly near a
+branch point.  Further copies are exact translates by the period vector T.
 
 The ASCII OBJ/PLY writers write every float as Python's "%.17g" does.
 numpy formats whole arrays of doubles with 1e-4 <= |x| < 1e17 (an exact
@@ -64,8 +65,9 @@ class MeshProvenance:
 class SurfaceMesh:
     """Triangulated surface: vertex positions in the ambient units of the
     normalization, triangles as vertex indices, and per vertex the unit
-    normal and |K| (in inverse squared ambient units); arrays are stored
-    read-only."""
+    normal and |K| (in inverse squared ambient units, abs_gauss_curvature:
+    the curvature of the surface x/2, four times that of the positions
+    here); arrays are stored read-only."""
 
     vertices: np.ndarray      # (n, 3) float
     triangles: np.ndarray     # (m, 3) int, counterclockwise in grid orientation
@@ -171,10 +173,12 @@ def build_mesh(lam, norm: Normalization, *, n_rad: int = 48, n_ang: int = 96,
                copies: int = 1, r_min: float = 1.0 / 40.0, r_max: float = 40.0) -> SurfaceMesh:
     """Mesh of `copies` fundamental domains of the immersed surface.
 
-    Quad cells follow the continuation alignment of their radial edges, so
-    cells in a band row of radial_edge_alignment take their upper corners
-    from the other sheet's grid (and, where the alignment carries a period
-    offset, from a translated duplicate vertex).  Ends are trimmed at
+    Quad cells follow the continuation alignment of their radial edges
+    (radial_edge_alignment): an edge keeps its start's root sign sigma, so a
+    cell whose upper ring has the other sigma takes its upper corners from
+    the other sheet's grid, and one whose edge ends j_land - j_start periods
+    away, j the signed count of cut crossings of a vertex's grid path, from
+    a translated duplicate vertex.  Ends are trimmed at
     |z| in [r_min, r_max], finite with 0 < r_min < r_max and rings with a
     finite curve polynomial (`immerse_grid` raises ValueError otherwise); the
     second and later copies reuse the first copy's immersion values

@@ -36,11 +36,14 @@ root W(1) = sqrt(1 - lam) sqrt(1 + 1/lam) (i sqrt(lam - 1) sqrt(1 + 1/lam)
 beyond lam = 1, 0 at it), so a point z on the root sigma W is at
 Re sigma Psi(z) - Re Psi(1) plus its path's jumps, plus n T for n
 translation circuits: immerse and immerse_grid need no routes, and evaluate
-the base point and their points in one _carlson call, as does the mesh
-alignment's batch of radial edges; a grid's conjugate points are evaluated
-once (_mirror), Psi(lam) once per scale (_lam_terms).  _carlson runs one
-duplication body over numpy arrays, or point by point for a few points,
-where numpy's fixed cost per call would dominate.  The quadrature of
+the base point and their points in one _carlson call; a grid's conjugate
+points are evaluated once (_mirror), Psi(lam) once per scale (_lam_terms).
+The sign sigma and the signed count j of cut crossings of each grid vertex
+(_grid_lift) also align the mesh's radial edges: an edge keeps its start's
+sigma, lands on the lift over its end with that sign, and is j_land - j_start
+periods off it (radial_edge_alignment).  _carlson runs one duplication
+body over numpy arrays, or point by point for a few points, where numpy's
+fixed cost per call would dominate.  The quadrature of
 make_sheeted_path and path_integral (re-exported here) along route_vertices
 remains for reference computations.
 Guards and snaps are curve.near_branch and curve.at_branch, both found in
@@ -754,26 +757,11 @@ def _half_offset_radii(r_min: float, r_max: float, n_rad: int, n_ang: int, lam: 
                       f"points, r_min = {r_min!r}, r_max = {r_max!r}")
 
 
-def _edge_locator(lam: Lambda, shape, a, b):
-    """Describe edge k, from vertex a[k] to b[k] of a pair of sheet grids of
-    shape (n_rad, n_col), numbered as one: the sheet +1 block, then the sheet
-    -1 block, each row-major.  The sheet named is a[k]'s."""
-    block, n_col = shape[0] * shape[1], shape[1]
-
-    def where(k) -> str:
-        sheet = 1 if a[k] < block else -1
-        (i, j), (i2, j2) = divmod(int(a[k]) % block, n_col), divmod(int(b[k]) % block, n_col)
-        kind = "radial" if j == j2 else "angular"
-        return (f"lam = {lam.value!r}, sheet {sheet:+d}, {kind} grid edge "
-                f"({i}, {j}) -> ({i2}, {j2})")
-    return where
-
-
-def _column_mirror(n_row, n_col, n_ang, start=0):
-    """(lower, upper) indices for _ray of the points of n_row grid rows of
-    n_col columns, row-major from index start: column j < n_ang/2 of a
+def _column_mirror(n_row, n_col, n_ang):
+    """(lower, upper) indices for _ray of the base point, then the points of
+    n_row grid rows of n_col columns, row-major: column j < n_ang/2 of a
     half-offset grid is the conjugate of column n_ang - 1 - j."""
-    idx = start + np.arange(n_row * n_col).reshape(n_row, n_col)
+    idx = 1 + np.arange(n_row * n_col).reshape(n_row, n_col)
     return idx[:, :n_ang // 2].ravel(), idx[:, n_ang - 1:n_ang // 2 - 1:-1].ravel()
 
 
@@ -782,6 +770,39 @@ def _north_then_east(steps, ufunc):
     its vertex) north up the western column, then east along every row."""
     ufunc.accumulate(steps[:, 0], axis=0, out=steps[:, 0])
     return ufunc.accumulate(steps, axis=1, out=steps)
+
+
+def _grid_lift(lam: Lambda, zs, sheet_sign: int):
+    """Root signs sigma and signed crossing counts j, each of shape
+    (n_rad, n_col), of the lifts of the grid paths to the vertices zs: the
+    stem, a chord below the axis from the base point to vertex (0, 0), then
+    north up the western column and east along a row.  Vertex v of sheet +1
+    lies on the root sigma_v W_v at Re sigma_v Psi_v - Re Psi(1) + j_v J: flips
+    multiply, and sigma_before adds, per crossing of the cut (0, lam)
+    (_crossings), along the paths (_north_then_east).  Errors from an edge
+    name lam, sheet_sign, the edge, the branch point and its guard radius."""
+    n_rad, n_col = zs.shape
+    # the stem, then the grid edges: the western column, then row by row
+    idx = np.arange(n_rad * n_col).reshape(n_rad, n_col)
+    a = np.concatenate((idx[:-1, 0], idx[:, :-1].ravel()))
+    b = np.concatenate((idx[1:, 0], idx[:, 1:].ravel()))
+
+    def where(k) -> str:
+        head = f"lam = {lam.value!r}, sheet {sheet_sign:+d}, "
+        if k == 0:
+            return head + "stem to grid vertex (0, 0)"
+        (i, j), (i2, j2) = divmod(int(a[k - 1]), n_col), divmod(int(b[k - 1]), n_col)
+        kind = "radial" if j == j2 else "angular"
+        return head + f"{kind} grid edge ({i}, {j}) -> ({i2}, {j2})"
+
+    z, ends = zs.ravel(), np.concatenate(([0], b))     # ends[k]: the vertex edge k leads to
+    flip, cut = _crossings(np.concatenate(([BASE_POINT], z[a])), z[ends], lam, where)
+    sigma = np.empty(n_rad * n_col)
+    sigma[ends] = flip
+    sigma = _north_then_east(sigma.reshape(n_rad, n_col), np.multiply)
+    j = np.empty(n_rad * n_col)         # sigma_before on a crossing of (0, lam), else 0
+    j[ends] = sigma.flat[ends] * flip * cut
+    return sigma, _north_then_east(j.reshape(n_rad, n_col), np.add)
 
 
 def immerse_grid(lam, norm: Normalization, *, r_min: float, r_max: float,
@@ -800,10 +821,8 @@ def immerse_grid(lam, norm: Normalization, *, r_min: float, r_max: float,
     must be finite with 0 < r_min < r_max, and every ring's curve polynomial
     finite (_finite_moduli), or ValueError names lam and both radii.
 
-    The paths are the stem, a chord below the axis from the base point to
-    vertex (0, 0), then north up the western column and east along a row;
-    signs, and sigma_before J per crossing of the cut (0, lam), accumulate
-    along them (_north_then_east).  One _carlson call evaluates the base
+    Each vertex takes its root sign and its count of cut crossings from the
+    lift of its grid path (_grid_lift).  One _carlson call evaluates the base
     point, the upper half and the seam; the lower half's W and Psi are their
     mirror images (_ray).  Only sheet +1 is computed; sheet -1 is its
     sheet_partner.  Errors from an edge name lam, the requested sheet, the
@@ -824,30 +843,12 @@ def immerse_grid(lam, norm: Normalization, *, r_min: float, r_max: float,
     n_col = len(angles)
     zs = radii[:, None] * np.exp(1j * angles[None, :])
 
-    # the stem, then the grid edges: the western column, then row by row
-    idx = np.arange(n_rad * n_col).reshape(n_rad, n_col)
-    a = np.concatenate((idx[:-1, 0], idx[:, :-1].ravel()))
-    b = np.concatenate((idx[1:, 0], idx[:, 1:].ravel()))
-    off = 0 if sheet_sign > 0 else n_rad * n_col     # errors name the requested sheet
-    edge = _edge_locator(lam, zs.shape, a + off, b + off)
-
-    def where(k) -> str:
-        if k == 0:
-            return f"lam = {lam.value!r}, sheet {sheet_sign:+d}, stem to grid vertex (0, 0)"
-        return edge(k - 1)
-
-    z, ends = zs.ravel(), np.concatenate(([0], b))     # ends[k]: the vertex edge k leads to
-    flip, cut = _crossings(np.concatenate(([BASE_POINT], z[a])), z[ends], lam, where)
-    ws, psi = _ray(np.concatenate(([BASE_POINT], z)), lam, norm,
-                   _column_mirror(n_rad, n_col, n_ang, 1))
-    sign = np.empty(n_rad * n_col)
-    sign[ends] = flip
-    sign = _north_then_east(sign.reshape(n_rad, n_col), np.multiply).ravel()
-    jumps = np.empty(n_rad * n_col)     # sigma_before on a crossing of (0, lam), else 0
-    jumps[ends] = sign[ends] * flip * cut
-    jumps = _north_then_east(jumps.reshape(n_rad, n_col), np.add).reshape(-1, 1)
+    sign, jumps = _grid_lift(lam, zs, sheet_sign)
+    ws, psi = _ray(np.concatenate(([BASE_POINT], zs.ravel())), lam, norm,
+                   _column_mirror(n_rad, n_col, n_ang))
+    sign = sign.ravel()
     psi[1:] *= sign[:, None]
-    pos = psi[1:].real - psi[0].real + jumps * _lam_terms(norm)[1]
+    pos = psi[1:].real - psi[0].real + jumps.reshape(-1, 1) * _lam_terms(norm)[1]
     ws, pos = (sign * ws[1:]).reshape(n_rad, n_col), pos.reshape(n_rad, n_col, 3)
     for arr in (radii, angles, zs, ws, pos):
         arr.setflags(write=False)
@@ -864,9 +865,8 @@ class RadialEdgeAlignment:
 
     Continuing from vertex (i, j) of block s to the next ring lands on vertex
     `upper[s, i, j]`, which is (i+1, j) of either block, translated by
-    `period_k[s, i, j]` periods.  Away from the band rows, where the sign
-    sigma of the root w = sigma W changes between rings i and i+1 in some
-    column, this is (i+1, j) of block s itself, unshifted.
+    `period_k[s, i, j]` periods.  Where the sign sigma of the root w = sigma W
+    is the same at (i, j) and (i+1, j), this is (i+1, j) of block s itself.
     """
 
     upper: np.ndarray
@@ -875,57 +875,26 @@ class RadialEdgeAlignment:
 
 def radial_edge_alignment(grid: GridImmersion) -> RadialEdgeAlignment:
     """Radial-edge alignment for a sheet +1 grid and its sheet_partner (roots
-    -w, positions C - x).
+    -w, positions C - x), read off the lifts of the grid paths (_grid_lift).
 
-    Each vertex's root is w = sigma W (_root).  A radial edge at a
-    half-offset angle never meets the real axis, so it keeps sigma: from
-    vertex a it ends on the root sigma_a W_b, at pos[a] + Re sigma_a (Psi_b -
-    Psi_a), on sheet +1's vertex b if sigma_a = sigma_b, else on its partner
-    (-w[b], C - pos[b]).  sigma flips exactly where the loop that closes the
-    edge through the grid paths encloses an odd number of branch points, so
-    only the band rows, where sigma changes in some column, are continued,
-    every column of them, by one _ray call.  Each lands k = rint(gap.T/|T|^2)
-    periods away; a root off by more than 1e-6 (1 + |w|), or a position off
-    by more than 1e-6 max(1, |x|) after k periods, raises QuadratureFailure.
-    By the deck involution, sheet -1's edge lands on the other block, -k
-    periods away.  A sheet -1 grid raises ValueError.
+    Vertex v of sheet +1 is on the root sigma_v W_v at Re sigma_v Psi_v -
+    Re Psi(1) + j_v J.  A radial edge a -> b at a half-offset angle never
+    meets the real axis, so it keeps sigma_a and ends at Re sigma_a Psi_b -
+    Re Psi(1) + j_a J.  That is the lift over b with root sign sigma_a: sheet
+    +1's own vertex b if sigma_b = sigma_a, else its partner (-w[b], C -
+    pos[b]), whose count is 1 - j_b, since C = J - 2 Re Psi(1).  With J = -T
+    the edge lands k = j_land - j_a periods away.  By the deck involution,
+    sheet -1's edge lands on the other block, -k periods away.  A sheet -1
+    grid raises ValueError.
     """
     if grid.sheet_sign < 0:
         raise ValueError("radial_edge_alignment takes a sheet +1 grid, not its sheet_partner")
-    lam, norm = grid.lam, grid.norm
-    t_vec = period_vectors(lam, norm).translation
-    sigma = np.where((grid.w * np.conj(_root(grid.z, lam))).real >= 0.0, 1.0, -1.0)
-    bands = np.flatnonzero(np.any(sigma[1:] != sigma[:-1], axis=1))
+    sigma, j = _grid_lift(grid.lam, grid.z, +1)
     n_rad, n_col = grid.z.shape
     block = n_rad * n_col
-    upper = np.arange(2 * block).reshape(2, n_rad, n_col)[:, 1:].copy()
-    period_k = np.zeros(upper.shape, dtype=int)
-    a = (bands[:, None] * n_col + np.arange(n_col)).ravel()
-    b = a + n_col
-    where = _edge_locator(lam, grid.z.shape, a, b)
-    za, zb = grid.z.flat[a], grid.z.flat[b]
-    _crossings(za, zb, lam, where)       # the guards: radial edges stay off the axis
-    n_ang = n_col - 1 if grid.closed else n_col
-    roots, psi = _ray(np.concatenate((za, zb)), lam, norm,
-                      _column_mirror(2 * len(bands), n_col, n_ang))
-    n, pos = len(a), grid.positions.reshape(-1, 3)
-    sign, same = sigma.flat[a], sigma.flat[a] == sigma.flat[b]
-    w_end = sign * roots[n:]
-    end = pos[a] + (sign[:, None] * (psi[n:] - psi[:n])).real
+    same = sigma[1:] == sigma[:-1]
+    b = np.arange(n_col, block).reshape(n_rad - 1, n_col)
     up = np.where(same, b, b + block)
-    w_up = np.where(same, grid.w.flat[b], -grid.w.flat[b])
-    gap = end - np.where(same[:, None], pos[b], sheet_connection(lam, norm) - pos[b])
-    k = np.rint(gap @ t_vec / (t_vec @ t_vec))
-    tol = 1e-6 * np.maximum(1.0, np.linalg.norm(end, axis=1))
-    hit = ((np.abs(w_up - w_end) <= 1e-6 * (1.0 + np.abs(w_end)))
-           & (np.linalg.norm(gap - k[:, None] * t_vec, axis=1) < tol))
-    if not hit.all():
-        j = np.flatnonzero(~hit)[0]
-        raise QuadratureFailure(
-            f"{where(j)}: continued end matched no grid vertex within "
-            f"{tol[j]:.1e} (root and position modulo the period)"
-        )
-    up, k = up.reshape(len(bands), n_col), k.reshape(len(bands), n_col)
-    upper[0, bands], upper[1, bands] = up, (up + block) % (2 * block)
-    period_k[0, bands], period_k[1, bands] = k, -k
-    return RadialEdgeAlignment(upper=upper, period_k=period_k)
+    k = (np.where(same, j[1:], 1.0 - j[1:]) - j[:-1]).astype(int)
+    return RadialEdgeAlignment(upper=np.stack((up, np.where(same, b + block, b))),
+                               period_k=np.stack((k, -k)))

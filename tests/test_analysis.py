@@ -1,6 +1,7 @@
 import contextlib
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -29,7 +30,6 @@ from riemann_examples.weierstrass import (
     immerse_grid,
     normalization_scale,
     period_vectors,
-    radial_edge_alignment,
     sheet_connection,
 )
 from riemann_examples.limits import end_spacing
@@ -361,6 +361,33 @@ def test_fit_circle_exact():
     assert radius == pytest.approx(2.5, abs=1e-7)
 
 
+def test_fit_circle_through_three_points():
+    # three points have one circle through them, the null vector of the
+    # 3 x 4 design matrix, which only a full SVD returns
+    ang = np.array([0.3, 2.0, 4.4])
+    xy = np.stack([3.0 + 2.0 * np.cos(ang), -1.0 + 2.0 * np.sin(ang)], axis=1)
+    line, center, radius, res = fit_generalized_circles(xy)
+    assert not line
+    assert np.allclose(center, [3.0, -1.0], atol=1e-12)
+    assert radius == pytest.approx(2.0, abs=1e-12)
+    assert res < 1e-12
+
+
+def test_circle_fit_builds_no_square_factor_per_slice():
+    # a full SVD of each slice's 1024 x 4 design matrix would build a
+    # 1024 x 1024 U (8 MB per slice, about 34 MB peak for 4 slices)
+    norm = Normalization.paper(0.5)
+    heights = [0.3, 1.1, 1.9, 2.7]
+    foliation_slices(norm, heights, min_points=16)      # fill the caches
+    tracemalloc.start()
+    try:
+        foliation_slices(norm, heights, min_points=1024)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8e6
+
+
 def test_fit_line_and_plane():
     t = np.linspace(-2, 2, 15)
     xy = np.stack([1.0 + 2.0 * t, -0.5 * t], axis=1)
@@ -437,10 +464,9 @@ def test_each_batch_of_edges_is_one_carlson_call(lv):
     # whose chords telescope, its first and last vertex: no axis crossing is
     # evaluated, since a crossing of (-inf, 0) adds nothing and one of the
     # cut (0, lam) the jump 2 Re Psi(lam), cached with the sheet connection.
-    # So does a batch of edges: the alignment's band rows, which never cross
-    # the axis, and edges across both cuts.  A grid and the band rows
-    # evaluate only the upper half of their mirrored columns, and a closed
-    # grid's seam column.
+    # So does a batch of edges across both cuts.  A grid evaluates only the
+    # upper half of its mirrored columns, and a closed grid's seam column;
+    # the alignment reads the grid paths' lifts and evaluates nothing.
     lam = Lambda(lv)
     norm = Normalization.paper(lam)
     targets = np.array([0.5 + 0.5j, -2.0 - 1.0j, 3.0j, 0.3 - 0.4j])
@@ -461,15 +487,17 @@ def test_each_batch_of_edges_is_one_carlson_call(lv):
     assert [points for _, points in calls] == [[2]]
     za = np.array([0.5 * lv + 0.5j, -3.0 / lv - 0.5j, 3.0 * lv + 0.5j])
     zb = np.conj(za)
-    bands = sum(any(r0 < m < r1 for m in (lv, 1.0 / lv))
-                for r0, r1 in zip(grid.radii[:-1], grid.radii[1:]))
-    period_vectors(lam, norm), grid.sheet_partner      # fill the caches the alignment reads
+    # with cold caches: the alignment reads no period and no sheet connection
+    weierstrass._period_vectors_cached.cache_clear()
+    weierstrass._lam_terms.cache_clear()
+    with _carlson_work(weierstrass, "radial_edge_alignment") as calls:
+        weierstrass.radial_edge_alignment(grid)
+    assert [points for _, points in calls] == [[]]
     with _carlson_work(weierstrass, "_ray") as rays:
-        radial_edge_alignment(grid)
         weierstrass._crossings(za, zb, lam, str)
         weierstrass._ray(np.concatenate((za, zb)), lam, norm)
-    assert bands > 0 and _axis_crossings(za, zb, lv) == 2
-    assert [points for _, points in rays] == [[2 * bands * (8 + 1)], [2 * len(za)]]
+    assert _axis_crossings(za, zb, lv) == 2
+    assert [points for _, points in rays] == [[2 * len(za)]]
 
 
 def test_foliation_points_lie_on_their_height(interior_slices):

@@ -10,6 +10,7 @@ import sys
 from pathlib import Path
 
 import riemann_examples.cli  # noqa: F401  (its bindings are wrapped too)
+import riemann_examples.limits  # noqa: F401
 
 
 def _load_spans():

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 import re
 import warnings
@@ -19,7 +18,7 @@ from riemann_examples.curve import (
     principal_w,
     sheeted_path_from_branch,
 )
-from riemann_examples.errors import QuadratureFailure, RiemannFamilyError, SingularPoint
+from riemann_examples.errors import RiemannFamilyError, SingularPoint
 from riemann_examples.mesh import build_mesh
 from riemann_examples.reference import catenoid_integrand
 from riemann_examples.weierstrass import (
@@ -949,9 +948,9 @@ def test_grid_edge_errors_name_lambda_sheet_edge_and_guard(monkeypatch, sheet):
 @pytest.mark.parametrize("closed", [False, True])
 def test_mirrored_grid_evaluation_is_the_direct_one_bitwise(monkeypatch, lv, closed):
     # the lower-half columns are the exact conjugates of the upper half, so
-    # immerse_grid and the alignment's band rows evaluate only the upper half
-    # (and a closed grid's seam): by W(conj z) = conj W(z) the grid and the
-    # alignment are bitwise those of one _ray over every point
+    # immerse_grid evaluates only the upper half (and a closed grid's seam):
+    # by W(conj z) = conj W(z) the grid, and the alignment read off it, are
+    # bitwise those of one _ray over every point
     from riemann_examples import weierstrass
     lam = Lambda(lv)
     norm = Normalization.paper(lam)
@@ -977,50 +976,17 @@ def test_mirrored_grid_evaluation_is_the_direct_one_bitwise(monkeypatch, lv, clo
 
 
 # ---------------------------------------------------------------------------
-# radial-edge alignment: the sheet check, the match checks, and sheet -1
-# against its own continuation
+# radial-edge alignment: the sheet check, and both sheets against their own
+# continuation
 # ---------------------------------------------------------------------------
 
-def _alignment_grid(lv):
-    lam = Lambda(lv)
-    return immerse_grid(lam, Normalization.paper(lam), r_min=0.1, r_max=10.0, n_rad=24,
-                        n_ang=48, closed=True)
-
-
-def _first_band_row(grid):
-    radii, lv = grid.radii, grid.lam.value
-    return next(i for i in range(len(radii) - 1)
-                if any(radii[i] < m < radii[i + 1] for m in (lv, 1.0 / lv)))
-
-
 def test_alignment_refuses_a_sheet_minus_grid():
-    grid = _alignment_grid(0.354)
+    lam = Lambda(0.354)
+    grid = immerse_grid(lam, Normalization.paper(lam), r_min=0.1, r_max=10.0, n_rad=24,
+                        n_ang=48, closed=True)
     with pytest.raises(ValueError, match="sheet_partner"):
         radial_edge_alignment(grid.sheet_partner)
     assert radial_edge_alignment(grid).upper.shape == (2, 23, 49)
-
-
-@pytest.mark.parametrize("lv", [0.354, 4.851])
-@pytest.mark.parametrize("miss", ["position", "root"])
-def test_alignment_refuses_an_edge_that_lands_on_no_vertex(lv, miss):
-    # a band-row start vertex of sheet +1 moved by T/3, or the root at its
-    # upper vertex scaled by 1 + 1e-3: the edge between them matches neither
-    # sheet, and the error names lam, the sheet and the edge
-    grid = _alignment_grid(lv)
-    i, j = _first_band_row(grid), 5
-    if miss == "position":
-        pos = grid.positions.copy()
-        pos[i, j] += period_vectors(grid.lam, grid.norm).translation / 3.0
-        bad = dataclasses.replace(grid, positions=pos)
-    else:
-        w = grid.w.copy()
-        w[i + 1, j] *= 1.0 + 1e-3
-        bad = dataclasses.replace(grid, w=w)
-    with pytest.raises(QuadratureFailure) as err:
-        radial_edge_alignment(bad)
-    assert str(err.value).startswith(
-        f"lam = {lv!r}, sheet +1, radial grid edge ({i}, {j}) -> ({i + 1}, {j}): "
-        "continued end matched no grid vertex")
 
 
 #: Ring 5 of the 12-ring grid over [0.1, 10].
@@ -1028,14 +994,17 @@ _R5 = 0.1 * 100.0 ** (5.5 / 12.0)
 
 #: (lam, (r_min, r_max, n_rad, n_ang)) of the alignment checks: 24x48 grids,
 #: then branch points between a ring and the axis crossing r cos(pi/n_ang)
-#: of its chords, where the row of the straddled ring radii is no band row:
+#: of its chords, where sigma does not change between the straddled rings:
 #: 1/lam at 1.02 r5 and lam at 0.96 r5 on 12x8 grids, and lam = 0.3 and 2.0
-#: on 48x8 grids over [1/40, 40].
+#: on 48x8 grids over [1/40, 40]; then the family's ends on 48x96 grids over
+#: [min(lam, 1/lam)/2, 2 max(lam, 1/lam)], which span both branch moduli.
 _ALIGNMENT_CASES = (
     [pytest.param(lv, (0.1, 10.0, 24, 48), id=str(lv))
      for lv in (0.354, 1.0 - 1e-6, 1.0, 1.0 + 1e-6, 4.851)]
     + [pytest.param(f * _R5, (0.1, 10.0, 12, 8), id=f"{f}r5-12x8") for f in (1.02, 0.96)]
-    + [pytest.param(lv, (1.0 / 40.0, 40.0, 48, 8), id=f"{lv}-48x8") for lv in (0.3, 2.0)])
+    + [pytest.param(lv, (1.0 / 40.0, 40.0, 48, 8), id=f"{lv}-48x8") for lv in (0.3, 2.0)]
+    + [pytest.param(lv, (0.5 * min(lv, 1.0 / lv), 2.0 * max(lv, 1.0 / lv), 48, 96),
+                    id=f"{lv}-48x96") for lv in (1e-6, 1e-3, 1e3, 1e6)])
 
 
 @pytest.mark.parametrize("lv, spec", _ALIGNMENT_CASES)
