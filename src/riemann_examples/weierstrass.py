@@ -36,8 +36,9 @@ root W(1) = sqrt(1 - lam) sqrt(1 + 1/lam) (i sqrt(lam - 1) sqrt(1 + 1/lam)
 beyond lam = 1, 0 at it), so a point z on the root sigma W is at
 Re sigma Psi(z) - Re Psi(1) plus its path's jumps, plus n T for n
 translation circuits: immerse and immerse_grid need no routes, and evaluate
-the base point and their points in one _carlson call; a grid's conjugate
-points are evaluated once (_mirror), Psi(lam) once per scale (_lam_terms).
+the base point and their points in one _ray call, Psi(lam) once per scale
+(_lam_terms).  A grid's lower half is the conjugate of its upper half by
+construction, and takes conj W and _mirror(Psi) from it.
 The sign sigma and the signed count j of cut crossings of each grid vertex
 (_grid_lift) also align the mesh's radial edges: an edge keeps its start's
 sigma, lands on the lift over its end with that sign, and is j_land - j_start
@@ -59,6 +60,7 @@ import dataclasses
 import enum
 import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -352,8 +354,14 @@ def _sweep_radii(targets, lam: Lambda, winding: int):
     radius lam/8.  A target that is not finite raises ValueError
     (_finite_moduli), before anything is evaluated; one at the puncture
     SingularPoint and one in a guard disk (unless at_branch) PathBlocked, each
-    naming lam, it and the winding."""
-    lv, rho = lam.value, _finite_moduli(targets, lam, "target")
+    naming lam, it and the winding.  A winding that is not an integer
+    (operator.index) raises ValueError naming lam and it."""
+    lv = lam.value
+    try:
+        operator.index(winding)
+    except TypeError:
+        raise ValueError(f"lam = {lv!r}: winding {winding!r} is not an integer") from None
+    rho = _finite_moduli(targets, lam, "target")
     if np.any(rho == 0.0):
         raise SingularPoint(f"lam = {lv!r}: target 0j (winding {winding}) is the puncture z = 0")
     near, at = _branch_guards(targets, lam)
@@ -436,16 +444,23 @@ def _crossings(za, zb, lam: Lambda, where):
     return np.where(cut | (x0 < -1.0 / lv), -1.0, 1.0), cut
 
 
-def _root(z, lam: Lambda):
-    """W = sqrt(z - lam) sqrt(z) sqrt(z + 1/lam), each root principal: the
-    root of the curve with cuts (0, lam) and (-inf, -1/lam)."""
-    return np.sqrt(z - lam.value) * np.sqrt(z) * np.sqrt(z + 1.0 / lam.value)
+def _ray(z, lam: Lambda, norm: Normalization):
+    """W and Psi at the points z, of shapes (n,) and (n, 3), by one _carlson
+    call.
 
-
-def _closed_form(z, lam: Lambda, norm: Normalization):
-    """W and Psi at the points z, by one _carlson call (see _ray)."""
-    w = _root(z, lam)
-    rf, rd = _carlson(z - lam.value, z + 1.0 / lam.value, z)
+    W = sqrt(z - lam) sqrt(z) sqrt(z + 1/lam), each root principal: the root
+    of the curve with cuts (0, lam) and (-inf, -1/lam).  With
+    A = 2 R_F(z - lam, z, z + 1/lam) and B = (2/3) R_D(z - lam, z + 1/lam, z),
+    the integrals of dt/W and dt/(t W) along the horizontal ray from z to
+    +inf (DLMF 19.16, 19.29), Psi = s (-2 B - 2 W/z, 2 i W/z, -2 A) is an
+    antiderivative of Phi(z, W) off (-inf, lam], since
+    d(w/z)/dz = (1 + z^2)/(2 z w) on the curve.  Points on the real axis give
+    the limits from above.
+    """
+    z = np.asarray(z, dtype=complex) + 0.0     # imaginary parts -0.0 -> +0.0
+    lv = lam.value
+    w = np.sqrt(z - lv) * np.sqrt(z) * np.sqrt(z + 1.0 / lv)
+    rf, rd = _carlson(z - lv, z + 1.0 / lv, z)
     s = normalization_scale(norm)
     return w, s * np.stack([-4.0 / 3.0 * rd - 2.0 * w / z, 2j * w / z, -4.0 * rf], axis=-1)
 
@@ -456,39 +471,12 @@ def _mirror(psi):
     return np.conj(psi) * [1.0, -1.0, 1.0]
 
 
-def _ray(z, lam: Lambda, norm: Normalization, mirror=None):
-    """W and Psi at the points z, of shapes (n,) and (n, 3).  With mirror =
-    (lower, upper), indices into z, each z[lower[k]] that is exactly
-    conj z[upper[k]], above the axis, takes conj W and _mirror(Psi) from
-    there, bitwise what _carlson would give it.
-
-    W is _root.  With A = 2 R_F(z - lam, z, z + 1/lam) and
-    B = (2/3) R_D(z - lam, z + 1/lam, z), the integrals of dt/W and dt/(t W)
-    along the horizontal ray from z to +inf (DLMF 19.16, 19.29),
-    Psi = s (-2 B - 2 W/z, 2 i W/z, -2 A) is an antiderivative of Phi(z, W)
-    off (-inf, lam], since d(w/z)/dz = (1 + z^2)/(2 z w) on the curve.
-    Points on the real axis give the limits from above.
-    """
-    z = np.asarray(z, dtype=complex) + 0.0     # imaginary parts -0.0 -> +0.0
-    if mirror is None:
-        return _closed_form(z, lam, norm)
-    lower, upper = mirror
-    exact = (z[lower] == np.conj(z[upper])) & (z[upper].imag > 0.0)
-    lower, upper = lower[exact], upper[exact]
-    keep = np.ones(len(z), dtype=bool)
-    keep[lower] = False
-    w, psi = np.empty(len(z), dtype=complex), np.empty((len(z), 3), dtype=complex)
-    w[keep], psi[keep] = _closed_form(z[keep], lam, norm)
-    w[lower], psi[lower] = np.conj(w[upper]), _mirror(psi[upper])
-    return w, psi
-
-
 @functools.lru_cache(maxsize=256)
 def _lam_terms(norm: Normalization) -> np.ndarray:
     """Rows C = 2 Re (Psi(lam) - Psi(1)), the sheet_connection, and the jump
     J = 2 Re Psi(lam) of a crossing of the cut (0, lam) (_crossings), from
-    one _closed_form call at [1, lam]; read-only."""
-    _, psi = _closed_form(np.array([BASE_POINT, norm.lam.value + 0.0j]), norm.lam, norm)
+    one _ray call at [1, lam]; read-only."""
+    _, psi = _ray([BASE_POINT, norm.lam.value], norm.lam, norm)
     terms = 2.0 * np.stack((psi[1].real - psi[0].real, psi[1].real))
     terms.setflags(write=False)
     return terms
@@ -540,6 +528,14 @@ def _immerse(lam: Lambda, norm: Normalization, targets, winding: int = 0):
     return pos, flip * roots[1:]
 
 
+def _sheet(lam: Lambda, sheet_sign) -> int:
+    """sheet_sign as the int +1 or -1; ValueError naming lam and the value
+    for any other."""
+    if sheet_sign not in (1, -1):
+        raise ValueError(f"lam = {lam.value!r}: sheet_sign must be +1 or -1, not {sheet_sign!r}")
+    return int(sheet_sign)
+
+
 def immerse(lam, norm: Normalization, targets, *, sheet_sign: int = +1,
             winding: int = 0) -> list[SurfacePoint]:
     """Immerse targets on the lifts of their routes from the base point
@@ -550,9 +546,11 @@ def immerse(lam, norm: Normalization, targets, *, sheet_sign: int = +1,
     starts on the principal root W(1) at z0 (at lam = 1, where z0 is a
     branch point, the base point itself is (1, 0) with image 0).  Sheet -1
     is not integrated: it returns the sheet partners (z, -w) at C - x, C the
-    sheet_connection.  Targets on the real axis are limits from above.
+    sheet_connection.  Targets on the real axis are limits from above.  A
+    sheet_sign other than +1 or -1 raises ValueError.
     """
     lam = _matched_lambda(lam, norm)
+    sheet_sign = _sheet(lam, sheet_sign)
     targets = np.array([complex(t) for t in targets], dtype=complex) + 0.0
     pos, w = _immerse(lam, norm, targets, winding)
     if sheet_sign < 0:
@@ -634,10 +632,13 @@ def cycle_real_period(vertices, lam, norm: Normalization):
     at the two ends, plus sigma_k J for each chord k across the cut (0, lam).
     A lift that does not close (odd number of branch points enclosed) raises
     QuadratureFailure, a chord that ends, or crosses the axis, in a guard disk
-    BranchTooClose (_crossings), and a vertex not finite ValueError (_finite_moduli).
+    BranchTooClose (_crossings), and a vertex not finite, or no vertex,
+    ValueError (_finite_moduli).
     """
     lam = _matched_lambda(lam, norm)
     verts = np.asarray(vertices, dtype=complex)
+    if len(verts) == 0:
+        raise ValueError(f"lam = {lam.value!r}: a cycle needs at least one vertex, not none")
     _finite_moduli(verts, lam, "cycle point")
 
     def where(k) -> str:
@@ -757,14 +758,6 @@ def _half_offset_radii(r_min: float, r_max: float, n_rad: int, n_ang: int, lam: 
                       f"points, r_min = {r_min!r}, r_max = {r_max!r}")
 
 
-def _column_mirror(n_row, n_col, n_ang):
-    """(lower, upper) indices for _ray of the base point, then the points of
-    n_row grid rows of n_col columns, row-major: column j < n_ang/2 of a
-    half-offset grid is the conjugate of column n_ang - 1 - j."""
-    idx = 1 + np.arange(n_row * n_col).reshape(n_row, n_col)
-    return idx[:, :n_ang // 2].ravel(), idx[:, n_ang - 1:n_ang // 2 - 1:-1].ravel()
-
-
 def _north_then_east(steps, ufunc):
     """Accumulate, in place, per-vertex steps on a grid (each on the edge into
     its vertex) north up the western column, then east along every row."""
@@ -814,7 +807,7 @@ def immerse_grid(lam, norm: Normalization, *, r_min: float, r_max: float,
     branch points (radii are shifted if a ring lands on a branch modulus, or
     the axis crossing of its chords on a branch point, else PathBlocked names
     lam and both radii).  The angles of the lower half are the exact
-    negatives of the upper half's, so its z are the exact conjugates.  With
+    negatives of the upper half's, and its z are built as conjugates.  With
     closed=True an extra seam column at western angle + 2 pi is appended;
     for parameter bands where the full circuit is a translation period the
     seam column sits exactly one period from the first column.  The radii
@@ -822,13 +815,15 @@ def immerse_grid(lam, norm: Normalization, *, r_min: float, r_max: float,
     finite (_finite_moduli), or ValueError names lam and both radii.
 
     Each vertex takes its root sign and its count of cut crossings from the
-    lift of its grid path (_grid_lift).  One _carlson call evaluates the base
-    point, the upper half and the seam; the lower half's W and Psi are their
-    mirror images (_ray).  Only sheet +1 is computed; sheet -1 is its
-    sheet_partner.  Errors from an edge name lam, the requested sheet, the
-    edge, the branch point and its guard radius.
+    lift of its grid path (_grid_lift).  One _ray call evaluates the base
+    point, the upper half and the seam; the data have real coefficients, so
+    the lower half takes conj W and _mirror(Psi) of the upper half.  Only
+    sheet +1 is computed; sheet -1 is its sheet_partner.  A sheet_sign other
+    than +1 or -1 raises ValueError.  Errors from an edge name lam, the
+    requested sheet, the edge, the branch point and its guard radius.
     """
     lam = _matched_lambda(lam, norm)
+    sheet_sign = _sheet(lam, sheet_sign)
     if n_ang % 2 != 0 or n_ang < 8 or n_rad < 2:
         raise ValueError("need even n_ang >= 8 and n_rad >= 2")
     refusal = (f"grid radii need finite 0 < r_min < r_max and rings with a finite curve "
@@ -837,19 +832,19 @@ def immerse_grid(lam, norm: Normalization, *, r_min: float, r_max: float,
         raise ValueError(refusal)
     radii = _half_offset_radii(r_min, r_max, n_rad, n_ang, lam)
     _finite_moduli(radii, lam, "ring", refusal)
-    dtheta = 2.0 * math.pi / n_ang
+    half, dtheta = n_ang // 2, 2.0 * math.pi / n_ang
     angles = -math.pi + (np.arange(n_ang + (1 if closed else 0)) + 0.5) * dtheta
-    angles[:n_ang // 2] = -angles[n_ang - 1:n_ang // 2 - 1:-1]
-    n_col = len(angles)
-    zs = radii[:, None] * np.exp(1j * angles[None, :])
+    angles[:half] = -angles[n_ang - 1:half - 1:-1]
+    upper = radii[:, None] * np.exp(1j * angles[None, half:])    # with the seam, if closed
+    zs = np.concatenate((np.conj(upper[:, half - 1::-1]), upper), axis=1)
 
     sign, jumps = _grid_lift(lam, zs, sheet_sign)
-    ws, psi = _ray(np.concatenate(([BASE_POINT], zs.ravel())), lam, norm,
-                   _column_mirror(n_rad, n_col, n_ang))
-    sign = sign.ravel()
-    psi[1:] *= sign[:, None]
-    pos = psi[1:].real - psi[0].real + jumps.reshape(-1, 1) * _lam_terms(norm)[1]
-    ws, pos = (sign * ws[1:]).reshape(n_rad, n_col), pos.reshape(n_rad, n_col, 3)
+    ws, psi = _ray(np.concatenate(([BASE_POINT], upper.ravel())), lam, norm)
+    ws, base, psi = ws[1:].reshape(n_rad, -1), psi[0].real, psi[1:].reshape(n_rad, -1, 3)
+    ws = sign * np.concatenate((np.conj(ws[:, half - 1::-1]), ws), axis=1)
+    psi = np.concatenate((_mirror(psi[:, half - 1::-1]), psi), axis=1)
+    psi *= sign[..., None]
+    pos = psi.real - base + jumps[..., None] * _lam_terms(norm)[1]
     for arr in (radii, angles, zs, ws, pos):
         arr.setflags(write=False)
     grid = GridImmersion(lam=lam, norm=norm, sheet_sign=+1, radii=radii,

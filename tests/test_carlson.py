@@ -59,7 +59,7 @@ def _frozen_guards(z, lam):
 
 
 def _arguments(z, lv):
-    """_closed_form's arguments of _carlson at the points z."""
+    """_ray's arguments of _carlson at the points z."""
     return z - lv, z + 1.0 / lv, z
 
 

@@ -379,7 +379,7 @@ def test_immersion_runs_without_quadrature(refuse_quadrature, lv):
 @pytest.mark.parametrize("lv", [*np.logspace(-6, 6, 13), 1.0 - 1e-9, 1.0, 1.0 + 1e-9])
 def test_a_crossing_adds_the_jump_its_interval_fixes(lv, kind):
     # an edge that crosses the axis at x0 < lam adds Psi(x0 on za's side) -
-    # flip Psi(x0 on zb's side), Psi from above the _closed_form at x0 and
+    # flip Psi(x0 on zb's side), Psi from above the _ray at x0 and
     # from below its _mirror: that per-crossing formula is the oracle.  Its
     # real part is J = 2 Re Psi(lam) on the whole cut (0, lam), exactly 0 on
     # (-1/lam, 0) and on the cut (-inf, -1/lam), and J is -T
@@ -399,7 +399,7 @@ def test_a_crossing_adds_the_jump_its_interval_fixes(lv, kind):
         za, zb = x0 + step, x0 - step
         flips, cut = weierstrass._crossings(za, zb, lam, str)
         assert np.all(cut == on_cut) and np.all(flips == flip)
-        _, above = weierstrass._closed_form(x0 + 0.0j, lam, norm)
+        _, above = weierstrass._ray(x0 + 0.0j, lam, norm)
         below = weierstrass._mirror(above)
         up = (za.imag > 0.0)[:, None]
         oracle = np.where(up, above - flip * below, below - flip * above).real

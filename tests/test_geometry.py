@@ -5,6 +5,9 @@ Weierstrass data.  These checks take only positions from the package
 (weierstrass._immerse) and differentiate them in z = u + i v by fourth-order
 central differences on a 5 x 5 stencil; the fundamental forms of those
 derivatives give the normal, the mean curvature H and the Gauss curvature K.
+The exported mesh is checked the same way from its vertices and triangles
+alone: the angle defect of a vertex over a third of its incident area is
+its discrete Gauss curvature (Meyer, Desbrun, Schroeder and Barr 2003).
 """
 
 import numpy as np
@@ -12,6 +15,7 @@ import pytest
 
 from riemann_examples.analysis import abs_gauss_curvature
 from riemann_examples.curve import Lambda
+from riemann_examples.mesh import build_mesh, triangle_areas
 from riemann_examples.weierstrass import Normalization, _immerse, unit_normal
 
 #: Fourth-order central weights of the first and second derivative at the
@@ -19,6 +23,12 @@ from riemann_examples.weierstrass import Normalization, _immerse, unit_normal
 _D1 = np.array([1.0, -8.0, 0.0, 8.0, -1.0]) / 12.0
 _D2 = np.array([-1.0, 16.0, -30.0, 16.0, -1.0]) / 12.0
 _OFFSETS = np.arange(-2, 3)
+
+#: (normal miss, |H| / sqrt|K|, |K ratio - 1/4|) bounds at the family's ends;
+#: every other lam keeps (1e-8, 1e-5, 1e-6).  The closed form's cancellation
+#: there (ROADMAP direction 6) costs the positions digits, which the
+#: stencil's 1/h^2 magnifies into the second derivatives.
+_END_BOUNDS = {lv: (1e-7, 1e-3, 2e-4) for lv in (1e-6, 1e-5, 1e5, 1e6)}
 
 
 def _targets(lv, n=30):
@@ -49,18 +59,49 @@ def _finite_difference_geometry(lam, norm, z):
     return normal, (e * nn - 2.0 * f * mm + g * ll) / (2.0 * det), (ll * nn - mm * mm) / det
 
 
-@pytest.mark.parametrize("lv", [1e-3, 0.1, 0.5, 2.0, 10.0, 1e3])
+@pytest.mark.parametrize("lv", [1e-3, 0.1, 0.5, 2.0, 10.0, 1e3, 1e-6, 1e-5, 1e5, 1e6])
 def test_positions_give_the_gauss_map_a_minimal_surface_and_a_quarter_of_abs_k(lv):
     # the reported |K| is that of the surface x/2, four times the curvature
-    # of the immersed positions (analysis)
+    # of the immersed positions (analysis).  The lower half-plane's targets
+    # cross the cut (0, lam) where their sweep leaves the axis below lam, and
+    # a route is redirected within lam/8 of lam: no target is within 0.5 % of
+    # those thresholds lam (1 -+ 1/8), beyond the stencil's reach of
+    # 2 sqrt(2) h <= 0.3 % of |z|, so every stencil stays on one lift
     lam = Lambda(lv)
     norm = Normalization.paper(lam)
-    z = _targets(lv)
+    upper = _targets(lv)
+    z = np.concatenate((upper, np.conj(upper)))
+    thresholds = lv * np.array([7.0 / 8.0, 9.0 / 8.0])
+    assert np.min(np.abs(np.abs(z)[:, None] / thresholds - 1.0)) > 5e-3
+    normal_tol, mean_tol, ratio_tol = _END_BOUNDS.get(lv, (1e-8, 1e-5, 1e-6))
     normal, mean, gauss = _finite_difference_geometry(lam, norm, z)
     expect = unit_normal(z)
     miss = np.minimum(np.linalg.norm(normal - expect, axis=1),
                       np.linalg.norm(normal + expect, axis=1))
-    assert np.max(miss) <= 1e-8
-    assert np.max(np.abs(mean) / np.sqrt(np.abs(gauss))) <= 1e-5
+    assert np.max(miss) <= normal_tol
+    assert np.max(np.abs(mean) / np.sqrt(np.abs(gauss))) <= mean_tol
     ratio = -gauss / abs_gauss_curvature(z, lam, norm)
-    assert np.max(np.abs(ratio - 0.25)) <= 1e-6
+    assert np.max(np.abs(ratio - 0.25)) <= ratio_tol
+
+
+@pytest.mark.parametrize("lv", [1e-3, 0.5, 2.0, 1e3])
+def test_mesh_angle_defects_give_a_quarter_of_its_abs_k(lv):
+    # at the interior vertices (six incident triangles) where |K| is above a
+    # tenth of its maximum, the angle defect 2 pi - sum theta over a third of
+    # the incident area is the positions' K = -|K|/4: the factor 4 of the
+    # exported |K|, read off the mesh alone (medians -0.2494 .. -0.2497)
+    lam = Lambda(lv)
+    mesh = build_mesh(lam, Normalization.paper(lam), n_rad=96, n_ang=192, copies=3)
+    t = mesh.triangles
+    corners = mesh.vertices[t]
+    ahead, behind = np.roll(corners, -1, axis=1) - corners, np.roll(corners, 1, axis=1) - corners
+    theta = np.arctan2(np.linalg.norm(np.cross(ahead, behind), axis=-1),
+                       np.sum(ahead * behind, axis=-1))
+    n = mesh.n_vertices
+    fan = np.bincount(t.ravel(), minlength=n)
+    angle = np.bincount(t.ravel(), weights=theta.ravel(), minlength=n)
+    area = np.bincount(t.ravel(), weights=np.repeat(triangle_areas(mesh), 3), minlength=n)
+    k = mesh.abs_curvature
+    inner = (fan == 6) & (k > 0.1 * k.max())
+    ratio = (2.0 * np.pi - angle[inner]) / (area[inner] / 3.0) / k[inner]
+    assert abs(np.median(ratio) + 0.25) <= 1e-3

@@ -670,6 +670,47 @@ def test_route_blocked_inside_branch_guard():
         immerse(lam, Normalization.paper(lam), [0j], winding=1)
 
 
+@pytest.mark.parametrize("sheet", [0, 2, 0.5, -2])
+def test_a_sheet_sign_other_than_plus_or_minus_one_is_refused(sheet):
+    lam = Lambda(0.5)
+    norm = Normalization.paper(lam)
+    msg = f"^lam = 0.5: sheet_sign must be \\+1 or -1, not {sheet!r}$"
+    with pytest.raises(ValueError, match=msg):
+        immerse(lam, norm, [0.3 + 0.2j], sheet_sign=sheet)
+    with pytest.raises(ValueError, match=msg):
+        immerse_grid(lam, norm, r_min=0.1, r_max=10.0, n_rad=4, n_ang=8, sheet_sign=sheet)
+
+
+def test_an_empty_cycle_is_refused_naming_lambda():
+    lam = Lambda(0.5)
+    with pytest.raises(ValueError, match=r"^lam = 0.5: a cycle needs at least one vertex"):
+        cycle_real_period([], lam, Normalization.paper(lam))
+
+
+@pytest.mark.parametrize("winding", [0.5, float("nan"), 1.0, np.float64(-2.0)])
+def test_a_winding_that_is_not_an_integer_is_refused(winding):
+    # a fractional winding would place a point on no lift of any route
+    lam = Lambda(0.5)
+    norm = Normalization.paper(lam)
+    msg = f"^lam = 0.5: winding {re.escape(repr(winding))} is not an integer$"
+    with pytest.raises(ValueError, match=msg):
+        immerse(lam, norm, [0.3 + 0.2j], winding=winding)
+    with pytest.raises(ValueError, match=msg):
+        route_vertices(0.3 + 0.2j, lam, winding=winding)
+
+
+def test_numpy_integer_windings_and_sheets_are_python_ones():
+    lam = Lambda(0.5)
+    norm = Normalization.paper(lam)
+    for winding, sheet in ((-2, -1), (1, 1)):
+        expect = immerse(lam, norm, [0.3 + 0.2j], winding=winding, sheet_sign=sheet)[0]
+        got = immerse(lam, norm, [0.3 + 0.2j], winding=np.int64(winding),
+                      sheet_sign=np.int32(sheet))[0]
+        assert np.array_equal(got.position, expect.position)
+        assert route_vertices(0.3 + 0.2j, lam, winding=np.int64(winding)) == \
+            route_vertices(0.3 + 0.2j, lam, winding=winding)
+
+
 # ---------------------------------------------------------------------------
 # batched routes against the per-target scalar path
 # ---------------------------------------------------------------------------
@@ -946,33 +987,26 @@ def test_grid_edge_errors_name_lambda_sheet_edge_and_guard(monkeypatch, sheet):
 
 @pytest.mark.parametrize("lv", [1e-6, 0.35, 1.0, 4.851, 1e6])
 @pytest.mark.parametrize("closed", [False, True])
-def test_mirrored_grid_evaluation_is_the_direct_one_bitwise(monkeypatch, lv, closed):
+def test_mirrored_grid_evaluation_is_the_direct_one_bitwise(lv, closed):
     # the lower-half columns are the exact conjugates of the upper half, so
     # immerse_grid evaluates only the upper half (and a closed grid's seam):
-    # by W(conj z) = conj W(z) the grid, and the alignment read off it, are
-    # bitwise those of one _ray over every point
+    # by W(conj z) = conj W(z) its roots and positions are bitwise those of
+    # one _ray over every point, placed by the grid paths' lifts
     from riemann_examples import weierstrass
     lam = Lambda(lv)
     norm = Normalization.paper(lam)
     m = max(lv, 1.0 / lv)
-
-    def build():
-        grid = immerse_grid(lam, norm, r_min=0.5 / m, r_max=2.0 * m, n_rad=12, n_ang=24,
-                            closed=closed)
-        return grid, radial_edge_alignment(grid)
-
-    grid, alignment = build()
+    grid = immerse_grid(lam, norm, r_min=0.5 / m, r_max=2.0 * m, n_rad=12, n_ang=24,
+                        closed=closed)
     assert np.array_equal(grid.angles[:12], -grid.angles[23:11:-1])
     assert np.array_equal(grid.z[:, :12], np.conj(grid.z[:, 23:11:-1]))
-    ray = weierstrass._ray
-    monkeypatch.setattr(weierstrass, "_ray",
-                        lambda z, lam, norm, mirror=None: ray(z, lam, norm))
-    direct, direct_alignment = build()
-    assert np.array_equal(direct.z, grid.z)
-    assert np.array_equal(direct.w, grid.w)
-    assert np.array_equal(direct.positions, grid.positions)
-    assert np.array_equal(direct_alignment.upper, alignment.upper)
-    assert np.array_equal(direct_alignment.period_k, alignment.period_k)
+    sigma, j = weierstrass._grid_lift(lam, grid.z, +1)
+    w, psi = weierstrass._ray(np.concatenate(([BASE_POINT], grid.z.ravel())), lam, norm)
+    sigma = sigma.ravel()
+    pos = (sigma[:, None] * psi[1:]).real - psi[0].real
+    pos += j.reshape(-1, 1) * weierstrass._lam_terms(norm)[1]
+    assert np.array_equal((sigma * w[1:]).reshape(grid.w.shape), grid.w)
+    assert np.array_equal(pos.reshape(grid.positions.shape), grid.positions)
 
 
 # ---------------------------------------------------------------------------
